@@ -59,7 +59,7 @@ from repro.ir import (
 from repro.layout import CacheConfig, MemoryLayout, layout_for_refs
 from repro.memo import Memoizer
 from repro.normalize import NormalizedProgram, normalize
-from repro.parallel import ParallelEngine, solve_parallel
+from repro.parallel import ParallelEngine
 from repro.polyhedra import Affine, Var
 from repro.reuse import ReuseOptions, ReuseTable, build_reuse_table
 from repro.sim import SimReport, simulate
@@ -106,7 +106,6 @@ __all__ = [
     "NormalizedProgram",
     "normalize",
     "ParallelEngine",
-    "solve_parallel",
     "Affine",
     "Var",
     "ReuseOptions",

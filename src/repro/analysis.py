@@ -32,10 +32,8 @@ from repro.normalize.nprogram import NormalizedProgram
 from repro.normalize.pipeline import normalize
 from repro.iteration.walker import Walker
 from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
-from repro.cme.estimate import estimate_misses
-from repro.cme.find import find_misses
-from repro.cme.regions import region_misses
 from repro.cme.result import MissReport
+from repro.cme.solver import solve_misses, solver_for
 from repro.sim.simulator import (
     HierarchyReport,
     SimReport,
@@ -148,46 +146,18 @@ def analyze(
     means NumPy when installed, scalar otherwise.  Reports are
     bit-identical across backends, jobs and memoization.
     """
+    solver = solver_for(method, confidence, width, seed)
     prepared = _as_prepared(target)
-    reuse = prepared.reuse_table(cache.line_bytes, reuse_options)
-    if method == "find":
-        return find_misses(
-            prepared.nprog,
-            prepared.layout,
-            cache,
-            reuse=reuse,
-            walker=prepared.walker,
-            jobs=jobs,
-            memo=memo,
-            backend=backend,
-        )
-    if method == "regions":
-        return region_misses(
-            prepared.nprog,
-            prepared.layout,
-            cache,
-            reuse=reuse,
-            walker=prepared.walker,
-            jobs=jobs,
-            memo=memo,
-            backend=backend,
-        )
-    if method == "estimate":
-        return estimate_misses(
-            prepared.nprog,
-            prepared.layout,
-            cache,
-            confidence=confidence,
-            width=width,
-            reuse=reuse,
-            walker=prepared.walker,
-            seed=seed,
-            jobs=jobs,
-            memo=memo,
-            backend=backend,
-        )
-    raise ValueError(
-        f"unknown method {method!r}; use 'find', 'estimate' or 'regions'"
+    return solve_misses(
+        solver,
+        prepared.nprog,
+        prepared.layout,
+        cache,
+        reuse=prepared.reuse_table(cache.line_bytes, reuse_options),
+        walker=prepared.walker,
+        jobs=jobs,
+        memo=memo,
+        backend=backend,
     )
 
 

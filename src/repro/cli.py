@@ -68,6 +68,7 @@ from typing import Callable, Optional, TextIO
 
 from repro import obs
 from repro.analysis import prepare, run_simulation
+from repro.cme.solver import METHODS
 from repro.inline import classify_program
 from repro.ir import Program, program_stats
 from repro.layout import CacheConfig
@@ -713,9 +714,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_analyze = subs.add_parser("analyze", help="analytical miss prediction")
     _add_workload_args(p_analyze)
-    p_analyze.add_argument(
-        "--method", choices=["estimate", "find", "regions"], default="estimate"
-    )
+    p_analyze.add_argument("--method", choices=METHODS, default="estimate")
     p_analyze.add_argument("--confidence", type=float, default=0.95)
     p_analyze.add_argument("--width", type=float, default=0.05)
     p_analyze.add_argument("--seed", type=int, default=0)
@@ -745,9 +744,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_cmp = subs.add_parser("compare", help="analytical vs simulated, side by side")
     _add_workload_args(p_cmp)
-    p_cmp.add_argument(
-        "--method", choices=["estimate", "find", "regions"], default="estimate"
-    )
+    p_cmp.add_argument("--method", choices=METHODS, default="estimate")
     _add_backend_arg(p_cmp)
     _add_sim_backend_arg(p_cmp)
     _add_policy_args(p_cmp)
@@ -853,9 +850,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_submit.add_argument(
         "--url", default="http://127.0.0.1:8091", help="daemon base URL"
     )
-    p_submit.add_argument(
-        "--method", choices=["estimate", "find", "regions"], default="estimate"
-    )
+    p_submit.add_argument("--method", choices=METHODS, default="estimate")
     p_submit.add_argument("--confidence", type=float, default=0.95)
     p_submit.add_argument("--width", type=float, default=0.05)
     p_submit.add_argument("--seed", type=int, default=0)

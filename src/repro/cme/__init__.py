@@ -15,9 +15,11 @@ from repro.cme.regions import (
     region_ref_misses,
     regional_coverage,
 )
+from repro.cme.solver import METHODS, Solver, run_units, solver_for
 
 __all__ = [
     "BACKENDS",
+    "METHODS",
     "Classification",
     "Outcome",
     "PointClassifier",
@@ -35,4 +37,7 @@ __all__ = [
     "region_ref_misses",
     "regional_coverage",
     "resolve_backend",
+    "run_units",
+    "Solver",
+    "solver_for",
 ]

@@ -12,8 +12,11 @@ Each reference samples from its own generator seeded with
 ``seed ^ ref.uid``.  This makes references statistically independent *and*
 individually reproducible: adding or removing a reference cannot perturb any
 other reference's sample (a single shared generator used to do exactly
-that), and it is what lets the parallel engine (:mod:`repro.parallel`)
-shard references across processes while producing bit-identical reports.
+that), and it is what lets the loop over references
+(:mod:`repro.cme.solver`) run the per-reference unit,
+:func:`estimate_ref_misses`, serially, in the process pool
+(:mod:`repro.parallel`) or on the daemon's thread pool (:mod:`repro.serve`)
+while producing bit-identical reports.
 
 The cost per sampled point is proportional to the reuse window, not to the
 trace length — this is the source of the orders-of-magnitude speedup over
@@ -23,7 +26,6 @@ simulation the paper reports (Table 6).
 from __future__ import annotations
 
 import random
-import time
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
@@ -31,12 +33,12 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
-from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
+from repro.reuse.generator import ReuseTable
 from repro.stats.confidence import DEFAULT_FALLBACK, achievable, sample_size
-from repro.cme.backend import make_classifier
 from repro.cme.find import record_ref_metrics
 from repro.cme.point import PointClassifier, Outcome
 from repro.cme.result import MissReport, RefResult
+from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.memo import Memoizer
@@ -104,8 +106,6 @@ def estimate_misses(
     reuse: Optional[ReuseTable] = None,
     walker: Optional[Walker] = None,
     refs: Optional[Iterable[NRef]] = None,
-    rng: Optional[random.Random] = None,
-    reuse_options: Optional[ReuseOptions] = None,
     seed: int = 0,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
@@ -115,9 +115,8 @@ def estimate_misses(
 
     ``confidence``/``width`` are the paper's ``(c, w)``; the defaults match
     the experiments of Tables 4 and 6 (c = 95%, w = 0.05).  ``seed`` is the
-    base of the per-reference seeds; the legacy ``rng`` argument is folded
-    into a base seed so older call sites stay deterministic.  ``jobs > 1``
-    shards references across a process pool with identical results.
+    base of the per-reference seeds.  ``jobs > 1`` shards references across
+    a process pool with identical results.
     ``memo`` enables content-addressed memoization; estimate keys include
     the per-reference seed ``seed ^ ref.uid``, so replays are bit-identical
     to the sampling runs that produced them (and two references never share
@@ -126,50 +125,7 @@ def estimate_misses(
     ``"numpy"``; ``None`` = NumPy when available); both backends draw the
     same sample and produce bit-identical reports, so memo keys exclude it.
     """
-    started = time.perf_counter()
-    if rng is not None:
-        seed = rng.getrandbits(64)
-    if reuse is None:
-        reuse = build_reuse_table(nprog, cache.line_bytes, reuse_options)
-    targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:  # 0/negative/None mean "all CPUs" (resolved by the engine)
-        from repro.parallel import solve_parallel
-
-        return solve_parallel(
-            "estimate",
-            nprog,
-            layout,
-            cache,
-            reuse,
-            jobs,
-            refs=targets,
-            confidence=confidence,
-            width=width,
-            seed=seed,
-            memo=memo,
-            backend=backend,
-        )
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
-    report = MissReport("EstimateMisses", cache)
-    with obs.span("cme/estimate"):
-        if memo is not None:
-            plan = memo.session(
-                "estimate", nprog, layout, cache, reuse, confidence, width, seed
-            ).plan(targets)
-            for ref in plan.solve:
-                result = estimate_ref_misses(
-                    classifier, nprog, ref, confidence, width, seed
-                )
-                report.results[ref.uid] = result
-                plan.add(ref, result)
-            report.results = plan.finish(report.results)
-        else:
-            for ref in targets:
-                report.results[ref.uid] = estimate_ref_misses(
-                    classifier, nprog, ref, confidence, width, seed
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    report.solver_seconds = report.elapsed_seconds
-    if obs.is_enabled():
-        report.metrics = obs.snapshot()
-    return report
+    return solve_misses(
+        solver_for("estimate", confidence, width, seed), nprog, layout, cache,
+        reuse, walker, refs, jobs, memo, backend,
+    )

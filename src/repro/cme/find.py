@@ -6,15 +6,15 @@ exact agreement with simulation for Hydro and MGRID and a slight
 over-estimation for MMT (whose transposed B references are not uniformly
 generated).
 
-The per-reference unit of work, :func:`find_ref_misses`, is deliberately
-free-standing: references are independent once the reuse table is built, so
-the parallel engine (:mod:`repro.parallel`) shards references across worker
-processes and calls the very same function.
+This module holds the per-reference unit, :func:`find_ref_misses`; the
+loop over references is :mod:`repro.cme.solver`'s, shared with the other
+solvers.  References are independent once the reuse table is built, so the
+same unit runs serially, in the process pool (:mod:`repro.parallel`) and
+on the daemon's thread pool (:mod:`repro.serve`).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
@@ -22,10 +22,10 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
-from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
-from repro.cme.backend import make_classifier
+from repro.reuse.generator import ReuseTable
 from repro.cme.point import PointClassifier, Outcome
 from repro.cme.result import MissReport, RefResult
+from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.memo import Memoizer
@@ -86,7 +86,6 @@ def find_misses(
     reuse: Optional[ReuseTable] = None,
     walker: Optional[Walker] = None,
     refs: Optional[Iterable[NRef]] = None,
-    reuse_options: Optional[ReuseOptions] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
     backend: Optional[str] = None,
@@ -105,43 +104,7 @@ def find_misses(
     available); both backends produce bit-identical reports, so memo keys
     exclude it.
     """
-    started = time.perf_counter()
-    if reuse is None:
-        reuse = build_reuse_table(nprog, cache.line_bytes, reuse_options)
-    targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:  # 0/negative/None mean "all CPUs" (resolved by the engine)
-        from repro.parallel import solve_parallel
-
-        return solve_parallel(
-            "find",
-            nprog,
-            layout,
-            cache,
-            reuse,
-            jobs,
-            refs=targets,
-            memo=memo,
-            backend=backend,
-        )
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
-    report = MissReport("FindMisses", cache)
-    with obs.span("cme/find"):
-        if memo is not None:
-            plan = memo.session("find", nprog, layout, cache, reuse).plan(
-                targets
-            )
-            for ref in plan.solve:
-                result = find_ref_misses(classifier, nprog, ref)
-                report.results[ref.uid] = result
-                plan.add(ref, result)
-            report.results = plan.finish(report.results)
-        else:
-            for ref in targets:
-                report.results[ref.uid] = find_ref_misses(
-                    classifier, nprog, ref
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    report.solver_seconds = report.elapsed_seconds
-    if obs.is_enabled():
-        report.metrics = obs.snapshot()
-    return report
+    return solve_misses(
+        solver_for("find"), nprog, layout, cache, reuse, walker, refs, jobs,
+        memo, backend,
+    )

@@ -61,7 +61,6 @@ residual regions (at most one per reference), with ``fallback_cells`` /
 from __future__ import annotations
 
 import math
-import time
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
@@ -71,12 +70,12 @@ from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.affine import Affine
 from repro.polyhedra.constraints import Constraint, EQ
 from repro.polyhedra.regions import RegionSpace, negate_constraint
-from repro.reuse.generator import ReuseOptions, ReuseTable, build_reuse_table
+from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
-from repro.cme.backend import make_classifier
 from repro.cme.find import record_ref_metrics
 from repro.cme.point import Outcome
 from repro.cme.result import MissReport, RefResult
+from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.memo import Memoizer
@@ -867,7 +866,7 @@ class RegionSolver:
 def region_ref_misses(
     classifier, nprog: NormalizedProgram, ref: NRef
 ) -> RefResult:
-    """Classify one reference regionally (parallel-engine shard unit).
+    """Classify one reference regionally (the per-reference unit).
 
     Mirrors :func:`repro.cme.find.find_ref_misses`: the solver state is
     cached on the classifier, so repeated calls share decompositions.
@@ -924,7 +923,6 @@ def region_misses(
     reuse: Optional[ReuseTable] = None,
     walker=None,
     refs: Optional[Iterable[NRef]] = None,
-    reuse_options: Optional[ReuseOptions] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
     backend: Optional[str] = None,
@@ -939,43 +937,7 @@ def region_misses(
     ``regions`` method, like point solutions), and ``backend`` selects the
     enumeration backend used for irregular fallback regions.
     """
-    started = time.perf_counter()
-    if reuse is None:
-        reuse = build_reuse_table(nprog, cache.line_bytes, reuse_options)
-    targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:  # 0/negative/None mean "all CPUs" (resolved by the engine)
-        from repro.parallel import solve_parallel
-
-        return solve_parallel(
-            "regions",
-            nprog,
-            layout,
-            cache,
-            reuse,
-            jobs,
-            refs=targets,
-            memo=memo,
-            backend=backend,
-        )
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
-    report = MissReport("RegionMisses", cache)
-    with obs.span("cme/regions"):
-        if memo is not None:
-            plan = memo.session("regions", nprog, layout, cache, reuse).plan(
-                targets
-            )
-            for ref in plan.solve:
-                result = region_ref_misses(classifier, nprog, ref)
-                report.results[ref.uid] = result
-                plan.add(ref, result)
-            report.results = plan.finish(report.results)
-        else:
-            for ref in targets:
-                report.results[ref.uid] = region_ref_misses(
-                    classifier, nprog, ref
-                )
-    report.elapsed_seconds = time.perf_counter() - started
-    report.solver_seconds = report.elapsed_seconds
-    if obs.is_enabled():
-        report.metrics = obs.snapshot()
-    return report
+    return solve_misses(
+        solver_for("regions"), nprog, layout, cache, reuse, walker, refs, jobs,
+        memo, backend,
+    )

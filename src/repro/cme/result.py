@@ -5,8 +5,8 @@ Equality contract
 
 :class:`MissReport` equality compares **classifications only** — the
 ``method``, ``cache`` and per-reference tallies.  Everything observational
-(``elapsed_seconds``, ``solver_seconds``, ``jobs``, ``metrics``) is
-declared ``compare=False``: those fields describe *how* a run happened,
+(``elapsed_seconds``, ``solver_seconds``, ``jobs``, ``metrics``,
+``memo``) is declared ``compare=False``: those fields describe *how* a run happened,
 never *what* it computed.  This is what lets the differential tests assert
 ``serial_report == parallel_report`` bit-identically while each run still
 carries its own timings and metrics snapshot.
@@ -99,11 +99,11 @@ class MissReport:
     """Aggregate analysis outcome for a program.
 
     Timing, parallelism and observability metadata (``elapsed_seconds``,
-    ``jobs``, ``solver_seconds``, ``metrics``) are excluded from equality:
-    two reports are equal when their classifications agree, which is
-    exactly the determinism guarantee of the parallel engine (serial and
-    ``jobs=N`` runs must compare equal, with or without observability
-    enabled).  See the module docstring for the full contract.
+    ``jobs``, ``solver_seconds``, ``metrics``, ``memo``) are excluded from
+    equality: two reports are equal when their classifications agree,
+    which is exactly the determinism guarantee of the parallel engine
+    (serial and ``jobs=N`` runs must compare equal, with or without
+    observability enabled).  See the module docstring for the full contract.
     """
 
     method: str
@@ -124,6 +124,9 @@ class MissReport:
     #: Excluded from equality and ``repr`` — it can only ever describe a
     #: run, not change its outcome.
     metrics: Optional[dict] = field(default=None, compare=False, repr=False)
+    #: Memo accounting of this solve's plan — ``{hits, misses,
+    #: store_hits}`` — or ``None`` when the solve was not memoized.
+    memo: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def result_for(self, ref: NRef) -> RefResult:
         """The per-reference result of ``ref``."""

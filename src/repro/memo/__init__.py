@@ -17,9 +17,9 @@ per-reference solvers actually read:
   of the solver source code, so stale entries self-invalidate;
 * :mod:`repro.memo.memoizer` — the **in-run dedup layer**: references are
   grouped by key, each distinct equation system is classified once, and
-  duplicates replay the stored tallies.  The same planning code drives the
-  serial solvers and the parallel engine, so ``memo.*`` counters are
-  identical for any ``--jobs`` value.
+  duplicates replay the stored tallies.  The same planning code
+  (:func:`repro.cme.solver.run_units`) drives every executor, so
+  ``memo.*`` counters are identical for any ``--jobs`` value.
 
 Typical use::
 

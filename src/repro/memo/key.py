@@ -36,7 +36,7 @@ file so a solver change invalidates every stored entry at load time.
 from __future__ import annotations
 
 import hashlib
-import importlib
+import importlib.util
 import json
 from typing import Callable, Optional, Sequence
 
@@ -51,17 +51,27 @@ from repro.reuse.generator import ReuseTable
 #: Version tag hashed into every key; bump on any change to the key layout.
 KEY_SCHEMA = "repro.memo.key/1"
 
-#: Modules whose source code determines solver outcomes.  The persistent
-#: store stamps their combined hash into its header: editing any of them
-#: (including this module) invalidates every stored entry.
+#: Modules whose source code determines solver outcomes — every module the
+#: per-reference units and the classifier backends import from the solver
+#: packages.  The persistent store stamps their combined hash into its
+#: header: editing any of them (including this module) invalidates every
+#: stored entry.
 FINGERPRINT_MODULES = (
+    "repro.cme.backend",
+    "repro.cme.batch",
     "repro.cme.point",
     "repro.cme.find",
     "repro.cme.estimate",
+    "repro.cme.regions",
+    "repro.cme.result",
+    "repro.cme.solver",
+    "repro.iteration.batch",
     "repro.iteration.walker",
     "repro.iteration.position",
     "repro.polyhedra.affine",
+    "repro.polyhedra.batch",
     "repro.polyhedra.constraints",
+    "repro.polyhedra.regions",
     "repro.polyhedra.space",
     "repro.polyhedra.intsolve",
     "repro.reuse.generator",
@@ -77,13 +87,16 @@ _fingerprint_cache: Optional[str] = None
 
 
 def code_fingerprint() -> str:
-    """SHA-256 over the source of every solver-relevant module (cached)."""
+    """SHA-256 over the source of every solver-relevant module (cached).
+
+    Sources are located, not imported, so the NumPy backend's modules are
+    fingerprinted on interpreters that cannot import them.
+    """
     global _fingerprint_cache
     if _fingerprint_cache is None:
         h = hashlib.sha256()
         for name in FINGERPRINT_MODULES:
-            module = importlib.import_module(name)
-            with open(module.__file__, "rb") as fh:
+            with open(importlib.util.find_spec(name).origin, "rb") as fh:
                 h.update(name.encode())
                 h.update(b"\0")
                 h.update(fh.read())

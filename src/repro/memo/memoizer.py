@@ -10,11 +10,14 @@ partitions the targets into
   in this run, or from the persistent store), and
 * **solves** — one representative per distinct *new* equation system.
 
-Both the serial solvers and the parallel engine run exactly this planning
-code and then solve exactly ``plan.solve``, so the ``memo.hits`` /
-``memo.misses`` / ``memo.dedup.groups`` counters are identical for any
-``--jobs`` value — a duplicate of a not-yet-solved system counts as a hit
-in either case, because only one classification pays for the whole group.
+Every executor — serial, the process pool and the daemon's thread pool —
+plans through :func:`repro.cme.solver.run_units` and then solves exactly
+``plan.solve``, so the ``memo.hits`` / ``memo.misses`` /
+``memo.dedup.groups`` counters are identical for any ``--jobs`` value — a
+duplicate of a not-yet-solved system counts as a hit in either case,
+because only one classification pays for the whole group.  Each plan also
+counts its own store hits, so a request's accounting is its own even when
+concurrent requests share the memoizer.
 
 Replayed results are rebuilt by :func:`replay` with the *consumer's* own
 name and uid, so a memoized report is field-for-field identical to an
@@ -34,6 +37,7 @@ from repro.memo.store import MemoStore
 if TYPE_CHECKING:  # imported lazily to avoid cycles with the solvers
     from repro.layout.cache import CacheConfig
     from repro.layout.memory import MemoryLayout
+    from repro.cme.solver import Solver
     from repro.normalize.nprogram import NormalizedProgram, NRef
     from repro.reuse.generator import ReuseTable
 
@@ -104,19 +108,16 @@ class Memoizer:
 
     def session(
         self,
-        method: str,
+        solver: "Solver",
         nprog: "NormalizedProgram",
         layout: "MemoryLayout",
         cache: "CacheConfig",
         reuse: "ReuseTable",
-        confidence: Optional[float] = None,
-        width: Optional[float] = None,
-        seed: Optional[int] = None,
     ) -> "MemoSession":
-        """Bind the memo table to one solver invocation's analysis state."""
-        return MemoSession(
-            self, method, nprog, layout, cache, reuse, confidence, width, seed
-        )
+        """Bind the memo table to one solve of ``solver`` over an analysis
+        state; the solver supplies the method and per-reference key
+        parameters."""
+        return MemoSession(self, solver, nprog, layout, cache, reuse)
 
     def flush(self) -> int:
         """Write solutions accumulated since the last flush to the store."""
@@ -139,16 +140,6 @@ class Memoizer:
 
     # -- internal (used by MemoSession/MemoPlan) -------------------------------
 
-    def _lookup(self, key: str) -> Optional[list]:
-        payload = self._results.get(key)
-        if payload is not None:
-            return payload
-        payload = self._persisted.get(key)
-        if payload is not None:
-            self.store_hits += 1
-            obs.counter("memo.store.hits").inc()
-        return payload
-
     def _record(self, key: str, payload: list) -> None:
         with self.lock:
             self._results[key] = payload
@@ -162,36 +153,23 @@ class MemoSession:
     def __init__(
         self,
         memo: Memoizer,
-        method: str,
+        solver: "Solver",
         nprog: "NormalizedProgram",
         layout: "MemoryLayout",
         cache: "CacheConfig",
         reuse: "ReuseTable",
-        confidence: Optional[float],
-        width: Optional[float],
-        seed: Optional[int],
     ):
         self.memo = memo
-        self.method = method
+        self.solver = solver
         self._builder = KeyBuilder(nprog, layout, cache, reuse)
-        self._confidence = confidence
-        self._width = width
-        self._seed = seed
         self._keys: dict[int, str] = {}
 
     def key_for(self, ref: "NRef") -> str:
         """The content key of ``ref`` under this session's parameters."""
         key = self._keys.get(ref.uid)
         if key is None:
-            if self.method == "estimate":
-                params: Sequence = [
-                    self._confidence,
-                    self._width,
-                    (self._seed or 0) ^ ref.uid,
-                ]
-            else:
-                params = []
-            key = self._builder.key(ref, self.method, params)
+            solver = self.solver
+            key = self._builder.key(ref, solver.method, solver.memo_params(ref))
             self._keys[ref.uid] = key
         return key
 
@@ -207,7 +185,13 @@ class MemoSession:
                     memo._seen.add(key)
                     memo.groups += 1
                     obs.counter("memo.dedup.groups").inc()
-                payload = memo._lookup(key)
+                payload = memo._results.get(key)
+                if payload is None:
+                    payload = memo._persisted.get(key)
+                    if payload is not None:
+                        memo.store_hits += 1
+                        plan.store_hits += 1
+                        obs.counter("memo.store.hits").inc()
                 if payload is not None:
                     memo.hits += 1
                     obs.counter("memo.hits").inc()
@@ -239,6 +223,7 @@ class MemoPlan:
         self.session = session
         self.targets = targets
         self.solve: list = []  # representative refs that need classification
+        self.store_hits = 0  # replays answered from the persistent store
         self._replays: list = []  # (ref, key, payload-or-None)
         self._solved: dict[str, list] = {}
 

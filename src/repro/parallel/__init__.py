@@ -4,12 +4,10 @@ from repro.parallel.engine import (
     CHUNKS_PER_JOB,
     ParallelEngine,
     resolve_jobs,
-    solve_parallel,
 )
 
 __all__ = [
     "CHUNKS_PER_JOB",
     "ParallelEngine",
     "resolve_jobs",
-    "solve_parallel",
 ]

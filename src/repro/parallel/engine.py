@@ -1,20 +1,23 @@
-"""Parallel per-reference CME engine.
+"""Parallel per-reference CME engine (the process-pool executor).
 
 Once the reuse table and the walker order are fixed, the per-reference work
-of ``FindMisses`` and ``EstimateMisses`` is embarrassingly parallel: each
-reference owns a disjoint slice of the report and (for ``EstimateMisses``)
-its own derived RNG seed ``seed ^ ref.uid``.  The engine shards references
-across a :class:`concurrent.futures.ProcessPoolExecutor`:
+of every CME solver is embarrassingly parallel: each reference owns a
+disjoint slice of the report and (for ``EstimateMisses``) its own derived
+RNG seed ``seed ^ ref.uid``.  The engine is the process-pool executor of
+:func:`repro.cme.solver.run_units` — the memo plan, the report and the
+finish are that function's; this module only shards references across a
+:class:`concurrent.futures.ProcessPoolExecutor`:
 
 * the immutable analysis state — ``(NormalizedProgram, MemoryLayout,
   CacheConfig, ReuseTable)`` — is pickled **once**, shipped to each worker
   through the pool initializer, and unpickled **once per worker**; every
-  task afterwards only carries reference uids;
-* workers run the exact same per-reference units as the serial solvers
-  (:func:`~repro.cme.find.find_ref_misses`,
-  :func:`~repro.cme.estimate.estimate_ref_misses`), so a parallel report is
-  bit-identical to the serial one and ``MissReport.__eq__`` holds across
-  ``jobs`` (timing fields are excluded from equality);
+  task afterwards only carries the picklable
+  :class:`~repro.cme.solver.Solver` record and reference uids;
+* workers run the exact same per-reference unit as the serial solvers
+  (:meth:`Solver.solve_ref <repro.cme.solver.Solver.solve_ref>`), so a
+  parallel report is bit-identical to the serial one and
+  ``MissReport.__eq__`` holds across ``jobs`` (timing fields are excluded
+  from equality);
 * references are dealt round-robin into a few chunks per worker, which
   balances the skewed RIS volumes of triangular and guarded spaces;
 * when observability (:mod:`repro.obs`) is enabled in the parent, each task
@@ -24,10 +27,10 @@ across a :class:`concurrent.futures.ProcessPoolExecutor`:
   so merged counters across any ``jobs`` equal the serial run's, and worker
   time appears nested in the parent's span tree.
 
-Use :class:`ParallelEngine` to keep the pool (and the per-worker caches)
-alive across several solves — e.g. sweeping cache associativities or
-benchmarks plotting scaling curves — or the one-shot
-:func:`solve_parallel` convenience wrapper.
+:class:`ParallelEngine` keeps the pool (and the per-worker caches) alive
+across several solves — e.g. sweeping solvers or seeds, or benchmarks
+plotting scaling curves; the serial drivers (``jobs != 1``) open a
+one-shot engine.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.reuse.generator import ReuseTable
 from repro.cme.backend import make_classifier, resolve_backend
 from repro.cme.result import MissReport, RefResult
+from repro.cme.solver import Solver, run_units
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.memo import Memoizer
@@ -94,9 +98,8 @@ def _init_worker(payload: bytes) -> None:
     obs.disable()
 
 
-#: A solve task:
-#: ``(method, uids, confidence, width, seed, ship_obs, ship_timeline)``.
-Task = tuple[str, tuple[int, ...], float, float, int, bool, bool]
+#: A solve task: ``(solver, uids, ship_obs, ship_timeline)``.
+Task = tuple[Solver, tuple[int, ...], bool, bool]
 
 
 def _solve_chunk(task: Task) -> tuple[list[RefResult], float, Optional[dict]]:
@@ -111,12 +114,9 @@ def _solve_chunk(task: Task) -> tuple[list[RefResult], float, Optional[dict]]:
     export renders each worker as its own lane) and the worker's peak RSS
     (``parallel.worker_peak_rss_bytes``).
     """
-    from repro.cme.estimate import estimate_ref_misses
-    from repro.cme.find import find_ref_misses
-    from repro.cme.regions import region_ref_misses
     from repro.obs.resource import peak_rss_bytes
 
-    method, uids, confidence, width, seed, ship_obs, ship_timeline = task
+    solver, uids, ship_obs, ship_timeline = task
     assert _STATE is not None, "worker used before initialisation"
     nprog, classifier = _STATE
     if ship_obs and not obs.is_enabled():
@@ -124,19 +124,9 @@ def _solve_chunk(task: Task) -> tuple[list[RefResult], float, Optional[dict]]:
     if ship_timeline:
         obs.enable_timeline()
     started = time.perf_counter()
-    results: list[RefResult] = []
-    for uid in uids:
-        ref = nprog.refs[uid]
-        if method == "find":
-            results.append(find_ref_misses(classifier, nprog, ref))
-        elif method == "regions":
-            results.append(region_ref_misses(classifier, nprog, ref))
-        else:
-            results.append(
-                estimate_ref_misses(
-                    classifier, nprog, ref, confidence, width, seed
-                )
-            )
+    results = [
+        solver.solve_ref(classifier, nprog, nprog.refs[uid]) for uid in uids
+    ]
     solver_seconds = time.perf_counter() - started
     snap: Optional[dict] = None
     if ship_obs:
@@ -162,9 +152,9 @@ def _deal_chunks(uids: Sequence[int], jobs: int) -> list[tuple[int, ...]]:
 class ParallelEngine:
     """A process pool bound to one prepared analysis state.
 
-    The constructor pickles the state once; :meth:`find` and
-    :meth:`estimate` then dispatch per-reference chunks.  The pool is
-    created lazily (and only when ``jobs > 1``) so an engine with
+    The constructor pickles the state once; :meth:`solve` then dispatches
+    per-reference chunks for any :class:`~repro.cme.solver.Solver`.  The
+    pool is created lazily (and only when ``jobs > 1``) so an engine with
     ``jobs=1`` is a zero-overhead serial solver — handy for sweeping the
     ``jobs`` axis in benchmarks with one code path.
     """
@@ -221,153 +211,93 @@ class ParallelEngine:
 
     # -- solving -----------------------------------------------------------------
 
-    def find(self, refs: Optional[Iterable[NRef]] = None) -> MissReport:
-        """Exhaustive ``FindMisses`` across the pool."""
-        return self._solve("find", refs, 0.0, 0.0, 0)
-
-    def regions(self, refs: Optional[Iterable[NRef]] = None) -> MissReport:
-        """Regional ``RegionMisses`` across the pool (equal to :meth:`find`)."""
-        return self._solve("regions", refs, 0.0, 0.0, 0)
-
-    def estimate(
-        self,
-        refs: Optional[Iterable[NRef]] = None,
-        confidence: float = 0.95,
-        width: float = 0.05,
-        seed: int = 0,
+    def solve(
+        self, solver: Solver, refs: Optional[Iterable[NRef]] = None
     ) -> MissReport:
-        """Sampling ``EstimateMisses`` across the pool."""
-        return self._solve("estimate", refs, confidence, width, seed)
+        """Solve ``refs`` (default: every reference) across the pool.
 
-    def _solve(
-        self,
-        method: str,
-        refs: Optional[Iterable[NRef]],
-        confidence: float,
-        width: float,
-        seed: int,
-    ) -> MissReport:
+        Memo planning happens in the parent, against its preloaded store
+        snapshot, *before* sharding: only one representative per distinct
+        equation system is dispatched; workers never touch the store.  The
+        plan is :func:`~repro.cme.solver.run_units`'s, as in the serial
+        solvers, so ``memo.*`` counters match across any ``jobs`` value.
+        """
         started = time.perf_counter()
         targets = list(refs) if refs is not None else list(self.nprog.refs)
-        # Memo planning happens in the parent, against its preloaded store
-        # snapshot, *before* sharding: only one representative per distinct
-        # equation system is dispatched; workers never touch the store.  The
-        # identical planning code runs in the serial solvers, so ``memo.*``
-        # counters match across any ``jobs`` value.
-        plan = None
-        if self.memo is not None:
-            plan = self.memo.session(
-                method,
-                self.nprog,
-                self.layout,
-                self.cache,
-                self.reuse,
-                confidence,
-                width,
-                seed,
-            ).plan(targets)
-            targets = plan.solve
-        uids = [ref.uid for ref in targets]
-        name = {
-            "find": "FindMisses",
-            "regions": "RegionMisses",
-        }.get(method, "EstimateMisses")
-        report = MissReport(name, self.cache, jobs=self.jobs)
-        obs.gauge("parallel.jobs").set(self.jobs)
-        with obs.span("parallel/solve"):
-            if not uids:
-                by_uid: dict[int, RefResult] = {}
-            elif self.jobs <= 1 or len(uids) <= 1:
-                # Serial path through the identical chunk code (no pool).
-                # ``ship_obs=False``: this process's live instruments record
-                # directly, so nothing must be snapshot/reset here.
-                _load_state(self._payload)
-                results, solver, _ = _solve_chunk(
-                    (method, tuple(uids), confidence, width, seed, False, False)
-                )
-                by_uid = {r.ref_uid: r for r in results}
-                report.solver_seconds = solver
-            else:
-                pool = self._ensure_pool()
-                ship_obs = obs.is_enabled()
-                ship_timeline = obs.timeline_enabled()
-                chunks = _deal_chunks(uids, self.jobs)
-                shard_hist = obs.histogram("parallel.shard_size")
-                for chunk in chunks:
-                    shard_hist.observe(len(chunk))
-                obs.counter("parallel.chunks").inc(len(chunks))
-                tasks = [
-                    (method, chunk, confidence, width, seed, ship_obs,
-                     ship_timeline)
-                    for chunk in chunks
-                ]
-                by_uid = {}
-                solver = 0.0
-                worker_hist = obs.histogram("parallel.worker_seconds")
-                try:
-                    for results, chunk_seconds, snap in pool.map(
-                        _solve_chunk, tasks
-                    ):
-                        solver += chunk_seconds
-                        worker_hist.observe(chunk_seconds)
-                        if snap is not None:
-                            obs.merge_snapshot(snap)
-                        for r in results:
-                            by_uid[r.ref_uid] = r
-                except BrokenProcessPool:
-                    # A worker died mid-task (OOM-killed, crashed).  The
-                    # per-reference work is deterministic and the parent
-                    # holds the full state, so recover by re-solving the
-                    # whole shard serially — identical results, degraded
-                    # wall time, and a counter so the ledger records it.
-                    obs.counter("parallel.pool_broken").inc()
-                    self.close()
-                    _load_state(self._payload)
-                    results, solver, _ = _solve_chunk(
-                        (method, tuple(uids), confidence, width, seed,
-                         False, False)
-                    )
-                    by_uid = {r.ref_uid: r for r in results}
-                report.solver_seconds = solver
-            # Reassemble in the caller's reference order: identical to serial.
-            for uid in uids:
-                report.results[uid] = by_uid[uid]
-            if plan is not None:
-                for ref in plan.solve:
-                    plan.add(ref, by_uid[ref.uid])
-                report.results = plan.finish(report.results)
+        seconds = []
+
+        def solve_refs(todo: list) -> dict[int, RefResult]:
+            by_uid, solver_seconds = self._solve_refs(solver, todo)
+            seconds.append(solver_seconds)
+            return by_uid
+
+        report = run_units(
+            solver, self.nprog, self.layout, self.cache, self.reuse, targets,
+            self.memo, solve_refs,
+        )
+        report.jobs = self.jobs
+        report.solver_seconds = sum(seconds)
         report.elapsed_seconds = time.perf_counter() - started
         if obs.is_enabled():
             report.metrics = obs.snapshot()
         return report
 
+    def _solve_refs(
+        self, solver: Solver, refs: list
+    ) -> tuple[dict[int, RefResult], float]:
+        """``({uid: RefResult} in ``refs`` order, solver seconds)``."""
+        uids = [ref.uid for ref in refs]
+        obs.gauge("parallel.jobs").set(self.jobs)
+        with obs.span("parallel/solve"):
+            if not uids:
+                return {}, 0.0
+            if self.jobs <= 1 or len(uids) <= 1:
+                # Serial path through the identical chunk code (no pool).
+                # ``ship_obs=False``: this process's live instruments record
+                # directly, so nothing must be snapshot/reset here.
+                return self._solve_here(solver, uids)
+            pool = self._ensure_pool()
+            ship_obs = obs.is_enabled()
+            ship_timeline = obs.timeline_enabled()
+            chunks = _deal_chunks(uids, self.jobs)
+            shard_hist = obs.histogram("parallel.shard_size")
+            for chunk in chunks:
+                shard_hist.observe(len(chunk))
+            obs.counter("parallel.chunks").inc(len(chunks))
+            tasks = [
+                (solver, chunk, ship_obs, ship_timeline) for chunk in chunks
+            ]
+            by_uid = {}
+            solver_seconds = 0.0
+            worker_hist = obs.histogram("parallel.worker_seconds")
+            try:
+                for results, chunk_seconds, snap in pool.map(
+                    _solve_chunk, tasks
+                ):
+                    solver_seconds += chunk_seconds
+                    worker_hist.observe(chunk_seconds)
+                    if snap is not None:
+                        obs.merge_snapshot(snap)
+                    for r in results:
+                        by_uid[r.ref_uid] = r
+            except BrokenProcessPool:
+                # A worker died mid-task (OOM-killed, crashed).  The
+                # per-reference work is deterministic and the parent holds
+                # the full state, so recover by re-solving the whole shard
+                # serially — identical results, degraded wall time, and a
+                # counter so the ledger records it.
+                obs.counter("parallel.pool_broken").inc()
+                self.close()
+                return self._solve_here(solver, uids)
+            # Reassemble in the caller's reference order: identical to serial.
+            return {uid: by_uid[uid] for uid in uids}, solver_seconds
 
-def solve_parallel(
-    method: str,
-    nprog: NormalizedProgram,
-    layout: MemoryLayout,
-    cache: CacheConfig,
-    reuse: ReuseTable,
-    jobs: Optional[int],
-    refs: Optional[Iterable[NRef]] = None,
-    confidence: float = 0.95,
-    width: float = 0.05,
-    seed: int = 0,
-    memo: Optional["Memoizer"] = None,
-    backend: Optional[str] = None,
-) -> MissReport:
-    """One-shot parallel solve (ephemeral :class:`ParallelEngine`).
-
-    ``method`` is ``"find"``, ``"estimate"`` or ``"regions"``; everything
-    else mirrors the serial solvers in :mod:`repro.cme`.
-    """
-    if method not in ("find", "estimate", "regions"):
-        raise ValueError(
-            f"unknown method {method!r}; use 'find', 'estimate' or 'regions'"
+    def _solve_here(
+        self, solver: Solver, uids: list
+    ) -> tuple[dict[int, RefResult], float]:
+        """Solve ``uids`` in this process through the worker's chunk code."""
+        _load_state(self._payload)
+        results, solver_seconds, _ = _solve_chunk(
+            (solver, tuple(uids), False, False)
         )
-    with ParallelEngine(nprog, layout, cache, reuse, jobs, memo, backend) as engine:
-        if method == "find":
-            return engine.find(refs)
-        if method == "regions":
-            return engine.regions(refs)
-        return engine.estimate(refs, confidence, width, seed)
+        return {r.ref_uid: r for r in results}, solver_seconds

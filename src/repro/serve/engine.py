@@ -11,13 +11,16 @@ Two solve modes, bit-identical by construction:
   — the exact path the CLI always ran, including ``--jobs`` process
   sharding.  ``repro-cache analyze`` goes through here.
 * **pooled** (``pool=`` a ``ThreadPoolExecutor``) — the daemon mode: the
-  memo plan runs under the shared memoizer's lock, then each representative
+  thread-pool executor of :func:`repro.cme.solver.run_units`.  The memo
+  plan runs under the shared memoizer's lock, then each representative
   reference becomes one unit on the *shared* pool, where units from many
   concurrent requests interleave.  Units call the very same per-reference
-  functions the serial solvers and the process pool run
-  (:func:`~repro.cme.find.find_ref_misses`,
-  :func:`~repro.cme.estimate.estimate_ref_misses`), so a pooled report is
-  field-for-field identical to an offline one.
+  unit the serial solvers and the process pool run
+  (:meth:`Solver.solve_ref <repro.cme.solver.Solver.solve_ref>`), so a
+  pooled report is field-for-field identical to an offline one.
+
+Both modes report the memo plan's own counts (``report.memo``), so a
+request's ``store_hits`` never picks up another request's lookups.
 
 Per analysis state — ``(program, cache geometry, backend)`` — the engine
 caches the prepared program, the reuse table and the classifier in LRU
@@ -38,10 +41,8 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.analysis import PreparedProgram, analyze, prepare
 from repro.cme.backend import make_classifier, resolve_backend
-from repro.cme.estimate import estimate_ref_misses
-from repro.cme.find import find_ref_misses
-from repro.cme.regions import region_ref_misses
 from repro.cme.result import MissReport
+from repro.cme.solver import Solver, run_units, solver_for
 from repro.errors import FrontendError, ReproError
 from repro.ir.nodes import Program
 from repro.serve.protocol import (
@@ -235,151 +236,87 @@ class AnalysisEngine:
     ) -> tuple[MissReport, dict]:
         """Solve one request; returns ``(report, info)``.
 
-        ``info`` carries per-request accounting — memo hits/misses and
-        solve wall time — without touching the report (whose serialisation
-        must stay deterministic).  ``deadline`` is an absolute monotonic
-        time; crossing it raises :class:`RequestTimeout`.
+        ``info`` carries per-request accounting — the memo plan's hits,
+        misses and store hits, and solve wall time — without touching the
+        report (whose serialisation must stay deterministic).  ``deadline``
+        is an absolute monotonic time; crossing it raises
+        :class:`RequestTimeout`.
         """
         started = time.perf_counter()
         self._check_deadline(deadline)
         if pool is None:
-            report, memo_info = self._run_offline(request, jobs)
+            # The CLI path: the library solvers end to end (``--jobs``
+            # shards across the process pool).
+            report = analyze(
+                self.prepared_for(request),
+                request.cache,
+                method=request.method,
+                confidence=request.confidence,
+                width=request.width,
+                seed=request.seed,
+                jobs=jobs,
+                memo=self.memo,
+                backend=request.backend,
+            )
         else:
-            report, memo_info = self._run_pooled(request, pool, deadline)
+            report = self._run_pooled(request, pool, deadline)
         info = {
-            "memo": memo_info,
+            "memo": report.memo or {"hits": 0, "misses": 0, "store_hits": 0},
             "solve_seconds": time.perf_counter() - started,
         }
         return report, info
-
-    def _run_offline(
-        self, request: AnalyzeRequest, jobs: int
-    ) -> tuple[MissReport, dict]:
-        """The CLI path: the unmodified library solvers, end to end."""
-        prepared = self.prepared_for(request)
-        memo = self.memo
-        before = (
-            (memo.hits, memo.misses, memo.store_hits)
-            if memo is not None
-            else (0, 0, 0)
-        )
-        report = analyze(
-            prepared,
-            request.cache,
-            method=request.method,
-            confidence=request.confidence,
-            width=request.width,
-            seed=request.seed,
-            jobs=jobs,
-            memo=memo,
-            backend=request.backend,
-        )
-        if memo is not None:
-            memo_info = {
-                "hits": memo.hits - before[0],
-                "misses": memo.misses - before[1],
-                "store_hits": memo.store_hits - before[2],
-            }
-        else:
-            memo_info = {"hits": 0, "misses": 0, "store_hits": 0}
-        return report, memo_info
 
     def _run_pooled(
         self,
         request: AnalyzeRequest,
         pool: "ThreadPoolExecutor",
         deadline: Optional[float],
-    ) -> tuple[MissReport, dict]:
+    ) -> MissReport:
         """The daemon path: shared memo plan + shared unit pool."""
+        solver = solver_for(
+            request.method, request.confidence, request.width, request.seed
+        )
         state = self._state_for(request)
         nprog = state.prepared.nprog
-        method = request.method
-        targets = list(nprog.refs)
-        plan = None
+
+        def solve_refs(refs: list) -> dict:
+            self._check_deadline(deadline)
+            futures = [
+                pool.submit(self._solve_unit, state, solver, ref)
+                for ref in refs
+            ]
+            results = {}
+            try:
+                for ref, future in zip(refs, futures):
+                    remaining = None
+                    if deadline is not None:
+                        remaining = max(0.0, deadline - time.monotonic())
+                    try:
+                        results[ref.uid] = future.result(timeout=remaining)
+                    except FutureTimeout:
+                        raise RequestTimeout(
+                            f"deadline expired while solving {ref.name()} "
+                            f"({len(refs)} unit(s) in flight)"
+                        ) from None
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+            return results
+
+        report = run_units(
+            solver, nprog, state.prepared.layout, state.cache, state.reuse,
+            list(nprog.refs), self.memo, solve_refs,
+        )
         if self.memo is not None:
-            if method == "estimate":
-                session = self.memo.session(
-                    method,
-                    nprog,
-                    state.prepared.layout,
-                    state.cache,
-                    state.reuse,
-                    request.confidence,
-                    request.width,
-                    request.seed,
-                )
-            else:
-                session = self.memo.session(
-                    method,
-                    nprog,
-                    state.prepared.layout,
-                    state.cache,
-                    state.reuse,
-                )
-            plan = session.plan(targets)
-            solve_list = plan.solve
-        else:
-            solve_list = targets
-        store_hits_before = self.memo.store_hits if self.memo else 0
-        self._check_deadline(deadline)
-        name = {
-            "find": "FindMisses",
-            "regions": "RegionMisses",
-        }.get(method, "EstimateMisses")
-        report = MissReport(name, state.cache)
-        futures = [
-            pool.submit(self._solve_unit, state, ref, request)
-            for ref in solve_list
-        ]
-        try:
-            for ref, future in zip(solve_list, futures):
-                remaining = None
-                if deadline is not None:
-                    remaining = max(0.0, deadline - time.monotonic())
-                try:
-                    report.results[ref.uid] = future.result(timeout=remaining)
-                except FutureTimeout:
-                    raise RequestTimeout(
-                        f"deadline expired while solving {ref.name()} "
-                        f"({len(solve_list)} unit(s) in flight)"
-                    ) from None
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        if plan is not None:
-            for ref in plan.solve:
-                plan.add(ref, report.results[ref.uid])
-            report.results = plan.finish(report.results)
             self.memo.flush()
-            memo_info = {
-                "hits": plan.replays,
-                "misses": len(plan.solve),
-                "store_hits": self.memo.store_hits - store_hits_before,
-            }
-        else:
-            memo_info = {"hits": 0, "misses": len(solve_list), "store_hits": 0}
-        report.solver_seconds = report.elapsed_seconds = 0.0
-        return report, memo_info
+        return report
 
     @staticmethod
-    def _solve_unit(state: _State, ref, request: AnalyzeRequest):
+    def _solve_unit(state: _State, solver: Solver, ref):
         """One per-reference unit on the shared pool (the daemon's shard)."""
         with state.lock:
-            if request.method == "find":
-                return find_ref_misses(state.classifier, state.prepared.nprog, ref)
-            if request.method == "regions":
-                return region_ref_misses(
-                    state.classifier, state.prepared.nprog, ref
-                )
-            return estimate_ref_misses(
-                state.classifier,
-                state.prepared.nprog,
-                ref,
-                request.confidence,
-                request.width,
-                request.seed,
-            )
+            return solver.solve_ref(state.classifier, state.prepared.nprog, ref)
 
     @staticmethod
     def _check_deadline(deadline: Optional[float]) -> None:

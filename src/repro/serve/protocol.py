@@ -42,14 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
+from repro.cme.solver import METHODS
 from repro.errors import ReproError
 from repro.layout.cache import CacheConfig
 
 #: Wire schema version; bump on any change to request/response layouts.
 SERVE_SCHEMA = "repro.serve/v1"
-
-#: The CME solvers a request may select.
-METHODS = ("estimate", "find", "regions")
 
 #: Accepted classification backend names (``None``/"auto" = resolve).
 BACKEND_NAMES = (None, "auto", "scalar", "numpy")

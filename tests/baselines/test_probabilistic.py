@@ -91,7 +91,7 @@ class TestReport:
                 cache,
                 reuse=mmt.reuse_table(cache.line_bytes),
                 walker=mmt.walker,
-                rng=random.Random(0),
+                seed=random.Random(0).getrandbits(64),
             ).miss_ratio_percent
             prob = probabilistic_misses(
                 mmt.nprog, mmt.layout, cache, reuse=mmt.reuse_table(cache.line_bytes)

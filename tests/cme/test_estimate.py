@@ -33,7 +33,7 @@ class TestAccuracy:
     def test_estimate_close_to_simulation(self, assoc):
         nprog, layout = build_stencil(40)
         cache = CacheConfig.kb(8, 32, assoc)
-        est = estimate_misses(nprog, layout, cache, rng=random.Random(1))
+        est = estimate_misses(nprog, layout, cache, seed=random.Random(1).getrandbits(64))
         sim = simulate(nprog, layout, cache)
         # The paper reports absolute errors below 0.4 percentage points for
         # kernels at (c, w) = (95%, 0.05); allow a small safety margin.
@@ -42,7 +42,7 @@ class TestAccuracy:
     def test_estimate_close_to_findmisses(self):
         nprog, layout = build_stencil(30)
         cache = CacheConfig.kb(8, 32, 1)
-        est = estimate_misses(nprog, layout, cache, rng=random.Random(2))
+        est = estimate_misses(nprog, layout, cache, seed=random.Random(2).getrandbits(64))
         exact = find_misses(nprog, layout, cache)
         assert abs(est.miss_ratio - exact.miss_ratio) < 0.03
 
@@ -56,7 +56,7 @@ class TestAccuracy:
         for seed in range(4):
             for w in errors:
                 est = estimate_misses(
-                    nprog, layout, cache, width=w, rng=random.Random(seed)
+                    nprog, layout, cache, width=w, seed=random.Random(seed).getrandbits(64)
                 )
                 errors[w].append(abs(est.miss_ratio - exact))
         assert sum(errors[0.04]) / 4 <= sum(errors[0.12]) / 4 + 0.02
@@ -66,7 +66,7 @@ class TestAccuracy:
         nprog, layout = build_stencil(30)  # volume 900 < n0(0.95, 0.03)
         cache = CacheConfig.kb(8, 32, 1)
         est = estimate_misses(
-            nprog, layout, cache, width=0.03, rng=random.Random(0)
+            nprog, layout, cache, width=0.03, seed=random.Random(0).getrandbits(64)
         )
         expected = sample_size(0.90, 0.15, population=900)
         for result in est.results.values():
@@ -77,7 +77,7 @@ class TestFig6Behaviours:
     def test_sample_size_matches_formula(self):
         nprog, layout = build_stencil(40)  # RIS volume 1600 per ref
         cache = CacheConfig.kb(8, 32, 1)
-        est = estimate_misses(nprog, layout, cache, rng=random.Random(0))
+        est = estimate_misses(nprog, layout, cache, seed=random.Random(0).getrandbits(64))
         expected = sample_size(0.95, 0.05, population=1600)
         for result in est.results.values():
             assert result.analysed == expected
@@ -111,8 +111,8 @@ class TestFig6Behaviours:
     def test_deterministic_with_seed(self):
         nprog, layout = build_stencil(20)
         cache = CacheConfig.kb(8, 32, 1)
-        r1 = estimate_misses(nprog, layout, cache, rng=random.Random(7))
-        r2 = estimate_misses(nprog, layout, cache, rng=random.Random(7))
+        r1 = estimate_misses(nprog, layout, cache, seed=random.Random(7).getrandbits(64))
+        r2 = estimate_misses(nprog, layout, cache, seed=random.Random(7).getrandbits(64))
         assert r1.total_misses == r2.total_misses
 
     def test_seed_and_legacy_rng_are_both_deterministic(self):
@@ -159,7 +159,7 @@ class TestReporting:
     def test_compare_reports_fields(self):
         nprog, layout = build_stencil(20)
         cache = CacheConfig.kb(8, 32, 1)
-        est = estimate_misses(nprog, layout, cache, rng=random.Random(0))
+        est = estimate_misses(nprog, layout, cache, seed=random.Random(0).getrandbits(64))
         sim = simulate(nprog, layout, cache)
         record = compare_reports(est, sim)
         assert set(record) == {
@@ -190,5 +190,5 @@ class TestReporting:
         """The speedup mechanism: sample size independent of trace length."""
         nprog, layout = build_stencil(40)
         cache = CacheConfig.kb(8, 32, 1)
-        est = estimate_misses(nprog, layout, cache, rng=random.Random(0))
+        est = estimate_misses(nprog, layout, cache, seed=random.Random(0).getrandbits(64))
         assert est.analysed_points < est.total_accesses / 2

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 from repro.ir import ProgramBuilder
 
+#: Method names every entry point (``analyze``, ``ParallelEngine``, the
+#: serve protocol, the CLI) must reject — near misses of the real ones.
+UNKNOWN_METHODS = ("simulate", "magic", "Find", "estimate ", "")
+
 
 def figure1_program(n: int = 10):
     """The subroutine of Fig. 1 of the paper (with S4 after the second loop).

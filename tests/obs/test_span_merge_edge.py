@@ -15,7 +15,10 @@ import pytest
 
 from repro import CacheConfig, analyze, obs, prepare
 from repro.kernels import build_hydro
+from repro.cme import solver_for
 from repro.parallel.engine import ParallelEngine
+
+ESTIMATE = solver_for("estimate", seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +115,10 @@ class TestWorkerDeath:
             prepared.reuse_table(cache.line_bytes),
             jobs=2,
         ) as engine:
-            healthy = engine.estimate(seed=0)
+            healthy = engine.solve(ESTIMATE)
             assert healthy == serial
             self._kill_all_workers(engine)
-            recovered = engine.estimate(seed=0)
+            recovered = engine.solve(ESTIMATE)
         assert recovered == serial
         counters = obs.snapshot()["counters"]
         assert counters["parallel.pool_broken"] == 1
@@ -129,8 +132,8 @@ class TestWorkerDeath:
             prepared.reuse_table(cache.line_bytes),
             jobs=2,
         ) as engine:
-            first = engine.estimate(seed=0)
+            first = engine.solve(ESTIMATE)
             self._kill_all_workers(engine)
-            engine.estimate(seed=0)  # recovers serially, closes the pool
-            again = engine.estimate(seed=0)  # fresh pool, parallel again
+            engine.solve(ESTIMATE)  # recovers serially, closes the pool
+            again = engine.solve(ESTIMATE)  # fresh pool, parallel again
         assert again == first

@@ -13,9 +13,10 @@ import pytest
 from repro.ir import ProgramBuilder
 from repro.layout import CacheConfig, layout_for_refs
 from repro.normalize import normalize
-from repro.cme import estimate_misses, find_misses
-from repro.parallel import ParallelEngine, resolve_jobs, solve_parallel
+from repro.cme import estimate_misses, find_misses, solver_for
+from repro.parallel import ParallelEngine, resolve_jobs
 from repro.reuse import build_reuse_table
+from tests.fixtures import UNKNOWN_METHODS
 
 JOBS = [1, 2, 4]
 
@@ -78,13 +79,12 @@ class TestJobsInvariance:
         nprog, layout = program
         reuse = build_reuse_table(nprog, cache.line_bytes)
         with ParallelEngine(nprog, layout, cache, reuse, jobs=2) as engine:
-            report = engine.find()
+            report = engine.solve(solver_for("find"))
             assert report == find_misses(nprog, layout, cache)
             assert report.points_per_second > 0
             assert 0.0 <= report.parallel_efficiency <= 1.5
-            assert engine.estimate(seed=5) == estimate_misses(
-                nprog, layout, cache, seed=5
-            )
+            estimate = engine.solve(solver_for("estimate", seed=5))
+            assert estimate == estimate_misses(nprog, layout, cache, seed=5)
 
     def test_engine_with_one_job_is_the_serial_solver(self, program, cache):
         """jobs=1 runs the chunk code in-process — no pool, same report."""
@@ -92,24 +92,28 @@ class TestJobsInvariance:
         reuse = build_reuse_table(nprog, cache.line_bytes)
         with ParallelEngine(nprog, layout, cache, reuse, jobs=1) as engine:
             assert engine._pool is None
-            assert engine.find() == find_misses(nprog, layout, cache)
+            report = engine.solve(solver_for("find"))
+            assert report == find_misses(nprog, layout, cache)
             assert engine._pool is None  # serial path never spawned one
 
     def test_single_reference_subset_avoids_the_pool(self, program, cache):
         nprog, layout = program
         reuse = build_reuse_table(nprog, cache.line_bytes)
         ref = nprog.refs[0]
-        parallel = solve_parallel(
-            "find", nprog, layout, cache, reuse, 4, refs=[ref]
-        )
+        with ParallelEngine(nprog, layout, cache, reuse, jobs=4) as engine:
+            parallel = engine.solve(solver_for("find"), refs=[ref])
+            assert engine._pool is None
         serial = find_misses(nprog, layout, cache, refs=[ref])
         assert parallel == serial
 
     def test_unknown_method_rejected(self, program, cache):
         nprog, layout = program
         reuse = build_reuse_table(nprog, cache.line_bytes)
-        with pytest.raises(ValueError):
-            solve_parallel("simulate", nprog, layout, cache, reuse, 2)
+        with ParallelEngine(nprog, layout, cache, reuse, jobs=2) as engine:
+            for method in UNKNOWN_METHODS:
+                with pytest.raises(ValueError, match="unknown method"):
+                    engine.solve(solver_for(method))
+            assert engine._pool is None
 
 
 class TestSeedInvariance:

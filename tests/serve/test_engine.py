@@ -77,6 +77,26 @@ def test_cross_request_memo_hits(method):
     assert info2["memo"]["hits"] == len(second.results)
 
 
+@pytest.mark.parametrize("method", ["find", "estimate", "regions"])
+def test_warm_store_hits_are_the_requests_own(tmp_path, method):
+    """On a warm store both solve modes report the plan's own counts: every
+    reference is replayed from disk and counted once as a store hit."""
+    request = request_for("hydro", 16, method)
+    with Memoizer.open(str(tmp_path)) as cold:
+        AnalysisEngine(memo=cold).run(request)
+    offline_memo = Memoizer.open(str(tmp_path))
+    _, offline = AnalysisEngine(memo=offline_memo).run(request)
+    pooled_memo = Memoizer.open(str(tmp_path))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        report, pooled = AnalysisEngine(memo=pooled_memo).run(
+            request, pool=pool
+        )
+    assert pooled["memo"] == offline["memo"]
+    refs = len(report.results)
+    assert pooled["memo"] == {"hits": refs, "misses": 0, "store_hits": refs}
+    assert pooled_memo.store_hits == offline_memo.store_hits == refs
+
+
 def test_memoized_pooled_report_identical_to_unmemoized():
     request = request_for("mmt", 12, "find")
     bare = AnalysisEngine()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis import analyze, prepare
+from repro.cme import METHODS
 from repro.serve.engine import load_kernel
 from repro.serve.protocol import (
     AnalyzeRequest,
@@ -26,6 +27,7 @@ from repro.serve.protocol import (
     validate_request,
     version_info,
 )
+from tests.fixtures import UNKNOWN_METHODS
 
 
 def test_parse_cache_spec_string():
@@ -90,6 +92,16 @@ def test_validate_request_roundtrips_doc():
 def test_validate_request_rejects(doc):
     with pytest.raises(BadRequest):
         validate_request(doc)
+
+
+def test_validate_request_method_names():
+    """The protocol accepts exactly the solver table's method names."""
+    doc = {"kernel": "hydro", "cache": "4:32:2"}
+    for method in METHODS:
+        assert validate_request({**doc, "method": method}).method == method
+    for method in UNKNOWN_METHODS:
+        with pytest.raises(BadRequest, match="field 'method'"):
+            validate_request({**doc, "method": method})
 
 
 def test_error_taxonomy_codes_and_statuses():

@@ -10,6 +10,7 @@ from repro import (
     prepare,
     run_simulation,
 )
+from tests.fixtures import UNKNOWN_METHODS
 
 
 def demo_program(n=32):
@@ -67,8 +68,12 @@ class TestAnalyze:
         assert a.total_misses == b.total_misses
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            analyze(demo_program(), CacheConfig.kb(8, 32, 1), method="magic")
+        prepared = prepare(demo_program())
+        cache = CacheConfig.kb(8, 32, 1)
+        for method in UNKNOWN_METHODS:
+            for jobs in (1, 2):
+                with pytest.raises(ValueError, match="unknown method"):
+                    analyze(prepared, cache, method=method, jobs=jobs)
 
     def test_seed_controls_sampling(self):
         prepared = prepare(demo_program(48))

@@ -6,7 +6,9 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.cme import METHODS
 from repro.obs.export import validate_snapshot
+from tests.fixtures import UNKNOWN_METHODS
 
 
 @pytest.fixture(autouse=True)
@@ -92,6 +94,16 @@ class TestErrors:
     def test_bad_cache_spec(self):
         with pytest.raises(SystemExit):
             main(["analyze", "hydro", "--size", "8", "--cache", "banana"])
+
+    @pytest.mark.parametrize("verb", ["analyze", "compare", "submit"])
+    def test_unknown_method(self, verb, capsys):
+        """``--method`` offers exactly the solver table's names."""
+        for method in UNKNOWN_METHODS:
+            with pytest.raises(SystemExit) as exc:
+                main([verb, "hydro", "--cache", "2:32:1", "--method", method])
+            assert exc.value.code == 2
+        choices = ", ".join(repr(m) for m in METHODS)
+        assert f"(choose from {choices})" in capsys.readouterr().err
 
     def test_profile_span_requires_profile_out(self):
         with pytest.raises(SystemExit):
