@@ -118,7 +118,7 @@ def test_pipeline_metrics(benchmark):
     emit_json("BENCH_pipeline", doc)
     phase_names = {p["name"] for p in doc["phases"]}
     assert {"prepare/normalise", "prepare/layout", "reuse/build_table",
-            "cme/estimate", "sim/walk"} <= phase_names
+            "cme/estimate", "sim/batch"} <= phase_names
     assert all(p["seconds"] >= 0.0 for p in doc["phases"])
     assert len(doc["top_counters"]) == 3
     assert validate_snapshot(doc["metrics"]) == []

@@ -13,12 +13,14 @@ same cold/replacement machinery expressed as array arithmetic:
   order over the shrinking set of undecided points — so each point is
   decided by exactly the vector the scalar classifier would pick;
 * the replacement equations (``k`` distinct conflicting lines inside the
-  reuse window, Section 4.1.2) are answered by the
-  :class:`~repro.iteration.batch.TraceIndex` — the whole trace lex-sorted
-  once, each window a per-set slice with a vectorized distinct count — on the
-  exhaustive path, and by the scalar walker's windowed walk on the sampling
-  path, where materialising the trace would reintroduce the very
-  trace-length cost ``EstimateMisses`` exists to avoid.
+  reuse window, Section 4.1.2) are answered by whichever oracle is cheaper
+  for the reference's decided points: the scalar walker's windowed walk
+  (cost proportional to each window) or the
+  :class:`~repro.iteration.batch.TraceIndex` (the whole trace built once
+  per classifier, each window a per-set slice with a vectorized distinct
+  count).  :meth:`BatchClassifier._index_pays` prices both from the
+  points and the program alone, so ``EstimateMisses`` builds the trace
+  only when that is cheaper than walking its sample's windows.
 
 The contract is **bit identity** with the scalar backend: identical
 tallies, identical per-point :class:`~repro.cme.point.Classification`\\ s,
@@ -39,11 +41,12 @@ from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NLeaf, NormalizedProgram, NRef
 from repro.polyhedra.batch import enumerate_points_array
 from repro.polyhedra.constraints import EQ
-from repro.iteration.batch import BatchAffine, TraceIndex, TraceInfeasible
+from repro.iteration.batch import BatchAffine, TraceIndex
 from repro.iteration.position import interleave, subtract
 from repro.iteration.walker import Walker, compile_affine
+from repro.sim.batch import TracePlan
 from repro.reuse.generator import ReuseTable
-from repro.cme.point import Classification, Outcome, PointClassifier
+from repro.cme.point import Classification, Outcome, PointClassifier, tally_points
 from repro.cme.result import RefResult
 
 try:
@@ -59,6 +62,24 @@ except ImportError as exc:  # pragma: no cover - exercised via import gate test
 _HIT, _COLD, _REPLACEMENT = 0, 1, 2
 
 _OUTCOME_OF = {_HIT: Outcome.HIT, _COLD: Outcome.COLD, _REPLACEMENT: Outcome.REPLACEMENT}
+
+#: Walker cost per window access and per point, in units of one trace
+#: access of :class:`TraceIndex` build (measured: 25 ns, 10 µs, 130 ns; see
+#: DESIGN.md, "Window-strategy rule").
+_WALK_ACCESS = 0.2
+_WALK_POINT = 75.0
+
+
+def _window_ends(times, ref: NRef, producers: list, consumers: "np.ndarray"):
+    """``(producer, consumer)`` times of each decided point under ``times``.
+
+    ``producers`` holds ``(mask over the decided points, producer ref,
+    producer points)`` per deciding reuse vector.
+    """
+    t_producer = np.empty(len(consumers), dtype=np.int64)
+    for mask, producer, points in producers:
+        t_producer[mask] = times(producer, points)
+    return t_producer, times(ref, consumers)
 
 
 class _BatchUnsupported(Exception):
@@ -133,12 +154,16 @@ class BatchClassifier:
             id(leaf): _BatchRIS(nprog, leaf) for leaf in nprog.leaves
         }
         self._addr: dict[int, BatchAffine] = {}  # ref.uid -> address matrix
+        self._plan: Optional[TracePlan] = None
         self._trace: Optional[TraceIndex] = None
-        self._trace_failed = False
         #: Points decided by the vectorized path / by scalar fallback since
         #: the last drain (the ``cme.backend.*`` counters).
         self.vectorized_points = 0
         self.fallback_points = 0
+        #: Decided points whose windows the trace index / the walker
+        #: answered since the last drain (the ``cme.window.*`` counters).
+        self.trace_points = 0
+        self.walk_points = 0
 
     # -- scalar-compatible surface ---------------------------------------------
 
@@ -157,6 +182,13 @@ class BatchClassifier:
         self.fallback_points = 0
         return counts
 
+    def drain_window_counts(self) -> tuple[int, int]:
+        """Return and reset ``(trace_points, walk_points)``."""
+        counts = (self.trace_points, self.walk_points)
+        self.trace_points = 0
+        self.walk_points = 0
+        return counts
+
     # -- bulk classification ------------------------------------------------------
 
     def tally_ref(
@@ -167,16 +199,14 @@ class BatchClassifier:
     ) -> None:
         """Classify a reference in bulk, accumulating into ``result``.
 
-        ``points=None`` means "the full RIS" (``FindMisses``): the points
-        are enumerated as one array and the replacement windows answered by
-        the shared :class:`TraceIndex`.  An explicit ``points`` sequence
-        (``EstimateMisses`` samples, exhaustive fallbacks, tests) keeps the
-        scalar walker as the window oracle so the classification cost stays
-        proportional to reuse distance, not trace length.
+        ``points=None`` means "the full RIS" (``FindMisses``); an explicit
+        ``points`` sequence is an ``EstimateMisses`` sample or a
+        ``RegionMisses`` exact fallback.  Either way the window oracle is
+        chosen by cost (:meth:`_index_pays`), from these points alone.
         """
         try:
             pts = self._points_array(ref, points)
-            outcomes, _ = self._classify_array(ref, pts, use_trace=points is None)
+            outcomes, _ = self._classify_array(ref, pts, walk_only=False)
         except _BatchUnsupported:
             self._tally_scalar(ref, result, points)
             return
@@ -193,10 +223,10 @@ class BatchClassifier:
         """Batch :meth:`classify`: one :class:`Classification` per point.
 
         Used by the parity tests; windows go through the scalar walker, so
-        this never builds the trace.
+        this never builds the trace and stays the index's test oracle.
         """
         pts = self._points_array(ref, points)
-        outcomes, via = self._classify_array(ref, pts, use_trace=False)
+        outcomes, via = self._classify_array(ref, pts, walk_only=True)
         self.vectorized_points += len(pts)
         vectors = self.reuse.vectors_for(ref)
         return [
@@ -227,22 +257,36 @@ class BatchClassifier:
             self._addr[ref.uid] = aff
         return aff
 
-    def _trace_index(self) -> Optional[TraceIndex]:
-        if self._trace is None and not self._trace_failed:
-            try:
-                with obs.span("cme/batch/trace_index"):
-                    self._trace = TraceIndex(
-                        self.nprog,
-                        self.walker,
-                        self._line_bytes,
-                        self._num_sets,
-                    )
-            except TraceInfeasible:
-                self._trace_failed = True
+    def _trace_index(self) -> TraceIndex:
+        if self._trace is None:
+            with obs.span("cme/batch/trace_index"):
+                self._trace = TraceIndex(
+                    self.nprog, self.walker, self._line_bytes, self._num_sets
+                )
         return self._trace
 
+    def _index_pays(
+        self, ref: NRef, producers: list, consumers: "np.ndarray"
+    ) -> bool:
+        """True when walking these windows costs more than this reference's
+        share of the index build (trace length / references; the index is
+        built once and serves them all).  Depends on the points and the
+        program only — never on whether the index already exists — so
+        serial, pooled and daemon runs choose alike."""
+        if self._plan is None:
+            self._plan = TracePlan(self.nprog)
+        plan = self._plan
+        if not plan.materialisable:  # TraceIndex would raise TraceTooLargeError
+            return False
+        t_producer, t_consumer = _window_ends(
+            plan.times, ref, producers, consumers
+        )
+        windows = float((t_consumer - t_producer).sum(dtype=np.float64))
+        walk = _WALK_ACCESS * windows + _WALK_POINT * len(consumers)
+        return walk * len(self.nprog.refs) >= plan.total
+
     def _classify_array(
-        self, ref: NRef, pts: "np.ndarray", use_trace: bool
+        self, ref: NRef, pts: "np.ndarray", walk_only: bool
     ) -> tuple["np.ndarray", "np.ndarray"]:
         """The batch cold + replacement equations over one point array.
 
@@ -286,9 +330,11 @@ class BatchClassifier:
         outcomes = np.full(n_points, _COLD, dtype=np.int8)
         decided = np.flatnonzero(via >= 0)
         if len(decided):
-            evicted = self._windows(
-                ref, pts, via, producer_pts, lines_c, decided, vectors, use_trace
-            )
+            with obs.span("cme/window"):
+                evicted = self._windows(
+                    ref, pts, via, producer_pts, lines_c, decided, vectors,
+                    walk_only,
+                )
             outcomes[decided] = np.where(evicted, _REPLACEMENT, _HIT)
         return outcomes, via
 
@@ -301,22 +347,26 @@ class BatchClassifier:
         lines_c: "np.ndarray",
         decided: "np.ndarray",
         vectors,
-        use_trace: bool,
+        walk_only: bool,
     ) -> "np.ndarray":
         """Replacement equations for the decided points: evicted or not."""
-        trace = self._trace_index() if use_trace else None
-        if trace is not None:
-            t_consumer = trace.t_of(ref, pts[decided])
-            t_producer = np.empty(len(decided), dtype=np.int64)
-            decided_via = via[decided]
-            for j in np.unique(decided_via):
-                chosen = decided_via == j
-                t_producer[chosen] = trace.t_of(
-                    vectors[j].producer, producer_pts[decided][chosen]
-                )
+        consumers = pts[decided]
+        decided_via = via[decided]
+        producer_at = producer_pts[decided]
+        producers = []
+        for j in np.unique(decided_via).tolist():
+            mask = decided_via == j
+            producers.append((mask, vectors[j].producer, producer_at[mask]))
+        if not walk_only and self._index_pays(ref, producers, consumers):
+            trace = self._trace_index()
+            self.trace_points += len(decided)
+            t_producer, t_consumer = _window_ends(
+                trace.t_of, ref, producers, consumers
+            )
             return trace.conflicts_reach(
                 t_producer, t_consumer, lines_c[decided], self._assoc
             )
+        self.walk_points += len(decided)
         walker = self.walker
         evicted = np.empty(len(decided), dtype=bool)
         for i, q in enumerate(decided):
@@ -344,14 +394,9 @@ class BatchClassifier:
         """Point-by-point scalar fallback with identical tallies."""
         if points is None:
             points = self.nprog.ris(ref.leaf).enumerate_points()
-        classify = self.scalar.classify
-        for point in points:
-            outcome = classify(ref, tuple(int(v) for v in point)).outcome
-            self.fallback_points += 1
-            result.analysed += 1
-            if outcome is Outcome.COLD:
-                result.cold += 1
-            elif outcome is Outcome.REPLACEMENT:
-                result.replacement += 1
-            else:
-                result.hits += 1
+        before = result.analysed
+        tally_points(
+            self.scalar.classify, ref, result,
+            (tuple(int(v) for v in point) for point in points),
+        )
+        self.fallback_points += result.analysed - before

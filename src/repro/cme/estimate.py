@@ -18,9 +18,13 @@ that), and it is what lets the loop over references
 (:mod:`repro.parallel`) or on the daemon's thread pool (:mod:`repro.serve`)
 while producing bit-identical reports.
 
-The cost per sampled point is proportional to the reuse window, not to the
-trace length — this is the source of the orders-of-magnitude speedup over
-simulation the paper reports (Table 6).
+The number of sampled points depends on ``(c, w)``, not on the trace
+length — the source of the orders-of-magnitude speedup over simulation the
+paper reports (Table 6).  Each draw is a ``bisect`` per dimension into
+cached cumulative weights (:meth:`~repro.polyhedra.space.BoundedSpace.sample`),
+and the sample's replacement windows are walked (cost proportional to each
+window) unless building the whole-program trace index is cheaper
+(:mod:`repro.cme.batch`): the trace is built only when that beats walking.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
 from repro.reuse.generator import ReuseTable
 from repro.stats.confidence import DEFAULT_FALLBACK, achievable, sample_size
-from repro.cme.find import record_ref_metrics
-from repro.cme.point import PointClassifier, Outcome
+from repro.cme.find import classify_into, record_ref_metrics
+from repro.cme.point import PointClassifier
 from repro.cme.result import MissReport, RefResult
 from repro.cme.solver import solve_misses, solver_for
 
@@ -64,34 +68,22 @@ def estimate_ref_misses(
         result = RefResult(ref.name(), ref.uid, population=volume)
         if volume == 0:
             return result
-        if achievable(confidence, width, volume):
-            points = ris.sample(
-                sample_size(confidence, width, volume), ref_rng(seed, ref)
-            )
-            obs.counter("cme.sampling.draws").inc(len(points))
-        elif achievable(*DEFAULT_FALLBACK, volume):
-            points = ris.sample(
-                sample_size(*DEFAULT_FALLBACK, volume), ref_rng(seed, ref)
-            )
-            obs.counter("cme.sampling.draws").inc(len(points))
-            obs.counter("cme.sampling.fallbacks").inc()
-        else:
-            points = list(ris.enumerate_points())  # analyse all points
-            obs.counter("cme.sampling.exhaustive").inc()
-        tally = getattr(classifier, "tally_ref", None)
-        if tally is not None:  # batch backend: the whole sample in one call
-            tally(ref, result, points)
-        else:
-            classify = classifier.classify
-            for point in points:
-                outcome = classify(ref, point).outcome
-                result.analysed += 1
-                if outcome is Outcome.COLD:
-                    result.cold += 1
-                elif outcome is Outcome.REPLACEMENT:
-                    result.replacement += 1
-                else:
-                    result.hits += 1
+        with obs.span("cme/sample"):
+            if achievable(confidence, width, volume):
+                points = ris.sample(
+                    sample_size(confidence, width, volume), ref_rng(seed, ref)
+                )
+                obs.counter("cme.sampling.draws").inc(len(points))
+            elif achievable(*DEFAULT_FALLBACK, volume):
+                points = ris.sample(
+                    sample_size(*DEFAULT_FALLBACK, volume), ref_rng(seed, ref)
+                )
+                obs.counter("cme.sampling.draws").inc(len(points))
+                obs.counter("cme.sampling.fallbacks").inc()
+            else:
+                points = list(ris.enumerate_points())  # analyse all points
+                obs.counter("cme.sampling.exhaustive").inc()
+        classify_into(classifier, ref, result, points)
         result.check_invariants()
         record_ref_metrics(result, classifier)
     return result

@@ -15,7 +15,7 @@ on the daemon's thread pool (:mod:`repro.serve`).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 from repro import obs
 from repro.layout.cache import CacheConfig
@@ -23,7 +23,7 @@ from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
 from repro.reuse.generator import ReuseTable
-from repro.cme.point import PointClassifier, Outcome
+from repro.cme.point import PointClassifier, tally_points
 from repro.cme.result import MissReport, RefResult
 from repro.cme.solver import solve_misses, solver_for
 
@@ -51,6 +51,27 @@ def record_ref_metrics(result: RefResult, classifier: PointClassifier) -> None:
         vectorized, fallback = drain_backend()
         obs.counter("cme.backend.vectorized_points").inc(vectorized)
         obs.counter("cme.backend.fallback_points").inc(fallback)
+        trace, walk = classifier.drain_window_counts()
+        obs.counter("cme.window.trace_points").inc(trace)
+        obs.counter("cme.window.walk_points").inc(walk)
+
+
+def classify_into(
+    classifier: PointClassifier,
+    ref: NRef,
+    result: RefResult,
+    points: Optional[Iterable[Sequence[int]]] = None,
+) -> None:
+    """Classify ``points`` of ``ref`` (``None``: its whole RIS) into
+    ``result`` — one vectorized call on the batch backend, point by point
+    on the scalar one.  Shared by the three solvers."""
+    tally = getattr(classifier, "tally_ref", None)
+    if tally is not None:
+        tally(ref, result, points)
+        return
+    if points is None:
+        points = classifier.nprog.ris(ref.leaf).enumerate_points()
+    tally_points(classifier.classify, ref, result, points)
 
 
 def find_ref_misses(
@@ -60,20 +81,7 @@ def find_ref_misses(
     with obs.span("cme/classify_ref"):
         ris = nprog.ris(ref.leaf)
         result = RefResult(ref.name(), ref.uid, population=ris.count())
-        tally = getattr(classifier, "tally_ref", None)
-        if tally is not None:  # batch backend: whole RIS in one call
-            tally(ref, result)
-        else:
-            classify = classifier.classify
-            for point in ris.enumerate_points():
-                outcome = classify(ref, point).outcome
-                result.analysed += 1
-                if outcome is Outcome.COLD:
-                    result.cold += 1
-                elif outcome is Outcome.REPLACEMENT:
-                    result.replacement += 1
-                else:
-                    result.hits += 1
+        classify_into(classifier, ref, result)
         result.check_invariants(exhaustive=True)
         record_ref_metrics(result, classifier)
     return result

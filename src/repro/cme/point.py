@@ -153,3 +153,16 @@ class PointClassifier:
             return Classification(Outcome.HIT, rv)
         self.vector_trials += trials
         return Classification(Outcome.COLD)
+
+
+def tally_points(classify, ref: NRef, result, points) -> None:
+    """Classify each point with ``classify`` and count its outcome."""
+    for point in points:
+        outcome = classify(ref, point).outcome
+        result.analysed += 1
+        if outcome is Outcome.COLD:
+            result.cold += 1
+        elif outcome is Outcome.REPLACEMENT:
+            result.replacement += 1
+        else:
+            result.hits += 1

@@ -72,7 +72,7 @@ from repro.polyhedra.constraints import Constraint, EQ
 from repro.polyhedra.regions import RegionSpace, negate_constraint
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
-from repro.cme.find import record_ref_metrics
+from repro.cme.find import classify_into, record_ref_metrics
 from repro.cme.point import Outcome
 from repro.cme.result import MissReport, RefResult
 from repro.cme.solver import solve_misses, solver_for
@@ -759,25 +759,6 @@ class RegionSolver:
             exact += 1
         return exact, fallback_pts, fallback_cells
 
-    def _classify_points(
-        self, ref: NRef, points: list[tuple[int, ...]], result: RefResult
-    ) -> None:
-        """Exact fallback: enumerate through the classification backend."""
-        tally = getattr(self.classifier, "tally_ref", None)
-        if tally is not None:  # batch backend: one vectorized call
-            tally(ref, result, points=points)
-            return
-        classify = self.classifier.classify
-        for point in points:
-            outcome = classify(ref, point).outcome
-            result.analysed += 1
-            if outcome is Outcome.COLD:
-                result.cold += 1
-            elif outcome is Outcome.REPLACEMENT:
-                result.replacement += 1
-            else:
-                result.hits += 1
-
     def solve_ref(self, ref: NRef) -> RefResult:
         """Classify one reference regionally (the shard unit)."""
         with obs.span("cme/region_ref"):
@@ -851,7 +832,7 @@ class RegionSolver:
                 fallback_cells += 1
                 fallback_pts.extend(cell.enumerate_points())
             if fallback_pts:
-                self._classify_points(ref, fallback_pts, result)
+                classify_into(self.classifier, ref, result, fallback_pts)
             result.check_invariants(exhaustive=True)
             obs.counter("cme.regions.exact_regions").inc(exact_regions)
             obs.counter("cme.regions.fallback_regions").inc(

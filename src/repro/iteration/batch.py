@@ -7,21 +7,21 @@ Two pieces live here:
   ``(m, n)`` coefficient matrix, so bounds, guards and address polynomials
   evaluate over whole ``(N, n)`` point batches as a single matrix product;
 * :class:`TraceIndex` — the whole-program access trace materialised as flat
-  NumPy arrays.  Execution order is recovered by lex-sorting interleaved
-  iteration vectors (the Section 3.2 property: lexicographic order on
-  ``(ℓ1, I1, …, ℓn, In, lexpos)`` *is* execution order), after which the
-  interference window of the replacement equations — all accesses strictly
-  between a producer and a consumer position — becomes a contiguous slice of
-  per-cache-set position arrays, and the ``k`` distinct-line test of Section
-  4.1.2 a vectorized distinct-count over that slice.
+  NumPy arrays by the simulator's builder (:mod:`repro.sim.batch`), after
+  which the interference window of the replacement equations — all
+  accesses strictly between a producer and a consumer position — becomes a
+  contiguous slice of per-cache-set position arrays, and the ``k``
+  distinct-line test of Section 4.1.2 a vectorized distinct-count over that
+  slice.  Positions come from the builder's :class:`~repro.sim.batch.TracePlan`:
+  the affine time plan itself on rectangular programs, the rank of a box
+  time among the builder's sorted keys elsewhere.
 
 The index answers exactly the query
 :meth:`repro.iteration.walker.Walker.distinct_conflicts_reach` answers, so
 the NumPy backend stays bit-identical to the scalar solver.  Building it
-costs ``O(T log T)`` in the trace length ``T`` — the right trade for
-``FindMisses`` (which classifies all ``T`` points anyway) but wrong for
-``EstimateMisses`` (whose whole pitch is cost *independent* of ``T``), so
-the batch classifier only uses it on the exhaustive path.
+costs ``O(T log T)`` in the trace length ``T``; the batch classifier builds
+it only when a reference's windows would cost more to walk than that
+reference's share of the build (``repro.cme.batch``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Sequence
 from repro.errors import MissingDependencyError
 from repro.iteration.walker import CompiledAffine, Walker
 from repro.normalize.nprogram import NormalizedProgram, NRef
-from repro.polyhedra.batch import enumerate_points_array
 
 try:
     import numpy as np
@@ -42,12 +41,7 @@ except ImportError as exc:  # pragma: no cover - exercised via import gate test
         "pure-Python solver with backend='scalar' / --backend scalar"
     ) from exc
 
-#: Traces larger than this are not materialised (the classifier falls back
-#: to the scalar per-window walker instead); ~50M accesses ≈ 400MB of keys.
-MAX_TRACE_ACCESSES = 50_000_000
-
-#: Mixed-radix point keys must fit comfortably in int64.
-_MAX_KEY = 1 << 62
+from repro.sim.batch import TracePlan, build_trace, lines_of  # noqa: E402
 
 #: Length of the vectorized probe prefix of each interference window; only
 #: windows longer than this whose probe stays below ``k`` distinct lines
@@ -56,14 +50,6 @@ _SMALL_WINDOW = 64
 
 #: Rows of the probe matrix processed per chunk (bounds peak memory).
 _CHUNK = 1 << 15
-
-
-class TraceInfeasible(Exception):
-    """The trace cannot be materialised (too long, or keys overflow int64).
-
-    Internal control flow only: the batch classifier catches it and keeps
-    the scalar walker as the window oracle, so callers never see it.
-    """
 
 
 class BatchAffine:
@@ -88,32 +74,11 @@ class BatchAffine:
         return points @ self.matrix[0] + self.const[0]
 
 
-class _LeafBlock:
-    """Per-leaf enumeration: points, mixed-radix keys, per-ref trace slots."""
-
-    __slots__ = ("points", "keys", "lows", "strides", "start_of")
-
-    def __init__(self, points: "np.ndarray", ranges: list[tuple[int, int]]):
-        self.points = points
-        self.lows = np.array([lo for lo, _ in ranges], dtype=np.int64)
-        strides = [1] * len(ranges)
-        for d in range(len(ranges) - 2, -1, -1):
-            lo, hi = ranges[d + 1]
-            strides[d] = strides[d + 1] * (hi - lo + 1)
-        head_lo, head_hi = ranges[0] if ranges else (0, 0)
-        if ranges and strides[0] * (head_hi - head_lo + 1) >= _MAX_KEY:
-            raise TraceInfeasible("point keys overflow int64")
-        self.strides = np.array(strides, dtype=np.int64)
-        self.keys = self.encode(points)
-        self.start_of: dict[int, int] = {}  # ref.uid -> first trace slot
-
-    def encode(self, points: "np.ndarray") -> "np.ndarray":
-        """Mixed-radix key per point; monotone in lexicographic order."""
-        return (points - self.lows) @ self.strides
-
-
 class TraceIndex:
-    """The full access trace, indexed for vectorized window queries."""
+    """The full access trace, indexed for vectorized window queries.
+
+    Raises :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
+    """
 
     def __init__(
         self,
@@ -121,70 +86,18 @@ class TraceIndex:
         walker: Walker,
         line_bytes: int,
         num_sets: int,
-        max_accesses: int = MAX_TRACE_ACCESSES,
     ):
         self.num_sets = num_sets
-        total = sum(
-            nprog.ris(leaf).count() * len(leaf.refs) for leaf in nprog.leaves
-        )
-        if total > max_accesses:
-            raise TraceInfeasible(f"trace of {total} accesses exceeds budget")
-        n = nprog.depth
-        self._blocks: dict[int, _LeafBlock] = {}  # id(leaf) -> block
-        self._block_of_ref: dict[int, _LeafBlock] = {}  # ref.uid -> block
-        space_points: dict[int, "np.ndarray"] = {}  # id(space) -> points
-        pos_cols: list[list["np.ndarray"]] = [[] for _ in range(2 * n + 1)]
-        line_parts: list["np.ndarray"] = []
-        slot = 0
-        for leaf in nprog.leaves:
-            space = nprog.ris(leaf)
-            points = space_points.get(id(space))
-            if points is None:
-                points = enumerate_points_array(space)
-                space_points[id(space)] = points
-            ranges = space.var_ranges()
-            block = _LeafBlock(
-                points, [ranges[var] for var in nprog.index_vars]
-            )
-            self._blocks[id(leaf)] = block
-            count = len(points)
-            for ref in leaf.refs:
-                addr = BatchAffine(
-                    [walker.compiled_ref(ref).addr], n
-                ).eval_single(points)
-                block.start_of[ref.uid] = slot
-                self._block_of_ref[ref.uid] = block
-                slot += count
-                for d in range(n):
-                    pos_cols[2 * d].append(
-                        np.full(count, leaf.label[d], dtype=np.int64)
-                    )
-                    pos_cols[2 * d + 1].append(points[:, d])
-                pos_cols[2 * n].append(
-                    np.full(count, ref.lexpos, dtype=np.int64)
-                )
-                line_parts.append(addr // line_bytes)
-        self.total = slot
-        if slot == 0:
-            self._inv = np.empty(0, dtype=np.int64)
-            self._set_keys = np.empty(0, dtype=np.int64)
-            self._lines_by_set = np.empty(0, dtype=np.int64)
-            return
-        cols = [np.concatenate(parts) for parts in pos_cols]
-        lines = np.concatenate(line_parts)
-        # np.lexsort keys run minor -> major; execution order is lex order
-        # on (l1, I1, ..., ln, In, lexpos), so feed the columns reversed.
-        order = np.lexsort(tuple(reversed(cols)))
-        inv = np.empty(slot, dtype=np.int64)
-        inv[order] = np.arange(slot, dtype=np.int64)
-        self._inv = inv
-        line_at_t = lines[order]
+        self._plan = TracePlan(nprog)
+        _, addrs, self._keys = build_trace(nprog, walker, self._plan)
+        self.total = len(addrs)
+        line_at_t = lines_of(addrs, line_bytes)
         set_at_t = line_at_t % num_sets
         by_set = np.argsort(set_at_t, kind="stable")  # (set, t) ascending
         # One sorted key ``set·(T+1) + t`` per access: window boundaries in
         # any set become a single vectorized searchsorted over all queries
         # (keys of other sets land outside the query's [base, base+T] band).
-        self._set_keys = set_at_t[by_set] * np.int64(slot + 1) + by_set
+        self._set_keys = set_at_t[by_set] * np.int64(self.total + 1) + by_set
         self._lines_by_set = line_at_t[by_set]
 
     # -- position lookup ---------------------------------------------------------
@@ -195,9 +108,10 @@ class TraceIndex:
         Every row must lie inside the reference's RIS (the cold equations
         guarantee that for producer points; consumers enumerate their RIS).
         """
-        block = self._block_of_ref[ref.uid]
-        rows = np.searchsorted(block.keys, block.encode(points))
-        return self._inv[block.start_of[ref.uid] + rows]
+        times = self._plan.times(ref, points)
+        if self._keys is None:
+            return times
+        return np.searchsorted(self._keys, times)
 
     # -- the replacement-equation window query -------------------------------------
 

@@ -53,7 +53,8 @@ KEY_SCHEMA = "repro.memo.key/1"
 
 #: Modules whose source code determines solver outcomes — every module the
 #: per-reference units and the classifier backends import from the solver
-#: packages.  The persistent store stamps their combined hash into its
+#: packages, plus the simulator's trace builder, which builds the batch
+#: classifier's window index.  The persistent store stamps their combined hash into its
 #: header: editing any of them (including this module) invalidates every
 #: stored entry.
 FINGERPRINT_MODULES = (
@@ -77,6 +78,7 @@ FINGERPRINT_MODULES = (
     "repro.reuse.generator",
     "repro.reuse.ugs",
     "repro.reuse.vectors",
+    "repro.sim.batch",
     "repro.stats.confidence",
     "repro.layout.cache",
     "repro.layout.memory",

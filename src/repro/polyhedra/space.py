@@ -15,7 +15,8 @@ The class provides the polyhedral operations the solvers of Fig. 6 need:
 * :meth:`enumerate_points` — lexicographic enumeration (``FindMisses``),
 * :meth:`sample` — *uniform* sampling of integer points
   (``EstimateMisses``), implemented by count-weighted descent so that
-  triangular and guarded spaces are sampled without bias.
+  triangular and guarded spaces are sampled without bias; each level is a
+  ``bisect`` into a cumulative-weight table cached next to the counts.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 import random
+from bisect import bisect_right
 
 from repro import obs
 from repro.polyhedra.affine import Affine
@@ -126,6 +128,7 @@ class BoundedSpace:
                 tuple(v for v in self.dims[:d] if v in relevant)
             )
         self._count_memo: dict[tuple, int] = {}
+        self._weight_memo: dict[tuple, tuple[list[int], list[int]]] = {}
 
     # -- basic queries ---------------------------------------------------------
 
@@ -264,7 +267,12 @@ class BoundedSpace:
         Sampling descends the dimensions weighting each candidate value by
         the exact count of the subtree below it, which yields an exactly
         uniform distribution over the integer points even for triangular or
-        guarded spaces.  Raises ``ValueError`` on an empty space.
+        guarded spaces.  Each dimension costs one ``rng.randrange(total)``
+        and one :func:`bisect.bisect_right` into a cumulative-weight table,
+        built once per ``(depth, memo key)`` and kept next to the counts; a
+        level whose subtree count does not depend on the value needs no
+        table at all (``lo + pick // inner``).  Raises ``ValueError`` on an
+        empty space.
         """
         rng = rng if rng is not None else random.Random()
         total = self.count()
@@ -276,31 +284,56 @@ class BoundedSpace:
         env: dict[str, int] = {}
         point: list[int] = []
         for d in range(self._n):
-            lo = self.bounds[d][0].evaluate(env)
-            hi = self.bounds[d][1].evaluate(env)
             var = self.dims[d]
-            cons = self._cons_at[d]
-            # Weight each candidate value by its subtree count.
-            weights: list[tuple[int, int]] = []
-            running = 0
-            for value in range(lo, hi + 1):
-                env[var] = value
-                if all(c.satisfied(env) for c in cons):
-                    w = self._count_from(d + 1, env)
-                    if w:
-                        running += w
-                        weights.append((value, running))
-            if not weights:
-                raise ValueError("cannot sample from an empty space")
-            pick = rng.randrange(weights[-1][1])
-            chosen = weights[-1][0]
-            for value, cumulative in weights:
-                if pick < cumulative:
-                    chosen = value
-                    break
+            if not self._cons_at[d] and var not in self._memo_vars[d + 1]:
+                # Every value weighs the same: the k-th value's cumulative
+                # weight is (k+1)·inner, so the linear scan's pick is exact.
+                lo = self.bounds[d][0].evaluate(env)
+                hi = self.bounds[d][1].evaluate(env)
+                inner = self._count_from(d + 1, env) if hi >= lo else 0
+                if not inner:
+                    raise ValueError("cannot sample from an empty space")
+                chosen = lo + rng.randrange((hi - lo + 1) * inner) // inner
+            else:
+                values, cumulative = self._weights(d, env)
+                chosen = values[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
             env[var] = chosen
             point.append(chosen)
         return tuple(point)
+
+    def _weights(
+        self, d: int, env: dict[str, int]
+    ) -> tuple[list[int], list[int]]:
+        """Candidate values of dimension ``d`` and their cumulative weights.
+
+        Zero-weight values (guarded out, or with an empty subtree) are
+        dropped.  Cached per ``(depth, memo key)`` like :meth:`_count_from`.
+        """
+        key = (d,) + tuple(env[v] for v in self._memo_vars[d])
+        table = self._weight_memo.get(key)
+        if table is not None:
+            return table
+        lo = self.bounds[d][0].evaluate(env)
+        hi = self.bounds[d][1].evaluate(env)
+        var = self.dims[d]
+        cons = self._cons_at[d]
+        values: list[int] = []
+        cumulative: list[int] = []
+        running = 0
+        for value in range(lo, hi + 1):
+            env[var] = value
+            if all(c.satisfied(env) for c in cons):
+                w = self._count_from(d + 1, env)
+                if w:
+                    running += w
+                    values.append(value)
+                    cumulative.append(running)
+        env.pop(var, None)
+        if not values:
+            raise ValueError("cannot sample from an empty space")
+        table = (values, cumulative)
+        self._weight_memo[key] = table
+        return table
 
     def __repr__(self) -> str:
         parts = [

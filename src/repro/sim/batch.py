@@ -16,14 +16,16 @@ That property needs no temporal state, so misses can be decided for all
 accesses at once:
 
 1. **Trace build** — materialise the whole access stream as
-   ``(ref_uid, address)`` arrays in execution order.  Guard-free nests
+   ``(ref_uid, address)`` arrays in execution order, from one
+   :class:`TracePlan` (an affine time per access).  Guard-free nests
    with constant bounds (every Table 6 program) get a *rectangular fast
-   path*: each access's global time index is an affine function of the
-   iteration vector, so addresses and times are built by broadcasting —
-   no per-point matrices.  Guarded or non-rectangular programs fall back
-   to a per-leaf polyhedral enumeration plus one lexicographic sort over
-   ``(iteration vector, lexical position)`` keys — the same order
-   :func:`~repro.sim.trace.naive_trace` sorts by.
+   path*: the plan's time is exact, so addresses and times are built by
+   broadcasting — no per-point matrices, no sort.  Guarded or
+   non-rectangular programs fall back to a per-leaf polyhedral
+   enumeration plus one sort on the plan's box times, which increase in
+   the order :func:`~repro.sim.trace.naive_trace` sorts by.  The batch
+   classifier's window index (:mod:`repro.iteration.batch`) is built by
+   the same code.
 2. **Per-set grouping** — mask/modulo set decomposition, then one stable
    argsort over set indices concatenates each set's stream into a
    contiguous segment (stable ⇒ time order is preserved inside a
@@ -81,7 +83,7 @@ from repro import obs
 from repro.errors import AnalysisError, InvariantError
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
-from repro.normalize.nprogram import NormalizedProgram, NRef
+from repro.normalize.nprogram import NormalizedProgram, NRef, index_var
 from repro.iteration.walker import Walker
 from repro.polyhedra.batch import enumerate_points_array
 from repro.sim.policy import SET_MACHINES, count_policy_run
@@ -103,100 +105,112 @@ class TraceTooLargeError(AnalysisError):
 # -- trace construction ---------------------------------------------------------------
 
 
-def _rect_plan(nprog: NormalizedProgram):
-    """Affine time-index plans for guard-free constant-bound programs.
+#: Box times must fit comfortably in int64.
+_MAX_BOX = 1 << 62
 
-    When every leaf is guard-free and every loop bound is a constant, the
-    global time index of an access is affine in its iteration vector:
-    ``t = base + Σ_d (i_d - lo_d)·stride_d + lexpos`` where a loop's
-    stride is the number of accesses in one of its iterations.  Returns
-    ``(plans, total)`` mapping ``id(leaf)`` to
-    ``(strides, bounds, base)``, or ``(None, None)`` when any construct
-    breaks the affine form (the general path takes over).
+
+class TracePlan:
+    """Per-leaf affine time index ``t = base + Σ_d i_d·stride_d + lexpos``.
+
+    A loop's stride is the number of accesses in one of its iterations,
+    counted over the *box* of the program: each loop bound widened to its
+    interval hull over the outer loops, guards ignored.  Box times are
+    injective and increase in execution order (a mixed-radix numbering of
+    the box), so an access's true time is the rank of its box time.  When
+    every leaf is guard-free and every bound a constant
+    (:attr:`rectangular`; every Table 6 program) the box *is* the trace:
+    :meth:`times` is then exact, and the trace is built by broadcasting
+    with no sort.  :attr:`total` is always the exact trace length.
     """
-    plans: dict = {}
 
-    def const_bounds(loop):
-        lo, hi = loop.lower, loop.upper
-        if lo.variables() or hi.variables():
-            return None
-        return int(lo.constant), int(hi.constant)
+    def __init__(self, nprog: NormalizedProgram):
+        self.rectangular = True
+        plans: dict[int, tuple[list, list, int]] = {}
 
-    def size_of(loop):
-        """``(accesses in the whole loop, accesses in one iteration)``."""
-        b = const_bounds(loop)
-        if b is None:
-            return None
-        lo, hi = b
-        iters = max(hi - lo + 1, 0)
-        if loop.leaves:
+        def extent(loop, ranges):
+            lo, hi = loop.lower, loop.upper
+            if lo.variables() or hi.variables():
+                self.rectangular = False
+            return lo.bounds(ranges)[0], hi.bounds(ranges)[1]
+
+        def size_of(loop, ranges):
+            """``(accesses in the whole loop, accesses in one iteration)``."""
+            lo, hi = extent(loop, ranges)
+            inner = {**ranges, index_var(loop.depth): (lo, max(lo, hi))}
+            if loop.leaves:
+                if any(len(leaf.guard) > 0 for leaf in loop.leaves):
+                    self.rectangular = False
+                per_iter = sum(len(leaf.refs) for leaf in loop.leaves)
+            else:
+                per_iter = sum(size_of(c, inner)[0] for c in loop.loops)
+            return max(hi - lo + 1, 0) * per_iter, per_iter
+
+        strides: list = []
+        bounds: list = []
+
+        def assign(loop, base, ranges):
+            lo, hi = extent(loop, ranges)
+            _, per_iter = size_of(loop, ranges)
+            inner = {**ranges, index_var(loop.depth): (lo, max(lo, hi))}
+            strides.append(per_iter)
+            bounds.append((lo, hi))
+            base -= lo * per_iter
             for leaf in loop.leaves:
-                if len(leaf.guard) > 0:
-                    return None
-            per_iter = sum(len(l.refs) for l in loop.leaves)
-            return iters * per_iter, per_iter
-        per_iter = 0
-        for child in loop.loops:
-            s = size_of(child)
-            if s is None:
-                return None
-            per_iter += s[0]
-        return iters * per_iter, per_iter
-
-    strides: list = []
-    bounds: list = []
-
-    def assign(loop, base):
-        lo, hi = const_bounds(loop)
-        _, per_iter = size_of(loop)
-        strides.append(per_iter)
-        bounds.append((lo, hi))
-        base -= lo * per_iter
-        if loop.leaves:
-            lex = 0
-            for leaf in loop.leaves:
-                plans[id(leaf)] = (list(strides), list(bounds), base + lex)
-                lex += len(leaf.refs)
-        else:
-            off = 0
+                plans[id(leaf)] = (list(strides), list(bounds), base)
             for child in loop.loops:
-                assign(child, base + off)
-                off += size_of(child)[0]
-        strides.pop()
-        bounds.pop()
+                assign(child, base, inner)
+                base += size_of(child, inner)[0]
+            strides.pop()
+            bounds.pop()
 
-    total = 0
-    sizes = []
-    for root in nprog.roots:
-        s = size_of(root)
-        if s is None:
-            return None, None
-        sizes.append(s[0])
-        total += s[0]
-    base = 0
-    for root, size in zip(nprog.roots, sizes):
-        assign(root, base)
-        base += size
-    return plans, total
+        box = 0
+        for root in nprog.roots:
+            assign(root, box, {})
+            box += size_of(root, {})[0]
+        self.total = box if self.rectangular else sum(
+            nprog.ris(leaf).count() * len(leaf.refs) for leaf in nprog.leaves
+        )
+        #: True when the trace fits the budget and box times fit in int64.
+        self.materialisable = self.total <= MAX_TRACE_ACCESSES and box < _MAX_BOX
+        self._leaf = {
+            key: (np.array(st, dtype=np.int64), bds, base)
+            for key, (st, bds, base) in plans.items()
+        } if box < _MAX_BOX else {}
+
+    def check_budget(self) -> None:
+        """Raise :class:`TraceTooLargeError` unless :attr:`materialisable`."""
+        if not self.materialisable:
+            raise TraceTooLargeError(
+                f"trace of {self.total} accesses exceeds the "
+                f"{MAX_TRACE_ACCESSES}-access materialisation budget"
+            )
+
+    def times(self, ref: NRef, points: "np.ndarray") -> "np.ndarray":
+        """Box times of ``ref`` at ``(N, n)`` points (trace times iff
+        :attr:`rectangular`)."""
+        strides, _, base = self._leaf[id(ref.leaf)]
+        return points @ strides + (base + ref.lexpos)
 
 
-def _rect_trace(nprog: NormalizedProgram, walker: Walker, plans, total):
+def _rect_trace(nprog: NormalizedProgram, walker: Walker, plan: TracePlan):
     """Broadcast-build the trace of a rectangular program (no sorting)."""
-    addrs_t = np.empty(total, dtype=np.int64)
-    uids_t = np.empty(total, dtype=np.uint32)
+    addrs_t = np.empty(plan.total, dtype=np.int64)
+    uids_t = np.empty(plan.total, dtype=np.uint32)
     for leaf in nprog.leaves:
-        strides, bds, base = plans[id(leaf)]
+        strides, bds, base = plan._leaf[id(leaf)]
         depth = len(strides)
         nref = len(leaf.refs)
         coeffs = np.zeros((depth, nref), dtype=np.int64)
         consts = np.zeros(nref, dtype=np.int64)
         uids = np.zeros(nref, dtype=np.uint32)
+        lexpos = np.zeros(nref, dtype=np.int64)
         for j, ref in enumerate(leaf.refs):
             ca = walker.compiled_ref(ref).addr
             for d, coeff in ca.terms:
                 coeffs[d, j] = coeff
             consts[j] = ca.const
             uids[j] = ref.uid
+            lexpos[j] = ref.lexpos
         shape = tuple(hi - lo + 1 for lo, hi in bds)
         if 0 in shape:
             continue
@@ -212,66 +226,67 @@ def _rect_trace(nprog: NormalizedProgram, walker: Walker, plans, total):
             sh = (1,) * d + (shape[d],) + (1,) * (depth - 1 - d)
             addr = addr + term.reshape(sh + (nref,))
             tgrid = tgrid + (values * strides[d]).reshape(sh)
-        t = (tgrid[..., None] + np.arange(nref)).ravel()
+        t = (tgrid[..., None] + lexpos).ravel()
         addrs_t[t] = addr.ravel()
         uids_t[t] = np.broadcast_to(uids, addr.shape).ravel()
     return uids_t, addrs_t
 
 
-def _general_trace(nprog: NormalizedProgram, walker: Walker):
-    """Per-leaf polyhedral enumeration plus one global lexicographic sort.
+def _general_trace(nprog: NormalizedProgram, walker: Walker, plan: TracePlan):
+    """Per-leaf polyhedral enumeration plus one sort on box times.
 
-    Handles guards and affine-dependent bounds; the sort keys are exactly
+    Handles guards and affine-dependent bounds.  Box times increase in
+    execution order — lexicographic order on
     :func:`~repro.iteration.position.interleave`'s
-    ``(ℓ1, i1, …, ℓn, in, lexpos)`` columns, so the resulting order equals
-    the walker's (and :func:`~repro.sim.trace.naive_trace`'s).
+    ``(ℓ1, i1, …, ℓn, in, lexpos)`` — so sorting by them yields the
+    walker's (and :func:`~repro.sim.trace.naive_trace`'s) order.  Returns
+    ``(uids, addrs, keys)`` in execution order, ``keys`` the sorted box
+    times (an access's trace time is its key's rank).
     """
-    n = nprog.depth
-    col_blocks = []
     uid_blocks = []
     addr_blocks = []
+    key_blocks = []
+    space_points: dict[int, "np.ndarray"] = {}  # id(space) -> points
     for leaf in nprog.leaves:
-        nref = len(leaf.refs)
-        if nref == 0:
+        if not leaf.refs:
             continue
-        pts = enumerate_points_array(nprog.ris(leaf))
-        npts = len(pts)
-        if npts == 0:
+        space = nprog.ris(leaf)
+        pts = space_points.get(id(space))
+        if pts is None:
+            pts = space_points[id(space)] = enumerate_points_array(space)
+        if not len(pts):
             continue
-        addr = np.empty((npts, nref), dtype=np.int64)
-        for j, ref in enumerate(leaf.refs):
+        for ref in leaf.refs:
             ca = walker.compiled_ref(ref).addr
-            col = np.full(npts, ca.const, dtype=np.int64)
+            addr = np.full(len(pts), ca.const, dtype=np.int64)
             for d, coeff in ca.terms:
-                col += coeff * pts[:, d]
-            addr[:, j] = col
-        cols = np.empty((npts * nref, 2 * n + 1), dtype=np.int64)
-        for d in range(n):
-            cols[:, 2 * d] = leaf.label[d]
-            cols[:, 2 * d + 1] = np.repeat(pts[:, d], nref)
-        lexpos = np.fromiter(
-            (ref.lexpos for ref in leaf.refs), dtype=np.int64, count=nref
-        )
-        cols[:, 2 * n] = np.tile(lexpos, npts)
-        col_blocks.append(cols)
-        uid_blocks.append(
-            np.tile(
-                np.fromiter((r.uid for r in leaf.refs), np.uint32, count=nref),
-                npts,
-            )
-        )
-        addr_blocks.append(addr.ravel())
-    if not col_blocks:
-        return (
-            np.empty(0, dtype=np.uint32),
-            np.empty(0, dtype=np.int64),
-        )
-    cols = np.concatenate(col_blocks)
-    uids = np.concatenate(uid_blocks)
-    addrs = np.concatenate(addr_blocks)
-    # np.lexsort treats its *last* key as primary: feed columns reversed.
-    order = np.lexsort(tuple(cols[:, c] for c in range(2 * n, -1, -1)))
-    return uids[order], addrs[order]
+                addr += coeff * pts[:, d]
+            addr_blocks.append(addr)
+            key_blocks.append(plan.times(ref, pts))
+            uid_blocks.append(np.full(len(pts), ref.uid, dtype=np.uint32))
+    if not key_blocks:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.uint32), empty, empty
+    keys = np.concatenate(key_blocks)
+    order = np.argsort(keys)
+    return (
+        np.concatenate(uid_blocks)[order],
+        np.concatenate(addr_blocks)[order],
+        keys[order],
+    )
+
+
+def build_trace(nprog: NormalizedProgram, walker: Walker, plan: TracePlan):
+    """``(uids, addrs, keys)`` in execution order under ``plan``.
+
+    ``keys`` is ``None`` on rectangular programs (the plan's times are the
+    trace times) and the sorted box times otherwise.  Raises
+    :class:`TraceTooLargeError` unless the plan is materialisable.
+    """
+    plan.check_budget()
+    if plan.rectangular:
+        return (*_rect_trace(nprog, walker, plan), None)
+    return _general_trace(nprog, walker, plan)
 
 
 def trace_arrays(
@@ -286,19 +301,8 @@ def trace_arrays(
     :class:`TraceTooLargeError` past :data:`MAX_TRACE_ACCESSES`.
     """
     walker = walker if walker is not None else Walker(nprog, layout)
-    plans, total = _rect_plan(nprog)
-    if plans is None:
-        total = sum(
-            nprog.ris(leaf).count() * len(leaf.refs) for leaf in nprog.leaves
-        )
-    if total > MAX_TRACE_ACCESSES:
-        raise TraceTooLargeError(
-            f"trace of {total} accesses exceeds the "
-            f"{MAX_TRACE_ACCESSES}-access materialisation budget"
-        )
-    if plans is not None:
-        return _rect_trace(nprog, walker, plans, total)
-    return _general_trace(nprog, walker)
+    uids, addrs, _ = build_trace(nprog, walker, TracePlan(nprog))
+    return uids, addrs
 
 
 # -- the stack-distance kernel --------------------------------------------------------

@@ -17,27 +17,23 @@ still too small it is analysed exhaustively.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 #: Fig. 6's fallback accuracy for small reference iteration spaces.
 DEFAULT_FALLBACK = (0.90, 0.15)
 
+_STANDARD_NORMAL = NormalDist()
+
 
 def _normal_quantile(p: float) -> float:
-    """Standard-normal inverse CDF, importable without SciPy.
+    """Standard-normal inverse CDF (:class:`statistics.NormalDist`).
 
-    SciPy's ``norm.ppf`` is preferred when importable so existing
-    environments keep bit-identical sample sizes; interpreters without a
-    working SciPy (e.g. the NumPy-less CI leg, where only the scalar
-    simulator runs) fall back to :class:`statistics.NormalDist`, whose
-    quantiles agree to ~1 ulp.
+    It agrees with SciPy's ``norm.ppf`` to ~1 ulp, and every sample size
+    the solvers, CLI and benchmarks draw is pinned equal to SciPy's by
+    ``tests/stats/test_confidence.py``; importing SciPy here would cost
+    every process (and every pool worker) a second on its first estimate.
     """
-    try:
-        from scipy.stats import norm
-    except ImportError:
-        from statistics import NormalDist
-
-        return NormalDist().inv_cdf(p)
-    return float(norm.ppf(p))
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def z_value(confidence: float) -> float:

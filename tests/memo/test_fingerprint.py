@@ -44,6 +44,18 @@ class TestFingerprint:
         assert {"repro.cme.batch", "repro.cme.point"} <= seen
         assert sorted(seen - set(FINGERPRINT_MODULES)) == []
 
+    def test_trace_builder_and_sampler_are_fingerprinted(self):
+        """The replacement-window index is built by the simulator's trace
+        builder, and EstimateMisses draws through ``BoundedSpace`` — both
+        decide solver outcomes from outside the solver packages' imports."""
+        pytest.importorskip("numpy")
+        from repro.iteration.batch import TraceIndex
+        from repro.polyhedra.space import BoundedSpace
+        from repro.sim.batch import TracePlan, trace_arrays
+
+        for obj in (trace_arrays, TracePlan, TraceIndex, BoundedSpace):
+            assert obj.__module__ in FINGERPRINT_MODULES, obj
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_classifier_backend_is_fingerprinted(self, backend):
         if backend == "numpy" and not numpy_available():

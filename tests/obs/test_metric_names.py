@@ -31,6 +31,8 @@ GOLDEN_COUNTERS = {
     "cme.sampling.draws",
     "cme.sampling.fallbacks",
     "cme.solver.vector_trials",
+    "cme.window.trace_points",
+    "cme.window.walk_points",
     "memo.dedup.groups",
     "memo.hits",
     "memo.misses",

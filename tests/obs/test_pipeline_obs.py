@@ -21,6 +21,8 @@ SOLVE_COUNTERS = [
     "cme.refs.analysed",
     "cme.solver.vector_trials",
     "cme.sampling.draws",
+    "cme.window.trace_points",
+    "cme.window.walk_points",
 ]
 
 
@@ -115,7 +117,7 @@ class TestSerialInstrumentation:
 
 
 class TestParallelMerge:
-    @pytest.mark.parametrize("method", ["estimate", "find"])
+    @pytest.mark.parametrize("method", ["estimate", "find", "regions"])
     def test_merged_counters_equal_serial(self, prepared, cache, method):
         obs.enable()
         serial_report = analyze(prepared, cache, method=method, seed=0)

@@ -159,6 +159,94 @@ class TestSampling:
         assert r["y"] == (1, 5)
 
 
+def linear_scan_sample_one(space, rng):
+    """The original draw: rescan every candidate value of every dimension.
+
+    Kept verbatim as the oracle of the cumulative-table sampler: both make
+    one ``rng.randrange(total)`` call per dimension, so for any seed they
+    must return the same points.
+    """
+    env = {}
+    point = []
+    for d in range(space._n):
+        lo = space.bounds[d][0].evaluate(env)
+        hi = space.bounds[d][1].evaluate(env)
+        var = space.dims[d]
+        cons = space._cons_at[d]
+        weights = []
+        running = 0
+        for value in range(lo, hi + 1):
+            env[var] = value
+            if all(c.satisfied(env) for c in cons):
+                w = space._count_from(d + 1, env)
+                if w:
+                    running += w
+                    weights.append((value, running))
+        if not weights:
+            raise ValueError("cannot sample from an empty space")
+        pick = rng.randrange(weights[-1][1])
+        chosen = weights[-1][0]
+        for value, cumulative in weights:
+            if pick < cumulative:
+                chosen = value
+                break
+        env[var] = chosen
+        point.append(chosen)
+    return tuple(point)
+
+
+def zero_weight_levels():
+    """Outer values with empty subtrees: y runs x..4, so x = 5..9 weigh 0,
+    and the guard z != y empties z's range whenever y == 1."""
+    return BoundedSpace(
+        ("x", "y", "z"),
+        [
+            (Affine.const(1), Affine.const(9)),
+            (Var("x"), Affine.const(4)),
+            (Affine.const(1), Affine.const(1)),
+        ],
+        ConstraintSet([(Var("y") - Var("z")).ge(1)]),
+    )
+
+
+def guarded_3d():
+    return BoundedSpace(
+        ("x", "y", "z"),
+        [
+            (Affine.const(1), Affine.const(7)),
+            (Affine.const(2), Var("x") + 3),
+            (Var("y") - 1, Affine.const(9)),
+        ],
+        ConstraintSet([(Var("x") + Var("z") - Var("y")).ge(2), (Var("z") - 8).le(0)]),
+    )
+
+
+class TestSamplingMatchesLinearScan:
+    SPACES = {
+        "rectangular": lambda: box(13, 7),
+        "triangular": lambda: triangle(11),
+        "guarded": lambda: diagonal(9),
+        "guarded-3d": guarded_3d,
+        "zero-weight-levels": zero_weight_levels,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_draws_equal_over_seeds(self, name):
+        for seed in range(20):
+            fast, oracle = self.SPACES[name](), self.SPACES[name]()
+            assert oracle.count() == fast.count() > 0
+            rng = random.Random(seed)
+            expected = [linear_scan_sample_one(oracle, rng) for _ in range(60)]
+            assert fast.sample(60, random.Random(seed)) == expected, (name, seed)
+
+    def test_zero_weight_levels_never_drawn(self):
+        s = zero_weight_levels()
+        draws = s.sample(300, random.Random(5))
+        assert {p[0] for p in draws} == {1, 2, 3, 4}
+        assert all(p[1] > 1 for p in draws)
+        assert all(s.contains(p) for p in draws)
+
+
 dims3 = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
 
 

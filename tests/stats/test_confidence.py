@@ -1,5 +1,7 @@
 """Unit tests for the sampling statistics of Fig. 6."""
 
+import math
+
 import pytest
 
 from repro.stats import (
@@ -153,3 +155,65 @@ class TestProportionInterval:
         lo1, hi1 = proportion_interval(30, 100, 0.95)
         lo2, hi2 = proportion_interval(300, 1000, 0.95)
         assert (hi2 - lo2) < (hi1 - lo1)
+
+
+class TestMatchesScipy:
+    """``sample_size`` uses :class:`statistics.NormalDist`, not SciPy; its
+    quantiles differ from ``norm.ppf`` in the last ulp, which must never
+    move a sample size the solvers, the CLI or the benchmarks draw."""
+
+    #: Every (c, w) the code, CLI, serve protocol, harness and benchmarks use.
+    PAIRS = sorted(
+        {DEFAULT_FALLBACK, (0.95, 0.999)}
+        | {(c, w) for c in (0.80, 0.90, 0.95, 0.99, 0.999)
+           for w in (0.15, 0.10, 0.05, 0.03)}
+    )
+
+    @staticmethod
+    def _ris_volumes() -> set:
+        from repro import prepare
+        from repro.kernels import build_hydro, build_mgrid, build_mmt
+        from repro.programs import (
+            build_applu_like,
+            build_swim_like,
+            build_tomcatv_like,
+        )
+
+        programs = [
+            build_tomcatv_like(40, 2), build_swim_like(40, 2),
+            build_applu_like(20, 2), build_hydro(), build_mgrid(),
+            build_mmt(), build_hydro(32, 32), build_mgrid(12),
+            build_mgrid(10), build_mmt(24, 24, 12), build_mmt(32, 16, 8),
+        ]
+        volumes = set()
+        for program in programs:
+            nprog = prepare(program).nprog
+            volumes |= {nprog.ris(leaf).count() for leaf in nprog.leaves}
+        return volumes
+
+    def test_sample_sizes_equal_scipy(self):
+        np = pytest.importorskip("numpy")
+        norm = pytest.importorskip("scipy.stats").norm
+        populations = np.arange(1, 200_001, dtype=np.float64)
+        volumes = self._ris_volumes()
+        for c, w in self.PAIRS:
+            z_ours = z_value(c)
+            z_scipy = float(norm.ppf((1.0 + c) / 2.0))
+
+            def sizes(z, pop):
+                # sample_size's float arithmetic, one population per element
+                n0 = z * z * 0.5 * (1.0 - 0.5) / (w * w)
+                return np.minimum(pop, np.ceil(n0 / (1.0 + (n0 - 1.0) / pop)))
+
+            ours = sizes(z_ours, populations)
+            assert (ours == sizes(z_scipy, populations)).all(), (c, w)
+            assert sample_size(c, w) == math.ceil(
+                z_scipy * z_scipy * 0.25 / (w * w)
+            )
+            # The vectorized mirror is sample_size itself...
+            for pop in range(1, 200_001, 997):
+                assert sample_size(c, w, pop) == int(ours[pop - 1])
+            # ...and every RIS volume of Table 6 and Fig. 8 agrees too.
+            for volume in volumes:
+                expected = sizes(z_scipy, np.float64(volume))
+                assert sample_size(c, w, volume) == int(expected), (c, w, volume)
