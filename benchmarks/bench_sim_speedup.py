@@ -9,8 +9,8 @@ builds it once and re-runs only the per-associativity kernel, while the
 scalar walker must re-walk the whole program per cache.
 
 Measured here, per Table 6 program: the full 3-associativity validation
-sweep through ``simulate(backend="scalar")`` versus
-``simulate_sweep`` on the batch backend (one trace build + line
+sweep through the walker simulator (the scalar oracle) versus
+``simulate_sweep`` on the set kernels (one trace build + line
 decomposition shared across the sweep, one kernel per cache).
 The floor is a ≥10× sweep speedup on every program.  Counts are asserted
 bit-identical before any timing (benchmark hygiene: a fast wrong kernel
@@ -26,16 +26,11 @@ import time
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import emit, emit_json, once, timed_once
 
-import pytest
-
 from repro import CacheConfig, prepare
 from repro.programs import build_applu_like, build_swim_like, build_tomcatv_like
 from repro.report import assoc_label, format_table
+from repro.sim import batch
 from repro.sim.simulator import _simulate_scalar
-
-np = pytest.importorskip("numpy", reason="the batch simulator needs NumPy")
-
-from repro.sim import batch  # noqa: E402  (needs numpy)
 
 SCALED = [
     ("TOMCATV", lambda: build_tomcatv_like(40, 2)),

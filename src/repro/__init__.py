@@ -33,13 +33,10 @@ from repro.cme import (
     compare_reports,
     estimate_misses,
     find_misses,
-    numpy_available,
-    resolve_backend,
 )
 from repro.errors import (
     FrontendError,
     InvariantError,
-    MissingDependencyError,
     NonAffineError,
     NonAnalysableCallError,
     NonAnalysableError,
@@ -79,11 +76,8 @@ __all__ = [
     "compare_reports",
     "estimate_misses",
     "find_misses",
-    "numpy_available",
-    "resolve_backend",
     "FrontendError",
     "InvariantError",
-    "MissingDependencyError",
     "NonAffineError",
     "NonAnalysableCallError",
     "NonAnalysableError",

@@ -126,7 +126,6 @@ def analyze(
     reuse_options: Optional[ReuseOptions] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
-    backend: Optional[str] = None,
 ) -> MissReport:
     """Predict the cache behaviour analytically.
 
@@ -141,10 +140,7 @@ def analyze(
     for every job count.  ``memo`` (a :class:`repro.memo.Memoizer`) enables
     content-addressed memoization of per-reference solutions — in-run
     dedup, and cross-run persistence when the memoizer carries a store.
-    ``backend`` selects the classification backend — ``"numpy"``
-    (vectorized batch solving) or ``"scalar"`` (pure Python); ``None``
-    means NumPy when installed, scalar otherwise.  Reports are
-    bit-identical across backends, jobs and memoization.
+    Reports are bit-identical across jobs and memoization.
     """
     solver = solver_for(method, confidence, width, seed)
     prepared = _as_prepared(target)
@@ -157,14 +153,12 @@ def analyze(
         walker=prepared.walker,
         jobs=jobs,
         memo=memo,
-        backend=backend,
     )
 
 
 def run_simulation(
     target: Union[Program, PreparedProgram],
     cache: CacheConfig,
-    backend: Optional[str] = None,
     policy: Optional[str] = None,
     seed: int = 0,
     l2_cache: Optional[CacheConfig] = None,
@@ -172,15 +166,12 @@ def run_simulation(
 ) -> Union[SimReport, HierarchyReport]:
     """Run the trace-driven cache simulator on the whole program.
 
-    ``backend`` selects the simulator — ``"numpy"`` (vectorized set
-    kernels) or ``"scalar"`` (walker + per-set state machines); ``None``
-    means NumPy when installed.  ``policy`` picks the replacement policy
+    ``policy`` picks the replacement policy
     (:data:`repro.sim.POLICIES`; default LRU) and ``seed`` feeds the
     random policy's victim draw.  With ``l2_cache``, a two-level
     hierarchy is simulated — the L1 miss stream replays through the L2 —
     and a :class:`~repro.sim.simulator.HierarchyReport` is returned
-    (``l2_policy`` defaults to ``policy``).  Reports are bit-identical
-    across backends for every policy.
+    (``l2_policy`` defaults to ``policy``).
     """
     prepared = _as_prepared(target)
     if l2_cache is not None:
@@ -190,7 +181,6 @@ def run_simulation(
             cache,
             l2_cache,
             walker=prepared.walker,
-            backend=backend,
             policy=policy,
             l2_policy=l2_policy,
             seed=seed,
@@ -200,7 +190,6 @@ def run_simulation(
         prepared.layout,
         cache,
         walker=prepared.walker,
-        backend=backend,
         policy=policy,
         seed=seed,
     )

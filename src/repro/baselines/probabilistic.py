@@ -33,14 +33,15 @@ target survives ``F`` independent fills with probability
     ``p_evict = 1 - (1 - 1/(S·k))^F``
 
 — a closed form (the binomial probability generating function evaluated
-at the per-fill survival rate) that needs no scipy at all, which is why
-the LRU branch's ``binom`` import is lazy.  FIFO and tree-PLRU are not
-stack algorithms and admit no such per-window closed form; asking for
-them raises :class:`~repro.errors.ReproError`.
+at the per-fill survival rate).  The LRU branch sums its binomial tail
+from exact :func:`math.comb` terms (:func:`binomial_tail`).  FIFO and
+tree-PLRU are not stack algorithms and admit no such per-window closed
+form; asking for them raises :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -157,6 +158,22 @@ def _depth_extents(nprog: NormalizedProgram) -> list[int]:
     return extents
 
 
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """``P(X >= k)`` for ``X ~ Binomial(n, p)``: one minus the lower tail.
+
+    The ``k`` lower terms are summed with :func:`math.fsum`, each from the
+    exact :func:`math.comb` in log space (so no term overflows a float).
+    """
+    if p >= 1.0:
+        return 1.0 if n >= k else 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lower = math.fsum(
+        math.exp(math.log(math.comb(n, i)) + i * log_p + (n - i) * log_q)
+        for i in range(min(k, n + 1))
+    )
+    return max(0.0, 1.0 - lower)
+
+
 def probabilistic_misses(
     nprog: NormalizedProgram,
     layout: MemoryLayout,
@@ -180,8 +197,6 @@ def probabilistic_misses(
             f"no probabilistic closed form for policy {policy!r}; "
             f"only lru and random are modelled"
         )
-    if policy == "lru":
-        from scipy.stats import binom
     started = time.perf_counter()
     if reuse is None:
         reuse = build_reuse_table(nprog, cache.line_bytes)
@@ -224,7 +239,7 @@ def probabilistic_misses(
             p_evict = 1.0 - (1.0 - 1.0 / (num_sets * k)) ** fills
         else:
             p_conflict = min(1.0, 1.0 / num_sets)
-            p_evict = float(binom.sf(k - 1, fills, p_conflict))
+            p_evict = binomial_tail(k, fills, p_conflict)
         report.ref_ratios[ref.uid] = (1.0 - f_reuse) + f_reuse * p_evict
         report.populations[ref.uid] = population[ref.uid]
     report.elapsed_seconds = time.perf_counter() - started

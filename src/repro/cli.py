@@ -5,7 +5,7 @@ Examples::
     repro-cache analyze hydro --cache 32:32:2 --size 64
     repro-cache analyze hydro --cache 32:32:2 --trace --metrics-out m.json
     repro-cache compare mmt --cache 8:32:1 --size 32
-    repro-cache simulate path/to/kernel.f --cache 32:32:4 --sim-backend numpy
+    repro-cache simulate path/to/kernel.f --cache 32:32:4
     repro-cache simulate hydro --cache 4:32:2 --policy plru
     repro-cache simulate hydro --cache 1:32:2 --l2-cache 16:32:8 --l2-policy random
     repro-cache stats applu
@@ -110,29 +110,6 @@ def _add_workload_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--backend",
-        choices=["scalar", "numpy"],
-        default="numpy",
-        help="classification backend: 'numpy' = vectorized batch solving "
-        "(falls back to scalar when NumPy is not installed), 'scalar' = "
-        "pure Python; results are bit-identical either way",
-    )
-
-
-def _add_sim_backend_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--sim-backend",
-        choices=["scalar", "numpy"],
-        default="numpy",
-        help="simulator backend: 'numpy' = vectorized stack-distance "
-        "kernel (falls back to scalar when NumPy is not installed), "
-        "'scalar' = walker + LRU state machine; per-reference tallies "
-        "are bit-identical either way",
-    )
-
-
 def _add_policy_args(sub: argparse.ArgumentParser) -> None:
     from repro.sim.policy import POLICIES
 
@@ -141,9 +118,7 @@ def _add_policy_args(sub: argparse.ArgumentParser) -> None:
         choices=list(POLICIES),
         default=None,
         help="replacement policy (default lru, the paper's model); "
-        "plru needs a power-of-two associativity; per-reference "
-        "tallies are bit-identical across --sim-backend values "
-        "for every policy",
+        "plru needs a power-of-two associativity",
     )
     sub.add_argument(
         "--policy-seed",
@@ -151,8 +126,8 @@ def _add_policy_args(sub: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help="seed of the random policy's deterministic victim draw "
-        "(fixed seed = reproducible across backends, processes and "
-        "--jobs; ignored by lru/fifo/plru)",
+        "(fixed seed = reproducible across processes and --jobs; "
+        "ignored by lru/fifo/plru)",
     )
 
 
@@ -318,7 +293,6 @@ def _cmd_analyze(args, program: Program, echo: Callable[[str], None]) -> int:
         confidence=args.confidence,
         width=args.width,
         seed=args.seed,
-        backend=args.backend,
     )
     report, _ = engine.run(request, jobs=args.jobs)
     _close_memoizer(memo)
@@ -364,7 +338,6 @@ def _cmd_simulate(args, program: Program, echo: Callable[[str], None]) -> int:
     report = run_simulation(
         prepared,
         cache,
-        backend=args.sim_backend,
         policy=args.policy,
         seed=args.policy_seed,
         l2_cache=l2_cache,
@@ -397,21 +370,12 @@ def _cmd_compare(args, program: Program, echo: Callable[[str], None]) -> int:
     cache = _parse_cache(args.cache)
     memo = _open_memoizer(args)
     engine = AnalysisEngine(memo=memo)
-    request = AnalyzeRequest(
-        cache=cache,
-        program=program,
-        method=args.method,
-        backend=args.backend,
-    )
+    request = AnalyzeRequest(cache=cache, program=program, method=args.method)
     analytic, _ = engine.run(request, jobs=args.jobs)
     prepared = engine.prepared_for(request)
     _close_memoizer(memo)
     simulated = run_simulation(
-        prepared,
-        cache,
-        backend=args.sim_backend,
-        policy=args.policy,
-        seed=args.policy_seed,
+        prepared, cache, policy=args.policy, seed=args.policy_seed
     )
     err = abs(analytic.miss_ratio_percent - simulated.miss_ratio_percent)
     echo(
@@ -493,8 +457,6 @@ def _cmd_submit(args, echo: Callable[[str], None]) -> int:
         doc["kernel"] = args.workload
     if args.size is not None:
         doc["size"] = args.size
-    if args.backend != "auto":
-        doc["backend"] = args.backend
     client = ServeClient(args.url, timeout=args.timeout + 5.0)
     try:
         resp = client.analyze(doc)
@@ -523,7 +485,7 @@ def _cmd_submit(args, echo: Callable[[str], None]) -> int:
 
 def _cmd_trace(args, echo: Callable[[str], None]) -> int:
     """The ``trace`` verbs: export, import and simulate binary traces."""
-    from repro.errors import MissingDependencyError, TraceFormatError
+    from repro.errors import TraceFormatError
     from repro.sim import (
         collect_walker_trace,
         import_address_trace,
@@ -561,7 +523,6 @@ def _cmd_trace(args, echo: Callable[[str], None]) -> int:
         report = simulate_trace(
             args.input,
             cache,
-            backend=args.sim_backend,
             policy=args.policy,
             seed=args.policy_seed,
         )
@@ -572,7 +533,7 @@ def _cmd_trace(args, echo: Callable[[str], None]) -> int:
             f"{report.elapsed_seconds:.2f}s)"
         )
         return 0
-    except (TraceFormatError, MissingDependencyError) as exc:
+    except TraceFormatError as exc:
         raise SystemExit(str(exc))
 
 
@@ -653,7 +614,7 @@ def _emit_timeline(path: str) -> None:
 
 
 def _ledger_config(args) -> dict:
-    """The solver/backend knobs that identify a run in the ledger.
+    """The solver knobs that identify a run in the ledger.
 
     Only knobs the subcommand actually has are recorded, so rows key
     stably per command shape.
@@ -661,8 +622,6 @@ def _ledger_config(args) -> dict:
     config = {"command": args.command}
     for knob in (
         "method",
-        "backend",
-        "sim_backend",
         "policy",
         "policy_seed",
         "l2_cache",
@@ -718,14 +677,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_analyze.add_argument("--confidence", type=float, default=0.95)
     p_analyze.add_argument("--width", type=float, default=0.05)
     p_analyze.add_argument("--seed", type=int, default=0)
-    _add_backend_arg(p_analyze)
     _add_jobs_arg(p_analyze)
     _add_memo_args(p_analyze)
     _add_obs_args(p_analyze)
 
     p_sim = subs.add_parser("simulate", help="trace-driven cache simulation")
     _add_workload_args(p_sim)
-    _add_sim_backend_arg(p_sim)
     _add_policy_args(p_sim)
     p_sim.add_argument(
         "--l2-cache",
@@ -745,8 +702,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_cmp = subs.add_parser("compare", help="analytical vs simulated, side by side")
     _add_workload_args(p_cmp)
     p_cmp.add_argument("--method", choices=METHODS, default="estimate")
-    _add_backend_arg(p_cmp)
-    _add_sim_backend_arg(p_cmp)
     _add_policy_args(p_cmp)
     _add_jobs_arg(p_cmp)
     _add_memo_args(p_cmp)
@@ -799,7 +754,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     t_sim.add_argument(
         "--cache", default="32:32:1", help="cache spec SIZE_KB:LINE_BYTES:ASSOC"
     )
-    _add_sim_backend_arg(t_sim)
     _add_policy_args(t_sim)
     _add_obs_args(t_sim)
 
@@ -854,9 +808,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_submit.add_argument("--confidence", type=float, default=0.95)
     p_submit.add_argument("--width", type=float, default=0.05)
     p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument(
-        "--backend", choices=["auto", "scalar", "numpy"], default="auto"
-    )
     p_submit.add_argument(
         "--timeout", type=float, default=60.0, help="request deadline (s)"
     )

@@ -1,84 +1,34 @@
-"""Classification-backend selection for the CME solvers.
+"""The classifier the CME solvers run on.
 
-Two interchangeable backends classify iteration points:
-
-* ``"scalar"`` — the pure-Python :class:`~repro.cme.point.PointClassifier`
-  (one point at a time, zero dependencies);
-* ``"numpy"`` — the vectorized :class:`~repro.cme.batch.BatchClassifier`
-  (whole ``(N, n)`` point batches through NumPy integer arithmetic).
-
-Both produce **bit-identical** :class:`~repro.cme.result.MissReport`\\ s —
-same tallies, same per-reference results, same ``cme.solver.vector_trials``
-accounting — which is why the backend choice is *not* part of memoization
-keys (:mod:`repro.memo`): a solution cached by one backend is valid for the
-other, and warm replays stay correct across machines with and without
-NumPy installed.
-
-This module deliberately never imports NumPy (availability is probed with
-:func:`importlib.util.find_spec`), so selecting — or falling back to — the
-scalar backend works on interpreters without it.
+Every solver classifies iteration points with the vectorized
+:class:`~repro.cme.batch.BatchClassifier` (whole ``(N, n)`` point batches
+through NumPy integer arithmetic).  It embeds the scalar
+:class:`~repro.cme.point.PointClassifier` for the references its
+vectorized path cannot handle, so the scalar classifier stays the
+per-point oracle the tests diff against.
 """
 
 from __future__ import annotations
 
-from importlib import util as _importlib_util
 from typing import Optional, TYPE_CHECKING
 
-from repro.errors import ReproError
-
 if TYPE_CHECKING:
+    from repro.cme.batch import BatchClassifier
     from repro.layout.cache import CacheConfig
     from repro.layout.memory import MemoryLayout
     from repro.normalize.nprogram import NormalizedProgram
     from repro.iteration.walker import Walker
     from repro.reuse.generator import ReuseTable
 
-#: The selectable classification backends.
-BACKENDS = ("scalar", "numpy")
-
-#: What ``backend=None`` / ``"auto"`` resolve to when NumPy is installed.
-DEFAULT_BACKEND = "numpy"
-
-
-def numpy_available() -> bool:
-    """True when NumPy can be imported (probed without importing it)."""
-    return _importlib_util.find_spec("numpy") is not None
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalise a backend request to ``"scalar"`` or ``"numpy"``.
-
-    ``None`` and ``"auto"`` pick :data:`DEFAULT_BACKEND` when NumPy is
-    installed.  An explicit ``"numpy"`` on an interpreter without NumPy
-    degrades to ``"scalar"`` rather than failing — the backends are
-    bit-identical, so the fallback changes speed, never results.  Unknown
-    names raise :class:`~repro.errors.ReproError`.
-    """
-    if backend is None or backend == "auto":
-        backend = DEFAULT_BACKEND
-    if backend not in BACKENDS:
-        raise ReproError(
-            f"unknown classification backend {backend!r}; "
-            f"choose one of {', '.join(BACKENDS)}"
-        )
-    if backend == "numpy" and not numpy_available():
-        return "scalar"
-    return backend
-
 
 def make_classifier(
-    backend: Optional[str],
     nprog: "NormalizedProgram",
     layout: "MemoryLayout",
     cache: "CacheConfig",
     reuse: "ReuseTable",
     walker: Optional["Walker"] = None,
-):
-    """Build the classifier for a (possibly unresolved) backend name."""
-    if resolve_backend(backend) == "numpy":
-        from repro.cme.batch import BatchClassifier
+) -> "BatchClassifier":
+    """Build the classifier of one (program, layout, cache) analysis state."""
+    from repro.cme.batch import BatchClassifier
 
-        return BatchClassifier(nprog, layout, cache, reuse, walker)
-    from repro.cme.point import PointClassifier
-
-    return PointClassifier(nprog, layout, cache, reuse, walker)
+    return BatchClassifier(nprog, layout, cache, reuse, walker)

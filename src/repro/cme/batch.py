@@ -1,4 +1,4 @@
-"""The vectorized NumPy classification backend (batch CME solving).
+"""The vectorized NumPy classifier (batch CME solving).
 
 The scalar :class:`~repro.cme.point.PointClassifier` decides one iteration
 point at a time.  This module decides a reference's points in bulk, with the
@@ -22,7 +22,7 @@ same cold/replacement machinery expressed as array arithmetic:
   points and the program alone, so ``EstimateMisses`` builds the trace
   only when that is cheaper than walking its sample's windows.
 
-The contract is **bit identity** with the scalar backend: identical
+The contract is **bit identity** with the scalar classifier: identical
 tallies, identical per-point :class:`~repro.cme.point.Classification`\\ s,
 identical ``cme.solver.vector_trials`` accounting.  Any reference the
 vectorized path cannot handle is classified point-by-point by the embedded
@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro import obs
-from repro.errors import MissingDependencyError
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NLeaf, NormalizedProgram, NRef
@@ -48,15 +49,6 @@ from repro.sim.batch import TracePlan
 from repro.reuse.generator import ReuseTable
 from repro.cme.point import Classification, Outcome, PointClassifier, tally_points
 from repro.cme.result import RefResult
-
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - exercised via import gate test
-    raise MissingDependencyError(
-        "repro.cme.batch requires NumPy; install it with "
-        "`pip install numpy` (or `pip install repro`), or select the "
-        "pure-Python solver with backend='scalar' / --backend scalar"
-    ) from exc
 
 #: Outcome codes of the batch pipeline (values of the ``outcomes`` arrays).
 _HIT, _COLD, _REPLACEMENT = 0, 1, 2
@@ -126,9 +118,6 @@ class BatchClassifier:
     :meth:`drain_vector_trials` surface, plus the bulk entry point
     :meth:`tally_ref` the solvers prefer when present.
     """
-
-    #: Resolved backend name (mirrors ``resolve_backend`` vocabulary).
-    backend_name = "numpy"
 
     def __init__(
         self,

@@ -101,7 +101,6 @@ def estimate_misses(
     seed: int = 0,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
-    backend: Optional[str] = None,
 ) -> MissReport:
     """Estimate per-reference and whole-program miss ratios by sampling.
 
@@ -113,11 +112,8 @@ def estimate_misses(
     the per-reference seed ``seed ^ ref.uid``, so replays are bit-identical
     to the sampling runs that produced them (and two references never share
     a key within one run — in-run dedup only applies to ``find``).
-    ``backend`` selects the classification backend (``"scalar"``/
-    ``"numpy"``; ``None`` = NumPy when available); both backends draw the
-    same sample and produce bit-identical reports, so memo keys exclude it.
     """
     return solve_misses(
         solver_for("estimate", confidence, width, seed), nprog, layout, cache,
-        reuse, walker, refs, jobs, memo, backend,
+        reuse, walker, refs, jobs, memo,
     )

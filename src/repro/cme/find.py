@@ -47,7 +47,7 @@ def record_ref_metrics(result: RefResult, classifier: PointClassifier) -> None:
     obs.histogram("polyhedra.ris.volume").observe(result.population)
     obs.counter("cme.solver.vector_trials").inc(classifier.drain_vector_trials())
     drain_backend = getattr(classifier, "drain_backend_counts", None)
-    if drain_backend is not None:  # batch backend only
+    if drain_backend is not None:  # batch classifier only
         vectorized, fallback = drain_backend()
         obs.counter("cme.backend.vectorized_points").inc(vectorized)
         obs.counter("cme.backend.fallback_points").inc(fallback)
@@ -63,8 +63,8 @@ def classify_into(
     points: Optional[Iterable[Sequence[int]]] = None,
 ) -> None:
     """Classify ``points`` of ``ref`` (``None``: its whole RIS) into
-    ``result`` — one vectorized call on the batch backend, point by point
-    on the scalar one.  Shared by the three solvers."""
+    ``result`` — one vectorized call on the batch classifier, point by
+    point on the scalar oracle.  Shared by the three solvers."""
     tally = getattr(classifier, "tally_ref", None)
     if tally is not None:
         tally(ref, result, points)
@@ -96,7 +96,6 @@ def find_misses(
     refs: Optional[Iterable[NRef]] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
-    backend: Optional[str] = None,
 ) -> MissReport:
     """Classify every iteration point of every reference.
 
@@ -107,12 +106,9 @@ def find_misses(
     content-addressed memoization (:mod:`repro.memo`): references whose
     equation system was already classified — earlier in this call, in this
     process, or in a previous run via a persistent store — replay the
-    stored tallies instead of being re-solved.  ``backend`` selects the
-    classification backend (``"scalar"``/``"numpy"``; ``None`` = NumPy when
-    available); both backends produce bit-identical reports, so memo keys
-    exclude it.
+    stored tallies instead of being re-solved.
     """
     return solve_misses(
         solver_for("find"), nprog, layout, cache, reuse, walker, refs, jobs,
-        memo, backend,
+        memo,
     )

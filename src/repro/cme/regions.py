@@ -47,7 +47,7 @@ own machinery:
 3. **Fallback.**  Anything irregular — a non-constant ``δ`` (references
    outside the consumer's uniformly generated set), a failed certificate, a
    probe deciding via an unexpected vector — is *enumerated* through the
-   existing classification backend (:mod:`repro.cme.backend`), merged into
+   existing classifier (:mod:`repro.cme.backend`), merged into
    one residual region per reference.  Fallback changes speed, never
    results: the report is exactly equal to ``FindMisses`` by construction,
    which the 210-case differential suite asserts.
@@ -130,11 +130,11 @@ class RegionSolver:
         self.layout = layout
         self.cache = cache
         self.reuse = reuse
-        #: Backend classifier for fallback enumeration (optional for the
-        #: coverage probe of :func:`regional_coverage`).
+        #: Classifier for fallback enumeration (optional for the coverage
+        #: probe of :func:`regional_coverage`).
         self.classifier = classifier
         #: Scalar probe oracle: the embedded scalar classifier of the batch
-        #: backend, or the classifier itself.
+        #: classifier, or the classifier itself.
         self.scalar = getattr(classifier, "scalar", classifier)
         self._addr: dict[int, Affine] = {}
         self._conds: dict[int, list] = {}
@@ -143,7 +143,7 @@ class RegionSolver:
 
     @staticmethod
     def for_classifier(classifier) -> "RegionSolver":
-        """The solver bound to (and cached on) a classification backend."""
+        """The solver bound to (and cached on) a classifier."""
         solver = getattr(classifier, "_region_solver", None)
         if solver is None:
             solver = RegionSolver(
@@ -777,7 +777,7 @@ class RegionSolver:
             )
             if total != population:
                 # The cells failed to tile the RIS — never guess: classify
-                # the whole space through the enumeration backend instead.
+                # the whole space through the classifier instead.
                 obs.counter("cme.regions.partition_mismatch").inc()
                 whole = RegionSpace(ris.dims, ris.bounds, tuple(ris.guard), ())
                 cold_counts, decided_counts = [], []
@@ -906,7 +906,6 @@ def region_misses(
     refs: Optional[Iterable[NRef]] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
-    backend: Optional[str] = None,
 ) -> MissReport:
     """Classify every reference by regional decomposition (``--method regions``).
 
@@ -915,10 +914,9 @@ def region_misses(
     execution strategy, not an approximation.  ``jobs`` shards references
     across the parallel engine, ``memo`` enables content-addressed
     memoization of per-reference region solutions (keyed under the
-    ``regions`` method, like point solutions), and ``backend`` selects the
-    enumeration backend used for irregular fallback regions.
+    ``regions`` method, like point solutions).
     """
     return solve_misses(
         solver_for("regions"), nprog, layout, cache, reuse, walker, refs, jobs,
-        memo, backend,
+        memo,
     )

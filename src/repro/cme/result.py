@@ -53,10 +53,10 @@ class RefResult:
     def check_invariants(self, exhaustive: bool = False) -> "RefResult":
         """Assert the structural tally invariants; returns ``self``.
 
-        Every backend must satisfy ``cold + replacement + hits ==
+        Every solver must satisfy ``cold + replacement + hits ==
         analysed``, and an exhaustive solve (``FindMisses``) additionally
-        ``analysed == population``.  A violation means a classification
-        backend mis-counted, so it raises
+        ``analysed == population``.  A violation means a classifier
+        mis-counted, so it raises
         :class:`~repro.errors.InvariantError` rather than letting a wrong
         tally propagate into a report.
         """

@@ -157,13 +157,12 @@ def solve_misses(
     refs: Optional[Iterable["NRef"]] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
-    backend: Optional[str] = None,
 ) -> MissReport:
     """Solve ``refs`` (default: every reference) with ``solver``.
 
     ``jobs != 1`` shards the references across a process pool (``0`` or
-    negative = all CPUs) with an identical report; ``memo`` and
-    ``backend`` are as in :func:`repro.analysis.analyze`.
+    negative = all CPUs) with an identical report; ``memo`` is as in
+    :func:`repro.analysis.analyze`.
     """
     started = time.perf_counter()
     if reuse is None:
@@ -172,11 +171,9 @@ def solve_misses(
     if jobs != 1:
         from repro.parallel import ParallelEngine
 
-        with ParallelEngine(
-            nprog, layout, cache, reuse, jobs, memo, backend
-        ) as engine:
+        with ParallelEngine(nprog, layout, cache, reuse, jobs, memo) as engine:
             return engine.solve(solver, targets)
-    classifier = make_classifier(backend, nprog, layout, cache, reuse, walker)
+    classifier = make_classifier(nprog, layout, cache, reuse, walker)
 
     def solve_refs(todo: list) -> dict[int, RefResult]:
         return {r.uid: solver.solve_ref(classifier, nprog, r) for r in todo}

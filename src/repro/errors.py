@@ -81,20 +81,11 @@ class TraceFormatError(ReproError):
     """
 
 
-class MissingDependencyError(ReproError):
-    """An optional runtime dependency is not installed.
-
-    Raised with an install hint when a subsystem that needs a third-party
-    package (e.g. the vectorized NumPy classification backend of
-    :mod:`repro.cme.batch`) is used on an interpreter that lacks it.
-    """
-
-
 class InvariantError(AnalysisError):
     """A solver result violated a structural invariant.
 
     Raised by :meth:`repro.cme.result.RefResult.check_invariants` when the
     per-outcome tallies of a reference do not add up — which would mean a
-    classification backend mis-counted, so it is always a bug, never an
+    classifier mis-counted, so it is always a bug, never an
     input-program problem.
     """

@@ -1,4 +1,4 @@
-"""Vectorized access-order machinery for the NumPy classification backend.
+"""Vectorized access-order machinery for the batch classifier.
 
 Two pieces live here:
 
@@ -18,7 +18,7 @@ Two pieces live here:
 
 The index answers exactly the query
 :meth:`repro.iteration.walker.Walker.distinct_conflicts_reach` answers, so
-the NumPy backend stays bit-identical to the scalar solver.  Building it
+the batch classifier stays bit-identical to the scalar classifier.  Building it
 costs ``O(T log T)`` in the trace length ``T``; the batch classifier builds
 it only when a reference's windows would cost more to walk than that
 reference's share of the build (``repro.cme.batch``).
@@ -28,20 +28,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import MissingDependencyError
+import numpy as np
+
 from repro.iteration.walker import CompiledAffine, Walker
 from repro.normalize.nprogram import NormalizedProgram, NRef
-
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - exercised via import gate test
-    raise MissingDependencyError(
-        "repro.iteration.batch requires NumPy; install it with "
-        "`pip install numpy` (or `pip install repro`), or select the "
-        "pure-Python solver with backend='scalar' / --backend scalar"
-    ) from exc
-
-from repro.sim.batch import TracePlan, build_trace, lines_of  # noqa: E402
+from repro.sim.batch import TracePlan, build_trace, lines_of
 
 #: Length of the vectorized probe prefix of each interference window; only
 #: windows longer than this whose probe stays below ``k`` distinct lines

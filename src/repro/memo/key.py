@@ -52,7 +52,7 @@ from repro.reuse.generator import ReuseTable
 KEY_SCHEMA = "repro.memo.key/1"
 
 #: Modules whose source code determines solver outcomes — every module the
-#: per-reference units and the classifier backends import from the solver
+#: per-reference units and the classifiers import from the solver
 #: packages, plus the simulator's trace builder, which builds the batch
 #: classifier's window index.  The persistent store stamps their combined hash into its
 #: header: editing any of them (including this module) invalidates every
@@ -91,8 +91,8 @@ _fingerprint_cache: Optional[str] = None
 def code_fingerprint() -> str:
     """SHA-256 over the source of every solver-relevant module (cached).
 
-    Sources are located, not imported, so the NumPy backend's modules are
-    fingerprinted on interpreters that cannot import them.
+    Sources are located, not imported, so fingerprinting loads none of the
+    solver modules.
     """
     global _fingerprint_cache
     if _fingerprint_cache is None:

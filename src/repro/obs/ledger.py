@@ -18,7 +18,7 @@ The ``repro.ledger/v1`` row schema::
       "label": <str>,                      # "analyze:hydro", "bench:table3"
       "program": <str|null>,
       "cache": <str|null>,                 # CacheConfig.describe()
-      "config": {<solver/backend knobs>},  # part of the baseline key
+      "config": {<solver knobs>},  # part of the baseline key
       "phases": {"<span>": <seconds>},     # top-level span wall times
       "wall_seconds": <number|null>,
       "peak_rss_bytes": <int>,

@@ -19,7 +19,7 @@ last time" check useless, so three defences stack:
 
 Rows compare only within equal baseline keys
 (:func:`repro.obs.ledger.row_key`): same label, program, cache geometry
-and solver/backend config.  A key with no history reports
+and solver config.  A key with no history reports
 ``no-baseline`` and never fails the check.
 
 Two severities serve CI: ratios above ``threshold`` are regressions;

@@ -48,7 +48,7 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.reuse.generator import ReuseTable
-from repro.cme.backend import make_classifier, resolve_backend
+from repro.cme.backend import make_classifier
 from repro.cme.result import MissReport, RefResult
 from repro.cme.solver import Solver, run_units
 
@@ -59,8 +59,7 @@ if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
 CHUNKS_PER_JOB = 4
 
 #: Per-worker cache: ``(NormalizedProgram, classifier)`` — the classifier is
-#: built by :func:`repro.cme.backend.make_classifier` from the backend name
-#: shipped in the payload, so every worker uses the caller's backend.
+#: built by :func:`repro.cme.backend.make_classifier` from the payload.
 _STATE: Optional[tuple[NormalizedProgram, object]] = None
 
 
@@ -82,8 +81,8 @@ def _pool_context():
 def _load_state(payload: bytes) -> None:
     """Unpickle the shared analysis state into this process's cache."""
     global _STATE
-    nprog, layout, cache, reuse, backend = pickle.loads(payload)
-    _STATE = (nprog, make_classifier(backend, nprog, layout, cache, reuse))
+    nprog, layout, cache, reuse = pickle.loads(payload)
+    _STATE = (nprog, make_classifier(nprog, layout, cache, reuse))
 
 
 def _init_worker(payload: bytes) -> None:
@@ -167,7 +166,6 @@ class ParallelEngine:
         reuse: ReuseTable,
         jobs: Optional[int] = None,
         memo: Optional["Memoizer"] = None,
-        backend: Optional[str] = None,
     ):
         self.nprog = nprog
         self.layout = layout
@@ -175,12 +173,8 @@ class ParallelEngine:
         self.reuse = reuse
         self.memo = memo
         self.jobs = resolve_jobs(jobs)
-        # Resolve the backend in the parent so every worker (and the serial
-        # path) builds the same classifier, even if workers could differ in
-        # what they can import.
-        self.backend = resolve_backend(backend)
         self._payload = pickle.dumps(
-            (nprog, layout, cache, reuse, self.backend),
+            (nprog, layout, cache, reuse),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         self._pool: Optional[ProcessPoolExecutor] = None

@@ -1,32 +1,24 @@
 """Vectorized counterparts of the :class:`~repro.polyhedra.space.BoundedSpace`
-point operations (enumeration and membership) used by the NumPy
-classification backend (:mod:`repro.cme.batch`).
+point operations (enumeration and membership) used by the batch
+classifier (:mod:`repro.cme.batch`).
 
 Everything here is exact integer arithmetic on ``int64`` arrays: the batch
 enumeration yields precisely the points of
 :meth:`~repro.polyhedra.space.BoundedSpace.enumerate_points` in the same
 lexicographic order, and the batch membership test agrees point-for-point
 with :meth:`~repro.polyhedra.space.BoundedSpace.contains` — properties the
-bit-identity contract of the batch backend rests on (and the tests assert).
+bit-identity contract of the batch classifier rests on (and the tests assert).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import MissingDependencyError
+import numpy as np
+
 from repro.polyhedra.affine import Affine
 from repro.polyhedra.constraints import EQ, Constraint
 from repro.polyhedra.space import BoundedSpace
-
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - exercised via import gate test
-    raise MissingDependencyError(
-        "repro.polyhedra.batch requires NumPy; install it with "
-        "`pip install numpy` (or `pip install repro`), or select the "
-        "pure-Python solver with backend='scalar' / --backend scalar"
-    ) from exc
 
 
 def affine_row(

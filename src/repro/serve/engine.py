@@ -22,7 +22,7 @@ Two solve modes, bit-identical by construction:
 Both modes report the memo plan's own counts (``report.memo``), so a
 request's ``store_hits`` never picks up another request's lookups.
 
-Per analysis state — ``(program, cache geometry, backend)`` — the engine
+Per analysis state — ``(program, cache geometry)`` — the engine
 caches the prepared program, the reuse table and the classifier in LRU
 maps, and serialises units of the *same* state behind a per-state lock
 (classifiers keep internal caches that are not thread-safe); units of
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 from repro.analysis import PreparedProgram, analyze, prepare
-from repro.cme.backend import make_classifier, resolve_backend
+from repro.cme.backend import make_classifier
 from repro.cme.result import MissReport
 from repro.cme.solver import Solver, run_units, solver_for
 from repro.errors import FrontendError, ReproError
@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 #: not free; a daemon sees the same few programs over and over).
 MAX_PREPARED = 32
 
-#: Classifier states kept per engine (one per program x cache x backend).
+#: Classifier states kept per engine (one per program x cache).
 MAX_STATES = 64
 
 
@@ -116,7 +116,6 @@ class _State:
 
     prepared: PreparedProgram
     cache: object  # CacheConfig
-    backend: str
     reuse: object  # ReuseTable
     classifier: object
     #: Serialises pooled units of this state — classifiers carry internal
@@ -190,15 +189,13 @@ class AnalysisEngine:
         return prepared
 
     def _state_for(self, request: AnalyzeRequest) -> _State:
-        """The classifier state of ``(program, cache, backend)`` (LRU)."""
-        backend = resolve_backend(request.backend)
+        """The classifier state of ``(program, cache)`` (LRU)."""
         cache = request.cache
         key = (
             self.program_key(request),
             cache.size_bytes,
             cache.line_bytes,
             cache.assoc,
-            backend,
         )
         with self._lock:
             state = self._states.get(key)
@@ -212,14 +209,13 @@ class AnalysisEngine:
             if state is None:
                 reuse = prepared.reuse_table(cache.line_bytes)
                 classifier = make_classifier(
-                    backend,
                     prepared.nprog,
                     prepared.layout,
                     cache,
                     reuse,
                     prepared.walker,
                 )
-                state = _State(prepared, cache, backend, reuse, classifier)
+                state = _State(prepared, cache, reuse, classifier)
                 self._states[key] = state
                 while len(self._states) > self._max_states:
                     self._states.popitem(last=False)
@@ -256,7 +252,6 @@ class AnalysisEngine:
                 seed=request.seed,
                 jobs=jobs,
                 memo=self.memo,
-                backend=request.backend,
             )
         else:
             report = self._run_pooled(request, pool, deadline)

@@ -49,9 +49,6 @@ from repro.layout.cache import CacheConfig
 #: Wire schema version; bump on any change to request/response layouts.
 SERVE_SCHEMA = "repro.serve/v1"
 
-#: Accepted classification backend names (``None``/"auto" = resolve).
-BACKEND_NAMES = (None, "auto", "scalar", "numpy")
-
 #: Default per-request deadline (seconds) when the client sends none.
 DEFAULT_TIMEOUT = 60.0
 
@@ -182,7 +179,6 @@ class AnalyzeRequest:
     confidence: float = 0.95
     width: float = 0.05
     seed: int = 0
-    backend: Optional[str] = None
     timeout: float = DEFAULT_TIMEOUT
     client: str = "anonymous"
 
@@ -208,8 +204,6 @@ class AnalyzeRequest:
             doc["source"] = self.source
         if self.size is not None:
             doc["size"] = self.size
-        if self.backend is not None:
-            doc["backend"] = self.backend
         return doc
 
 
@@ -296,12 +290,6 @@ def validate_request(
     if not 0.0 < width < 1.0:
         raise BadRequest(f"field 'width' must be in (0, 1), got {width}")
     seed = _field(doc, "seed", int, 0)
-    backend = _field(doc, "backend", str, None)
-    if backend not in BACKEND_NAMES:
-        raise BadRequest(
-            f"field 'backend' must be one of "
-            f"{[b for b in BACKEND_NAMES if b]}, got {backend!r}"
-        )
     timeout = _field(doc, "timeout", float, float(default_timeout))
     if timeout <= 0.0:
         raise BadRequest(f"field 'timeout' must be positive, got {timeout}")
@@ -316,7 +304,6 @@ def validate_request(
         confidence=confidence,
         width=width,
         seed=seed,
-        backend=backend,
         timeout=timeout,
         client=client or "anonymous",
     )
@@ -330,7 +317,7 @@ def report_doc(report) -> dict:
 
     Contains classifications only (no timings, jobs or metrics), with
     references sorted by uid — so equal reports serialise byte-identically
-    no matter which process, backend, job count or memo state produced
+    no matter which process, job count or memo state produced
     them.
     """
     refs = [

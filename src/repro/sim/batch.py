@@ -3,7 +3,7 @@
 The scalar simulator walks the program access by access and mutates a
 per-set LRU dict — exact, but ~600 ns per access in CPython, which made
 simulation the slowest phase of every differential sweep once the
-classification backend was vectorized.  This module replaces the *walk*
+classifier was vectorized.  This module replaces the *walk*
 with array construction and the *LRU state machine* with a closed-form
 property of LRU caches:
 
@@ -601,7 +601,7 @@ def simulate_batch(
     policy: str = "lru",
     seed: int = 0,
 ) -> SimReport:
-    """Vectorized twin of :func:`repro.sim.simulate` (NumPy backend)."""
+    """The set-kernel body of :func:`repro.sim.simulate`."""
     started = time.perf_counter()
     with obs.span("sim/decode"):
         uids_t, addrs_t = trace_arrays(nprog, layout, walker)
@@ -695,7 +695,7 @@ def simulate_trace_arrays(
     policy: str = "lru",
     seed: int = 0,
 ) -> SimReport:
-    """Simulate a decoded ``(uids, addresses)`` trace (NumPy backend).
+    """Simulate a decoded ``(uids, addresses)`` trace.
 
     With ``refs``, the report is keyed by those references and any trace
     uid outside them raises :class:`~repro.errors.InvariantError` — a
@@ -706,14 +706,14 @@ def simulate_trace_arrays(
     """
     started = time.perf_counter()
     uids = np.asarray(uids)
-    addrs = np.asarray(addrs)
-    if addrs.dtype != np.int64:
-        addrs = addrs.astype(np.int64)
     if refs is not None:
         _check_uids_array(uids, refs)
     with obs.span("sim/batch"):
+        # Lines from the unsigned addresses: a u64 address past 2**63
+        # would wrap negative as int64 and divide to the wrong line.
+        lines_t = lines_of(np.asarray(addrs), cache.line_bytes)
         miss_t, evictions = miss_kernel(
-            lines_of(addrs, cache.line_bytes),
+            lines_t.astype(np.int64, copy=False),
             cache.num_sets,
             cache.assoc,
             policy,

@@ -27,7 +27,7 @@ every kernel in the zoo.  Four policies are provided:
     Seeded random replacement: the victim way is drawn from a
     counter-based splitmix64 mix of ``(seed, set index, eviction
     count)`` — a pure function, so runs are deterministic for a fixed
-    seed across backends, processes and job counts (no RNG stream to
+    seed across simulators, processes and job counts (no RNG stream to
     consume out of order).  The probabilistic analytical twin lives in
     :func:`repro.baselines.probabilistic.probabilistic_misses` with
     ``policy="random"``.

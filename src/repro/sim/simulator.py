@@ -1,22 +1,16 @@
-"""Whole-program cache simulation driven by the access-order walker.
+"""Whole-program cache simulation.
 
-Two interchangeable backends produce **bit-identical** per-reference
-tallies (the trace-level differential suite asserts it case for case,
-for every replacement policy):
-
-* ``"scalar"`` — walk the program access by access through a per-set
-  state machine (:mod:`repro.sim.policy`; pure Python, zero
-  dependencies, streams without materialising the trace);
-* ``"numpy"`` — materialise the trace as arrays and decide misses with
-  the per-policy set kernels of :mod:`repro.sim.batch` (closed-form
-  stack distances for LRU, run-compressed set replay for the rest).
-
-Backend names, defaulting and degradation follow
-:func:`repro.cme.backend.resolve_backend` — the same resolve/degrade
-contract as the classification backends, so ``backend=None`` means NumPy
-when installed and the scalar walker otherwise.  Traces too large to
-materialise degrade to the scalar walk as well (counted under
-``sim.backend.fallbacks``).
+Every entry point materialises the access trace as arrays and decides
+misses with the per-policy set kernels of :mod:`repro.sim.batch`
+(closed-form stack distances for LRU, run-compressed set replay for the
+rest).  A trace too large to materialise
+(:class:`~repro.sim.batch.TraceTooLargeError`) is simulated by the
+access-order walker instead, one access at a time through the per-set
+state machines of :mod:`repro.sim.policy` (counted under
+``sim.backend.fallbacks``).  The walker simulator streams without
+materialising the trace and is the oracle the differential suites diff
+the set kernels against; :func:`_replay_scalar` is the same oracle for
+explicit traces.
 
 The replacement policy (``policy=`` on every entry point; see
 :mod:`repro.sim.policy`) defaults to the paper's LRU; ``seed`` feeds the
@@ -33,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.cme.backend import resolve_backend
 from repro.errors import InvariantError
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
@@ -130,30 +123,25 @@ def simulate(
     layout: MemoryLayout,
     cache: CacheConfig,
     walker: Walker | None = None,
-    backend: Optional[str] = None,
     policy: Optional[str] = None,
     seed: int = 0,
 ) -> SimReport:
     """Simulate the full access trace of a normalised program.
 
-    ``backend`` selects ``"numpy"`` (vectorized set kernels) or
-    ``"scalar"`` (walker + per-set state machines); ``None``/``"auto"``
-    pick NumPy when installed.  ``policy`` selects the replacement
-    policy (:mod:`repro.sim.policy`; default LRU) and ``seed`` feeds the
-    random policy's deterministic victim draw.  Both backends report
-    identical per-reference accesses and misses for every policy.
+    ``policy`` selects the replacement policy (:mod:`repro.sim.policy`;
+    default LRU) and ``seed`` feeds the random policy's deterministic
+    victim draw.
     """
+    from repro.sim import batch
+
     policy = resolve_policy(policy)
     check_policy_geometry(policy, cache)
-    if resolve_backend(backend) == "numpy":
-        from repro.sim import batch
-
-        try:
-            return batch.simulate_batch(
-                nprog, layout, cache, walker=walker, policy=policy, seed=seed
-            )
-        except batch.TraceTooLargeError:
-            obs.counter("sim.backend.fallbacks").inc()
+    try:
+        return batch.simulate_batch(
+            nprog, layout, cache, walker=walker, policy=policy, seed=seed
+        )
+    except batch.TraceTooLargeError:
+        obs.counter("sim.backend.fallbacks").inc()
     return _simulate_scalar(nprog, layout, cache, walker, policy, seed)
 
 
@@ -204,17 +192,16 @@ def simulate_sweep(
     layout: MemoryLayout,
     caches: Union[Sequence[CacheConfig], CacheConfig, None] = None,
     walker: Walker | None = None,
-    backend: Optional[str] = None,
     policy: Optional[str] = None,
     seed: int = 0,
     assocs: Optional[Sequence[int]] = None,
 ) -> list[SimReport]:
     """Simulate one program against a sweep of cache configurations.
 
-    The access trace does not depend on the cache, so the NumPy backend
-    builds it once and re-runs only the per-configuration set kernel —
-    the shape of the paper's Table 6 validation columns.  The scalar
-    backend walks the program once per cache.
+    The access trace does not depend on the cache, so it is built once
+    and only the per-configuration set kernel re-runs — the shape of the
+    paper's Table 6 validation columns.  The walker fallback walks the
+    program once per cache.
 
     Two request shapes:
 
@@ -230,6 +217,8 @@ def simulate_sweep(
     Either way every report is bit-identical to a per-cache
     :func:`simulate` call with the same ``policy``/``seed``.
     """
+    from repro.sim import batch
+
     policy = resolve_policy(policy)
     if assocs is not None:
         if not isinstance(caches, CacheConfig):
@@ -250,16 +239,15 @@ def simulate_sweep(
         caches = deduped
     for cache in caches:
         check_policy_geometry(policy, cache)
-    if caches and resolve_backend(backend) == "numpy":
-        from repro.sim import batch
-
-        try:
-            return batch.simulate_sweep(
-                nprog, layout, caches, walker=walker, policy=policy, seed=seed
-            )
-        except batch.TraceTooLargeError:
-            obs.counter("sim.backend.fallbacks").inc()
-    if walker is None and caches:
+    if not caches:
+        return []
+    try:
+        return batch.simulate_sweep(
+            nprog, layout, caches, walker=walker, policy=policy, seed=seed
+        )
+    except batch.TraceTooLargeError:
+        obs.counter("sim.backend.fallbacks").inc()
+    if walker is None:
         walker = Walker(nprog, layout)
     return [
         _simulate_scalar(nprog, layout, c, walker, policy, seed)
@@ -274,8 +262,11 @@ def _simulate_scalar(
     walker: Walker | None = None,
     policy: str = "lru",
     seed: int = 0,
+    miss_stream: Optional[list] = None,
 ) -> SimReport:
-    """The walker-driven scalar simulation (one access at a time)."""
+    """The walker-driven simulation (one access at a time); each miss is
+    appended to ``miss_stream`` as a ``(ref_uid, address)`` pair when
+    given."""
     walker = walker if walker is not None else Walker(nprog, layout)
     state = make_cache(cache, policy, seed)
     accesses = {r.uid: 0 for r in nprog.refs}
@@ -288,6 +279,8 @@ def _simulate_scalar(
         accesses[uid] += 1
         if not access_line(addr // line_bytes):
             misses[uid] += 1
+            if miss_stream is not None:
+                miss_stream.append((uid, addr))
         return False
 
     started = time.perf_counter()
@@ -308,47 +301,34 @@ def simulate_trace(
     source,
     cache: CacheConfig,
     refs: Optional[Sequence[NRef]] = None,
-    backend: Optional[str] = None,
     policy: Optional[str] = None,
     seed: int = 0,
 ) -> SimReport:
     """Simulate an explicit ``(ref_uid, address)`` trace.
 
     ``source`` is a path to a binary trace file
-    (:mod:`repro.sim.tracefile`) or an in-memory iterable of pairs.  With
-    ``refs`` (the program's references), tallies are keyed by those
-    references and a trace uid the program does not define raises
+    (:mod:`repro.sim.tracefile`) or an in-memory iterable of pairs,
+    decoded alike (``uint32`` uids, ``uint64`` addresses; in-memory
+    fields outside those widths raise
+    :class:`~repro.errors.TraceFormatError`).  With ``refs`` (the
+    program's references), tallies are keyed by those references and a
+    trace uid the program does not define raises
     :class:`~repro.errors.InvariantError` instead of silently dropping
-    the tally.  ``backend`` and ``policy`` select the simulator exactly
-    as in :func:`simulate`.
+    the tally.  ``policy`` and ``seed`` are as in :func:`simulate`.
     """
-    from repro.sim import tracefile
+    from repro.sim import batch, tracefile
 
     policy = resolve_policy(policy)
     check_policy_geometry(policy, cache)
     is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    if resolve_backend(backend) == "numpy":
-        import numpy as np
-
-        from repro.sim import batch
-
-        with obs.span("sim/decode"):
-            if is_path:
-                uids, addrs = tracefile.read_trace_arrays(source)
-            else:
-                pairs = list(source)
-                uids = np.fromiter(
-                    (u for u, _ in pairs), np.uint32, count=len(pairs)
-                )
-                addrs = np.fromiter(
-                    (a for _, a in pairs), np.int64, count=len(pairs)
-                )
-        return batch.simulate_trace_arrays(
-            uids, addrs, cache, refs=refs, policy=policy, seed=seed
-        )
     with obs.span("sim/decode"):
-        pairs = tracefile.read_trace(source) if is_path else list(source)
-    return _replay_scalar(pairs, cache, refs, policy, seed)
+        if is_path:
+            uids, addrs = tracefile.read_trace_arrays(source)
+        else:
+            uids, addrs = tracefile.pairs_to_arrays(source)
+    return batch.simulate_trace_arrays(
+        uids, addrs, cache, refs=refs, policy=policy, seed=seed
+    )
 
 
 def simulate_hierarchy(
@@ -357,7 +337,6 @@ def simulate_hierarchy(
     l1_cache: CacheConfig,
     l2_cache: CacheConfig,
     walker: Walker | None = None,
-    backend: Optional[str] = None,
     policy: Optional[str] = None,
     l2_policy: Optional[str] = None,
     seed: int = 0,
@@ -371,68 +350,55 @@ def simulate_hierarchy(
     exactly the single-level simulator replaying the L1 miss stream.
     ``l2_policy`` defaults to ``policy``; ``miss_trace_path`` optionally
     persists the L1 miss stream as a binary ``RPCT`` trace for offline
-    replay.  Both backends are bit-identical level by level.
+    replay.  The walker fallback is bit-identical level by level.
     """
+    from repro.sim import batch
+
     policy = resolve_policy(policy)
     l2_policy = policy if l2_policy is None else resolve_policy(l2_policy)
     check_policy_geometry(policy, l1_cache)
     check_policy_geometry(l2_policy, l2_cache)
-    if resolve_backend(backend) == "numpy":
-        from repro.sim import batch
-
-        try:
-            return batch.simulate_hierarchy_batch(
-                nprog,
-                layout,
-                l1_cache,
-                l2_cache,
-                walker=walker,
-                policy=policy,
-                l2_policy=l2_policy,
-                seed=seed,
-                miss_trace_path=miss_trace_path,
-            )
-        except batch.TraceTooLargeError:
-            obs.counter("sim.backend.fallbacks").inc()
-    walker = walker if walker is not None else Walker(nprog, layout)
-    state = make_cache(l1_cache, policy, seed)
-    accesses = {r.uid: 0 for r in nprog.refs}
-    misses = {r.uid: 0 for r in nprog.refs}
-    miss_stream: list[Tuple[int, int]] = []
-    line_bytes = l1_cache.line_bytes
-    access_line = state.access_line
-
-    def visit(cr, addr) -> bool:
-        uid = cr.nref.uid
-        accesses[uid] += 1
-        if not access_line(addr // line_bytes):
-            misses[uid] += 1
-            miss_stream.append((uid, addr))
-        return False
-
-    started = time.perf_counter()
-    with obs.span("sim/walk"):
-        walker.walk(visit)
-    l1 = SimReport(
-        l1_cache, accesses, misses, time.perf_counter() - started, policy
+    try:
+        return batch.simulate_hierarchy_batch(
+            nprog,
+            layout,
+            l1_cache,
+            l2_cache,
+            walker=walker,
+            policy=policy,
+            l2_policy=l2_policy,
+            seed=seed,
+            miss_trace_path=miss_trace_path,
+        )
+    except batch.TraceTooLargeError:
+        obs.counter("sim.backend.fallbacks").inc()
+    return _hierarchy_scalar(
+        nprog, layout, l1_cache, l2_cache, walker, policy, l2_policy, seed,
+        miss_trace_path,
     )
-    count_policy_run(policy)
-    obs.counter("sim.accesses").inc(l1.total_accesses)
-    obs.counter("sim.misses").inc(l1.total_misses)
-    obs.counter("sim.hits").inc(l1.total_accesses - l1.total_misses)
-    obs.counter("sim.evictions").inc(state.evictions)
+
+
+def _hierarchy_scalar(
+    nprog: NormalizedProgram,
+    layout: MemoryLayout,
+    l1_cache: CacheConfig,
+    l2_cache: CacheConfig,
+    walker: Walker | None = None,
+    policy: str = "lru",
+    l2_policy: str = "lru",
+    seed: int = 0,
+    miss_trace_path=None,
+) -> HierarchyReport:
+    """The walker-driven hierarchy: the L1 walk's misses replay as the L2."""
+    miss_stream: list[Tuple[int, int]] = []
+    l1 = _simulate_scalar(
+        nprog, layout, l1_cache, walker, policy, seed, miss_stream
+    )
     if miss_trace_path is not None:
         from repro.sim import tracefile
 
         tracefile.write_trace(miss_trace_path, miss_stream)
-    l2 = simulate_trace(
-        miss_stream,
-        l2_cache,
-        refs=nprog.refs,
-        backend="scalar",
-        policy=l2_policy,
-        seed=seed,
-    )
+    l2 = _replay_scalar(miss_stream, l2_cache, nprog.refs, l2_policy, seed)
     return HierarchyReport(l1, l2)
 
 
@@ -443,6 +409,7 @@ def _replay_scalar(
     policy: str = "lru",
     seed: int = 0,
 ) -> SimReport:
+    """Replay ``pairs`` one access at a time (the explicit-trace oracle)."""
     started = time.perf_counter()
     if refs is not None:
         accesses = {r.uid: 0 for r in refs}
@@ -471,7 +438,7 @@ def _replay_scalar(
         cache, accesses, misses, time.perf_counter() - started, policy
     )
     # Trace replays report the same sim.* counters as walker-driven
-    # simulation — the backend/policy choice must be observable here too.
+    # simulation — the policy choice must be observable here too.
     count_policy_run(policy)
     obs.counter("sim.accesses").inc(report.total_accesses)
     obs.counter("sim.misses").inc(report.total_misses)

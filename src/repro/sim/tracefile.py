@@ -3,8 +3,8 @@
 The validation loop of Fig. 7 compares analytical predictions against a
 trace-driven simulator.  This module gives the trace a compact, versioned
 on-disk form so it can be produced once (by the walker, or by an external
-tool the frontend cannot parse) and replayed many times by either
-simulator backend:
+tool the frontend cannot parse) and replayed many times by the
+simulator:
 
 * **Header** — ``16`` bytes, little-endian: 4-byte magic ``b"RPCT"``, a
   ``u16`` format version, a ``u16`` record kind and a ``u64`` record
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import os
 import struct
-from importlib import util as _importlib_util
 from typing import Iterable, List, Tuple, Union
 
-from repro.errors import MissingDependencyError, TraceFormatError
+from repro.errors import TraceFormatError
 
 #: File magic: "RePro Cache Trace".
 MAGIC = b"RPCT"
@@ -111,10 +110,7 @@ def _read_payload(path: Pathish) -> Tuple[int, bytes]:
 
 
 def read_trace(path: Pathish) -> List[Tuple[int, int]]:
-    """Read a trace file as a list of ``(ref_uid, address)`` pairs.
-
-    Pure Python — works without NumPy (the scalar replay path).
-    """
+    """Read a trace file as a list of ``(ref_uid, address)`` pairs."""
     _, body = _read_payload(path)
     return list(RECORD.iter_unpack(body))
 
@@ -126,11 +122,6 @@ def read_trace_arrays(path: Pathish):
     writable copies, decoded from the payload in one structured
     ``frombuffer`` — this is the vectorized simulator's ingestion path.
     """
-    if _importlib_util.find_spec("numpy") is None:
-        raise MissingDependencyError(
-            "reading traces as arrays needs NumPy (pip install numpy); "
-            "use read_trace() for the pure-Python decoder"
-        )
     import numpy as np
 
     _, body = _read_payload(path)
@@ -138,6 +129,30 @@ def read_trace_arrays(path: Pathish):
         body, dtype=np.dtype([("uid", "<u4"), ("addr", "<u8")])
     )
     return records["uid"].astype(np.uint32), records["addr"].astype(np.uint64)
+
+
+def pairs_to_arrays(pairs: Iterable[Tuple[int, int]]):
+    """Decode in-memory ``(ref_uid, address)`` pairs as ``(uids, addresses)``.
+
+    The arrays have the dtypes of :func:`read_trace_arrays` (``uint32``,
+    ``uint64``), and fields outside them raise the
+    :class:`~repro.errors.TraceFormatError` of :func:`write_trace`.
+    """
+    import numpy as np
+
+    pairs = list(pairs)
+    uids = [u for u, _ in pairs]
+    addrs = [a for _, a in pairs]
+    if pairs and not (0 <= min(uids) and max(uids) <= _UID_MAX):
+        bad = next(u for u in uids if not 0 <= u <= _UID_MAX)
+        raise TraceFormatError(f"ref uid {bad} does not fit in u32")
+    if pairs and not (0 <= min(addrs) and max(addrs) <= _ADDR_MAX):
+        bad = next(a for a in addrs if not 0 <= a <= _ADDR_MAX)
+        raise TraceFormatError(f"address {bad} does not fit in u64")
+    return (
+        np.fromiter(uids, np.uint32, count=len(uids)),
+        np.fromiter(addrs, np.uint64, count=len(addrs)),
+    )
 
 
 def import_address_trace(

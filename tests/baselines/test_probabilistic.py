@@ -1,12 +1,19 @@
 """Tests for the Fraguela-style probabilistic baseline (Table 7 comparator)."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro import CacheConfig, prepare, run_simulation
 from repro.baselines import probabilistic_misses
-from repro.baselines.probabilistic import _reuse_fraction, _window_iterations
+from repro.baselines.probabilistic import (
+    _reuse_fraction,
+    _window_iterations,
+    binomial_tail,
+)
 from repro.cme import estimate_misses
 from repro.ir import ProgramBuilder
 from repro.kernels import build_mmt
@@ -173,8 +180,8 @@ class TestRandomReplacementEquation:
                 )
 
     def test_random_needs_no_scipy(self, mmt, monkeypatch):
-        """The random branch must not import scipy (the LRU import is
-        lazy so NumPy-only environments can still use it)."""
+        """Neither policy branch imports scipy (the LRU branch sums its
+        binomial tail with ``math.comb``)."""
         import builtins
         import sys
 
@@ -189,11 +196,54 @@ class TestRandomReplacementEquation:
         monkeypatch.delitem(sys.modules, "scipy", raising=False)
         monkeypatch.setattr(builtins, "__import__", no_scipy)
         cache = CacheConfig.kb(1, 32, 2)
-        report = probabilistic_misses(
-            mmt.nprog,
-            mmt.layout,
-            cache,
-            reuse=mmt.reuse_table(cache.line_bytes),
-            policy="random",
-        )
-        assert 0.0 <= report.miss_ratio <= 1.0
+        for policy in ("random", "lru"):
+            report = probabilistic_misses(
+                mmt.nprog,
+                mmt.layout,
+                cache,
+                reuse=mmt.reuse_table(cache.line_bytes),
+                policy=policy,
+            )
+            assert 0.0 <= report.miss_ratio <= 1.0
+
+
+def test_pipeline_leaves_scipy_unimported():
+    """``analyze``, ``run_simulation`` and ``probabilistic_misses`` run in
+    a fresh interpreter without ever importing scipy."""
+    script = (
+        "import sys\n"
+        "from repro import CacheConfig, analyze, prepare, run_simulation\n"
+        "from repro.baselines import probabilistic_misses\n"
+        "from repro.kernels import build_mmt\n"
+        "p = prepare(build_mmt(12, 6, 3))\n"
+        "cache = CacheConfig.kb(1, 32, 2)\n"
+        "for method in ('estimate', 'find', 'regions'):\n"
+        "    analyze(p, cache, method=method)\n"
+        "run_simulation(p, cache)\n"
+        "probabilistic_misses(p.nprog, p.layout, cache)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+class TestBinomialTailMatchesScipy:
+    """The exact ``math.comb`` tail agrees with ``scipy.stats.binom.sf``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_tail_within_1e12(self, k):
+        binom = pytest.importorskip("scipy.stats").binom
+        fills = [0, 1, 2, 3, 7, 8, 9, 16, 100, 1000, 10**4, 10**5, 10**6]
+        for num_sets in (1, 2, 3, 4, 16, 32, 128, 1024, 4096):
+            p = min(1.0, 1.0 / num_sets)  # num_sets == 1: fully associative
+            for n in fills:
+                want = float(binom.sf(k - 1, n, p))
+                assert binomial_tail(k, n, p) == pytest.approx(
+                    want, rel=0, abs=1e-12
+                ), (k, n, num_sets)

@@ -1,45 +1,24 @@
-"""Backend selection and the batch backend's fallback contract (ISSUE 5).
+"""The batch classifier's per-reference fallback contract.
 
-Three degradation layers keep results identical no matter what is
-installed or vectorizable:
-
-* **selection** — ``resolve_backend`` degrades ``"numpy"`` to
-  ``"scalar"`` when NumPy is missing (never errors), rejects unknown
-  names, and ``make_classifier`` honours the resolution;
-* **import gate** — importing the batch modules without NumPy raises
-  :class:`~repro.errors.MissingDependencyError` with an install hint;
-* **per-reference fallback** — a reference the vectorized path cannot
-  handle is classified by the embedded scalar classifier with identical
-  tallies, surfaced through the ``cme.backend.fallback_points`` counter.
+A reference the vectorized path cannot handle is classified by the
+embedded scalar classifier with identical tallies, surfaced through the
+``cme.backend.fallback_points`` counter.
 """
 
 from __future__ import annotations
 
-import importlib
-import sys
-
 import pytest
 
 from repro import obs
-from repro.cme import (
-    BACKENDS,
-    find_misses,
-    make_classifier,
-    numpy_available,
-    resolve_backend,
-)
+from repro.cme import find_misses, make_classifier, solver_for
+from repro.cme.batch import BatchClassifier, _BatchUnsupported
 from repro.cme.point import PointClassifier
 from repro.cme.result import RefResult
-from repro.errors import MissingDependencyError, ReproError
 from repro.ir import ProgramBuilder
 from repro.layout import CacheConfig, layout_for_refs
 from repro.normalize import normalize
 from repro.reuse import build_reuse_table
-
-np = pytest.importorskip("numpy")
-
-from repro.cme import backend as backend_mod  # noqa: E402
-from repro.cme.batch import BatchClassifier, _BatchUnsupported  # noqa: E402
+from tests.harness.differential import scalar_results
 
 
 @pytest.fixture(autouse=True)
@@ -62,53 +41,13 @@ def _prepared():
     return nprog, layout, cache
 
 
-# -- selection ------------------------------------------------------------------------
-
-
-def test_resolve_backend_defaults_and_rejects_unknown():
-    assert resolve_backend(None) in BACKENDS
-    assert resolve_backend("auto") == resolve_backend(None)
-    assert resolve_backend("scalar") == "scalar"
-    with pytest.raises(ReproError, match="unknown classification backend"):
-        resolve_backend("cuda")
-
-
-def test_numpy_request_degrades_to_scalar_without_numpy(monkeypatch):
-    monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-    assert backend_mod.resolve_backend("numpy") == "scalar"
-    assert backend_mod.resolve_backend(None) == "scalar"
-    assert backend_mod.resolve_backend("scalar") == "scalar"
-
-
-def test_make_classifier_builds_the_resolved_backend(monkeypatch):
+def test_make_classifier_builds_the_resolved_backend():
+    """The one classifier: the batch path, embedding its scalar fallback."""
     nprog, layout, cache = _prepared()
     reuse = build_reuse_table(nprog, cache.line_bytes)
-    assert numpy_available()
-    batch = make_classifier("numpy", nprog, layout, cache, reuse)
-    assert isinstance(batch, BatchClassifier)
-    scalar = make_classifier("scalar", nprog, layout, cache, reuse)
-    assert isinstance(scalar, PointClassifier)
-    monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-    degraded = make_classifier("numpy", nprog, layout, cache, reuse)
-    assert isinstance(degraded, PointClassifier)
-
-
-# -- import gate ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "module", ["repro.cme.batch", "repro.iteration.batch", "repro.polyhedra.batch"]
-)
-def test_batch_modules_gate_on_numpy(monkeypatch, module):
-    for name in (
-        "repro.cme.batch",
-        "repro.iteration.batch",
-        "repro.polyhedra.batch",
-    ):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    monkeypatch.setitem(sys.modules, "numpy", None)  # forces ImportError
-    with pytest.raises(MissingDependencyError, match="pip install numpy"):
-        importlib.import_module(module)
+    classifier = make_classifier(nprog, layout, cache, reuse)
+    assert isinstance(classifier, BatchClassifier)
+    assert isinstance(classifier.scalar, PointClassifier)
 
 
 # -- per-reference fallback -----------------------------------------------------------
@@ -117,13 +56,13 @@ def test_batch_modules_gate_on_numpy(monkeypatch, module):
 def test_unsupported_reference_falls_back_with_identical_tallies(monkeypatch):
     nprog, layout, cache = _prepared()
     reuse = build_reuse_table(nprog, cache.line_bytes)
-    batch = make_classifier("numpy", nprog, layout, cache, reuse)
+    batch = make_classifier(nprog, layout, cache, reuse)
 
     def unsupported(ref, points):
         raise _BatchUnsupported("forced by the test")
 
     monkeypatch.setattr(batch, "_points_array", unsupported)
-    scalar = make_classifier("scalar", nprog, layout, cache, reuse)
+    scalar = PointClassifier(nprog, layout, cache, reuse)
     for ref in nprog.refs:
         population = nprog.ris(ref.leaf).count()
         got = RefResult(ref.name(), ref.uid, population=population)
@@ -149,14 +88,14 @@ def test_unsupported_reference_falls_back_with_identical_tallies(monkeypatch):
 def test_backend_counters_surface_in_observability():
     nprog, layout, cache = _prepared()
     obs.enable()
-    report = find_misses(nprog, layout, cache, backend="numpy")
+    report = find_misses(nprog, layout, cache)
     counters = obs.snapshot()["counters"]
     assert counters["cme.backend.vectorized_points"] == report.analysed_points
     assert counters.get("cme.backend.fallback_points", 0) == 0
     obs.disable()
     obs.enable()
-    report = find_misses(nprog, layout, cache, backend="scalar")
+    results = scalar_results(solver_for("find"), nprog, layout, cache)
     counters = obs.snapshot()["counters"]
     # The scalar classifier has no backend counters to drain.
     assert "cme.backend.vectorized_points" not in counters
-    assert report.analysed_points > 0
+    assert sum(r.analysed for r in results.values()) > 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.ir import ProgramBuilder
@@ -121,7 +122,6 @@ def test_degenerate_bounds_admit_exactly_one_point():
 
 @pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__[1:])
 def test_batch_ris_agrees_with_scalar_entrywise(build):
-    np = pytest.importorskip("numpy")
     from repro.cme.batch import _BatchRIS
 
     nprog, leaf, space = _leafspace(build)

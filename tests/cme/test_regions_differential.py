@@ -23,7 +23,7 @@ from repro.cme import find_misses, region_misses, regional_coverage
 from repro.reuse import build_reuse_table
 from tests.harness.differential import FAMILIES, generate_cases
 
-#: 30 cases per family — the same 210-case pool as the backend and memo
+#: 30 cases per family — the same 210-case pool as the classifier and memo
 #: differential sweeps.
 CASE_COUNT = 30 * len(FAMILIES)
 

@@ -1,7 +1,7 @@
 """Unit tests for the :meth:`RefResult.check_invariants` structural checks.
 
-Both classification backends feed the same result containers, so a
-mis-counting backend must be caught at the container level: the outcome
+Every classifier feeds the same result containers, so a mis-counting
+classifier must be caught at the container level: the outcome
 tallies have to sum to the analysed count, and an exhaustive solve has to
 analyse the whole population.
 """
@@ -40,7 +40,7 @@ def test_partial_analysis_passes_unless_exhaustive():
 
 
 def test_invariant_error_is_an_analysis_error():
-    # Callers catching the repo's error hierarchy must see backend
+    # Callers catching the repo's error hierarchy must see classifier
     # mis-counts too.
     assert issubclass(InvariantError, AnalysisError)
     assert issubclass(InvariantError, ReproError)

@@ -57,7 +57,7 @@ class TestRunUnits:
         nprog = prepared.nprog
         reuse = prepared.reuse_table(CACHE.line_bytes)
         classifier = make_classifier(
-            None, nprog, prepared.layout, CACHE, reuse, prepared.walker
+            nprog, prepared.layout, CACHE, reuse, prepared.walker
         )
         batches = []
 

@@ -16,11 +16,8 @@ from repro import CacheConfig, analyze, obs, prepare, run_simulation
 from repro.ir import Program, ProgramBuilder
 from repro.kernels import build_mmt
 from repro.programs import build_swim_like
-
-pytest.importorskip("numpy", reason="the batch classifier needs NumPy")
-
-import repro.cme.batch as cme_batch  # noqa: E402
-import repro.sim.batch as sim_batch  # noqa: E402
+import repro.cme.batch as cme_batch
+import repro.sim.batch as sim_batch
 
 
 def build_stencil3(n: int) -> Program:

@@ -22,6 +22,12 @@ Both legs run serially or through the parallel engine (``jobs``) — the
 solvers guarantee identical reports either way, and the test module checks
 that too.  Everything is seeded: a failing case can be reproduced from its
 ``Case.name`` alone.
+
+The scalar oracles live here too: :func:`scalar_results` solves each
+reference on the pure-Python :class:`~repro.cme.point.PointClassifier`,
+and :func:`scalar_simulate` (with its trace and hierarchy siblings) runs
+the walker simulator, so every suite diffs the production
+paths against the same reference implementations.
 """
 
 from __future__ import annotations
@@ -33,7 +39,11 @@ from repro.ir import Program, ProgramBuilder
 from repro.layout import CacheConfig, layout_for_refs
 from repro.normalize import normalize
 from repro.cme import MissReport, estimate_misses, find_misses
+from repro.cme.point import PointClassifier
+from repro.reuse import build_reuse_table
 from repro.sim import simulate
+from repro.sim import simulator as _simulator
+from repro.sim.policy import resolve_policy
 from repro.stats import wilson_interval
 
 #: Cache geometries the generator samples from (size KB, line bytes, assoc).
@@ -239,13 +249,64 @@ def generate_cases(count: int, seed: int = 20260806) -> list[Case]:
     return cases
 
 
+# -- scalar oracles -------------------------------------------------------------------
+
+
+def scalar_results(solver, nprog, layout, cache, reuse=None, walker=None) -> dict:
+    """``{uid: RefResult}`` of ``solver`` on the scalar ``PointClassifier``.
+
+    The same per-reference unit the production solvers run
+    (:meth:`~repro.cme.solver.Solver.solve_ref`), one point at a time: a
+    solver report's ``results`` must equal this dict exactly.
+    """
+    if reuse is None:
+        reuse = build_reuse_table(nprog, cache.line_bytes)
+    classifier = PointClassifier(nprog, layout, cache, reuse, walker)
+    return {r.uid: solver.solve_ref(classifier, nprog, r) for r in nprog.refs}
+
+
+def scalar_simulate(nprog, layout, cache, policy=None, seed=0):
+    """The walker simulator: one access at a time through the set machines."""
+    return _simulator._simulate_scalar(
+        nprog, layout, cache, None, resolve_policy(policy), seed
+    )
+
+
+def scalar_trace(pairs, cache, refs=None, policy=None, seed=0):
+    """Replay explicit ``(ref_uid, address)`` pairs one access at a time."""
+    return _simulator._replay_scalar(
+        list(pairs), cache, refs, resolve_policy(policy), seed
+    )
+
+
+def scalar_hierarchy(
+    nprog, layout, l1_cache, l2_cache, policy=None, l2_policy=None, seed=0,
+    miss_trace_path=None,
+):
+    """The walker-driven two-level hierarchy (L1 misses replay as the L2)."""
+    policy = resolve_policy(policy)
+    l2_policy = policy if l2_policy is None else resolve_policy(l2_policy)
+    return _simulator._hierarchy_scalar(
+        nprog, layout, l1_cache, l2_cache, None, policy, l2_policy, seed,
+        miss_trace_path,
+    )
+
+
+def force_walker_fallback(monkeypatch) -> None:
+    """Send every simulator entry point down its walker fallback — the path
+    a trace too large to materialise takes."""
+    from repro.sim import batch
+
+    monkeypatch.setattr(batch, "MAX_TRACE_ACCESSES", -1)
+
+
 def check_policy_bit_identity(
     case: Case,
     policy: str,
     seed: int = 0,
     prepared=None,
 ) -> list[str]:
-    """Diff scalar vs vectorized simulation under one replacement policy.
+    """Diff the walker oracle vs vectorized simulation under one policy.
 
     Non-LRU policies have no closed-form kernel — the vectorized engine
     replays run heads through the same set machines — so bit-identity
@@ -263,12 +324,8 @@ def check_policy_bit_identity(
     except ReproError:
         return []
     nprog, layout = prepared if prepared is not None else case.prepared()
-    scalar = simulate(
-        nprog, layout, case.cache, backend="scalar", policy=policy, seed=seed
-    )
-    batch = simulate(
-        nprog, layout, case.cache, backend="numpy", policy=policy, seed=seed
-    )
+    scalar = scalar_simulate(nprog, layout, case.cache, policy=policy, seed=seed)
+    batch = simulate(nprog, layout, case.cache, policy=policy, seed=seed)
     failures = []
     if batch.accesses != scalar.accesses:
         failures.append(f"{case.name} [{policy}]: access tallies diverge")
@@ -280,13 +337,11 @@ def check_policy_bit_identity(
 # -- the two legs ---------------------------------------------------------------------
 
 
-def check_find(
-    case: Case, jobs: int = 1, backend: str = None, sim_backend: str = None
-) -> list[str]:
+def check_find(case: Case, jobs: int = 1) -> list[str]:
     """Diff ``find_misses`` against the simulator; returns failure messages."""
     nprog, layout = case.prepared()
-    analytic = find_misses(nprog, layout, case.cache, jobs=jobs, backend=backend)
-    ground = simulate(nprog, layout, case.cache, backend=sim_backend)
+    analytic = find_misses(nprog, layout, case.cache, jobs=jobs)
+    ground = simulate(nprog, layout, case.cache)
     failures = []
     if analytic.total_accesses != ground.total_accesses:
         failures.append(
@@ -316,7 +371,6 @@ def check_estimate(
     width: float = 0.10,
     seed: int = 0,
     jobs: int = 1,
-    backend: str = None,
 ) -> MissReport:
     """Diff ``estimate_misses`` against ``FindMisses`` (its exact target).
 
@@ -326,7 +380,7 @@ def check_estimate(
     exhaustively-analysed references must match ``FindMisses`` exactly.
     """
     nprog, layout = case.prepared()
-    exact = find_misses(nprog, layout, case.cache, jobs=jobs, backend=backend)
+    exact = find_misses(nprog, layout, case.cache, jobs=jobs)
     est = estimate_misses(
         nprog,
         layout,
@@ -335,7 +389,6 @@ def check_estimate(
         width=width,
         seed=seed,
         jobs=jobs,
-        backend=backend,
     )
     for ref in nprog.refs:
         e = est.result_for(ref)
@@ -360,18 +413,14 @@ def run_differential(
     confidence: float = 0.95,
     width: float = 0.10,
     seed: int = 0,
-    backend: str = None,
-    sim_backend: str = None,
 ) -> DifferentialSummary:
     """Run both legs over ``cases``; the caller asserts on the summary."""
     summary = DifferentialSummary()
     for case in cases:
         summary.cases += 1
-        summary.failures.extend(
-            check_find(case, jobs=jobs, backend=backend, sim_backend=sim_backend)
-        )
+        summary.failures.extend(check_find(case, jobs=jobs))
         check_estimate(
             case, summary, confidence=confidence, width=width, seed=seed,
-            jobs=jobs, backend=backend,
+            jobs=jobs,
         )
     return summary

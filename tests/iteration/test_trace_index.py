@@ -11,17 +11,14 @@ lexicographic point order.
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 
 from repro.iteration import Walker
+from repro.iteration.batch import TraceIndex
 from repro.polyhedra.batch import enumerate_points_array
 from repro.sim import collect_walker_trace
+from repro.sim.batch import TracePlan
 from tests.harness.differential import FAMILIES, generate_cases
-
-np = pytest.importorskip("numpy", reason="the trace index needs NumPy")
-
-from repro.iteration.batch import TraceIndex  # noqa: E402
-from repro.sim.batch import TracePlan  # noqa: E402
 
 
 def test_t_of_matches_walker_order_on_pool():

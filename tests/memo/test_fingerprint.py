@@ -6,13 +6,7 @@ import importlib.util
 import pytest
 
 from repro import CacheConfig, prepare
-from repro.cme import (
-    BACKENDS,
-    METHODS,
-    make_classifier,
-    numpy_available,
-    solver_for,
-)
+from repro.cme import METHODS, make_classifier, solver_for
 from repro.kernels import build_hydro
 from repro.memo.key import FINGERPRINT_MODULES
 
@@ -48,7 +42,6 @@ class TestFingerprint:
         """The replacement-window index is built by the simulator's trace
         builder, and EstimateMisses draws through ``BoundedSpace`` — both
         decide solver outcomes from outside the solver packages' imports."""
-        pytest.importorskip("numpy")
         from repro.iteration.batch import TraceIndex
         from repro.polyhedra.space import BoundedSpace
         from repro.sim.batch import TracePlan, trace_arrays
@@ -56,17 +49,17 @@ class TestFingerprint:
         for obj in (trace_arrays, TracePlan, TraceIndex, BoundedSpace):
             assert obj.__module__ in FINGERPRINT_MODULES, obj
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
     def test_every_classifier_backend_is_fingerprinted(self, backend):
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("NumPy not installed")
+        """The batch classifier and the scalar one it falls back to."""
         prepared = prepare(build_hydro(8, 8))
         cache = CacheConfig.kb(2, 32, assoc=2)
         classifier = make_classifier(
-            backend,
             prepared.nprog,
             prepared.layout,
             cache,
             prepared.reuse_table(cache.line_bytes),
         )
+        if backend == "scalar":
+            classifier = classifier.scalar
         assert type(classifier).__module__ in FINGERPRINT_MODULES

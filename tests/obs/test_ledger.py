@@ -1,6 +1,9 @@
 """The append-only run ledger: row building, keys, and damage tolerance."""
 
 import json
+import os
+
+import pytest
 
 from repro import CacheConfig, obs
 from repro.obs.ledger import (
@@ -142,3 +145,31 @@ class TestLedgerIO:
             rows for rows in groups.values() if rows[0]["label"] == "a"
         ]
         assert [r["wall_seconds"] for r in a_rows] == [1.0, 2.0]
+
+
+#: The committed baseline the CI perf job checks its smoke rows against.
+BASELINE = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "perf_baseline.jsonl"
+)
+
+#: The CI perf job's smoke commands.
+CI_SMOKE = {
+    "estimate": ["analyze", "hydro", "--size", "16", "--cache", "2:32:1"],
+    "regions": ["analyze", "hydro", "--size", "16", "--cache", "2:32:1",
+                "--method", "regions"],
+}
+
+
+class TestCommittedBaseline:
+    @pytest.mark.parametrize("method", sorted(CI_SMOKE))
+    def test_ci_smoke_rows_have_a_baseline(self, method, tmp_path, capsys):
+        """``perf check`` passes a row without baseline history as
+        ``no-baseline``: a smoke command whose key drifts from the
+        committed rows would silently switch the CI gate off."""
+        from repro.cli import main
+
+        current = str(tmp_path / "current.jsonl")
+        argv = CI_SMOKE[method] + ["--quiet", "--ledger-out", current]
+        assert main(argv) == 0
+        (row,) = read_ledger(current)
+        assert row_key(row) in by_key(read_ledger(BASELINE))

@@ -2,8 +2,8 @@
 
 The golden lists below enumerate every counter, gauge and histogram a
 fully exercised pipeline run produces — cold + warm memoized FindMisses
-(serial and ``jobs=2``), EstimateMisses, RegionMisses, and both simulator
-backends on one pinned workload.  The exporter treats names as opaque keys, so the
+(serial and ``jobs=2``), EstimateMisses, RegionMisses, and the simulator
+on one pinned workload.  The exporter treats names as opaque keys, so the
 *schema* never changes when metrics are added — but dashboards, the run
 ledger and the regression checker key on the names themselves.  Renaming
 or dropping one is a breaking change; this test makes it a deliberate one
@@ -52,16 +52,12 @@ GOLDEN_COUNTERS = {
     "reuse.vectors.temporal_self",
     "reuse.vectors.total",
     "sim.accesses",
+    "sim.backend.batch.accesses",
+    "sim.backend.batch.runs",
     "sim.evictions",
     "sim.hits",
     "sim.misses",
     "sim.policy.lru",
-}
-
-#: Only recorded when the vectorized simulator backend actually runs.
-GOLDEN_NUMPY_COUNTERS = {
-    "sim.backend.batch.accesses",
-    "sim.backend.batch.runs",
 }
 
 GOLDEN_GAUGES = {
@@ -80,7 +76,6 @@ GOLDEN_HISTOGRAMS = {
 @pytest.fixture(scope="module")
 def pipeline_snapshot(tmp_path_factory):
     """One fully exercised pipeline run's metrics snapshot."""
-    pytest.importorskip("numpy")
     store = str(tmp_path_factory.mktemp("memo"))
     obs.enable()
     obs.reset()
@@ -93,8 +88,7 @@ def pipeline_snapshot(tmp_path_factory):
             analyze(prepared, cache, method="find", memo=memo)
         analyze(prepared, cache, method="estimate", seed=0)
         analyze(prepared, cache, method="regions")
-        run_simulation(prepared, cache, backend="scalar")
-        run_simulation(prepared, cache, backend="numpy")
+        run_simulation(prepared, cache)
         return obs.snapshot()
     finally:
         obs.disable()
@@ -102,8 +96,7 @@ def pipeline_snapshot(tmp_path_factory):
 
 class TestMetricNameStability:
     def test_counter_names_exact(self, pipeline_snapshot):
-        expected = GOLDEN_COUNTERS | GOLDEN_NUMPY_COUNTERS
-        assert set(pipeline_snapshot["counters"]) == expected
+        assert set(pipeline_snapshot["counters"]) == GOLDEN_COUNTERS
 
     def test_gauge_names_exact(self, pipeline_snapshot):
         assert set(pipeline_snapshot["gauges"]) == GOLDEN_GAUGES

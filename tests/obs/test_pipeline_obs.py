@@ -12,6 +12,7 @@ import pytest
 from repro import CacheConfig, analyze, obs, prepare, run_simulation
 from repro.kernels import build_hydro
 from repro.obs.export import validate_snapshot
+from tests.harness.differential import scalar_simulate
 
 SOLVE_COUNTERS = [
     "cme.points.classified",
@@ -77,8 +78,10 @@ class TestSerialInstrumentation:
         assert hist["sum"] == report.total_accesses
 
     def test_simulation_counters(self, prepared, cache):
+        """The walker simulator (the oversize fallback) counts like the
+        batch one."""
         obs.enable()
-        report = run_simulation(prepared, cache, backend="scalar")
+        report = scalar_simulate(prepared.nprog, prepared.layout, cache)
         counters = obs.snapshot()["counters"]
         assert counters["sim.accesses"] == report.total_accesses
         assert counters["sim.misses"] == report.total_misses
@@ -89,16 +92,15 @@ class TestSerialInstrumentation:
         assert {s["name"] for s in obs.snapshot()["spans"]} >= {"sim/walk"}
 
     def test_batch_simulation_counters_match_scalar(self, prepared, cache):
-        pytest.importorskip("numpy")
         obs.enable()
-        run_simulation(prepared, cache, backend="scalar")
+        scalar_simulate(prepared.nprog, prepared.layout, cache)
         scalar = {
             k: v
             for k, v in obs.snapshot()["counters"].items()
             if k.startswith("sim.") and not k.startswith("sim.backend.")
         }
         obs.reset()
-        report = run_simulation(prepared, cache, backend="numpy")
+        report = run_simulation(prepared, cache)
         snap = obs.snapshot()
         batch = {
             k: v

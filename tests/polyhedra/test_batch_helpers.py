@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.ir import ProgramBuilder
 from repro.normalize import normalize
 
-np = pytest.importorskip("numpy")
-
-from repro.polyhedra.batch import contains_batch, enumerate_points_array  # noqa: E402
+from repro.polyhedra.batch import contains_batch, enumerate_points_array
 
 
 def _spaces():

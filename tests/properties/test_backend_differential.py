@@ -1,11 +1,11 @@
-"""Differential fuzz sweep for the NumPy classification backend (ISSUE 5).
+"""Differential fuzz sweep: the batch classifier against the scalar oracle.
 
 Over the same 210-case seeded pool as the memoization sweep (all harness
-families, all cache geometries), the vectorized backend must be
-**bit-identical** to the pure-Python one:
+families, all cache geometries), the vectorized solvers must be
+**bit-identical** to the pure-Python :class:`~repro.cme.PointClassifier`
+oracle (:func:`tests.harness.differential.scalar_results`):
 
-* ``FindMisses`` reports compare equal case-for-case (same tallies, same
-  per-reference results);
+* ``FindMisses`` per-reference results compare equal case-for-case;
 * ``EstimateMisses`` at a fixed sampling seed compares equal — the batch
   path must consume the identical sample the scalar path draws;
 * point-by-point, :meth:`BatchClassifier.classify_points` returns the same
@@ -16,13 +16,15 @@ families, all cache geometries), the vectorized backend must be
 
 from __future__ import annotations
 
-import pytest
-
-from repro.cme import estimate_misses, find_misses, make_classifier
+from repro.cme import (
+    PointClassifier,
+    estimate_misses,
+    find_misses,
+    make_classifier,
+    solver_for,
+)
 from repro.reuse import build_reuse_table
-from tests.harness.differential import FAMILIES, generate_cases
-
-pytest.importorskip("numpy", reason="the batch backend needs NumPy")
+from tests.harness.differential import FAMILIES, generate_cases, scalar_results
 
 #: 30 cases per family — 210 total, same pool size as the memo sweep.
 CASE_COUNT = 30 * len(FAMILIES)
@@ -41,9 +43,9 @@ def test_find_reports_bit_identical():
     failures = []
     for case in all_cases():
         nprog, layout = case.prepared()
-        scalar = find_misses(nprog, layout, case.cache, backend="scalar")
-        batch = find_misses(nprog, layout, case.cache, backend="numpy")
-        if batch != scalar:
+        scalar = scalar_results(solver_for("find"), nprog, layout, case.cache)
+        batch = find_misses(nprog, layout, case.cache)
+        if batch.results != scalar:
             failures.append(f"{case.name}: numpy FindMisses != scalar")
     assert not failures, "\n".join(failures[:20])
 
@@ -54,13 +56,10 @@ def test_estimate_reports_bit_identical_at_fixed_seed():
     # every family (210 / 3 = 70 cases, family stride 7 is coprime to 3).
     for case in all_cases()[::3]:
         nprog, layout = case.prepared()
-        scalar = estimate_misses(
-            nprog, layout, case.cache, seed=20260806, backend="scalar"
-        )
-        batch = estimate_misses(
-            nprog, layout, case.cache, seed=20260806, backend="numpy"
-        )
-        if batch != scalar:
+        solver = solver_for("estimate", seed=20260806)
+        scalar = scalar_results(solver, nprog, layout, case.cache)
+        batch = estimate_misses(nprog, layout, case.cache, seed=20260806)
+        if batch.results != scalar:
             failures.append(f"{case.name}: numpy EstimateMisses != scalar")
     assert not failures, "\n".join(failures)
 
@@ -73,9 +72,8 @@ def test_classifications_agree_point_by_point():
     for case in all_cases()[: len(FAMILIES)]:
         nprog, layout = case.prepared()
         reuse = build_reuse_table(nprog, case.cache.line_bytes)
-        batch = make_classifier("numpy", nprog, layout, case.cache, reuse)
-        scalar = make_classifier("scalar", nprog, layout, case.cache, reuse)
-        assert batch.backend_name == "numpy"
+        batch = make_classifier(nprog, layout, case.cache, reuse)
+        scalar = PointClassifier(nprog, layout, case.cache, reuse)
         for ref in nprog.refs:
             points = list(nprog.ris(ref.leaf).enumerate_points())
             got = batch.classify_points(ref, points)
@@ -83,7 +81,7 @@ def test_classifications_agree_point_by_point():
             for point, g, w in zip(points, got, want):
                 assert g == w, (
                     f"{case.name}: {ref.name()}@{point} classified {g} "
-                    f"by the batch backend, {w} by the scalar backend"
+                    f"by the batch classifier, {w} by the scalar oracle"
                 )
         assert batch.drain_vector_trials() == scalar.drain_vector_trials()
         vectorized, fallback = batch.drain_backend_counts()

@@ -84,7 +84,7 @@ def test_validate_request_roundtrips_doc():
         {"kernel": "hydro", "cache": "4:32:2", "confidence": 1.5},
         {"kernel": "hydro", "cache": "4:32:2", "width": 0.0},
         {"kernel": "hydro", "cache": "4:32:2", "seed": "x"},
-        {"kernel": "hydro", "cache": "4:32:2", "backend": "cuda"},
+        {"kernel": "hydro", "cache": "4:32:2", "client": 7},
         {"kernel": "hydro", "cache": "4:32:2", "timeout": -1},
         {"kernel": "hydro", "cache": "4:32:2", "timeout": True},
     ],

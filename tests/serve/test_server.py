@@ -62,6 +62,17 @@ def test_analyze_bit_identical_to_offline(client):
     assert resp["report"] == report_doc(offline)
 
 
+def test_v1_document_with_backend_field_answers_identically(client):
+    """Older v1 clients may still send ``backend``; like any unknown
+    field it is ignored, and the report is byte-identical."""
+    doc = {"kernel": "hydro", "size": 16, "cache": "4:32:2", "method": "find"}
+    plain = json.dumps(client.analyze(doc)["report"], sort_keys=True)
+    for backend in ("scalar", "numpy"):
+        resp = client.analyze({**doc, "backend": backend})
+        assert resp["status"] == "ok" and resp["schema"] == SERVE_SCHEMA
+        assert json.dumps(resp["report"], sort_keys=True) == plain
+
+
 def test_repeat_request_hits_shared_memo(client):
     doc = {"kernel": "mmt", "size": 12, "cache": "2:32:1", "method": "find"}
     cold = client.analyze(doc)

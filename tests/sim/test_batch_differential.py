@@ -1,17 +1,17 @@
-"""Trace-level differential sweep: vectorized vs scalar simulator (ISSUE 6).
+"""Trace-level differential sweep: vectorized simulator vs walker oracle.
 
-Over the same 210-case seeded pool as the classification-backend sweep
-(all harness families, all cache geometries), the stack-distance kernel
-must be **bit-identical** to :class:`~repro.sim.cache.SetAssocLRUCache`:
+Over the same 210-case seeded pool as the classifier sweep (all harness
+families, all cache geometries), the stack-distance kernel must be
+**bit-identical** to :class:`~repro.sim.cache.SetAssocLRUCache`:
 
-* ``simulate(backend="numpy")`` reports the same per-reference
-  ``accesses`` and ``misses`` dicts as ``simulate(backend="scalar")``,
-  case for case;
+* ``simulate`` reports the same per-reference ``accesses`` and
+  ``misses`` dicts as the walker oracle
+  (:func:`tests.harness.differential.scalar_simulate`), case for case;
 * the batch trace builder reproduces the walker's access stream pair for
   pair, and its binary-file round trip equals :func:`naive_trace` — the
   independent per-leaf-enumeration oracle;
-* replaying an exported trace file (:func:`simulate_trace`) matches the
-  in-memory simulation on both backends.
+* replaying an exported trace file (:func:`simulate_trace`, or the
+  scalar replay oracle) matches the in-memory simulation.
 
 This module pins the default (LRU) engine; the same 210-case pool is
 re-run once per replacement policy — FIFO, tree-PLRU and seeded-random
@@ -33,11 +33,14 @@ from repro.sim import (
     simulate_trace,
     write_trace,
 )
-from tests.harness.differential import FAMILIES, generate_cases
+from tests.harness.differential import (
+    FAMILIES,
+    generate_cases,
+    scalar_simulate,
+    scalar_trace,
+)
 
-pytest.importorskip("numpy", reason="the batch simulator needs NumPy")
-
-#: 30 cases per family — 210 total, same pool as the backend sweep.
+#: 30 cases per family — 210 total, same pool as the classifier sweep.
 CASE_COUNT = 30 * len(FAMILIES)
 
 _cases = None
@@ -54,8 +57,8 @@ def test_sim_reports_bit_identical():
     failures = []
     for case in all_cases():
         nprog, layout = case.prepared()
-        scalar = simulate(nprog, layout, case.cache, backend="scalar")
-        batch = simulate(nprog, layout, case.cache, backend="numpy")
+        scalar = scalar_simulate(nprog, layout, case.cache)
+        batch = simulate(nprog, layout, case.cache)
         if batch.accesses != scalar.accesses:
             failures.append(f"{case.name}: access tallies diverge")
         if batch.misses != scalar.misses:
@@ -90,15 +93,17 @@ def test_exported_trace_round_trips_to_naive_trace(tmp_path):
         ], f"{case.name}: exported trace != naive_trace"
 
 
-@pytest.mark.parametrize("backend", ["scalar", "numpy"])
-def test_trace_file_replay_matches_simulation(tmp_path, backend):
+@pytest.mark.parametrize("path", ["scalar", "numpy"])
+def test_trace_file_replay_matches_simulation(tmp_path, path):
     for k, case in enumerate(all_cases()[7 :: len(FAMILIES) * 5]):
         nprog, layout = case.prepared()
-        path = tmp_path / f"case{k}.trace"
-        write_trace(path, collect_walker_trace(Walker(nprog, layout)))
-        replayed = simulate_trace(
-            path, case.cache, refs=nprog.refs, backend=backend
-        )
-        direct = simulate(nprog, layout, case.cache, backend=backend)
+        trace = tmp_path / f"case{k}.trace"
+        write_trace(trace, collect_walker_trace(Walker(nprog, layout)))
+        if path == "scalar":
+            replayed = scalar_trace(read_trace(trace), case.cache, nprog.refs)
+            direct = scalar_simulate(nprog, layout, case.cache)
+        else:
+            replayed = simulate_trace(trace, case.cache, refs=nprog.refs)
+            direct = simulate(nprog, layout, case.cache)
         assert replayed.accesses == direct.accesses, case.name
         assert replayed.misses == direct.misses, case.name

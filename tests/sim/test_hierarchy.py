@@ -2,8 +2,8 @@
 
 The hierarchy model is deliberately thin: the L2 *is* the single-level
 simulator replaying the L1 miss stream, so the properties to pin are the
-stream plumbing (the L2 sees exactly the L1 misses, in order), backend
-bit-identity level by level, and the ``RPCT`` persistence of the miss
+stream plumbing (the L2 sees exactly the L1 misses, in order),
+bit-identity with the walker oracle level by level, and the ``RPCT`` persistence of the miss
 stream.
 """
 
@@ -20,6 +20,7 @@ from repro.sim import (
     simulate_hierarchy,
     simulate_trace,
 )
+from tests.harness.differential import scalar_hierarchy
 
 L1 = CacheConfig.kb(1, 32, 2)
 L2 = CacheConfig.kb(8, 32, 4)
@@ -32,61 +33,57 @@ def hydro():
 
 
 class TestHierarchy:
+    """``"scalar"`` runs the walker-driven hierarchy oracle, ``"numpy"``
+    :func:`~repro.sim.simulate_hierarchy`."""
+
+    @staticmethod
+    def _hierarchy(path):
+        return scalar_hierarchy if path == "scalar" else simulate_hierarchy
+
     def test_backends_bit_identical_per_level(self, hydro):
-        pytest.importorskip("numpy")
         nprog, layout = hydro
         for policy, l2_policy in (("lru", "lru"), ("fifo", "plru")):
-            scalar = simulate_hierarchy(
-                nprog, layout, L1, L2, backend="scalar",
-                policy=policy, l2_policy=l2_policy,
+            scalar = scalar_hierarchy(
+                nprog, layout, L1, L2, policy=policy, l2_policy=l2_policy
             )
             batch = simulate_hierarchy(
-                nprog, layout, L1, L2, backend="numpy",
-                policy=policy, l2_policy=l2_policy,
+                nprog, layout, L1, L2, policy=policy, l2_policy=l2_policy
             )
             assert scalar.l1.misses == batch.l1.misses
             assert scalar.l2.accesses == batch.l2.accesses
             assert scalar.l2.misses == batch.l2.misses
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_l2_sees_exactly_the_l1_misses(self, hydro, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_l2_sees_exactly_the_l1_misses(self, hydro, path):
         nprog, layout = hydro
-        report = simulate_hierarchy(nprog, layout, L1, L2, backend=backend)
+        report = self._hierarchy(path)(nprog, layout, L1, L2)
         assert report.l2.accesses == report.l1.misses
-        assert report.l1.accesses == simulate(
-            nprog, layout, L1, backend=backend
-        ).accesses
+        assert report.l1.accesses == simulate(nprog, layout, L1).accesses
 
     def test_l1_level_matches_single_level_simulation(self, hydro):
         nprog, layout = hydro
-        report = simulate_hierarchy(nprog, layout, L1, L2, backend="scalar")
-        single = simulate(nprog, layout, L1, backend="scalar")
+        report = simulate_hierarchy(nprog, layout, L1, L2)
+        single = simulate(nprog, layout, L1)
         assert report.l1.misses == single.misses
         assert report.l1.accesses == single.accesses
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_miss_stream_persists_as_rpct_trace(self, hydro, backend, tmp_path):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_miss_stream_persists_as_rpct_trace(self, hydro, path, tmp_path):
         nprog, layout = hydro
-        path = tmp_path / f"l1-misses-{backend}.trace"
-        report = simulate_hierarchy(
-            nprog, layout, L1, L2, backend=backend, miss_trace_path=path
+        trace = tmp_path / f"l1-misses-{path}.trace"
+        report = self._hierarchy(path)(
+            nprog, layout, L1, L2, miss_trace_path=trace
         )
-        pairs = read_trace(path)
+        pairs = read_trace(trace)
         assert len(pairs) == report.l1.total_misses
         # Replaying the persisted stream reproduces the L2 level exactly.
-        replayed = simulate_trace(
-            path, L2, refs=nprog.refs, backend=backend
-        )
+        replayed = simulate_trace(trace, L2, refs=nprog.refs)
         assert replayed.misses == report.l2.misses
         assert replayed.accesses == report.l2.accesses
 
     def test_ratio_arithmetic(self, hydro):
         nprog, layout = hydro
-        report = simulate_hierarchy(nprog, layout, L1, L2, backend="scalar")
+        report = simulate_hierarchy(nprog, layout, L1, L2)
         total = report.total_accesses
         assert total == report.l1.total_accesses
         assert report.global_miss_ratio_percent == pytest.approx(
@@ -100,7 +97,7 @@ class TestHierarchy:
     def test_l2_policy_defaults_to_l1_policy(self, hydro):
         nprog, layout = hydro
         report = simulate_hierarchy(
-            nprog, layout, L1, L2, backend="scalar", policy="fifo"
+            nprog, layout, L1, L2, policy="fifo"
         )
         assert report.l1.policy == "fifo"
         assert report.l2.policy == "fifo"

@@ -23,6 +23,7 @@ from repro.sim.policy import (
     mix_victim,
     resolve_policy,
 )
+from tests.harness.differential import scalar_trace
 
 
 def _stream(seed: int, pages: int = 24, length: int = 600) -> list[int]:
@@ -131,17 +132,10 @@ class TestRandomDeterminism:
     CACHE = CacheConfig(32 * 4 * 4, 32, 4)  # 4 sets, 4-way
 
     def test_fixed_seed_reproduces_across_backends_and_runs(self):
-        import importlib.util
-
-        backends = ["scalar", "scalar"]
-        if importlib.util.find_spec("numpy") is not None:
-            backends.insert(1, "numpy")
         pairs = _pairs(_stream(21))
         reports = [
-            simulate_trace(
-                pairs, self.CACHE, backend=backend, policy="random", seed=4
-            )
-            for backend in backends
+            replay(pairs, self.CACHE, policy="random", seed=4)
+            for replay in (scalar_trace, simulate_trace, scalar_trace)
         ]
         for report in reports[1:]:
             assert report.misses == reports[0].misses
@@ -188,33 +182,27 @@ class TestFullyAssociativeFastPath:
         # A one-set cache *is* a k=lines set-associative cache; the
         # scalar walker never takes the fast path, so it is the
         # independent reference for the vectorized one.
-        pytest.importorskip("numpy")
         lines = 8
         cache = CacheConfig(32 * lines, 32, lines)
         assert cache.num_sets == 1
         pairs = _pairs(_stream(31, pages=20))
-        fast = simulate_trace(
-            pairs, cache, backend="numpy", policy=policy, seed=2
-        )
-        reference = simulate_trace(
-            pairs, cache, backend="scalar", policy=policy, seed=2
-        )
+        fast = simulate_trace(pairs, cache, policy=policy, seed=2)
+        reference = scalar_trace(pairs, cache, policy=policy, seed=2)
         assert fast.accesses == reference.accesses
         assert fast.misses == reference.misses
 
     def test_fast_path_counter_increments(self):
-        pytest.importorskip("numpy")
         fa = CacheConfig(32 * 8, 32, 8)
         split = CacheConfig(32 * 8 * 4, 32, 8)
         pairs = _pairs(_stream(33))
         obs.enable()
         obs.reset()
         try:
-            simulate_trace(pairs, fa, backend="numpy", policy="fifo")
+            simulate_trace(pairs, fa, policy="fifo")
             counters = obs.snapshot()["counters"]
             assert counters["sim.policy.fa_fastpath"] == 1
             assert counters["sim.policy.fifo"] == 1
-            simulate_trace(pairs, split, backend="numpy", policy="fifo")
+            simulate_trace(pairs, split, policy="fifo")
             assert obs.snapshot()["counters"]["sim.policy.fa_fastpath"] == 1
         finally:
             obs.disable()
@@ -228,7 +216,7 @@ class TestPolicyCounters:
         obs.enable()
         obs.reset()
         try:
-            simulate_trace(pairs, cache, backend="scalar", policy=policy)
+            simulate_trace(pairs, cache, policy=policy)
             counters = obs.snapshot()["counters"]
             assert counters["sim.policy." + policy] == 1
             # Trace replays report the aggregate sim.* tallies too.

@@ -3,7 +3,8 @@
 The cache-model zoo is only trustworthy inside the same harness that
 validates the LRU kernel, so this module runs the full 210-case seeded
 program/geometry pool once per registered replacement policy and asserts
-scalar-vs-vectorized **bit-identity** of the per-reference tallies.  For
+**bit-identity** of the per-reference tallies between the vectorized
+simulator and the walker oracle.  For
 LRU that checks the closed-form stack-distance kernel; for FIFO, PLRU
 and random it checks that run compression and set decomposition are
 semantics-preserving around the run-head replay.
@@ -31,9 +32,9 @@ from tests.harness.differential import (
     FAMILIES,
     check_policy_bit_identity,
     generate_cases,
+    scalar_simulate,
+    scalar_trace,
 )
-
-pytest.importorskip("numpy", reason="the vectorized engine needs NumPy")
 
 #: 30 cases per family — 210 total, the same pool as every other sweep.
 CASE_COUNT = 30 * len(FAMILIES)
@@ -60,8 +61,8 @@ def test_policy_bit_identity_over_case_pool(policy):
     assert not failures, "\n".join(failures[:20])
 
 
-@pytest.mark.parametrize("backend", ["scalar", "numpy"])
-def test_lru_inclusion_property(backend):
+@pytest.mark.parametrize("path", ["scalar", "numpy"])
+def test_lru_inclusion_property(path):
     """LRU misses never increase with associativity at a fixed set count."""
     num_sets, line = 16, 32
     failures = []
@@ -70,9 +71,8 @@ def test_lru_inclusion_property(backend):
         for assoc in (1, 2, 4, 8):
             cache = CacheConfig(line * num_sets * assoc, line, assoc)
             assert cache.num_sets == num_sets
-            misses = simulate(
-                nprog, layout, cache, backend=backend, policy="lru"
-            ).total_misses
+            run = scalar_simulate if path == "scalar" else simulate
+            misses = run(nprog, layout, cache, policy="lru").total_misses
             if previous is not None and misses > previous:
                 failures.append(
                     f"{case.name}: {assoc}-way missed {misses} > "
@@ -86,36 +86,38 @@ def test_lru_inclusion_property(backend):
 _BELADY_PAGES = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
 
 
-def _belady_fifo_misses(frames: int, backend: str) -> int:
+def _replay(path: str):
+    """The scalar replay oracle, or :func:`simulate_trace`."""
+    return scalar_trace if path == "scalar" else simulate_trace
+
+
+def _belady_fifo_misses(frames: int, path: str) -> int:
     line = 32
     cache = CacheConfig(line * frames, line, frames)  # fully associative
     assert cache.num_sets == 1
     pairs = [(0, page * line) for page in _BELADY_PAGES]
-    report = simulate_trace(pairs, cache, backend=backend, policy="fifo")
+    report = _replay(path)(pairs, cache, policy="fifo")
     return report.total_misses
 
 
-@pytest.mark.parametrize("backend", ["scalar", "numpy"])
-def test_fifo_belady_anomaly_pinned(backend):
+@pytest.mark.parametrize("path", ["scalar", "numpy"])
+def test_fifo_belady_anomaly_pinned(path):
     """The classic counterexample: 4 FIFO frames miss more than 3."""
-    three = _belady_fifo_misses(3, backend)
-    four = _belady_fifo_misses(4, backend)
+    three = _belady_fifo_misses(3, path)
+    four = _belady_fifo_misses(4, path)
     assert three == 9
     assert four == 10
     assert four > three  # the anomaly itself
 
 
-@pytest.mark.parametrize("backend", ["scalar", "numpy"])
-def test_lru_has_no_anomaly_on_belady_string(backend):
+@pytest.mark.parametrize("path", ["scalar", "numpy"])
+def test_lru_has_no_anomaly_on_belady_string(path):
     """The same string under LRU obeys inclusion (10 then 8 misses)."""
     line = 32
     pairs = [(0, page * line) for page in _BELADY_PAGES]
     misses = [
-        simulate_trace(
-            pairs,
-            CacheConfig(line * frames, line, frames),
-            backend=backend,
-            policy="lru",
+        _replay(path)(
+            pairs, CacheConfig(line * frames, line, frames), policy="lru"
         ).total_misses
         for frames in (3, 4)
     ]

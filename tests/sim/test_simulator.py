@@ -7,6 +7,11 @@ from repro.layout import CacheConfig, MemoryLayout, layout_for_refs
 from repro.normalize import normalize
 from repro.sim import SetAssocLRUCache, simulate
 from repro.iteration import Walker
+from tests.harness.differential import (
+    force_walker_fallback,
+    scalar_simulate,
+    scalar_trace,
+)
 
 
 def analyse_ready(pb):
@@ -188,7 +193,11 @@ class TestSimulateKnownCounts:
 
 
 class TestBackendSelection:
-    """The simulator's resolve/degrade backend contract (ISSUE 6)."""
+    """The batch simulator, its walker fallback and the scalar oracles.
+
+    ``path`` parametrises the public entry points: ``"numpy"`` runs the
+    set kernels, ``"scalar"`` forces the walker fallback (and replays
+    explicit traces through the scalar oracle)."""
 
     def _scan(self):
         pb = ProgramBuilder("P")
@@ -199,59 +208,38 @@ class TestBackendSelection:
                     pb.assign(a[i])
         return analyse_ready(pb)
 
-    def test_unknown_backend_rejected(self):
-        from repro.errors import ReproError
-
-        nprog, layout = self._scan()
-        with pytest.raises(ReproError, match="unknown"):
-            simulate(nprog, layout, CacheConfig.kb(1, 32, 1), backend="torch")
-
     def test_backends_agree_and_auto_resolves(self):
         nprog, layout = self._scan()
         cache = CacheConfig.kb(1, 32, 2)
-        scalar = simulate(nprog, layout, cache, backend="scalar")
-        auto = simulate(nprog, layout, cache)
-        explicit = simulate(nprog, layout, cache, backend="numpy")
-        assert scalar.accesses == auto.accesses == explicit.accesses
-        assert scalar.misses == auto.misses == explicit.misses
-
-    def test_numpy_request_degrades_without_numpy(self, monkeypatch):
-        import repro.cme.backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-        nprog, layout = self._scan()
-        report = simulate(
-            nprog, layout, CacheConfig.kb(1, 32, 2), backend="numpy"
-        )
-        assert report.total_accesses == 128  # scalar walker ran
+        scalar = scalar_simulate(nprog, layout, cache)
+        batch = simulate(nprog, layout, cache)
+        assert scalar.accesses == batch.accesses
+        assert scalar.misses == batch.misses
 
     def test_oversized_trace_falls_back_to_scalar(self, monkeypatch):
-        pytest.importorskip("numpy")
         import repro.sim.batch as batch_mod
 
         monkeypatch.setattr(batch_mod, "MAX_TRACE_ACCESSES", 10)
         nprog, layout = self._scan()
-        report = simulate(
-            nprog, layout, CacheConfig.kb(1, 32, 2), backend="numpy"
-        )
+        report = simulate(nprog, layout, CacheConfig.kb(1, 32, 2))
         assert report.total_accesses == 128
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_sweep_matches_per_cache_simulate(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_sweep_matches_per_cache_simulate(self, path, monkeypatch):
         from repro.sim import simulate_sweep
 
+        if path == "scalar":
+            force_walker_fallback(monkeypatch)
         nprog, layout = self._scan()
         caches = [
             CacheConfig.kb(1, 32, 1),
             CacheConfig.kb(1, 32, 2),
             CacheConfig.kb(1, 16, 4),  # different line size in one sweep
         ]
-        reports = simulate_sweep(nprog, layout, caches, backend=backend)
+        reports = simulate_sweep(nprog, layout, caches)
         assert [r.cache for r in reports] == caches
         for cache, swept in zip(caches, reports):
-            direct = simulate(nprog, layout, cache, backend=backend)
+            direct = simulate(nprog, layout, cache)
             assert swept.accesses == direct.accesses
             assert swept.misses == direct.misses
 
@@ -263,7 +251,10 @@ class TestBackendSelection:
 
 
 class TestSimulateTrace:
-    """Replaying explicit traces, and the uid-mismatch invariant."""
+    """Replaying explicit traces, and the uid-mismatch invariant.
+
+    ``"scalar"`` replays through the scalar oracle, ``"numpy"`` through
+    :func:`~repro.sim.simulate_trace`."""
 
     def _prog(self):
         pb = ProgramBuilder("P")
@@ -273,46 +264,76 @@ class TestSimulateTrace:
                 pb.assign(a[i])
         return analyse_ready(pb)
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_unknown_uid_raises_invariant_error(self, backend):
+    @staticmethod
+    def _replay(path):
+        from repro.sim import simulate_trace
+
+        return scalar_trace if path == "scalar" else simulate_trace
+
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_unknown_uid_raises_invariant_error(self, path):
         """Regression: unknown trace uids used to be silently dropped from
         the tallies, skewing every aggregate ratio."""
         from repro.errors import InvariantError
-        from repro.sim import simulate_trace
 
-        if backend == "numpy":
-            pytest.importorskip("numpy")
         nprog, _ = self._prog()
         trace = [(0, 0), (7, 64)]  # uid 7 does not exist in the program
         with pytest.raises(InvariantError, match="uid 7"):
-            simulate_trace(
-                trace, CacheConfig.kb(1, 32, 1), refs=nprog.refs, backend=backend
-            )
+            self._replay(path)(trace, CacheConfig.kb(1, 32, 1), refs=nprog.refs)
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_refs_prefill_zero_tallies(self, backend):
-        from repro.sim import simulate_trace
-
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_refs_prefill_zero_tallies(self, path):
         nprog, _ = self._prog()
-        report = simulate_trace(
-            [], CacheConfig.kb(1, 32, 1), refs=nprog.refs, backend=backend
-        )
+        report = self._replay(path)([], CacheConfig.kb(1, 32, 1), refs=nprog.refs)
         assert report.accesses == {r.uid: 0 for r in nprog.refs}
         assert report.misses == {r.uid: 0 for r in nprog.refs}
         assert report.miss_ratio == 0.0
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_without_refs_tallies_by_trace_uid(self, backend):
-        from repro.sim import simulate_trace
-
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_without_refs_tallies_by_trace_uid(self, path):
         trace = [(3, 0), (3, 0), (9, 32)]
-        report = simulate_trace(trace, CacheConfig.kb(1, 32, 1), backend=backend)
+        report = self._replay(path)(trace, CacheConfig.kb(1, 32, 1))
         assert report.accesses == {3: 2, 9: 1}
         assert report.misses == {3: 1, 9: 1}
+
+    @pytest.mark.parametrize("line_bytes", [32, 24])
+    def test_addresses_near_2_64_agree_on_every_path(self, tmp_path, line_bytes):
+        """Regression: in-memory pairs were decoded as int64, so a valid u64
+        address past 2**63 raised a raw OverflowError.  Pairs, the trace
+        file and the scalar oracle now give one report."""
+        from repro.sim import simulate_trace, write_trace
+
+        top = 2**64 - 1
+        pairs = [
+            (0, top - 7), (1, 2**63), (0, top - 7 - 4096), (2, 0),
+            (1, 2**63 + 32), (0, top - 7), (2, 2**63 - 1), (1, 2**63),
+        ]
+        path = tmp_path / "high.trace"
+        write_trace(path, pairs)
+        for cache in (
+            CacheConfig(32 * line_bytes, line_bytes, 1),
+            CacheConfig(96 * line_bytes, line_bytes, 2),  # 48 sets
+        ):
+            want = scalar_trace(pairs, cache)
+            for got in (simulate_trace(pairs, cache), simulate_trace(path, cache)):
+                assert got.accesses == want.accesses
+                assert got.misses == want.misses
+
+    @pytest.mark.parametrize(
+        "pair, field",
+        [
+            ((0, -1), "address"),
+            ((0, 2**64), "address"),
+            ((2**32, 0), "ref uid"),
+            ((-1, 0), "ref uid"),
+        ],
+    )
+    def test_pairs_outside_the_record_widths_raise(self, pair, field):
+        from repro.errors import TraceFormatError
+        from repro.sim import simulate_trace
+
+        with pytest.raises(TraceFormatError, match=field):
+            simulate_trace([(0, 0), pair], CacheConfig.kb(1, 32, 1))
 
 
 class TestSweepValidation:
@@ -330,22 +351,22 @@ class TestSweepValidation:
                     pb.assign(a[i])
         return analyse_ready(pb)
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_assoc_sweep_dedupes_and_sorts(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_assoc_sweep_dedupes_and_sorts(self, path, monkeypatch):
         from repro.sim import simulate_sweep
 
+        if path == "scalar":
+            force_walker_fallback(monkeypatch)
         nprog, layout = self._scan()
         base = CacheConfig.kb(2, 32, 4)
         reports = simulate_sweep(
-            nprog, layout, base, backend=backend, assocs=[4, 1, 2, 2, 1, 4]
+            nprog, layout, base, assocs=[4, 1, 2, 2, 1, 4]
         )
         assert [r.cache.assoc for r in reports] == [1, 2, 4]
         for report in reports:
             assert report.cache.size_bytes == base.size_bytes
             assert report.cache.line_bytes == base.line_bytes
-            direct = simulate(nprog, layout, report.cache, backend=backend)
+            direct = simulate(nprog, layout, report.cache)
             assert report.accesses == direct.accesses
             assert report.misses == direct.misses
 
@@ -382,18 +403,16 @@ class TestSweepValidation:
                 assocs=[1, 2],
             )
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_duplicate_caches_simulated_once(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_duplicate_caches_simulated_once(self, path, monkeypatch):
         from repro.sim import simulate_sweep
 
+        if path == "scalar":
+            force_walker_fallback(monkeypatch)
         nprog, layout = self._scan()
         c1 = CacheConfig.kb(1, 32, 2)
         c2 = CacheConfig.kb(1, 32, 1)
-        reports = simulate_sweep(
-            nprog, layout, [c1, c2, c1], backend=backend
-        )
+        reports = simulate_sweep(nprog, layout, [c1, c2, c1])
         assert [r.cache for r in reports] == [c1, c2]
 
     def test_single_base_config_without_assocs_is_one_report(self):
@@ -401,27 +420,24 @@ class TestSweepValidation:
 
         nprog, layout = self._scan()
         cache = CacheConfig.kb(1, 32, 2)
-        (report,) = simulate_sweep(nprog, layout, cache, backend="scalar")
+        (report,) = simulate_sweep(nprog, layout, cache)
         assert report.cache == cache
 
-    @pytest.mark.parametrize("backend", ["scalar", "numpy"])
-    def test_sweep_carries_the_policy(self, backend):
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+    @pytest.mark.parametrize("path", ["scalar", "numpy"])
+    def test_sweep_carries_the_policy(self, path, monkeypatch):
         from repro.sim import simulate_sweep
 
+        if path == "scalar":
+            force_walker_fallback(monkeypatch)
         nprog, layout = self._scan()
         reports = simulate_sweep(
             nprog,
             layout,
             CacheConfig.kb(1, 32, 4),
-            backend=backend,
             policy="fifo",
             assocs=[1, 2, 4],
         )
         assert {r.policy for r in reports} == {"fifo"}
         for report in reports:
-            direct = simulate(
-                nprog, layout, report.cache, backend=backend, policy="fifo"
-            )
+            direct = simulate(nprog, layout, report.cache, policy="fifo")
             assert report.misses == direct.misses

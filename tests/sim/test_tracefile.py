@@ -12,10 +12,10 @@ from __future__ import annotations
 import random
 import struct
 
+import numpy as np
 import pytest
 
-from repro.errors import MissingDependencyError, TraceFormatError
-from repro.sim import tracefile
+from repro.errors import TraceFormatError
 from repro.sim.tracefile import (
     HEADER,
     KIND_REF_ADDRESS,
@@ -23,6 +23,7 @@ from repro.sim.tracefile import (
     RECORD,
     VERSION,
     import_address_trace,
+    pairs_to_arrays,
     read_trace,
     read_trace_arrays,
     write_trace,
@@ -58,27 +59,27 @@ def test_round_trip_boundary_values(tmp_path):
 
 
 def test_round_trip_arrays_matches_pure_python(tmp_path):
-    numpy = pytest.importorskip("numpy")
     rng = random.Random(SEED)
     pairs = random_stream(rng, 257)
     path = tmp_path / "t.trace"
     write_trace(path, pairs)
     uids, addrs = read_trace_arrays(path)
-    assert uids.dtype == numpy.uint32 and addrs.dtype == numpy.uint64
+    assert uids.dtype == np.uint32 and addrs.dtype == np.uint64
     assert list(zip(uids.tolist(), addrs.tolist())) == pairs
     # Writable copies, not views of the file buffer.
     uids[0] = 1
     addrs[0] = 1
 
 
-def test_read_trace_arrays_without_numpy_raises(tmp_path, monkeypatch):
+def test_pairs_decode_like_the_file(tmp_path):
+    """In-memory pairs decode to the dtypes and values of the file path."""
+    rng = random.Random(SEED)
+    pairs = random_stream(rng, 257) + [(0, 2**64 - 1), (2**32 - 1, 2**63)]
     path = tmp_path / "t.trace"
-    write_trace(path, [(0, 0)])
-    monkeypatch.setattr(
-        tracefile._importlib_util, "find_spec", lambda name: None
-    )
-    with pytest.raises(MissingDependencyError):
-        read_trace_arrays(path)
+    write_trace(path, pairs)
+    for got, want in zip(pairs_to_arrays(pairs), read_trace_arrays(path)):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
 
 
 # -- malformed inputs -----------------------------------------------------------------
@@ -201,6 +202,6 @@ def test_imported_trace_flows_into_the_simulator(tmp_path):
     pairs = import_address_trace(raw)
     out = tmp_path / "ext.trace"
     write_trace(out, pairs)
-    report = simulate_trace(out, CacheConfig.kb(1, 32, 2), backend="scalar")
+    report = simulate_trace(out, CacheConfig.kb(1, 32, 2))
     assert report.total_accesses == len(addresses)
     assert 0 < report.total_misses <= len(addresses)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.stats import (
@@ -192,7 +193,6 @@ class TestMatchesScipy:
         return volumes
 
     def test_sample_sizes_equal_scipy(self):
-        np = pytest.importorskip("numpy")
         norm = pytest.importorskip("scipy.stats").norm
         populations = np.arange(1, 200_001, dtype=np.float64)
         volumes = self._ris_volumes()

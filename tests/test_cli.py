@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.cme import METHODS
 from repro.obs.export import validate_snapshot
 from tests.fixtures import UNKNOWN_METHODS
+from tests.harness.differential import scalar_simulate, scalar_trace
 
 
 @pytest.fixture(autouse=True)
@@ -306,14 +307,21 @@ class TestMemProfileFlag:
 
 class TestSimBackendFlag:
     def test_sim_backends_print_identical_results(self, capsys):
+        """``simulate`` prints the walker oracle's tallies."""
+        from repro import CacheConfig, prepare
+        from repro.serve.engine import load_kernel
+
         argv = ["simulate", "hydro", "--size", "16", "--cache", "2:32:2"]
-        assert main(argv + ["--sim-backend", "scalar"]) == 0
-        scalar = capsys.readouterr().out
-        assert main(argv + ["--sim-backend", "numpy"]) == 0
-        numpy_out = capsys.readouterr().out
-        assert "miss ratio" in scalar
-        # Identical up to the timing figure at the end of the line.
-        assert scalar.split("accesses")[0] == numpy_out.split("accesses")[0]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        prepared = prepare(load_kernel("hydro", 16))
+        want = scalar_simulate(
+            prepared.nprog, prepared.layout, CacheConfig.kb(2, 32, 2)
+        )
+        assert (
+            f"miss ratio {want.miss_ratio_percent:.2f}% "
+            f"({want.total_misses} of {want.total_accesses} accesses"
+        ) in out
 
 
 class TestTraceVerbs:
@@ -331,21 +339,17 @@ class TestTraceVerbs:
         header = trace.read_bytes()[: HEADER.size]
         assert header[:4] == MAGIC
 
-        for backend in ("scalar", "numpy"):
-            rc = main(
-                ["trace", "simulate", str(trace), "--cache", "2:32:2",
-                 "--sim-backend", backend]
-            )
-            assert rc == 0
-            replayed = capsys.readouterr().out
-            assert main(
-                ["simulate", "hydro", "--size", "16", "--cache", "2:32:2"]
-            ) == 0
-            direct = capsys.readouterr().out
-            assert (
-                replayed.split(":")[-1].split("accesses")[0]
-                == direct.split(":")[-1].split("accesses")[0]
-            )
+        rc = main(["trace", "simulate", str(trace), "--cache", "2:32:2"])
+        assert rc == 0
+        replayed = capsys.readouterr().out
+        assert main(
+            ["simulate", "hydro", "--size", "16", "--cache", "2:32:2"]
+        ) == 0
+        direct = capsys.readouterr().out
+        assert (
+            replayed.split(":")[-1].split("accesses")[0]
+            == direct.split(":")[-1].split("accesses")[0]
+        )
 
     def test_import_converts_raw_addresses(self, tmp_path, capsys):
         raw = tmp_path / "raw.addr"
@@ -374,7 +378,10 @@ class TestPolicyFlags:
     POLICIES = ("lru", "fifo", "plru", "random")
 
     def test_trace_verbs_policy_backend_matrix(self, tmp_path, capsys):
-        """All three trace verbs, every policy, both backends."""
+        """All three trace verbs, every policy, against the replay oracle."""
+        from repro import CacheConfig
+        from repro.sim import read_trace
+
         # export: the walk is policy-independent; one file feeds the matrix.
         trace = tmp_path / "hydro.trace"
         assert main(
@@ -389,22 +396,24 @@ class TestPolicyFlags:
         imported = tmp_path / "ext.trace"
         assert main(["trace", "import", str(raw), "-o", str(imported)]) == 0
         capsys.readouterr()
-        # simulate: policy × backend, bit-identical output per policy.
+        # simulate: every policy prints the scalar replay's tallies.
         for source in (trace, imported):
             for policy in self.POLICIES:
-                outputs = set()
-                for backend in ("scalar", "numpy"):
-                    rc = main(
-                        ["trace", "simulate", str(source),
-                         "--cache", "2:32:2", "--sim-backend", backend,
-                         "--policy", policy, "--policy-seed", "5"]
-                    )
-                    assert rc == 0
-                    out = capsys.readouterr().out
-                    assert f"({policy})" in out
-                    assert "miss ratio" in out
-                    outputs.add(out.split("accesses")[0])
-                assert len(outputs) == 1, (source, policy, outputs)
+                rc = main(
+                    ["trace", "simulate", str(source), "--cache", "2:32:2",
+                     "--policy", policy, "--policy-seed", "5"]
+                )
+                assert rc == 0
+                out = capsys.readouterr().out
+                assert f"({policy})" in out
+                want = scalar_trace(
+                    read_trace(source), CacheConfig.kb(2, 32, 2),
+                    policy=policy, seed=5,
+                )
+                assert (
+                    f"({want.total_misses} of {want.total_accesses} accesses"
+                    in out
+                ), (source, policy, out)
 
     def test_simulate_policy_flag(self, capsys):
         rc = main(["simulate", "hydro", "--size", "16",
@@ -441,24 +450,21 @@ class TestPolicyFlags:
 
     def test_trace_simulate_reports_sim_counters(self, tmp_path, capsys):
         """Regression: trace replays produced no sim.* counters at all,
-        making --sim-backend and --policy unobservable (unlike analyze's
-        simulation path)."""
-        pytest.importorskip("numpy")
+        making --policy unobservable (unlike analyze's simulation
+        path)."""
         trace = tmp_path / "hydro.trace"
         assert main(
             ["trace", "export", "hydro", "--size", "16", "-o", str(trace)]
         ) == 0
-        for backend, extra in (("scalar", set()),
-                               ("numpy", {"sim.backend.batch.runs"})):
-            metrics = tmp_path / f"{backend}.json"
-            rc = main(["trace", "simulate", str(trace), "--cache", "2:32:2",
-                       "--sim-backend", backend, "--policy", "fifo",
-                       "--metrics-out", str(metrics), "--quiet"])
-            assert rc == 0
-            counters = json.loads(metrics.read_text())["counters"]
-            assert counters["sim.policy.fifo"] == 1
-            assert counters["sim.accesses"] > 0
-            assert (counters["sim.hits"] + counters["sim.misses"]
-                    == counters["sim.accesses"])
-            assert extra <= set(counters)
+        metrics = tmp_path / "metrics.json"
+        rc = main(["trace", "simulate", str(trace), "--cache", "2:32:2",
+                   "--policy", "fifo", "--metrics-out", str(metrics),
+                   "--quiet"])
+        assert rc == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["sim.policy.fifo"] == 1
+        assert counters["sim.accesses"] > 0
+        assert (counters["sim.hits"] + counters["sim.misses"]
+                == counters["sim.accesses"])
+        assert counters["sim.backend.batch.runs"] == 1
         capsys.readouterr()
