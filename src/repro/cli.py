@@ -73,6 +73,7 @@ from repro.inline import classify_program
 from repro.ir import Program, program_stats
 from repro.layout import CacheConfig
 from repro.report import format_table, with_timing
+from repro.stats.confidence import check_fraction
 
 log = logging.getLogger("repro.cli")
 
@@ -84,6 +85,19 @@ def _parse_cache(spec: str) -> CacheConfig:
         return parse_cache_spec(spec)
     except ServeError as exc:
         raise SystemExit(str(exc))
+
+
+def _fraction(name: str) -> Callable[[str], float]:
+    """The argparse type of ``--confidence``/``--width``: a float in (0, 1),
+    so a bad value is a usage error (exit 2) rather than a traceback."""
+
+    def parse(text: str) -> float:
+        try:
+            return check_fraction(name, float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
 
 
 def _load_workload(name: str, size: Optional[int], steps: int) -> Program:
@@ -674,8 +688,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_analyze = subs.add_parser("analyze", help="analytical miss prediction")
     _add_workload_args(p_analyze)
     p_analyze.add_argument("--method", choices=METHODS, default="estimate")
-    p_analyze.add_argument("--confidence", type=float, default=0.95)
-    p_analyze.add_argument("--width", type=float, default=0.05)
+    p_analyze.add_argument(
+        "--confidence", type=_fraction("confidence"), default=0.95
+    )
+    p_analyze.add_argument("--width", type=_fraction("width"), default=0.05)
     p_analyze.add_argument("--seed", type=int, default=0)
     _add_jobs_arg(p_analyze)
     _add_memo_args(p_analyze)
@@ -805,8 +821,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--url", default="http://127.0.0.1:8091", help="daemon base URL"
     )
     p_submit.add_argument("--method", choices=METHODS, default="estimate")
-    p_submit.add_argument("--confidence", type=float, default=0.95)
-    p_submit.add_argument("--width", type=float, default=0.05)
+    p_submit.add_argument(
+        "--confidence", type=_fraction("confidence"), default=0.95
+    )
+    p_submit.add_argument("--width", type=_fraction("width"), default=0.05)
     p_submit.add_argument("--seed", type=int, default=0)
     p_submit.add_argument(
         "--timeout", type=float, default=60.0, help="request deadline (s)"
@@ -855,7 +873,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     pf_check.add_argument(
         "--confidence",
-        type=float,
+        type=_fraction("confidence"),
         default=0.95,
         help="confidence level of the statistical noise gate",
     )

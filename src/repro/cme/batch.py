@@ -235,7 +235,7 @@ class BatchClassifier:
             raise _BatchUnsupported("no loop dimensions to vectorize over")
         if points is None:
             return enumerate_points_array(self.nprog.ris(ref.leaf))
-        return np.array(points, dtype=np.int64).reshape(len(points), n)
+        return np.asarray(points, dtype=np.int64).reshape(len(points), n)
 
     def _addr_affine(self, ref: NRef) -> BatchAffine:
         aff = self._addr.get(ref.uid)
@@ -384,8 +384,5 @@ class BatchClassifier:
         if points is None:
             points = self.nprog.ris(ref.leaf).enumerate_points()
         before = result.analysed
-        tally_points(
-            self.scalar.classify, ref, result,
-            (tuple(int(v) for v in point) for point in points),
-        )
+        tally_points(self.scalar.classify, ref, result, points)
         self.fallback_points += result.analysed - before

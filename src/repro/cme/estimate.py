@@ -20,11 +20,15 @@ while producing bit-identical reports.
 
 The number of sampled points depends on ``(c, w)``, not on the trace
 length — the source of the orders-of-magnitude speedup over simulation the
-paper reports (Table 6).  Each draw is a ``bisect`` per dimension into
-cached cumulative weights (:meth:`~repro.polyhedra.space.BoundedSpace.sample`),
-and the sample's replacement windows are walked (cost proportional to each
-window) unless building the whole-program trace index is cheaper
-(:mod:`repro.cme.batch`): the trace is built only when that beats walking.
+paper reports (Table 6).  A rectangular or tiled RIS draws its whole sample
+at once in NumPy from the generator's Mersenne Twister words; a guarded or
+triangular one descends the dimensions with a ``bisect`` per level into
+cached cumulative weights.  Both give the same points for the same seed
+(:meth:`~repro.polyhedra.space.BoundedSpace.sample`).  The sample, an
+``(n, depth)`` array, goes to the batch classifier as is, and its
+replacement windows are walked (cost proportional to each window) unless
+building the whole-program trace index is cheaper (:mod:`repro.cme.batch`):
+the trace is built only when that beats walking.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ def estimate_ref_misses(
                 obs.counter("cme.sampling.draws").inc(len(points))
                 obs.counter("cme.sampling.fallbacks").inc()
             else:
-                points = list(ris.enumerate_points())  # analyse all points
+                points = None  # analyse all points
                 obs.counter("cme.sampling.exhaustive").inc()
         classify_into(classifier, ref, result, points)
         result.check_invariants()

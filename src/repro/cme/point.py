@@ -156,9 +156,13 @@ class PointClassifier:
 
 
 def tally_points(classify, ref: NRef, result, points) -> None:
-    """Classify each point with ``classify`` and count its outcome."""
+    """Classify each point with ``classify`` and count its outcome.
+
+    A point may be any row of integers (a NumPy array row included); it
+    is classified as a tuple of ``int``.
+    """
     for point in points:
-        outcome = classify(ref, point).outcome
+        outcome = classify(ref, tuple(int(v) for v in point)).outcome
         result.analysed += 1
         if outcome is Outcome.COLD:
             result.cold += 1

@@ -32,6 +32,7 @@ from repro import obs
 from repro.cme.backend import make_classifier
 from repro.cme.result import MissReport, RefResult
 from repro.reuse.generator import build_reuse_table
+from repro.stats.confidence import check_fraction
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.iteration.walker import Walker
@@ -103,13 +104,21 @@ class Solver:
 def solver_for(
     method: str, confidence: float = 0.95, width: float = 0.05, seed: int = 0
 ) -> Solver:
-    """The :class:`Solver` of ``method``; unknown names raise ``ValueError``."""
+    """The :class:`Solver` of ``method``.
+
+    Unknown names raise ``ValueError``, and so do, for the sampled method,
+    a ``confidence`` or ``width`` outside (0, 1) — before any unit runs.
+    """
     row = _TABLE.get(method)
     if row is None:
         raise ValueError(
             f"unknown method {method!r}; use one of {', '.join(METHODS)}"
         )
-    return Solver(method, *row, confidence, width, seed)
+    solver = Solver(method, *row, confidence, width, seed)
+    if solver.sampled:
+        check_fraction("confidence", confidence)
+        check_fraction("width", width)
+    return solver
 
 
 def run_units(

@@ -14,9 +14,13 @@ The class provides the polyhedral operations the solvers of Fig. 6 need:
 * :meth:`count` — the exact number of integer points (the "volume of a RIS"),
 * :meth:`enumerate_points` — lexicographic enumeration (``FindMisses``),
 * :meth:`sample` — *uniform* sampling of integer points
-  (``EstimateMisses``), implemented by count-weighted descent so that
-  triangular and guarded spaces are sampled without bias; each level is a
-  ``bisect`` into a cumulative-weight table cached next to the counts.
+  (``EstimateMisses``).  A space of constant extent (no guard, every
+  level's ``hi − lo`` a constant) draws the whole sample at once in NumPy
+  (:func:`repro.polyhedra.batch.sample_points_array`); any other space
+  descends the dimensions count-weighted, so triangular and guarded spaces
+  are sampled without bias, each level a ``bisect`` into a
+  cumulative-weight table cached next to the counts.  Both consume the
+  generator identically and return the same points.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import random
 from bisect import bisect_right
+
+import numpy as np
 
 from repro import obs
 from repro.polyhedra.affine import Affine
@@ -127,6 +133,13 @@ class BoundedSpace:
             self._memo_vars.append(
                 tuple(v for v in self.dims[:d] if v in relevant)
             )
+        # Per-level constant extents ``hi − lo + 1``, or None when a guard
+        # or an extent that varies with the outer indices rules them out.
+        self._extents: tuple[int, ...] | None = None
+        if self.guard.is_true():
+            widths = [hi - lo for lo, hi in self.bounds]
+            if all(w.is_constant() for w in widths):
+                self._extents = tuple(w.constant_value() + 1 for w in widths)
         self._count_memo: dict[tuple, int] = {}
         self._weight_memo: dict[tuple, tuple[list[int], list[int]]] = {}
 
@@ -140,6 +153,15 @@ class BoundedSpace:
     def is_trivially_empty(self) -> bool:
         """True if a constant guard constraint already rules out all points."""
         return any(c.trivially_false() for c in self._const_cons)
+
+    def constant_extents(self) -> tuple[int, ...] | None:
+        """Each level's ``hi − lo + 1`` if the space has constant extent.
+
+        A space has constant extent when it has no guard and every level's
+        ``hi − lo`` is a constant: rectangular spaces, and tiled ones whose
+        bounds translate with the outer indices.  ``None`` otherwise.
+        """
+        return self._extents
 
     def constraints_at(self, level: int) -> tuple[Constraint, ...]:
         """The guard constraints anchored at dimension ``level``.
@@ -259,26 +281,42 @@ class BoundedSpace:
 
     # -- uniform sampling -------------------------------------------------------------
 
-    def sample(
-        self, n: int, rng: random.Random | None = None
-    ) -> list[tuple[int, ...]]:
+    def sample(self, n: int, rng: random.Random | None = None) -> np.ndarray:
         """Draw ``n`` points uniformly at random (with replacement).
 
-        Sampling descends the dimensions weighting each candidate value by
-        the exact count of the subtree below it, which yields an exactly
-        uniform distribution over the integer points even for triangular or
-        guarded spaces.  Each dimension costs one ``rng.randrange(total)``
-        and one :func:`bisect.bisect_right` into a cumulative-weight table,
-        built once per ``(depth, memo key)`` and kept next to the counts; a
-        level whose subtree count does not depend on the value needs no
-        table at all (``lo + pick // inner``).  Raises ``ValueError`` on an
-        empty space.
+        Returns an ``(n, ndim)`` int64 array.  Sampling descends the
+        dimensions weighting each candidate value by the exact count of the
+        subtree below it, which yields an exactly uniform distribution over
+        the integer points even for triangular or guarded spaces.  Each
+        dimension costs one ``rng.randrange(total)`` and one
+        :func:`bisect.bisect_right` into a cumulative-weight table, built
+        once per ``(depth, memo key)`` and kept next to the counts; a level
+        whose subtree count does not depend on the value needs no table at
+        all (``lo + pick // inner``).
+
+        On a space of :meth:`constant_extents` every level's ``randrange``
+        bound is a constant, so when ``rng`` is exactly
+        :class:`random.Random` and the space holds fewer than ``2**32``
+        points the whole sample is drawn at once from the same Mersenne
+        Twister words (:func:`repro.polyhedra.batch.sample_points_array`):
+        the same points, and the same generator state afterwards, as the
+        descent.  Raises ``ValueError`` on an empty space.
         """
         rng = rng if rng is not None else random.Random()
         total = self.count()
         if total == 0:
             raise ValueError("cannot sample from an empty space")
-        return [self._sample_one(rng) for _ in range(n)]
+        if (
+            self._extents is not None
+            and type(rng) is random.Random
+            and total < 1 << 32
+        ):
+            # Imported here: repro.polyhedra.batch imports this module.
+            from repro.polyhedra.batch import sample_points_array
+
+            return sample_points_array(self, n, rng)
+        points = [self._sample_one(rng) for _ in range(n)]
+        return np.array(points, dtype=np.int64).reshape(n, self._n)
 
     def _sample_one(self, rng: random.Random) -> tuple[int, ...]:
         env: dict[str, int] = {}

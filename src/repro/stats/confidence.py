@@ -36,10 +36,19 @@ def _normal_quantile(p: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(p)
 
 
+def check_fraction(name: str, value: float) -> float:
+    """``value`` if it lies in (0, 1), else ``ValueError`` naming ``name``.
+
+    The rule for a confidence level and an interval half-width alike.
+    """
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+    return value
+
+
 def z_value(confidence: float) -> float:
     """The two-sided standard-normal quantile for a confidence level."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
+    check_fraction("confidence", confidence)
     return _normal_quantile((1.0 + confidence) / 2.0)
 
 
@@ -55,8 +64,7 @@ def sample_size(
     ``w``).  With ``population`` given, the finite-population correction is
     applied.  The worst case ``p = 0.5`` is the default.
     """
-    if not 0.0 < width < 1.0:
-        raise ValueError("width must be in (0, 1)")
+    check_fraction("width", width)
     z = z_value(confidence)
     n0 = z * z * p * (1.0 - p) / (width * width)
     if population is not None:

@@ -198,3 +198,25 @@ class TestOutcomes:
         # The write reuses the read's line at distance r = 0.
         assert result.outcome is Outcome.HIT
         assert all(c == 0 for c in result.via.vec)
+
+
+class TestTallyPoints:
+    def test_array_rows_reach_the_classifier_as_int_tuples(self):
+        """Samples arrive as int64 arrays; the scalar oracle computes on
+        Python ints, so it shares no fixed-width arithmetic with them."""
+        import numpy as np
+
+        from repro.cme import RefResult
+        from repro.cme.point import Classification, tally_points
+
+        seen = []
+
+        def classify(ref, point):
+            seen.append(point)
+            return Classification(Outcome.HIT)
+
+        result = RefResult("R", 0, population=2)
+        tally_points(classify, None, result, np.array([[1, 2], [3, 4]]))
+        assert seen == [(1, 2), (3, 4)]
+        assert all(type(v) is int for point in seen for v in point)
+        assert (result.analysed, result.hits) == (2, 2)

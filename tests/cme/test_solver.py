@@ -37,6 +37,19 @@ class TestSolverTable:
         estimate = solver_for("estimate", 0.9, 0.1, 7)
         assert estimate.memo_params(ref) == [0.9, 0.1, 7 ^ ref.uid]
 
+    @pytest.mark.parametrize(
+        "confidence, width", [(1.5, 0.05), (0.0, 0.05), (0.95, 2.0), (0.95, 0.0)]
+    )
+    def test_estimate_rejects_accuracy_outside_unit_interval(
+        self, confidence, width
+    ):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\)"):
+            solver_for("estimate", confidence, width)
+
+    def test_exact_solvers_ignore_accuracy(self):
+        assert solver_for("find", 1.5, 2.0).method == "find"
+        assert solver_for("regions", 1.5, 2.0).method == "regions"
+
     def test_report_and_span_names(self):
         names = {m: solver_for(m).report_name for m in METHODS}
         assert names == {

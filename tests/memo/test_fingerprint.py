@@ -40,13 +40,18 @@ class TestFingerprint:
 
     def test_trace_builder_and_sampler_are_fingerprinted(self):
         """The replacement-window index is built by the simulator's trace
-        builder, and EstimateMisses draws through ``BoundedSpace`` — both
-        decide solver outcomes from outside the solver packages' imports."""
+        builder, and EstimateMisses draws through ``BoundedSpace`` and its
+        whole-sample NumPy path — all decide solver outcomes from outside
+        the solver packages' imports."""
         from repro.iteration.batch import TraceIndex
+        from repro.polyhedra.batch import sample_points_array
         from repro.polyhedra.space import BoundedSpace
         from repro.sim.batch import TracePlan, trace_arrays
 
-        for obj in (trace_arrays, TracePlan, TraceIndex, BoundedSpace):
+        for obj in (
+            trace_arrays, TracePlan, TraceIndex, BoundedSpace,
+            sample_points_array,
+        ):
             assert obj.__module__ in FINGERPRINT_MODULES, obj
 
     @pytest.mark.parametrize("backend", ["scalar", "numpy"])

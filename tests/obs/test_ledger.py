@@ -157,6 +157,8 @@ CI_SMOKE = {
     "estimate": ["analyze", "hydro", "--size", "16", "--cache", "2:32:1"],
     "regions": ["analyze", "hydro", "--size", "16", "--cache", "2:32:1",
                 "--method", "regions"],
+    "estimate-swim": ["analyze", "swim", "--size", "40", "--cache", "4:32:1",
+                      "--method", "estimate"],
 }
 
 

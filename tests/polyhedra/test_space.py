@@ -221,6 +221,61 @@ def guarded_3d():
     )
 
 
+def extent_one_levels():
+    """Extent-1 levels (``randrange(1)`` rejects half its words) around a
+    real one, like the padding levels of a normalised RIS."""
+    return BoundedSpace(
+        ("x", "y", "z"),
+        [
+            (Affine.const(3), Affine.const(3)),
+            (Affine.const(1), Affine.const(6)),
+            (Affine.const(0), Affine.const(0)),
+        ],
+    )
+
+
+def above_power_of_two():
+    """Every level's ``randrange`` bound just above a power of two:
+    ``n_0 = 65``, ``n_1 = 5`` (close to half of their words rejected)."""
+    return BoundedSpace(
+        ("x", "y"),
+        [(Affine.const(-6), Affine.const(6)), (Affine.const(1), Affine.const(5))],
+    )
+
+
+def tiled():
+    """A tiled (translated-bound) space, like MMT's blocked loops: the
+    inner bounds move with the tile index but keep a constant extent."""
+    return BoundedSpace(
+        ("t", "i", "j"),
+        [
+            (Affine.const(0), Affine.const(4)),
+            (Var("t") * 4 + 1, Var("t") * 4 + 4),
+            (Var("i") - Var("t"), Var("i") - Var("t") + 2),
+        ],
+    )
+
+
+def box_1d(lo, hi):
+    return BoundedSpace(("x",), [(Affine.const(lo), Affine.const(hi))])
+
+
+def descend(space, n, rng):
+    """The count-weighted descent, one :meth:`_sample_one` per draw."""
+    return [space._sample_one(rng) for _ in range(n)]
+
+
+@pytest.fixture
+def no_array_path(monkeypatch):
+    """Make taking the whole-sample NumPy path a test failure."""
+    import repro.polyhedra.batch as batch
+
+    def refuse(*args):
+        raise AssertionError("took the array path")
+
+    monkeypatch.setattr(batch, "sample_points_array", refuse)
+
+
 class TestSamplingMatchesLinearScan:
     SPACES = {
         "rectangular": lambda: box(13, 7),
@@ -228,20 +283,132 @@ class TestSamplingMatchesLinearScan:
         "guarded": lambda: diagonal(9),
         "guarded-3d": guarded_3d,
         "zero-weight-levels": zero_weight_levels,
+        "extent-one-levels": extent_one_levels,
+        "above-power-of-two": above_power_of_two,
+        "tiled": tiled,
+    }
+    #: Spaces whose every ``randrange`` bound is a constant.
+    CONSTANT_EXTENT = {
+        "rectangular", "extent-one-levels", "above-power-of-two", "tiled",
     }
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_draws_equal_over_seeds(self, name):
+        """Points *and* the generator's end state match the oracle, so the
+        rest of a caller's stream is untouched by the path taken."""
         for seed in range(20):
             fast, oracle = self.SPACES[name](), self.SPACES[name]()
             assert oracle.count() == fast.count() > 0
-            rng = random.Random(seed)
+            assert (fast.constant_extents() is not None) == (
+                name in self.CONSTANT_EXTENT
+            )
+            rng, fast_rng = random.Random(seed), random.Random(seed)
             expected = [linear_scan_sample_one(oracle, rng) for _ in range(60)]
-            assert fast.sample(60, random.Random(seed)) == expected, (name, seed)
+            drawn = fast.sample(60, fast_rng)
+            assert drawn.shape == (60, fast.ndim)
+            assert [tuple(p) for p in drawn.tolist()] == expected, (name, seed)
+            assert fast_rng.getstate() == rng.getstate(), (name, seed)
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_EXTENT))
+    def test_array_path_equals_descent(self, name, monkeypatch):
+        """The constant-extent spaces really take the array path, and it
+        agrees with the descent for sample sizes up to Table 6's."""
+        cases = [(1, 1), (2, 31), (3, 385), (4, 1000)]
+        expected = {}
+        for seed, n in cases:
+            oracle_rng = random.Random(seed)
+            points = descend(self.SPACES[name](), n, oracle_rng)
+            expected[seed] = (points, oracle_rng.getstate())
+        monkeypatch.setattr(
+            BoundedSpace, "_sample_one",
+            lambda *args: pytest.fail("took the descent"),
+        )
+        space = self.SPACES[name]()
+        for seed, n in cases:
+            rng = random.Random(seed)
+            drawn = [tuple(p) for p in space.sample(n, rng).tolist()]
+            assert (drawn, rng.getstate()) == expected[seed], (name, seed)
+
+    def test_too_few_words_retries_with_more(self, monkeypatch):
+        """With no slack, the first batch of words runs short (each
+        ``randrange(1)`` level rejects half of them) and is drawn again."""
+        import repro.polyhedra.batch as batch
+
+        monkeypatch.setattr(batch, "_WORD_SLACK", 0.0)
+        space = extent_one_levels()
+        rng, oracle_rng = random.Random(9), random.Random(9)
+        drawn = [tuple(p) for p in space.sample(385, rng).tolist()]
+        assert drawn == descend(extent_one_levels(), 385, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(SPACES) - CONSTANT_EXTENT)
+    )
+    def test_guarded_and_varying_extent_spaces_descend(
+        self, name, no_array_path
+    ):
+        space = self.SPACES[name]()
+        assert space.constant_extents() is None
+        drawn = space.sample(40, random.Random(3))
+        assert drawn.shape == (40, space.ndim)
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_zero_draws(self, name):
+        space = self.SPACES[name]()
+        rng = random.Random(8)
+        before = rng.getstate()
+        drawn = space.sample(0, rng)
+        assert drawn.shape == (0, space.ndim)
+        assert drawn.dtype.name == "int64"
+        assert rng.getstate() == before
+
+    def test_bound_just_below_two_to_the_32_is_drawn_in_numpy(
+        self, monkeypatch
+    ):
+        """``n_0 = 2**32 − 1``: every 32-bit word is a candidate."""
+        oracle_rng = random.Random(6)
+        expected = descend(box_1d(0, 2**32 - 2), 50, oracle_rng)
+        monkeypatch.setattr(
+            BoundedSpace, "_sample_one",
+            lambda *args: pytest.fail("took the descent"),
+        )
+        rng = random.Random(6)
+        drawn = box_1d(0, 2**32 - 2).sample(50, rng)
+        assert [tuple(p) for p in drawn.tolist()] == expected
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize("extents", [(2**32,), (2, 2**31), (3, 2**32 + 5)])
+    def test_bound_of_two_to_the_32_or_more_descends(
+        self, extents, no_array_path
+    ):
+        """``randrange`` then takes more than one word per try."""
+        space = BoundedSpace(
+            tuple(f"v{k}" for k in range(len(extents))),
+            [(Affine.const(0), Affine.const(e - 1)) for e in extents],
+        )
+        assert space.constant_extents() == extents
+        drawn = space.sample(30, random.Random(2))
+        assert [tuple(p) for p in drawn.tolist()] == descend(
+            space, 30, random.Random(2)
+        )
+
+    def test_random_subclass_descends(self, no_array_path):
+        """Only exactly :class:`random.Random` is known to draw
+        ``randrange`` from 32-bit words; a subclass may override them."""
+
+        class Subclass(random.Random):
+            pass
+
+        space = box(13, 7)
+        drawn = space.sample(60, Subclass(4))
+        oracle_rng = random.Random(4)
+        assert [tuple(p) for p in drawn.tolist()] == descend(
+            box(13, 7), 60, oracle_rng
+        )
 
     def test_zero_weight_levels_never_drawn(self):
         s = zero_weight_levels()
-        draws = s.sample(300, random.Random(5))
+        draws = s.sample(300, random.Random(5)).tolist()
         assert {p[0] for p in draws} == {1, 2, 3, 4}
         assert all(p[1] > 1 for p in draws)
         assert all(s.contains(p) for p in draws)

@@ -106,6 +106,25 @@ class TestErrors:
         choices = ", ".join(repr(m) for m in METHODS)
         assert f"(choose from {choices})" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "hydro", "--size", "8", "--method", "estimate",
+             "--width", "2"],
+            ["analyze", "hydro", "--size", "8", "--confidence", "1.5"],
+            ["submit", "hydro", "--width", "0"],
+            ["submit", "hydro", "--confidence", "nan"],
+            ["perf", "check", "ledger.jsonl", "--confidence", "1"],
+        ],
+    )
+    def test_out_of_range_accuracy_is_a_usage_error(self, argv, capsys):
+        """``(c, w)`` outside (0, 1) exits 2 with a message, no traceback
+        (and, for ``submit``, without contacting a daemon)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be in (0, 1)" in capsys.readouterr().err
+
     def test_profile_span_requires_profile_out(self):
         with pytest.raises(SystemExit):
             main(["analyze", "hydro", "--size", "8",
