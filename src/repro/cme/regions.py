@@ -61,14 +61,18 @@ residual regions (at most one per reference), with ``fallback_cells`` /
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, TYPE_CHECKING
+from operator import mul
+from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from repro import obs
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.affine import Affine
-from repro.polyhedra.constraints import Constraint, EQ
+from repro.polyhedra.batch import enumerate_points_array
+from repro.polyhedra.constraints import Constraint, EQ, GE
 from repro.polyhedra.regions import RegionSpace, negate_constraint
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
@@ -105,6 +109,30 @@ MAX_CROSS_ACCESSES = 64
 #: Cap on live pieces while carving one decided cell by window conflicts.
 MAX_PIECES = 512
 
+#: Why a cell was enumerated instead of solved in closed form, one
+#: ``cme.regions.fallback.<reason>`` point counter each (they sum to
+#: ``cme.regions.fallback_points``):
+#:
+#: * ``irregular`` — the deciding vector's ``δ`` is not constant;
+#: * ``cell_cap`` — the reference produced more than :data:`MAX_CELLS` cells;
+#: * ``uncertified`` — no closed-form certificate applies to the vector;
+#: * ``window_budget`` — a certificate's shape holds but a cap stopped it
+#:   (:data:`MAX_WINDOW`, :data:`MAX_CROSS_ITERS`, :data:`MAX_CROSS_ACCESSES`,
+#:   :data:`MAX_PIECES`, :data:`MAX_RESIDUE_MODULUS`);
+#: * ``probe_mismatch`` — a representative probe disagreed with the
+#:   expected vector or outcome, or none was found within budget;
+#: * ``partition_mismatch`` — the pieces failed to tile their cell.
+FALLBACK_REASONS = (
+    "irregular",
+    "cell_cap",
+    "uncertified",
+    "window_budget",
+    "probe_mismatch",
+    "partition_mismatch",
+)
+
+_REASON_COUNTERS = {r: f"cme.regions.fallback.{r}" for r in FALLBACK_REASONS}
+
 _NEVER = "never"
 _REGULAR = "regular"
 _IRREGULAR = "irregular"
@@ -113,9 +141,12 @@ _IRREGULAR = "irregular"
 class RegionSolver:
     """Per-analysis-state regional solver (decompose → count → probe).
 
-    Built once per classifier and cached on it, so repeated per-reference
-    calls (serial loop, parallel shard, service units) share the compiled
-    address rows, cold conditions and certificates.
+    Built once per classifier and cached on it.  Everything it derives
+    without reading the number of sets or the associativity — address
+    rows, cold conditions, certificates, static windows — lives in a
+    dict owned by the reuse table (:meth:`ReuseTable.derived`) under the
+    key ``(layout, line size)``, so every geometry with that line size and
+    every repeated solve of the program share it.
     """
 
     def __init__(
@@ -136,10 +167,18 @@ class RegionSolver:
         #: Scalar probe oracle: the embedded scalar classifier of the batch
         #: classifier, or the classifier itself.
         self.scalar = getattr(classifier, "scalar", classifier)
-        self._addr: dict[int, Affine] = {}
-        self._conds: dict[int, list] = {}
-        self._cert: dict[tuple[int, int], bool] = {}
-        self._window: dict[tuple[int, int], Optional[list]] = {}
+        # Geometry-independent facts, shared through the reuse table.  The
+        # values are pure functions of the key, so concurrent solvers
+        # publish them with ``setdefault`` and never need a lock.
+        facts = reuse.derived((layout, cache.line_bytes))
+        self._index = {v: k for k, v in enumerate(nprog.index_vars)}
+        self._addr: dict[int, tuple] = facts.setdefault("addr", {})
+        self._ris_rows: dict[int, tuple] = facts.setdefault("ris", {})
+        self._conds: dict[int, list] = facts.setdefault("conds", {})
+        self._cert: dict[tuple[int, int], bool] = facts.setdefault("cert", {})
+        self._window: dict[tuple[int, int], Optional[list]] = facts.setdefault(
+            "window", {}
+        )
 
     @staticmethod
     def for_classifier(classifier) -> "RegionSolver":
@@ -158,17 +197,61 @@ class RegionSolver:
 
     # -- address rows and cold conditions ---------------------------------------
 
-    def addr_affine(self, ref: NRef) -> Affine:
-        """The byte-address of ``ref`` as an affine over ``I1..In``."""
+    def _row(self, expr: Affine) -> tuple[tuple[int, ...], int]:
+        """``expr`` as an integer coefficient row over ``I1..In``."""
+        row = [0] * len(self._index)
+        for name, c in expr.terms:
+            row[self._index[name]] = c
+        return tuple(row), expr.constant
+
+    def _affine(self, row: Sequence[int], const: int) -> Affine:
+        """The inverse of :meth:`_row`."""
+        nvars = self.nprog.index_vars
+        return Affine({nvars[k]: c for k, c in enumerate(row) if c}, const)
+
+    def _address(self, ref: NRef) -> tuple[Affine, tuple[int, ...], int]:
+        """``ref``'s byte address: the affine, its row and its constant."""
         a = self._addr.get(ref.uid)
         if a is None:
             array = ref.array
-            a = (
+            expr = (
                 array.element_offset(ref.subscripts) * array.element_size
                 + self.layout.base_of(array)
             )
-            self._addr[ref.uid] = a
+            a = self._addr.setdefault(ref.uid, (expr, *self._row(expr)))
         return a
+
+    def addr_affine(self, ref: NRef) -> Affine:
+        """The byte address of ``ref`` as an affine over ``I1..In``."""
+        return self._address(ref)[0]
+
+    def _ris_of(self, ref: NRef) -> tuple:
+        """``ref``'s RIS as integer rows: ``(constraints, box)``.
+
+        ``constraints`` lists ``(row, const, kind)`` for ``Iₖ − lo ≥ 0`` and
+        ``hi − Iₖ ≥ 0`` per dimension, then the guards, in that order;
+        ``box`` is the RIS's ``(lo, hi)`` per dimension.
+        """
+        rows = self._ris_rows.get(ref.uid)
+        if rows is None:
+            ris = self.nprog.ris(ref.leaf)
+            cons = []
+            for k, (lo, hi) in enumerate(ris.bounds):
+                unit = tuple(int(j == k) for j in range(self.nprog.depth))
+                lo_row, lo_c = self._row(lo)
+                hi_row, hi_c = self._row(hi)
+                cons.append(
+                    (tuple(u - c for u, c in zip(unit, lo_row)), -lo_c, GE)
+                )
+                cons.append(
+                    (tuple(c - u for u, c in zip(unit, hi_row)), hi_c, GE)
+                )
+            for c in ris.guard:
+                cons.append((*self._row(c.expr), c.kind))
+            ranges = ris.var_ranges()
+            box = tuple(ranges[v] for v in self.nprog.index_vars)
+            rows = self._ris_rows.setdefault(ref.uid, (tuple(cons), box))
+        return rows
 
     def _cold_condition(self, ref: NRef, rv: ReuseVector):
         """The cold equations of one vector as region constraints.
@@ -179,36 +262,31 @@ class RegionSolver:
         address mod the line size) or ``"irregular"`` (non-constant ``δ`` —
         the producer is outside the consumer's uniformly generated set, so
         the line equality is not a residue condition).
+
+        Computed on integer rows: translating a row by the vector ``x``
+        (``i ↦ i − x``) only moves its constant by ``−row·x``.
         """
         x = rv.index_part()
-        shift = {
-            var: Affine.var(var) - x[k]
-            for k, var in enumerate(self.nprog.index_vars)
-        }
+        _, row_c, const_c = self._address(ref)
+        _, row_p, const_p = self._address(rv.producer)
         line_bytes = self.cache.line_bytes
-        delta = self.addr_affine(rv.producer).substitute(shift) - self.addr_affine(
-            ref
-        )
-        pris = self.nprog.ris(rv.producer.leaf)
-        cons: list[Constraint] = []
-        for k, (lo, hi) in enumerate(pris.bounds):
-            producer_k = Affine.var(self.nprog.index_vars[k]) - x[k]
-            cons.append(Constraint.inequality(producer_k - lo.substitute(shift)))
-            cons.append(Constraint.inequality(hi.substitute(shift) - producer_k))
-        for c in pris.guard:
-            cons.append(c.substitute(shift))
+        producer_cons, _ = self._ris_of(rv.producer)
+        _, box = self._ris_of(ref)
         # Prune against the consumer's bounding box: constraints that are
         # provably true over the whole RIS never split a cell, provably
         # false ones make the vector inapplicable outright.
-        box = self.nprog.ris(ref.leaf).var_ranges()
         kept: list[Constraint] = []
-        for c in cons:
-            if c.trivially_true():
-                continue
-            if c.trivially_false():
-                return (_NEVER, (), None)
-            lo_v, hi_v = c.expr.bounds(box)
-            if c.kind == EQ:
+        for row, const, kind in producer_cons:
+            const -= sum(map(mul, row, x))
+            lo_v = hi_v = const
+            for c, (b_lo, b_hi) in zip(row, box):
+                if c > 0:
+                    lo_v += c * b_lo
+                    hi_v += c * b_hi
+                elif c < 0:
+                    lo_v += c * b_hi
+                    hi_v += c * b_lo
+            if kind == EQ:
                 if lo_v == 0 and hi_v == 0:
                     continue
                 if lo_v > 0 or hi_v < 0:
@@ -218,10 +296,11 @@ class RegionSolver:
                     continue
                 if hi_v < 0:
                     return (_NEVER, (), None)
-            kept.append(c)
-        if not delta.is_constant():
+            c = Constraint(self._affine(row, const), kind)
+            kept.append((c, tuple(negate_constraint(c))))
+        if row_p != row_c:
             return (_IRREGULAR, tuple(kept), None)
-        d = delta.constant_value()
+        d = const_p - sum(map(mul, row_p, x)) - const_c
         if d == 0:
             residue = None
         elif abs(d) >= line_bytes:
@@ -233,28 +312,22 @@ class RegionSolver:
     def _conditions(self, ref: NRef) -> list:
         conds = self._conds.get(ref.uid)
         if conds is None:
-            conds = [
-                self._cold_condition(ref, rv)
-                for rv in self.reuse.vectors_for(ref)
-            ]
-            self._conds[ref.uid] = conds
+            conds = self._conds.setdefault(
+                ref.uid,
+                [
+                    self._cold_condition(ref, rv)
+                    for rv in self.reuse.vectors_for(ref)
+                ],
+            )
         return conds
 
     # -- the replacement-uniformity certificate ----------------------------------
 
-    def _certificate(self, ref: NRef, rv: ReuseVector) -> bool:
-        """True when the interference window's outcome is a function of
-        ``addr_c(i) mod line_bytes`` alone over any decided cell.
-
-        Conditions: the vector spans only innermost iterations (zero label
-        part, zero outer index components, non-negative innermost step);
-        every leaf of the consumer's innermost loop is guard-free (fixed
-        window content); and every reference in those leaves sits at a
-        constant byte offset from the consumer (same linear address row).
-        Then each window access's line is ``line_c + (a mod L + Δ) // L``
-        with constant ``Δ``, so distinct-conflict counting is per-residue
-        constant and one probed representative decides the whole class.
-        """
+    def _innermost_shape(self, ref: NRef, rv: ReuseVector) -> bool:
+        """True when ``rv`` spans only innermost iterations (zero label
+        part, zero outer index components, non-negative innermost step) of
+        a consumer loop with no child loops — the window shape both
+        innermost certificates start from."""
         if self.nprog.depth == 0:
             return False
         if any(l != 0 for l in rv.label_part()):
@@ -262,15 +335,28 @@ class RegionSolver:
         x = rv.index_part()
         if any(c != 0 for c in x[:-1]) or x[-1] < 0:
             return False
-        loop = self.nprog.loop_at(ref.label)
-        if loop.loops:
+        return not self.nprog.loop_at(ref.label).loops
+
+    def _certificate(self, ref: NRef, rv: ReuseVector) -> bool:
+        """True when the interference window's outcome is a function of
+        ``addr_c(i) mod line_bytes`` alone over any decided cell.
+
+        Conditions: the vector has the innermost shape; every leaf of the
+        consumer's innermost loop is guard-free (fixed window content); and
+        every reference in those leaves sits at a constant byte offset from
+        the consumer (same linear address row).  Then each window access's
+        line is ``line_c + (a mod L + Δ) // L`` with constant ``Δ``, so
+        distinct-conflict counting is per-residue constant and one probed
+        representative decides the whole class.
+        """
+        if not self._innermost_shape(ref, rv):
             return False
-        row_c = self.addr_affine(ref)
-        for leaf in loop.leaves:
+        row_c = self._address(ref)[1]
+        for leaf in self.nprog.loop_at(ref.label).leaves:
             if not leaf.guard.is_true():
                 return False
             for other in leaf.refs:
-                if not (self.addr_affine(other) - row_c).is_constant():
+                if self._address(other)[1] != row_c:
                     return False
         return True
 
@@ -278,21 +364,20 @@ class RegionSolver:
         key = (ref.uid, t)
         ok = self._cert.get(key)
         if ok is None:
-            ok = self._certificate(ref, rv)
-            self._cert[key] = ok
+            ok = self._cert.setdefault(key, self._certificate(ref, rv))
         return ok
 
     # -- the direct-mapped window certificate -------------------------------------
 
-    def _window_accesses(
+    def _window_pairs(
         self, ref: NRef, t: int, rv: ReuseVector
-    ) -> Optional[list[tuple[NRef, int, tuple[Constraint, ...]]]]:
-        """The static interference window of an innermost-only vector.
+    ) -> Optional[list[tuple[Affine, tuple[Constraint, ...]]]]:
+        """The static interference window of an innermost-only vector, as
+        ``(Δ, presence guard)`` carving pairs (``Δ = addr_access −
+        addr_consumer``), in exact walker order.
 
-        Returns ``(reference, innermost offset, presence guard)`` triples in
-        exact walker order, or ``None`` when the window is not statically
-        known: the vector must span only innermost iterations, the
-        consumer's loop must be childless, and the window must fit
+        ``None`` when the window is not statically known: the vector must
+        have the innermost shape and the window must fit
         :data:`MAX_WINDOW`.  A guarded leaf's accesses carry the guard with
         the innermost variable shifted by the access offset — the walker
         evaluates leaf guards per iteration, so the access is present
@@ -302,11 +387,9 @@ class RegionSolver:
         walk stops at the first position not before the consumer's.
         """
         key = (ref.uid, t)
-        if key in self._window:
-            return self._window[key]
-        accesses = self._compute_window(ref, rv)
-        self._window[key] = accesses
-        return accesses
+        if key not in self._window:
+            self._window.setdefault(key, self._compute_window(ref, rv))
+        return self._window[key]
 
     def _shift_guard(self, guard, offset: int) -> tuple[Constraint, ...]:
         """A leaf guard as consumer-point constraints, inner var shifted."""
@@ -314,64 +397,35 @@ class RegionSolver:
             return tuple(guard)
         inner = self.nprog.index_vars[-1]
         shift = {inner: Affine.var(inner) + offset}
-        out = []
-        for c in guard:
-            expr = c.expr.substitute(shift)
-            out.append(
-                Constraint.equality(expr)
-                if c.kind == EQ
-                else Constraint.inequality(expr)
-            )
-        return tuple(out)
+        return tuple(c.substitute(shift) for c in guard)
 
     def _compute_window(
         self, ref: NRef, rv: ReuseVector
-    ) -> Optional[list[tuple[NRef, int, tuple[Constraint, ...]]]]:
-        if self.nprog.depth == 0:
+    ) -> Optional[list[tuple[Affine, tuple[Constraint, ...]]]]:
+        if not self._innermost_shape(ref, rv):
             return None
-        if any(l != 0 for l in rv.label_part()):
-            return None
-        x = rv.index_part()
-        if any(c != 0 for c in x[:-1]) or x[-1] < 0:
-            return None
-        step = x[-1]
+        step = rv.index_part()[-1]
         loop = self.nprog.loop_at(ref.label)
-        if loop.loops:
-            return None
         producer_lex = rv.producer.lexpos
         consumer_lex = ref.lexpos
-        accesses: list[tuple[NRef, int, tuple[Constraint, ...]]] = []
+        a_expr = self.addr_affine(ref)
+        inner = self.nprog.index_vars[-1]
+        pairs: list[tuple[Affine, tuple[Constraint, ...]]] = []
         for offset in range(-step, 1):
-            stop = False
+            shift = {inner: Affine.var(inner) + offset}
             for leaf in loop.leaves:
                 guard = self._shift_guard(leaf.guard, offset)
                 for other in leaf.refs:
                     if offset == -step and other.lexpos <= producer_lex:
                         continue
                     if offset == 0 and other.lexpos >= consumer_lex:
-                        stop = True
-                        break
-                    accesses.append((other, offset, guard))
-                    if len(accesses) > MAX_WINDOW:
+                        return pairs
+                    addr = self.addr_affine(other)
+                    if offset:
+                        addr = addr.substitute(shift)
+                    pairs.append((addr - a_expr, guard))
+                    if len(pairs) > MAX_WINDOW:
                         return None
-                if stop:
-                    break
-            if stop:
-                break
-        return accesses
-
-    def _offset_pairs(
-        self, ref: NRef, accesses: list[tuple[NRef, int, tuple[Constraint, ...]]]
-    ) -> list[tuple[Affine, tuple[Constraint, ...]]]:
-        """Innermost-window accesses as ``(Δ, guard)`` carving pairs."""
-        a_expr = self.addr_affine(ref)
-        inner = self.nprog.index_vars[-1]
-        pairs = []
-        for other, offset, guard in accesses:
-            addr = self.addr_affine(other)
-            if offset:
-                addr = addr.substitute({inner: Affine.var(inner) + offset})
-            pairs.append((addr - a_expr, guard))
         return pairs
 
     # -- the crossing-window certificate (one second-innermost step) ---------------
@@ -447,12 +501,7 @@ class RegionSolver:
                     Constraint.inequality(ub_prev - (p_inner + omega)),
                 )
             for leaf in loop.leaves:
-                guard = presence + tuple(
-                    Constraint.equality(c.expr.substitute(subst))
-                    if c.kind == EQ
-                    else Constraint.inequality(c.expr.substitute(subst))
-                    for c in leaf.guard
-                )
+                guard = presence + tuple(c.substitute(subst) for c in leaf.guard)
                 for other in leaf.refs:
                     if omega == 0 and other.lexpos <= producer_lex:
                         continue
@@ -469,12 +518,7 @@ class RegionSolver:
                     Constraint.inequality((Affine.var(inner) - omega) - lb_cur),
                 )
             for leaf in loop.leaves:
-                guard = presence + tuple(
-                    Constraint.equality(c.expr.substitute(subst))
-                    if c.kind == EQ
-                    else Constraint.inequality(c.expr.substitute(subst))
-                    for c in leaf.guard
-                )
+                guard = presence + tuple(c.substitute(subst) for c in leaf.guard)
                 for other in leaf.refs:
                     if omega == 0 and other.lexpos >= consumer_lex:
                         continue
@@ -491,7 +535,7 @@ class RegionSolver:
         rv: ReuseVector,
         pairs: list[tuple[Affine, tuple[Constraint, ...]]],
         result: RefResult,
-    ) -> Optional[int]:
+    ) -> tuple[int, Optional[str]]:
         """Carve a decided cell into exact HIT/REPLACEMENT pieces (k = 1).
 
         ``pairs`` gives each window access as ``(Δ, presence guard)`` with
@@ -501,50 +545,37 @@ class RegionSolver:
         guarded access first splits off the guard-false part, where the
         access never executes and the region simply survives).  Tallies only
         after the pieces tile the cell exactly and every piece's
-        representative probe agrees; returns the number of exact pieces, or
-        ``None`` to make the caller fall back (nothing tallied).
+        representative probe agrees.  Returns ``(exact pieces, None)``, or
+        ``(0, reason)`` to make the caller fall back (nothing tallied).
         """
         line_bytes = self.cache.line_bytes
         num_sets = self.cache.num_sets
         modulus = line_bytes * num_sets
         a_expr = self.addr_affine(ref)
-        deltas: list[tuple[Affine, tuple[Constraint, ...]]] = []
-        seen: set[tuple] = set()
-        for delta, guard in pairs:
-            key = (
-                tuple(sorted(delta.coeffs.items())),
-                delta.constant,
-                tuple(
-                    (c.kind, tuple(sorted(c.expr.coeffs.items())), c.expr.constant)
-                    for c in guard
-                ),
-            )
-            if key in seen:
-                continue  # duplicate address row: same conflict region
-            seen.add(key)
-            deltas.append((delta, guard))
-        g = math.gcd(line_bytes, *a_expr.coeffs.values())
-        classes: list[tuple[RegionSpace, int, int]] = []
-        total = 0
-        for r in range(a_expr.constant % g, line_bytes, g):
-            cls = cell.with_residue(a_expr, line_bytes, r, r)
-            cnt = cls.count()
-            if cnt:
-                classes.append((cls, r, cnt))
-                total += cnt
-        if total != cell_count:
+        # Duplicate address rows carve the same conflict region.
+        deltas = list(dict.fromkeys(pairs))
+        classes = self._residue_classes(cell, a_expr)
+        if sum(cnt for _, _, cnt in classes) != cell_count:
             obs.counter("cme.regions.partition_mismatch").inc()
-            return None
+            return 0, "partition_mismatch"
         replacement: list[RegionSpace] = []
         hits: list[RegionSpace] = []
         for cls, r, _ in classes:
             survivors = [cls]
             for delta, guard in deltas:
                 shifted = delta + r
+                same_line = (
+                    Constraint.inequality(shifted),
+                    Constraint.inequality((line_bytes - 1) - shifted),
+                )
+                conflicts = (
+                    Constraint.inequality(-shifted - 1),
+                    Constraint.inequality(shifted - line_bytes),
+                )
                 nxt: list[RegionSpace] = []
                 for region in survivors:
                     if len(nxt) + len(replacement) > MAX_PIECES:
-                        return None
+                        return 0, "window_budget"
                     # A guarded access splits off the part of the region
                     # where its guard fails — the access never executes
                     # there, so that part survives untouched.
@@ -575,19 +606,13 @@ class RegionSolver:
                         )
                         if out_set.count():
                             nxt.append(out_set)
-                    same_line = in_set.conjoin(
-                        Constraint.inequality(shifted)
-                    ).conjoin(Constraint.inequality((line_bytes - 1) - shifted))
-                    if same_line.count():
-                        nxt.append(same_line)
-                    for conflict in (
-                        in_set.conjoin(Constraint.inequality(-shifted - 1)),
-                        in_set.conjoin(
-                            Constraint.inequality(shifted - line_bytes)
-                        ),
-                    ):
-                        if conflict.count():
-                            replacement.append(conflict)
+                    same = in_set.conjoin(same_line[0]).conjoin(same_line[1])
+                    if same.count():
+                        nxt.append(same)
+                    for conflict in conflicts:
+                        piece = in_set.conjoin(conflict)
+                        if piece.count():
+                            replacement.append(piece)
                 survivors = nxt
             hits.extend(survivors)
         if (
@@ -595,7 +620,7 @@ class RegionSolver:
             != cell_count
         ):
             obs.counter("cme.regions.partition_mismatch").inc()
-            return None
+            return 0, "partition_mismatch"
         for pieces, outcome in (
             (replacement, Outcome.REPLACEMENT),
             (hits, Outcome.HIT),
@@ -612,31 +637,47 @@ class RegionSolver:
                 ):
                     if probe is not None:
                         obs.counter("cme.regions.probe_mismatch").inc()
-                    return None
-        exact = 0
+                    return 0, "probe_mismatch"
         for piece in replacement:
             cnt = piece.count()
             result.analysed += cnt
             result.replacement += cnt
-            exact += 1
         for piece in hits:
             cnt = piece.count()
             result.analysed += cnt
             result.hits += cnt
-            exact += 1
-        return exact
+        return len(replacement) + len(hits), None
+
+    def _residue_classes(
+        self, cell: RegionSpace, a_expr: Affine
+    ) -> list[tuple[RegionSpace, int, int]]:
+        """The non-empty ``(class, r, count)`` splits of ``cell`` by
+        ``a_c mod L = r`` (only residues ``a_c`` can take are tried)."""
+        line_bytes = self.cache.line_bytes
+        g = math.gcd(line_bytes, *(c for _, c in a_expr.terms))
+        classes = []
+        for r in range(a_expr.constant % g, line_bytes, g):
+            cls = cell.with_residue(a_expr, line_bytes, r, r)
+            cnt = cls.count()
+            if cnt:
+                classes.append((cls, r, cnt))
+        return classes
 
     # -- decomposition ------------------------------------------------------------
 
     def decompose(
         self, ref: NRef
-    ) -> tuple[list[RegionSpace], list[tuple[RegionSpace, int]], list[RegionSpace]]:
+    ) -> tuple[
+        list[RegionSpace], list[tuple[RegionSpace, int]], list[tuple[RegionSpace, str]]
+    ]:
         """Split the RIS into disjoint ``(cold, decided, irregular)`` cells.
 
         ``decided`` pairs each cell with the index of the reuse vector that
         decides every one of its points — by construction the cell satisfies
         the negation of every earlier regular cold condition, so the scalar
         classifier would pick exactly that vector at any of its points.
+        ``irregular`` pairs each cell left to enumeration with its fallback
+        reason (``"irregular"`` or ``"cell_cap"``).
         """
         ris = self.nprog.ris(ref.leaf)
         base = RegionSpace(ris.dims, ris.bounds, tuple(ris.guard), ())
@@ -646,7 +687,7 @@ class RegionSolver:
         a_expr = self.addr_affine(ref)
         cold: list[RegionSpace] = []
         decided: list[tuple[RegionSpace, int]] = []
-        irregular: list[RegionSpace] = []
+        irregular: list[tuple[RegionSpace, str]] = []
         work: list[tuple[RegionSpace, int]] = [(base, 0)]
         produced = 1
         while work:
@@ -661,12 +702,12 @@ class RegionSolver:
                 work.append((cell, t + 1))
                 continue
             if kind == _IRREGULAR:
-                irregular.append(cell)
+                irregular.append((cell, "irregular"))
                 continue
             prefix = cell
             pieces: list[RegionSpace] = []
-            for c in cons:
-                for neg in negate_constraint(c):
+            for c, negs in cons:
+                for neg in negs:
                     pieces.append(prefix.conjoin(neg))
                 prefix = prefix.conjoin(c)
             if residue is not None:
@@ -690,7 +731,7 @@ class RegionSolver:
             produced += len(pieces) + 1
             if produced > MAX_CELLS:
                 obs.counter("cme.regions.cell_cap").inc()
-                irregular.append(cell)
+                irregular.append((cell, "cell_cap"))
                 continue
             decided.append((prefix, t))
             for piece in pieces:
@@ -717,39 +758,28 @@ class RegionSolver:
         cell_count: int,
         rv: ReuseVector,
         result: RefResult,
-    ) -> tuple[int, list[tuple[int, ...]], int]:
+        fallback: "_Fallback",
+    ) -> int:
         """Residue-split a certified decided cell and probe each class.
 
-        Returns ``(exact_classes, fallback_points, fallback_cells)``; the
-        probed outcome of one representative is extrapolated to the whole
-        class only after the probe confirms it was decided by the expected
-        vector (mismatches are counted and enumerated instead).
+        Returns the number of exact classes; the rest go to ``fallback``.
+        The probed outcome of one representative is extrapolated to the
+        whole class only after the probe confirms it was decided by the
+        expected vector (mismatches are counted and enumerated instead).
         """
-        line_bytes = self.cache.line_bytes
-        a_expr = self.addr_affine(ref)
-        g = math.gcd(line_bytes, *a_expr.coeffs.values())
-        classes: list[tuple[RegionSpace, int]] = []
-        total = 0
-        for r in range(a_expr.constant % g, line_bytes, g):
-            cls = cell.with_residue(a_expr, line_bytes, r, r)
-            cnt = cls.count()
-            if cnt:
-                classes.append((cls, cnt))
-                total += cnt
-        if total != cell_count:
+        classes = self._residue_classes(cell, self.addr_affine(ref))
+        if sum(cnt for _, _, cnt in classes) != cell_count:
             obs.counter("cme.regions.partition_mismatch").inc()
-            return 0, list(cell.enumerate_points()), 1
+            fallback.add(cell, "partition_mismatch")
+            return 0
         exact = 0
-        fallback_pts: list[tuple[int, ...]] = []
-        fallback_cells = 0
-        for cls, cnt in classes:
+        for cls, _, cnt in classes:
             rep = cls.representative()
             probe = self.scalar.classify(ref, rep) if rep is not None else None
             if probe is None or not self._via_matches(probe.via, rv):
                 if probe is not None:
                     obs.counter("cme.regions.probe_mismatch").inc()
-                fallback_cells += 1
-                fallback_pts.extend(cls.enumerate_points())
+                fallback.add(cls, "probe_mismatch")
                 continue
             result.analysed += cnt
             if probe.outcome is Outcome.REPLACEMENT:
@@ -757,7 +787,52 @@ class RegionSolver:
             else:
                 result.hits += cnt
             exact += 1
-        return exact, fallback_pts, fallback_cells
+        return exact
+
+    def _classify_decided(
+        self,
+        ref: NRef,
+        cell: RegionSpace,
+        cnt: int,
+        t: int,
+        result: RefResult,
+        fallback: "_Fallback",
+    ) -> int:
+        """Classify one decided cell in closed form where a certificate
+        holds; returns the number of exact units, the rest go to
+        ``fallback``."""
+        rv = self.reuse.vectors_for(ref)[t]
+        certified = self._certified(ref, t, rv)
+        if certified and self.cache.line_bytes <= MAX_RESIDUE_MODULUS:
+            return self._classify_cell(ref, cell, cnt, rv, result, fallback)
+        direct = self.cache.assoc == 1
+        if (
+            direct
+            and self.cache.line_bytes * self.cache.num_sets
+            <= MAX_RESIDUE_MODULUS
+        ):
+            pairs = self._window_pairs(ref, t, rv)
+            if pairs is None:
+                pairs = self._crossing_pairs(ref, rv, cell)
+            if pairs is not None:
+                exact, reason = self._classify_cell_window(
+                    ref, cell, cnt, rv, pairs, result
+                )
+                if reason is None:
+                    return exact
+                fallback.add(cell, reason)
+                return 0
+        # A certificate's shape holds but one of its caps stopped it, or
+        # no certificate applies to this vector at all.
+        shaped = certified or (
+            direct
+            and (
+                self._innermost_shape(ref, rv)
+                or self._crossing_shape(ref, rv)
+            )
+        )
+        fallback.add(cell, "window_budget" if shaped else "uncertified")
+        return 0
 
     def solve_ref(self, ref: NRef) -> RefResult:
         """Classify one reference regionally (the shard unit)."""
@@ -765,15 +840,14 @@ class RegionSolver:
             ris = self.nprog.ris(ref.leaf)
             population = ris.count()
             result = RefResult(ref.name(), ref.uid, population=population)
-            vectors = self.reuse.vectors_for(ref)
             cold, decided, irregular = self.decompose(ref)
             cold_counts = [(c, c.count()) for c in cold]
             decided_counts = [(c, t, c.count()) for c, t in decided]
-            irregular_counts = [(c, c.count()) for c in irregular]
+            irregular_counts = [(c, c.count(), why) for c, why in irregular]
             total = (
                 sum(n for _, n in cold_counts)
                 + sum(n for _, _, n in decided_counts)
-                + sum(n for _, n in irregular_counts)
+                + sum(n for _, n, _ in irregular_counts)
             )
             if total != population:
                 # The cells failed to tile the RIS — never guess: classify
@@ -781,10 +855,9 @@ class RegionSolver:
                 obs.counter("cme.regions.partition_mismatch").inc()
                 whole = RegionSpace(ris.dims, ris.bounds, tuple(ris.guard), ())
                 cold_counts, decided_counts = [], []
-                irregular_counts = [(whole, population)]
+                irregular_counts = [(whole, population, "partition_mismatch")]
             exact_regions = 0
-            fallback_cells = 0
-            fallback_pts: list[tuple[int, ...]] = []
+            fallback = _Fallback()
             for cell, cnt in cold_counts:
                 if cnt == 0:
                     continue
@@ -792,56 +865,49 @@ class RegionSolver:
                 result.cold += cnt
                 exact_regions += 1
             for cell, t, cnt in decided_counts:
-                if cnt == 0:
-                    continue
-                rv = vectors[t]
-                if (
-                    self.cache.line_bytes <= MAX_RESIDUE_MODULUS
-                    and self._certified(ref, t, rv)
-                ):
-                    exact, pts, cells = self._classify_cell(
-                        ref, cell, cnt, rv, result
+                if cnt:
+                    exact_regions += self._classify_decided(
+                        ref, cell, cnt, t, result, fallback
                     )
-                    exact_regions += exact
-                    fallback_cells += cells
-                    fallback_pts.extend(pts)
-                    continue
-                if (
-                    self.cache.assoc == 1
-                    and self.cache.line_bytes * self.cache.num_sets
-                    <= MAX_RESIDUE_MODULUS
-                ):
-                    accesses = self._window_accesses(ref, t, rv)
-                    pairs = (
-                        self._offset_pairs(ref, accesses)
-                        if accesses is not None
-                        else self._crossing_pairs(ref, rv, cell)
-                    )
-                    if pairs is not None:
-                        exact = self._classify_cell_window(
-                            ref, cell, cnt, rv, pairs, result
-                        )
-                        if exact is not None:
-                            exact_regions += exact
-                            continue
-                fallback_cells += 1
-                fallback_pts.extend(cell.enumerate_points())
-            for cell, cnt in irregular_counts:
-                if cnt == 0:
-                    continue
-                fallback_cells += 1
-                fallback_pts.extend(cell.enumerate_points())
-            if fallback_pts:
-                classify_into(self.classifier, ref, result, fallback_pts)
+            for cell, cnt, why in irregular_counts:
+                if cnt:
+                    fallback.add(cell, why)
+            points = fallback.points()
+            if len(points):
+                classify_into(self.classifier, ref, result, points)
             result.check_invariants(exhaustive=True)
             obs.counter("cme.regions.exact_regions").inc(exact_regions)
             obs.counter("cme.regions.fallback_regions").inc(
-                1 if fallback_pts else 0
+                1 if len(points) else 0
             )
-            obs.counter("cme.regions.fallback_cells").inc(fallback_cells)
-            obs.counter("cme.regions.fallback_points").inc(len(fallback_pts))
+            obs.counter("cme.regions.fallback_cells").inc(fallback.cells)
+            obs.counter("cme.regions.fallback_points").inc(len(points))
+            for reason, n in fallback.by_reason.items():
+                obs.counter(_REASON_COUNTERS[reason]).inc(n)
             record_ref_metrics(result, self.classifier)
         return result
+
+
+class _Fallback:
+    """The cells of one reference left to the point classifier, each
+    enumerated as an int64 array, with the points per fallback reason."""
+
+    def __init__(self):
+        self.arrays: list[np.ndarray] = []
+        self.cells = 0
+        self.by_reason = dict.fromkeys(FALLBACK_REASONS, 0)
+
+    def add(self, cell: RegionSpace, reason: str) -> None:
+        pts = enumerate_points_array(cell)
+        self.arrays.append(pts)
+        self.cells += 1
+        self.by_reason[reason] += len(pts)
+
+    def points(self) -> np.ndarray:
+        """Every fallback point, cell after cell, as one array."""
+        if not self.arrays:
+            return np.empty((0, 0), dtype=np.int64)
+        return np.concatenate(self.arrays)
 
 
 def region_ref_misses(
@@ -878,9 +944,10 @@ def regional_coverage(
     )
     total = covered = 0
     for ref in nprog.refs:
+        conds = solver._conditions(ref)
         for t, rv in enumerate(reuse.vectors_for(ref)):
             total += 1
-            kind, _, _ = solver._cold_condition(ref, rv)
+            kind = conds[t][0]
             if kind == _NEVER:
                 covered += 1
             elif kind == _REGULAR and (
@@ -888,7 +955,7 @@ def regional_coverage(
                 or (
                     windowable
                     and (
-                        solver._window_accesses(ref, t, rv) is not None
+                        solver._window_pairs(ref, t, rv) is not None
                         or solver._crossing_shape(ref, rv)
                     )
                 )

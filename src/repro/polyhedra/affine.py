@@ -80,6 +80,11 @@ class Affine:
         return dict(self._coeffs)
 
     @property
+    def terms(self) -> tuple[tuple[str, int], ...]:
+        """The non-zero ``(variable, coefficient)`` pairs, sorted by name."""
+        return self._coeffs
+
+    @property
     def constant(self) -> int:
         """The constant term."""
         return self._const
@@ -160,14 +165,21 @@ class Affine:
     # -- substitution and evaluation --------------------------------------------
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "Affine":
-        """Replace every variable in ``mapping`` by the given expression."""
-        result = Affine.const(self._const)
+        """Replace every variable in ``mapping`` by the given expression.
+
+        One pass: every term is summed into a single coefficient dict.
+        """
+        coeffs: dict[str, int] = {}
+        const = self._const
         for name, c in self._coeffs:
             if name in mapping:
-                result = result + Affine.coerce(mapping[name]) * c
+                repl = Affine.coerce(mapping[name])
+                for other, k in repl._coeffs:
+                    coeffs[other] = coeffs.get(other, 0) + c * k
+                const += c * repl._const
             else:
-                result = result + Affine({name: c})
-        return result
+                coeffs[name] = coeffs.get(name, 0) + c
+        return Affine(coeffs, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "Affine":
         """Rename variables according to ``mapping`` (missing names kept)."""

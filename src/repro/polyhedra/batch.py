@@ -1,10 +1,12 @@
 """Vectorized counterparts of the :class:`~repro.polyhedra.space.BoundedSpace`
 point operations (enumeration, membership and sampling) used by the batch
-classifier (:mod:`repro.cme.batch`) and ``EstimateMisses``.
+classifier (:mod:`repro.cme.batch`), ``EstimateMisses`` and the
+``RegionMisses`` fallback.
 
 Everything here is exact integer arithmetic on ``int64`` arrays: the batch
 enumeration yields precisely the points of
-:meth:`~repro.polyhedra.space.BoundedSpace.enumerate_points` in the same
+:meth:`~repro.polyhedra.space.BoundedSpace.enumerate_points` (and of
+:meth:`~repro.polyhedra.regions.RegionSpace.enumerate_points`) in the same
 lexicographic order, the batch membership test agrees point-for-point
 with :meth:`~repro.polyhedra.space.BoundedSpace.contains`, and the batch
 sampler draws the descent's points from the same generator words —
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import random
 from math import prod
-from typing import Sequence
 
 import numpy as np
 
 from repro.polyhedra.affine import Affine
-from repro.polyhedra.constraints import EQ, Constraint
+from repro.polyhedra.constraints import EQ
 from repro.polyhedra.space import BoundedSpace
 
 
@@ -43,50 +44,56 @@ def eval_affine(
     return points @ row + const
 
 
-def _guard_mask(
-    constraints: Sequence[Constraint],
-    points: "np.ndarray",
-    dim_index: dict[str, int],
-) -> "np.ndarray":
-    """Conjunction of affine guard constraints over a batch of points."""
-    mask = np.ones(len(points), dtype=bool)
-    for c in constraints:
-        value = eval_affine(c.expr, points, dim_index)
-        mask &= (value == 0) if c.kind == EQ else (value >= 0)
-    return mask
-
-
-def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
+def enumerate_points_array(space) -> "np.ndarray":
     """Every integer point of ``space`` as an ``(N, n)`` int64 array.
 
-    Rows appear in lexicographic order — exactly the order (and set) of
-    :meth:`BoundedSpace.enumerate_points`.  The expansion is dimension by
-    dimension: evaluate the affine bounds over the current prefixes, repeat
+    ``space`` is a :class:`BoundedSpace` or a
+    :class:`~repro.polyhedra.regions.RegionSpace`.  Rows appear in
+    lexicographic order — exactly the order (and set) of the space's
+    ``enumerate_points``, its scalar oracle.  The expansion is dimension by
+    dimension: evaluate the affine bounds over the current prefixes,
+    tighten them by the affine constraints anchored at this depth (each
+    reduces to an interval once the outer dimensions are fixed), repeat
     each prefix once per value in its range, then drop the rows that
-    violate the guard constraints anchored at this depth.
+    violate a residue constraint anchored at this depth.
     """
     n = space.ndim
+    empty = np.empty((0, n), dtype=np.int64)
     if space.is_trivially_empty():
-        return np.empty((0, n), dtype=np.int64)
+        return empty
+    residues_at = getattr(space, "residues_at", None)
     dim_index = {name: k for k, name in enumerate(space.dims)}
     points = np.empty((1, 0), dtype=np.int64)
     for d in range(n):
         lo = eval_affine(space.bounds[d][0], points, dim_index)
         hi = eval_affine(space.bounds[d][1], points, dim_index)
+        for c in space.constraints_at(d):
+            row, const = affine_row(c.expr, dim_index, n)
+            coeff = int(row[d])
+            rest = points @ row[:d] + const  # coeff·v + rest ⋈ 0
+            if c.kind == EQ:
+                pinned = -rest // coeff
+                lo = np.maximum(lo, pinned)
+                hi = np.where(rest % coeff == 0, np.minimum(hi, pinned), lo - 1)
+            elif coeff > 0:
+                lo = np.maximum(lo, -(rest // coeff))
+            else:
+                hi = np.minimum(hi, rest // -coeff)
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
         if total == 0:
-            return np.empty((0, n), dtype=np.int64)
+            return empty
         rows = np.repeat(np.arange(len(points)), counts)
         ends = np.cumsum(counts)
         starts = np.repeat(ends - counts, counts)
         values = np.arange(total, dtype=np.int64) - starts + lo[rows]
         points = np.column_stack([points[rows], values])
-        guards = space.constraints_at(d)
-        if guards:
-            points = points[_guard_mask(guards, points, dim_index)]
+        if residues_at is not None:
+            for r in residues_at(d):
+                value = eval_affine(r.expr, points, dim_index) % r.modulus
+                points = points[(value >= r.lo) & (value <= r.hi)]
             if len(points) == 0:
-                return np.empty((0, n), dtype=np.int64)
+                return empty
     return points
 
 

@@ -24,14 +24,17 @@ costs a function of the cell's *structure*, never of the loop bounds:
 
 Counts are memoized per instance and shared across instances through the
 canonical-signature cache of :mod:`repro.polyhedra.space`
-(``polyhedra.count.cache_hits``).  Enumeration and representative search
-exist for the solver's fallback and probing paths.
+(``polyhedra.count.cache_hits``).  Representative search serves the
+solver's probes; the solver's fallback enumerates cells with
+:func:`repro.polyhedra.batch.enumerate_points_array`, for which
+:meth:`RegionSpace.enumerate_points` is the scalar oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.polyhedra.affine import Affine
@@ -87,9 +90,33 @@ class ResidueConstraint:
         return f"({self.expr} mod {self.modulus} in [{self.lo}, {self.hi}])"
 
 
-def _anchor(vars_: frozenset[str], dim_index: dict[str, int]) -> int:
-    """The deepest dimension index a variable set mentions."""
-    return max(dim_index[v] for v in vars_)
+def _deepest(row: tuple[int, ...]) -> int:
+    """The deepest dimension index with a non-zero coefficient."""
+    k = len(row) - 1
+    while not row[k]:
+        k -= 1
+    return k
+
+
+def _mask(row: tuple[int, ...]) -> int:
+    """Bit ``k`` set for every dimension ``k`` with a non-zero coefficient."""
+    return sum(1 << k for k, c in enumerate(row) if c)
+
+
+def _interval(
+    row: tuple[int, ...], const: int, los: list[int], his: list[int]
+) -> tuple[int, int]:
+    """Interval bounds of ``const + Σ row[k]·v_k`` over ``v_k ∈ [los[k],
+    his[k]]`` (only the ``len(los)`` outer dimensions are read)."""
+    lo = hi = const
+    for c, v_lo, v_hi in zip(row, los, his):
+        if c >= 0:
+            lo += c * v_lo
+            hi += c * v_hi
+        else:
+            lo += c * v_hi
+            hi += c * v_lo
+    return lo, hi
 
 
 class RegionSpace:
@@ -107,6 +134,14 @@ class RegionSpace:
         producer bounds, guards, negated cold conditions).
     residues:
         :class:`ResidueConstraint` conjuncts (memory-line conditions).
+
+    Every bound, constraint and residue is compiled once into an integer
+    coefficient row over ``dims`` and anchored at the deepest dimension
+    it mentions; the walks below evaluate rows against the list of fixed
+    outer values.  :meth:`conjoin` and :meth:`with_residue` derive a cell
+    from its already validated parent by compiling only the one new
+    conjunct — the same step the constructor folds over its arguments, so
+    a derived cell and a freshly built one are the same region.
     """
 
     def __init__(
@@ -122,76 +157,120 @@ class RegionSpace:
         self.bounds = tuple(
             (Affine.coerce(lo), Affine.coerce(hi)) for lo, hi in bounds
         )
-        self._n = len(self.dims)
+        n = self._n = len(self.dims)
         self._dim_index = {name: k for k, name in enumerate(self.dims)}
-        known = set(self.dims)
-        self._empty = False
-        # Constraints: drop trivially-true, detect trivially-false, anchor
-        # the rest at the deepest dimension they mention.
-        kept_cons: list[Constraint] = []
-        self._cons_at: list[list[Constraint]] = [[] for _ in range(self._n)]
-        for c in constraints:
-            if c.trivially_true():
-                continue
-            if c.trivially_false():
-                self._empty = True
-                continue
-            extra = c.variables() - known
-            if extra:
-                raise ValueError(
-                    f"constraint {c!r} references unknown variables {sorted(extra)}"
+        # Relevance, per depth d: a bit per dimension whose *value* the
+        # subproblem at depth d depends on (bounds or affine constraints
+        # anchored at >= d); residues anchored at >= d contribute their
+        # partial sum mod m to the memo key instead (``_res_from``).
+        raw = [0] * (n + 1)
+        bound_rows = []
+        for k, pair in enumerate(self.bounds):
+            compiled = []
+            for expr in pair:
+                extra = sorted(
+                    v for v, _ in expr.terms if self._dim_index.get(v, n) >= k
                 )
-            kept_cons.append(c)
-            self._cons_at[_anchor(c.variables(), self._dim_index)].append(c)
-        self.constraints = tuple(kept_cons)
-        # Residues: constant ones resolve now, the rest anchor like guards.
-        kept_res: list[ResidueConstraint] = []
-        self._res_at: list[list[ResidueConstraint]] = [[] for _ in range(self._n)]
-        for r in residues:
-            vs = r.variables()
-            if not vs:
-                if not (r.lo <= r.expr.constant % r.modulus <= r.hi):
-                    self._empty = True
-                continue
-            extra = vs - known
-            if extra:
-                raise ValueError(
-                    f"residue {r!r} references unknown variables {sorted(extra)}"
-                )
-            kept_res.append(r)
-            self._res_at[_anchor(vs, self._dim_index)].append(r)
-        self.residues = tuple(kept_res)
-        for k, (lo, hi) in enumerate(self.bounds):
-            allowed = set(self.dims[:k])
-            for expr in (lo, hi):
-                extra = expr.variables() - allowed
                 if extra:
                     raise ValueError(
                         f"bound {expr} of dimension {self.dims[k]} references "
-                        f"non-outer variables {sorted(extra)}"
+                        f"non-outer variables {extra}"
                     )
-        # Relevance, per depth d:
-        #  * raw vars — already-fixed variables whose *value* the subproblem
-        #    at depth d depends on (bounds or affine constraints at >= d);
-        #  * residue partials — residues anchored at >= d contribute their
-        #    partial sum mod m to the memo key instead of raw values.
-        self._raw_vars: list[tuple[str, ...]] = []
-        self._res_from: list[tuple[ResidueConstraint, ...]] = []
-        for d in range(self._n + 1):
-            raw: set[str] = set()
-            for e in range(d, self._n):
-                for expr in self.bounds[e]:
-                    raw |= expr.variables()
-                for c in self._cons_at[e]:
-                    raw |= c.variables()
-            self._raw_vars.append(
-                tuple(v for v in self.dims[:d] if v in raw)
-            )
-            suffix: list[ResidueConstraint] = []
-            for e in range(d, self._n):
-                suffix.extend(self._res_at[e])
-            self._res_from.append(tuple(suffix))
+                row = self._row(expr)
+                compiled.append((row, expr.constant))
+                mask = _mask(row)
+                for d in range(k + 1):
+                    raw[d] |= mask
+            bound_rows.append(tuple(compiled))
+        self._bound_rows = tuple(bound_rows)
+        self._raw = tuple(raw)
+        self._empty = False
+        self.constraints: tuple[Constraint, ...] = ()
+        self.residues: tuple[ResidueConstraint, ...] = ()
+        self._cons_at: tuple[tuple, ...] = ((),) * n
+        self._res_at: tuple[tuple, ...] = ((),) * n
+        self._res_from: tuple[tuple, ...] = ((),) * (n + 1)
+        for c in constraints:
+            self._add_constraint(c)
+        for r in residues:
+            self._add_residue(r)
+        self._index_raw()
+        self._reset_memos()
+
+    # -- construction steps (shared by __init__ and derivation) -----------------
+
+    def _row(self, expr: Affine, what: str = "", owner=None) -> tuple[int, ...]:
+        """``expr``'s coefficients as a row over ``dims`` (``what`` and
+        ``owner`` name the conjunct in the unknown-variable error)."""
+        row = [0] * self._n
+        for name, c in expr.terms:
+            k = self._dim_index.get(name)
+            if k is None:
+                extra = sorted(expr.variables() - set(self.dims))
+                raise ValueError(
+                    f"{what} {owner!r} references unknown variables {extra}"
+                )
+            row[k] = c
+        return tuple(row)
+
+    def _add_constraint(self, c: Constraint) -> None:
+        """Fold one affine constraint in: drop it if trivially true, empty
+        the region if trivially false, else anchor it at its deepest
+        dimension."""
+        if c.trivially_true():
+            return
+        if c.trivially_false():
+            self._empty = True
+            return
+        row = self._row(c.expr, "constraint", c)
+        anchor = _deepest(row)
+        self.constraints += (c,)
+        compiled = (row[anchor], row, c.expr.constant, c.kind == EQ, c)
+        cons_at = list(self._cons_at)
+        cons_at[anchor] += (compiled,)
+        self._cons_at = tuple(cons_at)
+        mask = _mask(row)
+        self._raw = tuple(
+            m | mask if d <= anchor else m for d, m in enumerate(self._raw)
+        )
+
+    def _add_residue(self, r: ResidueConstraint) -> None:
+        """Fold one residue constraint in: a constant one resolves now, the
+        rest anchor like affine constraints."""
+        if r.expr.is_constant():
+            if not (r.lo <= r.expr.constant % r.modulus <= r.hi):
+                self._empty = True
+            return
+        row = self._row(r.expr, "residue", r)
+        anchor = _deepest(row)
+        self.residues += (r,)
+        compiled = (row[anchor], row, r.expr.constant, r.modulus, r.lo, r.hi, r)
+        res_at = list(self._res_at)
+        res_at[anchor] += (compiled,)
+        self._res_at = tuple(res_at)
+        self._res_from = tuple(
+            rs + (compiled,) if d <= anchor else rs
+            for d, rs in enumerate(self._res_from)
+        )
+
+    def _index_raw(self) -> None:
+        """Per depth, the indices of the fixed dimensions in the memo key."""
+        self._raw_idx = tuple(
+            tuple(k for k in range(d) if mask >> k & 1)
+            for d, mask in enumerate(self._raw)
+        )
+
+    def _reset_memos(self) -> None:
         self._count_memo: dict[tuple, int] = {}
+        self._signature: Optional[tuple] = None
+        self._periods: Optional[list] = None
+
+    def _derived(self) -> "RegionSpace":
+        """A copy sharing every compiled table, with fresh memos."""
+        new = object.__new__(type(self))
+        new.__dict__ = self.__dict__.copy()
+        new._reset_memos()
+        return new
 
     # -- basic queries ---------------------------------------------------------
 
@@ -204,40 +283,28 @@ class RegionSpace:
         """True if a constant constraint already rules out all points."""
         return self._empty
 
-    def _base_constraints(self) -> tuple[Constraint, ...]:
-        """The kept constraints, plus an explicit ``false`` when the space
-        was emptied by a *constant* constraint or residue.
+    def constraints_at(self, level: int) -> tuple[Constraint, ...]:
+        """The affine constraints anchored at dimension ``level``."""
+        return tuple(entry[-1] for entry in self._cons_at[level])
 
-        Construction drops constant conjuncts after folding them into
-        ``_empty`` — derived spaces must re-materialise that emptiness, or
-        ``conjoin``/``with_residue`` on an empty region would resurrect
-        points.
-        """
-        if self._empty:
-            return self.constraints + (
-                Constraint.inequality(Affine.const(-1)),
-            )
-        return self.constraints
+    def residues_at(self, level: int) -> tuple[ResidueConstraint, ...]:
+        """The residue constraints anchored at dimension ``level``."""
+        return tuple(entry[-1] for entry in self._res_at[level])
 
     def conjoin(self, constraint: Constraint) -> "RegionSpace":
         """A new region with one more affine constraint."""
-        return RegionSpace(
-            self.dims,
-            self.bounds,
-            self._base_constraints() + (constraint,),
-            self.residues,
-        )
+        new = self._derived()
+        new._add_constraint(constraint)
+        new._index_raw()
+        return new
 
     def with_residue(
         self, expr: Affine, modulus: int, lo: int, hi: int
     ) -> "RegionSpace":
         """A new region additionally requiring ``expr mod modulus ∈ [lo, hi]``."""
-        return RegionSpace(
-            self.dims,
-            self.bounds,
-            self._base_constraints(),
-            self.residues + (ResidueConstraint.make(expr, modulus, lo, hi),),
-        )
+        new = self._derived()
+        new._add_residue(ResidueConstraint.make(expr, modulus, lo, hi))
+        return new
 
     def tight_ranges(self) -> dict[str, tuple[int, int]]:
         """Conservative per-dimension ``(min, max)`` box, constraint-aware.
@@ -249,56 +316,64 @@ class RegionSpace:
         (negated earlier cold conditions, producer containment), not in the
         raw loop bounds.
         """
-        ranges: dict[str, tuple[int, int]] = {}
-        for d, (lo_e, hi_e) in enumerate(self.bounds):
-            lo, _ = lo_e.bounds(ranges)
-            _, hi = hi_e.bounds(ranges)
-            var = self.dims[d]
-            for c in self._cons_at[d]:
-                coeff = c.expr.coeff(var)
-                if coeff == 0:
-                    continue
-                rest = Affine(
-                    {v: k for v, k in c.expr.coeffs.items() if v != var},
-                    c.expr.constant,
-                )
-                r_lo, r_hi = rest.bounds(ranges)
+        los: list[int] = []
+        his: list[int] = []
+        for d, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(self._bound_rows):
+            lo = _interval(lo_row, lo_c, los, his)[0]
+            hi = _interval(hi_row, hi_c, los, his)[1]
+            for coeff, row, const, is_eq, _ in self._cons_at[d]:
+                r_lo, r_hi = _interval(row, const, los, his)
                 # coeff·v + rest >= 0 over rest ∈ [r_lo, r_hi] (weakest case).
                 if coeff > 0:
                     lo = max(lo, -(r_hi // coeff))
                 else:
                     hi = min(hi, r_hi // -coeff)
-                if c.kind == EQ:  # also -coeff·v - rest >= 0
+                if is_eq:  # also -coeff·v - rest >= 0
                     if coeff > 0:
                         hi = min(hi, (-r_lo) // coeff)
                     else:
                         lo = max(lo, -((-r_lo) // -coeff))
-            ranges[var] = (lo, max(lo, hi))
-        return ranges
+            los.append(lo)
+            his.append(max(lo, hi))
+        return {var: (lo, hi) for var, lo, hi in zip(self.dims, los, his)}
 
     def contains(self, point: Sequence[int]) -> bool:
         """True if ``point`` (one integer per dimension) lies in the region."""
         if len(point) != self._n or self._empty:
             return False
-        env = dict(zip(self.dims, point))
-        for k, (lo, hi) in enumerate(self.bounds):
-            if not (lo.evaluate(env) <= point[k] <= hi.evaluate(env)):
+        for k, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(self._bound_rows):
+            value = point[k]
+            if not (
+                lo_c + sum(map(mul, lo_row, point))
+                <= value
+                <= hi_c + sum(map(mul, hi_row, point))
+            ):
                 return False
-        return all(c.satisfied(env) for c in self.constraints) and all(
-            r.satisfied(env) for r in self.residues
-        )
+        for level in self._cons_at:
+            for _, row, const, is_eq, _ in level:
+                value = const + sum(map(mul, row, point))
+                if value != 0 if is_eq else value < 0:
+                    return False
+        for level in self._res_at:
+            for _, row, const, m, lo, hi, _ in level:
+                if not lo <= (const + sum(map(mul, row, point))) % m <= hi:
+                    return False
+        return True
 
     # -- counting ----------------------------------------------------------------
 
     def signature(self) -> tuple:
         """Canonical hashable signature (shared-count cache key)."""
-        return (
-            "region",
-            self.dims,
-            self.bounds,
-            frozenset(self.constraints),
-            frozenset(self.residues),
-        )
+        sig = self._signature
+        if sig is None:
+            sig = self._signature = (
+                "region",
+                self.dims,
+                self.bounds,
+                frozenset(self.constraints),
+                frozenset(self.residues),
+            )
+        return sig
 
     def count(self) -> int:
         """The exact number of integer points in the region.
@@ -309,126 +384,106 @@ class RegionSpace:
         if self._empty:
             return 0
         return cached_count(
-            self.signature(), lambda: self._count_from(0, {})
+            self.signature(), lambda: self._count_from(0, [])
         )
 
-    def _memo_key(self, d: int, env: dict[str, int]) -> tuple:
-        key: list = [d]
-        for v in self._raw_vars[d]:
-            key.append(env[v])
-        for r in self._res_from[d]:
-            key.append(self._res_partial(r, env))
-        return tuple(key)
-
-    @staticmethod
-    def _res_partial(r: ResidueConstraint, env: Mapping[str, int]) -> int:
-        """The fixed-variable part of a residue expression, mod the modulus."""
-        total = r.expr.constant
-        for name, c in r.expr.coeffs.items():
-            v = env.get(name)
-            if v is not None:
-                total += c * v
-        return total % r.modulus
-
-    @staticmethod
-    def _split_var(
-        expr: Affine, var: str, env: Mapping[str, int]
-    ) -> tuple[int, int]:
-        """``expr = coeff·var + rest`` with ``rest`` evaluated under ``env``."""
-        coeff = 0
-        rest = expr.constant
-        for name, c in expr.coeffs.items():
-            if name == var:
-                coeff = c
-            else:
-                rest += c * env[name]
-        return coeff, rest
+    def _memo_key(self, d: int, vals: list[int]) -> tuple:
+        """Depth, relevant raw values, then residue partials (the
+        fixed-variable part of each residue expression, mod its modulus)."""
+        return (
+            d,
+            *[vals[k] for k in self._raw_idx[d]],
+            *[
+                (const + sum(map(mul, row, vals))) % m
+                for _, row, const, m, _, _, _ in self._res_from[d]
+            ],
+        )
 
     def _tightened_range(
-        self, d: int, env: dict[str, int]
+        self, d: int, vals: list[int]
     ) -> Optional[tuple[int, int]]:
         """The value range of dimension ``d`` under bounds + anchored affine
-        constraints (``None`` = provably empty).
+        constraints, given the fixed outer values ``vals`` (``None`` =
+        provably empty).
 
         Every affine constraint anchored at ``d`` mentions only already-fixed
         variables besides ``dims[d]``, so it always reduces to an interval
         adjustment — never to a per-value check.
         """
-        lo = self.bounds[d][0].evaluate(env)
-        hi = self.bounds[d][1].evaluate(env)
-        var = self.dims[d]
-        for c in self._cons_at[d]:
-            coeff, rest = self._split_var(c.expr, var, env)
-            if c.kind == EQ:
-                if coeff == 0:
-                    if rest != 0:
-                        return None
-                elif rest % coeff:
+        (lo_row, lo_c), (hi_row, hi_c) = self._bound_rows[d]
+        lo = lo_c + sum(map(mul, lo_row, vals))
+        hi = hi_c + sum(map(mul, hi_row, vals))
+        for coeff, row, const, is_eq, _ in self._cons_at[d]:
+            # coeff·v + rest (row[d] is not read: len(vals) == d).
+            rest = const + sum(map(mul, row, vals))
+            if is_eq:
+                if rest % coeff:
                     return None
-                else:
-                    pinned = -rest // coeff
-                    lo = max(lo, pinned)
-                    hi = min(hi, pinned)
-            else:  # coeff·v + rest >= 0
-                if coeff > 0:
-                    lo = max(lo, -(rest // coeff))
-                elif coeff < 0:
-                    hi = min(hi, rest // -coeff)
-                elif rest < 0:
-                    return None
+                pinned = -rest // coeff
+                lo = max(lo, pinned)
+                hi = min(hi, pinned)
+            elif coeff > 0:
+                lo = max(lo, -(rest // coeff))
+            else:
+                hi = min(hi, rest // -coeff)
         return (lo, hi) if hi >= lo else None
 
     def _anchored_checks(
-        self, d: int, env: dict[str, int]
+        self, d: int, vals: list[int]
     ) -> list[tuple[int, int, int, int, int]]:
         """Residues anchored at ``d`` reduced to ``(coeff, rest, m, lo, hi)``."""
-        var = self.dims[d]
-        checks = []
-        for r in self._res_at[d]:
-            coeff, rest = self._split_var(r.expr, var, env)
-            checks.append((coeff, rest, r.modulus, r.lo, r.hi))
-        return checks
+        return [
+            (coeff, const + sum(map(mul, row, vals)), m, lo, hi)
+            for coeff, row, const, m, lo, hi, _ in self._res_at[d]
+        ]
 
-    def _count_from(self, d: int, env: dict[str, int]) -> int:
+    def _period(self, d: int) -> int:
+        """The period in ``dims[d]`` of every residue test at or below ``d``."""
+        periods = self._periods
+        if periods is None:
+            periods = self._periods = [0] * self._n
+        period = periods[d]
+        if not period:
+            period = 1
+            for coeff, _, _, m, _, _, _ in self._res_at[d]:
+                period = math.lcm(period, residue_period(coeff, m))
+            for _, row, _, m, _, _, _ in self._res_from[d + 1]:
+                if row[d]:
+                    period = math.lcm(period, residue_period(row[d], m))
+            periods[d] = period
+        return period
+
+    def _count_from(self, d: int, vals: list[int]) -> int:
         if d == self._n:
             return 1
-        key = self._memo_key(d, env)
+        key = self._memo_key(d, vals)
         cached = self._count_memo.get(key)
         if cached is not None:
             return cached
         total = 0
-        rng = self._tightened_range(d, env)
+        rng = self._tightened_range(d, vals)
         if rng is not None:
             lo, hi = rng
-            var = self.dims[d]
-            checks = self._anchored_checks(d, env)
-            if var not in self._raw_vars[d + 1]:
+            checks = self._anchored_checks(d, vals)
+            if not self._raw[d + 1] >> d & 1:
                 # This dimension matters below (if at all) only through
                 # residue partials — satisfaction and every deeper count are
                 # periodic in it, so scan one period and weight each class
                 # by its closed-form multiplicity.
-                period = 1
-                for coeff, _, m, _, _ in checks:
-                    period = math.lcm(period, residue_period(coeff, m))
-                for r in self._res_from[d + 1]:
-                    coeff = r.expr.coeff(var)
-                    if coeff:
-                        period = math.lcm(
-                            period, residue_period(coeff, r.modulus)
-                        )
+                period = self._period(d)
                 if period < hi - lo + 1:
                     for w in range(lo, lo + period):
                         if all(
                             rl <= (cf * w + rest) % m <= rh
                             for cf, rest, m, rl, rh in checks
                         ):
-                            env[var] = w
-                            inner = self._count_from(d + 1, env)
+                            vals.append(w)
+                            inner = self._count_from(d + 1, vals)
+                            vals.pop()
                             if inner:
                                 total += inner * count_range_residue(
                                     lo, hi, period, w % period
                                 )
-                    env.pop(var, None)
                     self._count_memo[key] = total
                     return total
             for value in range(lo, hi + 1):
@@ -436,42 +491,43 @@ class RegionSpace:
                     rl <= (cf * value + rest) % m <= rh
                     for cf, rest, m, rl, rh in checks
                 ):
-                    env[var] = value
-                    total += self._count_from(d + 1, env)
-            env.pop(var, None)
+                    vals.append(value)
+                    total += self._count_from(d + 1, vals)
+                    vals.pop()
         self._count_memo[key] = total
         return total
 
     # -- enumeration ---------------------------------------------------------------
 
     def enumerate_points(self) -> Iterator[tuple[int, ...]]:
-        """Yield every integer point in lexicographic order."""
+        """Yield every integer point in lexicographic order.
+
+        The scalar oracle of :func:`repro.polyhedra.batch.enumerate_points_array`,
+        which the solver uses.
+        """
         if self._empty:
             return
-        yield from self._enumerate_from(0, {}, [])
+        yield from self._enumerate_from(0, [])
 
     def _enumerate_from(
-        self, d: int, env: dict[str, int], prefix: list[int]
+        self, d: int, vals: list[int]
     ) -> Iterator[tuple[int, ...]]:
         if d == self._n:
-            yield tuple(prefix)
+            yield tuple(vals)
             return
-        rng = self._tightened_range(d, env)
+        rng = self._tightened_range(d, vals)
         if rng is None:
             return
         lo, hi = rng
-        var = self.dims[d]
-        checks = self._anchored_checks(d, env)
+        checks = self._anchored_checks(d, vals)
         for value in range(lo, hi + 1):
             if all(
                 rl <= (cf * value + rest) % m <= rh
                 for cf, rest, m, rl, rh in checks
             ):
-                env[var] = value
-                prefix.append(value)
-                yield from self._enumerate_from(d + 1, env, prefix)
-                prefix.pop()
-        env.pop(var, None)
+                vals.append(value)
+                yield from self._enumerate_from(d + 1, vals)
+                vals.pop()
 
     # -- representative search ----------------------------------------------------
 
@@ -490,16 +546,13 @@ class RegionSpace:
         """
         if self._empty or self.count() == 0:
             return None
-        env: dict[str, int] = {}
-        point: list[int] = []
+        vals: list[int] = []
         for d in range(self._n):
-            rng = self._tightened_range(d, env)
+            rng = self._tightened_range(d, vals)
             if rng is None:
                 return None  # unreachable after the count() > 0 check
             lo, hi = rng
-            var = self.dims[d]
-            checks = self._anchored_checks(d, env)
-            found = False
+            checks = self._anchored_checks(d, vals)
             for value in range(lo, hi + 1):
                 budget -= 1
                 if budget < 0:
@@ -509,14 +562,13 @@ class RegionSpace:
                     for cf, rest, m, rl, rh in checks
                 ):
                     continue
-                env[var] = value
-                if self._count_from(d + 1, env) > 0:
-                    point.append(value)
-                    found = True
+                vals.append(value)
+                if self._count_from(d + 1, vals) > 0:
                     break
-            if not found:
+                vals.pop()
+            else:
                 return None
-        return tuple(point)
+        return tuple(vals)
 
     def __repr__(self) -> str:
         parts = [

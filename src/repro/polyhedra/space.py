@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, Sequence
 
 import random
+import threading
 from bisect import bisect_right
 
 import numpy as np
@@ -41,8 +42,16 @@ from repro.polyhedra.constraints import Constraint, ConstraintSet
 #: solver), but structurally identical systems recur constantly — translated
 #: producer spaces, residue cells differing only in dead constraints, the
 #: same RIS rebuilt in a worker process.  Caching per *signature* rather
-#: than per instance means a count is ever computed once per process.
+#: than per instance means a count is computed once while it stays cached.
 _COUNT_CACHE: dict[tuple, int] = {}
+
+#: Entries the count cache keeps; beyond it the oldest are evicted first,
+#: so a long-lived process (the daemon) holds at most this many however
+#: many distinct programs it analyses.  A whole ``kernels-exact`` pass of
+#: ``perfbench`` uses about 2,000.
+COUNT_CACHE_CAP = 16_384
+
+_COUNT_CACHE_LOCK = threading.Lock()
 
 
 def cached_count(signature: tuple, compute: Callable[[], int]) -> int:
@@ -55,7 +64,10 @@ def cached_count(signature: tuple, compute: Callable[[], int]) -> int:
         obs.counter("polyhedra.count.cache_hits").inc()
         return cached
     value = compute()
-    _COUNT_CACHE[signature] = value
+    with _COUNT_CACHE_LOCK:
+        _COUNT_CACHE[signature] = value
+        while len(_COUNT_CACHE) > COUNT_CACHE_CAP:
+            del _COUNT_CACHE[next(iter(_COUNT_CACHE))]
     return value
 
 
@@ -65,8 +77,9 @@ def count_cache_size() -> int:
 
 
 def clear_count_cache() -> None:
-    """Drop every cached count (tests, and long-lived service processes)."""
-    _COUNT_CACHE.clear()
+    """Drop every cached count (tests and benchmarks)."""
+    with _COUNT_CACHE_LOCK:
+        _COUNT_CACHE.clear()
 
 
 class BoundedSpace:

@@ -62,6 +62,23 @@ class ReuseTable:
 
     def __init__(self, by_consumer: dict[int, list[ReuseVector]]):
         self._by_consumer = by_consumer
+        self._derived: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Derived facts are a cache: a process that unpickles the table
+        # rebuilds what it needs.
+        return {"_by_consumer": self._by_consumer, "_derived": {}}
+
+    def derived(self, key) -> dict:
+        """The dict of facts a solver derives from this table under ``key``.
+
+        Lives and dies with the table, so facts computed once per program
+        (for one layout and line size, say) are shared by every solve
+        that uses the table.  Entries must be pure functions of ``key``
+        and their own sub-key: concurrent solvers publish them with
+        ``dict.setdefault``, without a lock.
+        """
+        return self._derived.setdefault(key, {})
 
     def vectors_for(self, ref: NRef) -> list[ReuseVector]:
         """The consumer's reuse vectors, sorted in increasing ``≺``."""

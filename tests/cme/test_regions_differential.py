@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from repro import obs
 from repro.cme import find_misses, region_misses, regional_coverage
+from repro.cme.regions import FALLBACK_REASONS
+from repro.layout import CacheConfig
 from repro.reuse import build_reuse_table
 from tests.harness.differential import FAMILIES, generate_cases
 
@@ -52,6 +54,62 @@ def test_regions_equals_find_on_every_case():
             ]
             failures.append(f"{case.name}: {'; '.join(diffs[:3])}")
     assert not failures, "\n".join(failures[:20])
+
+
+def _regions_counters() -> dict:
+    return {
+        name: value
+        for name, value in obs.snapshot()["counters"].items()
+        if name.startswith("cme.regions.")
+    }
+
+
+def _solve_counted(nprog, layout, cache, reuse=None):
+    obs.reset()
+    report = region_misses(nprog, layout, cache, reuse=reuse)
+    return report.results, _regions_counters()
+
+
+def test_reuse_table_shared_across_geometries_matches_fresh_solvers():
+    # The decomposition facts cached on a reuse table (cold conditions,
+    # certificates, static windows) depend on the line size alone: a
+    # second geometry of the same line size must solve exactly as if
+    # nothing had been cached.
+    obs.enable()
+    try:
+        for case in all_cases():
+            nprog, layout = case.prepared()
+            line = case.cache.line_bytes
+            other = CacheConfig(
+                2 * case.cache.size_bytes, line, 2 if case.cache.assoc == 1 else 1
+            )
+            shared = build_reuse_table(nprog, line)
+            for cache in (case.cache, other):
+                got = _solve_counted(nprog, layout, cache, shared)
+                want = _solve_counted(nprog, layout, cache)
+                assert got == want, f"{case.name} at {cache}"
+    finally:
+        obs.disable()
+
+
+def test_fallback_reasons_sum_to_fallback_points():
+    obs.enable()
+    try:
+        reasons_seen = set()
+        for case in all_cases():
+            nprog, layout = case.prepared()
+            _, counters = _solve_counted(nprog, layout, case.cache)
+            by_reason = {
+                name.rsplit(".", 1)[1]: value
+                for name, value in counters.items()
+                if name.startswith("cme.regions.fallback.")
+            }
+            assert set(by_reason) == set(FALLBACK_REASONS)
+            assert sum(by_reason.values()) == counters["cme.regions.fallback_points"]
+            reasons_seen |= {r for r, n in by_reason.items() if n}
+    finally:
+        obs.disable()
+    assert {"uncertified", "window_budget"} <= reasons_seen, reasons_seen
 
 
 def test_report_method_name():

@@ -159,6 +159,8 @@ CI_SMOKE = {
                 "--method", "regions"],
     "estimate-swim": ["analyze", "swim", "--size", "40", "--cache", "4:32:1",
                       "--method", "estimate"],
+    "regions-mmt": ["analyze", "mmt", "--size", "16", "--cache", "4:32:2",
+                    "--method", "regions"],
 }
 
 

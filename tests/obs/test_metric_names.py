@@ -25,6 +25,12 @@ GOLDEN_COUNTERS = {
     "cme.points.replacement",
     "cme.refs.analysed",
     "cme.regions.exact_regions",
+    "cme.regions.fallback.cell_cap",
+    "cme.regions.fallback.irregular",
+    "cme.regions.fallback.partition_mismatch",
+    "cme.regions.fallback.probe_mismatch",
+    "cme.regions.fallback.uncertified",
+    "cme.regions.fallback.window_budget",
     "cme.regions.fallback_cells",
     "cme.regions.fallback_points",
     "cme.regions.fallback_regions",

@@ -9,7 +9,11 @@ Randomized (seeded) systems are checked against brute force:
   against :meth:`RegionSpace.enumerate_points` and a raw triple loop,
 * :meth:`RegionSpace.tight_ranges` — the interval-arithmetic box the
   crossing-window certificate bounds its unroll with — must contain every
-  point of the space (conservativeness is what the solver relies on).
+  point of the space (conservativeness is what the solver relies on),
+* cells derived by ``conjoin``/``with_residue`` chains against a fresh
+  construction of the same region, and the vectorised enumerator
+  (:func:`~repro.polyhedra.batch.enumerate_points_array`) against
+  :meth:`RegionSpace.enumerate_points`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
+from repro.polyhedra.batch import enumerate_points_array
 from repro.polyhedra import (
     Affine,
     Constraint,
@@ -161,3 +168,98 @@ def test_negate_constraint_partitions_the_space():
             f"negation of {con!r} does not partition {space!r}: "
             f"{keep.count()} + {[d.count() for d in drops]} != {space.count()}"
         )
+
+
+def _random_chain(rng: random.Random):
+    """A random region built by ``conjoin``/``with_residue`` steps, and the
+    ``(constraints, residues)`` a fresh construction of it takes.
+
+    Some chains take a constant-false constraint or a constant residue
+    (satisfied or not) mid-way: derivation must keep such a region empty
+    however many conjuncts follow.
+    """
+    start = _random_region(rng)
+    base = RegionSpace(start.dims, start.bounds)
+    dims = base.dims
+    region = base
+    constraints: list[Constraint] = []
+    residues: list[ResidueConstraint] = []
+    for _ in range(rng.randrange(1, 6)):
+        roll = rng.random()
+        if roll < 0.08:
+            con = Constraint.inequality(Affine.const(-1))
+        elif roll < 0.5:
+            expr = Affine(
+                {v: rng.randrange(-2, 3) for v in dims}, rng.randrange(-6, 7)
+            )
+            con = (
+                Constraint.equality(expr)
+                if rng.random() < 0.25
+                else Constraint.inequality(expr)
+            )
+        else:
+            con = None
+        if con is not None:
+            region = region.conjoin(con)
+            constraints.append(con)
+            continue
+        modulus = rng.choice([2, 3, 4, 8, 16])
+        lo_r = rng.randrange(modulus)
+        hi_r = rng.randrange(lo_r, modulus)
+        if roll < 0.58:  # constant once reduced mod the modulus
+            expr = Affine(
+                {v: modulus * rng.randrange(0, 3) for v in dims},
+                rng.randrange(2 * modulus),
+            )
+        else:
+            expr = Affine(
+                {v: rng.randrange(0, modulus) for v in dims},
+                rng.randrange(modulus),
+            )
+        region = region.with_residue(expr, modulus, lo_r, hi_r)
+        residues.append(ResidueConstraint.make(expr, modulus, lo_r, hi_r))
+    return region, base, constraints, residues
+
+
+def test_derived_cells_equal_fresh_construction():
+    rng = random.Random(707)
+    empties = 0
+    for _ in range(300):
+        derived, base, constraints, residues = _random_chain(rng)
+        fresh = RegionSpace(base.dims, base.bounds, constraints, residues)
+        assert derived.signature() == fresh.signature()
+        assert derived.is_trivially_empty() == fresh.is_trivially_empty()
+        assert derived.count() == fresh.count()
+        assert list(derived.enumerate_points()) == list(fresh.enumerate_points())
+        assert derived.representative() == fresh.representative()
+        for point in base.enumerate_points():
+            assert derived.contains(point) == fresh.contains(point)
+        empties += derived.is_trivially_empty()
+        # Derivation never touches the parent.
+        assert base.count() == len(list(base.enumerate_points()))
+    assert empties > 0  # constant-false conjuncts were exercised
+
+
+def test_derivation_keeps_an_emptied_region_empty():
+    space = RegionSpace(("x",), [(Affine.const(0), Affine.const(9))])
+    emptied = space.with_residue(Affine.const(5), 4, 0, 0)  # 5 mod 4 = 1
+    assert emptied.is_trivially_empty()
+    grown = emptied.conjoin(Constraint.inequality(Affine.var("x"))).with_residue(
+        Affine.var("x"), 2, 0, 0
+    )
+    assert grown.count() == 0
+    assert list(grown.enumerate_points()) == []
+    assert len(enumerate_points_array(grown)) == 0
+    assert grown.representative() is None
+    assert space.count() == 10
+
+
+def test_array_enumeration_equals_the_scalar_oracle():
+    rng = random.Random(808)
+    for _ in range(300):
+        space = _random_region(rng) if rng.random() < 0.5 else _random_chain(rng)[0]
+        want = list(space.enumerate_points())
+        got = enumerate_points_array(space)
+        assert got.dtype == np.int64
+        assert got.shape == (len(want), space.ndim)
+        assert got.tolist() == [list(p) for p in want]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.polyhedra import Affine, BoundedSpace, ConstraintSet, Var
+from repro.polyhedra import space as space_module
 
 
 def box(nx, ny):
@@ -63,6 +64,33 @@ class TestCount:
         s = BoundedSpace(("x",), [(Affine.const(2), Affine.const(2))])
         assert s.count() == 1
         assert list(s.enumerate_points()) == [(2,)]
+
+
+class TestCountCache:
+    """The cross-instance count cache stays bounded in a long-lived
+    process (the daemon analyses ever more distinct systems)."""
+
+    @staticmethod
+    def rectangle(k):
+        return BoundedSpace(
+            ("x", "y"),
+            [(Affine.const(1), Affine.const(k)), (Affine.const(0), Affine.const(2))],
+        )
+
+    def test_bounded_and_exact_after_eviction(self):
+        cap = space_module.COUNT_CACHE_CAP
+        space_module.clear_count_cache()
+        try:
+            for k in range(1, cap + 1001):
+                assert self.rectangle(k).count() == 3 * k
+            assert space_module.count_cache_size() <= cap
+            # The oldest systems were evicted first; fresh instances of
+            # them recount exactly, as do the newest (still cached) ones.
+            for k in (1, 2, 500, cap + 1000):
+                assert self.rectangle(k).count() == 3 * k
+            assert space_module.count_cache_size() <= cap
+        finally:
+            space_module.clear_count_cache()
 
 
 class TestContains:
