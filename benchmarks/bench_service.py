@@ -93,7 +93,7 @@ def pass_stats(latencies, wall):
 
 def run_level(n_clients: int) -> dict:
     """Cold + warm pass at one concurrency level on a fresh server."""
-    with AnalysisServer(port=0, workers=4, dispatchers=4).start() as server:
+    with AnalysisServer(port=0, dispatchers=4).start() as server:
         cold = pass_stats(*run_pass(server.url, n_clients))
         warm = pass_stats(*run_pass(server.url, n_clients))
         memo = dict(

@@ -12,9 +12,12 @@ Two checks, one table each:
 
 * **Flatness sweep** — stride-1 stencil kernels (fully certifiable by
   construction) swept over 100× loop bounds: regions time must stay
-  within ``FLATNESS`` of its smallest-size time (min-of-3) while the
-  FindMisses time grows at least ``MIN_FIND_GROWTH``×, with the reports
-  exactly equal at every size.
+  within ``FLATNESS`` of its smallest-size time while the FindMisses time
+  grows at least ``MIN_FIND_GROWTH``×, with the reports exactly equal at
+  every size.  A certified stencil solves in a few milliseconds, so the
+  regions time is the minimum of ``REGION_ROUNDS`` solves per size, taken
+  in rounds over the whole sweep: a burst of host load then slows every
+  size alike instead of deciding the ratio.
 * **Coverage on the Table 3 kernels** — Hydro/MMT/MGRID at the paper's
   1KB/32B direct-mapped geometry: the aggregate fraction of regions
   counted exactly (``cme.regions.exact_regions`` vs
@@ -41,7 +44,7 @@ SIZES = [500, 5000, 50000]
 CACHE = CacheConfig.kb(1, 32, 1)
 
 #: Regions time at the largest size may exceed the smallest-size time by
-#: at most this factor (min-of-3 timings).
+#: at most this factor.
 FLATNESS = 1.5
 
 #: FindMisses time must grow at least this much over the same sweep.
@@ -50,8 +53,12 @@ MIN_FIND_GROWTH = 20.0
 #: Aggregate exact-region fraction required on the Table 3 kernels.
 MIN_EXACT_RATIO = 0.90
 
-#: Timing repetitions (the minimum is reported — robust to scheduler noise).
+#: FindMisses timing repetitions (the minimum is reported).
 REPEATS = 3
+
+#: Regions timing rounds; each round solves every size of one stencil
+#: once, and the minimum per size is reported.
+REGION_ROUNDS = 30
 
 
 def build_stencil3(n: int) -> Program:
@@ -93,15 +100,32 @@ def _min_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
     return best, result
 
 
+def _regions_min_of(cases, rounds: int = REGION_ROUNDS):
+    """The minimum regions solve time of each ``(prep, reuse)`` case, and
+    its report, over ``rounds`` rounds that each solve every case once."""
+    best = [float("inf")] * len(cases)
+    results = [None] * len(cases)
+    for _ in range(rounds):
+        for i, (prep, reuse) in enumerate(cases):
+            started = time.perf_counter()
+            results[i] = region_misses(prep.nprog, prep.layout, CACHE, reuse)
+            best[i] = min(best[i], time.perf_counter() - started)
+    return best, results
+
+
 def compute_flatness_rows():
     rows = []
     summary = []
     for name, builder in STENCILS:
-        times_regions = []
-        times_find = []
+        cases = []
         for n in SIZES:
             prep = prepare(builder(n))
-            reuse = prep.reuse_table(CACHE.line_bytes)
+            cases.append((prep, prep.reuse_table(CACHE.line_bytes)))
+        times_regions, regions_reports = _regions_min_of(cases)
+        times_find = []
+        for n, (prep, reuse), t_regions, regions in zip(
+            SIZES, cases, times_regions, regions_reports
+        ):
             coverage = regional_coverage(
                 prep.nprog, prep.layout, CACHE, reuse
             )
@@ -110,11 +134,7 @@ def compute_flatness_rows():
                     prep.nprog, prep.layout, CACHE, reuse, walker=prep.walker
                 )
             )
-            t_regions, regions = _min_of(
-                lambda: region_misses(prep.nprog, prep.layout, CACHE, reuse)
-            )
             equal = regions.results == find.results
-            times_regions.append(t_regions)
             times_find.append(t_find)
             rows.append(
                 (

@@ -15,7 +15,7 @@ Examples::
     repro-cache analyze hydro --jobs 4 --timeline-out t.json --ledger-out runs.jsonl
     repro-cache perf check runs.jsonl --threshold 1.5
     repro-cache perf report runs.jsonl -o perf_report.html
-    repro-cache serve --port 8091 --workers 4 --cache-dir .serve-memo
+    repro-cache serve --port 8091 --dispatchers 4 --cache-dir .serve-memo
     repro-cache submit hydro --size 32 --cache 4:32:2 --method find \
         --url http://127.0.0.1:8091
     repro-cache version
@@ -433,7 +433,6 @@ def _cmd_serve(args, echo: Callable[[str], None]) -> int:
     server = AnalysisServer(
         host=args.host,
         port=args.port,
-        workers=args.workers,
         dispatchers=args.dispatchers,
         queue_limit=args.queue_limit,
         cache_dir=cache_dir,
@@ -785,12 +784,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=int, default=8091, help="0 = ephemeral port"
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="threads in the shared per-reference unit pool",
     )
     p_serve.add_argument(
         "--dispatchers",

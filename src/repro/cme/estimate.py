@@ -14,8 +14,8 @@ individually reproducible: adding or removing a reference cannot perturb any
 other reference's sample (a single shared generator used to do exactly
 that), and it is what lets the loop over references
 (:mod:`repro.cme.solver`) run the per-reference unit,
-:func:`estimate_ref_misses`, serially, in the process pool
-(:mod:`repro.parallel`) or on the daemon's thread pool (:mod:`repro.serve`)
+:func:`estimate_ref_misses`, serially (also on the daemon's dispatcher
+threads, :mod:`repro.serve`) or in the process pool (:mod:`repro.parallel`)
 while producing bit-identical reports.
 
 The number of sampled points depends on ``(c, w)``, not on the trace

@@ -9,8 +9,8 @@ generated).
 This module holds the per-reference unit, :func:`find_ref_misses`; the
 loop over references is :mod:`repro.cme.solver`'s, shared with the other
 solvers.  References are independent once the reuse table is built, so the
-same unit runs serially, in the process pool (:mod:`repro.parallel`) and
-on the daemon's thread pool (:mod:`repro.serve`).
+same unit runs serially (also on the daemon's dispatcher threads,
+:mod:`repro.serve`) and in the process pool (:mod:`repro.parallel`).
 """
 
 from __future__ import annotations

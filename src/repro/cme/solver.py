@@ -14,16 +14,18 @@ that loop, written once:
   solver (or rejected);
 * :func:`run_units` — memo plan → solve → finish for any executor.  The
   executor is a ``refs -> {uid: RefResult}`` callable: the serial loop
-  below, the process pool (:class:`repro.parallel.ParallelEngine`) or the
-  daemon's thread pool (:class:`repro.serve.engine.AnalysisEngine`);
+  below or the process pool (:class:`repro.parallel.ParallelEngine`);
 * :func:`solve_misses` — the serial driver (or the process pool for
   ``jobs != 1``) behind ``find_misses``, ``estimate_misses``,
-  ``region_misses`` and :func:`repro.analysis.analyze`.
+  ``region_misses``, :func:`repro.analysis.analyze` and the daemon's
+  :class:`repro.serve.engine.AnalysisEngine`, which passes its cached
+  classifier and a per-unit guard.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from importlib import import_module
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
@@ -35,6 +37,7 @@ from repro.reuse.generator import build_reuse_table
 from repro.stats.confidence import check_fraction
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
+    from repro.cme.batch import BatchClassifier
     from repro.iteration.walker import Walker
     from repro.layout.cache import CacheConfig
     from repro.layout.memory import MemoryLayout
@@ -57,6 +60,13 @@ METHODS = tuple(_TABLE)
 
 #: An executor: solves ``refs`` and returns ``{uid: RefResult}`` in order.
 SolveRefs = Callable[[list], dict[int, RefResult]]
+
+#: Entered around each serial unit: ``guard(ref)`` returns a context manager.
+UnitGuard = Callable[["NRef"], AbstractContextManager]
+
+
+def _no_guard(ref: "NRef") -> AbstractContextManager:
+    return nullcontext()
 
 
 @dataclass(frozen=True)
@@ -166,12 +176,17 @@ def solve_misses(
     refs: Optional[Iterable["NRef"]] = None,
     jobs: int = 1,
     memo: Optional["Memoizer"] = None,
+    classifier: Optional["BatchClassifier"] = None,
+    unit_guard: UnitGuard = _no_guard,
 ) -> MissReport:
     """Solve ``refs`` (default: every reference) with ``solver``.
 
     ``jobs != 1`` shards the references across a process pool (``0`` or
     negative = all CPUs) with an identical report; ``memo`` is as in
-    :func:`repro.analysis.analyze`.
+    :func:`repro.analysis.analyze`.  The serial loop classifies with
+    ``classifier`` (built here when ``None``) and runs each unit inside
+    ``unit_guard(ref)``: the daemon passes its cached classifier and a
+    guard that checks the request deadline and takes the state's lock.
     """
     started = time.perf_counter()
     if reuse is None:
@@ -182,10 +197,15 @@ def solve_misses(
 
         with ParallelEngine(nprog, layout, cache, reuse, jobs, memo) as engine:
             return engine.solve(solver, targets)
-    classifier = make_classifier(nprog, layout, cache, reuse, walker)
+    if classifier is None:
+        classifier = make_classifier(nprog, layout, cache, reuse, walker)
 
     def solve_refs(todo: list) -> dict[int, RefResult]:
-        return {r.uid: solver.solve_ref(classifier, nprog, r) for r in todo}
+        results = {}
+        for ref in todo:
+            with unit_guard(ref):
+                results[ref.uid] = solver.solve_ref(classifier, nprog, ref)
+        return results
 
     with obs.span(solver.span):
         report = run_units(

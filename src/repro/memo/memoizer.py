@@ -10,7 +10,7 @@ partitions the targets into
   in this run, or from the persistent store), and
 * **solves** — one representative per distinct *new* equation system.
 
-Every executor — serial, the process pool and the daemon's thread pool —
+Every executor — serial (also the daemon's) and the process pool —
 plans through :func:`repro.cme.solver.run_units` and then solves exactly
 ``plan.solve``, so the ``memo.hits`` / ``memo.misses`` /
 ``memo.dedup.groups`` counters are identical for any ``--jobs`` value — a

@@ -5,8 +5,8 @@ inside interactive tools.  This package turns the library into a
 long-running daemon that amortises every expensive substrate across
 requests: one process-wide :class:`~repro.memo.Memoizer` dedups equation
 systems *across* clients, one prepared-program LRU re-uses front-end work,
-and per-reference analysis units from many concurrent requests interleave
-through a single shared worker pool.
+and a fixed set of dispatcher threads solves requests concurrently, each
+request's per-reference units on the thread that took it.
 
 Layers (all zero-dependency — ``http.server`` + ``json`` + ``urllib``):
 
@@ -15,8 +15,7 @@ Layers (all zero-dependency — ``http.server`` + ``json`` + ``urllib``):
   deterministic report serialisation (bit-identical to offline
   ``repro-cache analyze`` for the same inputs);
 * :mod:`repro.serve.engine` — the reusable plan → solve → report engine
-  API.  The CLI and the daemon share this one code path; the daemon
-  additionally runs the pooled per-reference mode;
+  API.  The CLI and the daemon share this one code path;
 * :mod:`repro.serve.queue` — bounded admission queue with per-client
   round-robin fairness and request deadlines;
 * :mod:`repro.serve.server` — the HTTP daemon (``POST /v1/analyze``,
@@ -29,7 +28,7 @@ Quickstart::
 
     from repro.serve import AnalysisServer, ServeClient
 
-    with AnalysisServer(port=0, workers=2).start() as server:
+    with AnalysisServer(port=0, dispatchers=2).start() as server:
         client = ServeClient(server.url)
         doc = client.analyze({"kernel": "hydro", "size": 32,
                               "cache": "4:32:2", "method": "find"})

@@ -5,28 +5,20 @@ request to a prepared program, *planning* its per-reference work through a
 (shared) memoizer, *solving* the plan, and *reporting* the result are now
 one engine API instead of logic buried in ``repro-cache analyze``.
 
-Two solve modes, bit-identical by construction:
-
-* **offline** (``pool=None``) — delegates to :func:`repro.analysis.analyze`
-  — the exact path the CLI always ran, including ``--jobs`` process
-  sharding.  ``repro-cache analyze`` goes through here.
-* **pooled** (``pool=`` a ``ThreadPoolExecutor``) — the daemon mode: the
-  thread-pool executor of :func:`repro.cme.solver.run_units`.  The memo
-  plan runs under the shared memoizer's lock, then each representative
-  reference becomes one unit on the *shared* pool, where units from many
-  concurrent requests interleave.  Units call the very same per-reference
-  unit the serial solvers and the process pool run
-  (:meth:`Solver.solve_ref <repro.cme.solver.Solver.solve_ref>`), so a
-  pooled report is field-for-field identical to an offline one.
-
-Both modes report the memo plan's own counts (``report.memo``), so a
-request's ``store_hits`` never picks up another request's lookups.
+There is one solve path.  :meth:`AnalysisEngine.run` hands the request's
+cached state to :func:`repro.cme.solver.solve_misses` — the loop behind
+:func:`repro.analysis.analyze` — so a report is field-for-field identical
+to an offline one.  The daemon runs it on the dispatcher thread that took
+the request; ``repro-cache analyze --jobs N`` runs it through the process
+pool.  The report carries the memo plan's own counts (``report.memo``), so
+a request's ``store_hits`` never picks up another request's lookups.
 
 Per analysis state — ``(program, cache geometry)`` — the engine
 caches the prepared program, the reuse table and the classifier in LRU
 maps, and serialises units of the *same* state behind a per-state lock
 (classifiers keep internal caches that are not thread-safe); units of
-*different* states run concurrently.
+*different* states run concurrently.  The request deadline is checked
+before each unit.
 """
 
 from __future__ import annotations
@@ -35,14 +27,14 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import TimeoutError as FutureTimeout
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
-from repro.analysis import PreparedProgram, analyze, prepare
+from repro.analysis import PreparedProgram, prepare
 from repro.cme.backend import make_classifier
 from repro.cme.result import MissReport
-from repro.cme.solver import Solver, run_units, solver_for
+from repro.cme.solver import solve_misses, solver_for
 from repro.errors import FrontendError, ReproError
 from repro.ir.nodes import Program
 from repro.serve.protocol import (
@@ -55,8 +47,6 @@ from repro.serve.protocol import (
 )
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.memo import Memoizer
 
 #: Prepared programs kept in the engine's LRU (front-end work is cheap but
@@ -118,7 +108,7 @@ class _State:
     cache: object  # CacheConfig
     reuse: object  # ReuseTable
     classifier: object
-    #: Serialises pooled units of this state — classifiers carry internal
+    #: Serialises the units of this state — classifiers carry internal
     #: caches that are not safe under concurrent classification.
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -227,93 +217,50 @@ class AnalysisEngine:
         self,
         request: AnalyzeRequest,
         jobs: int = 1,
-        pool: Optional["ThreadPoolExecutor"] = None,
         deadline: Optional[float] = None,
     ) -> tuple[MissReport, dict]:
         """Solve one request; returns ``(report, info)``.
 
         ``info`` carries per-request accounting — the memo plan's hits,
         misses and store hits, and solve wall time — without touching the
-        report (whose serialisation must stay deterministic).  ``deadline``
-        is an absolute monotonic time; crossing it raises
-        :class:`RequestTimeout`.
+        report (whose serialisation must stay deterministic).  ``jobs``
+        is as in :func:`repro.analysis.analyze`.  ``deadline`` is an
+        absolute monotonic time, checked before each unit; crossing it
+        raises :class:`RequestTimeout`.  New memo solutions are left for
+        the caller to flush.
         """
         started = time.perf_counter()
         self._check_deadline(deadline)
-        if pool is None:
-            # The CLI path: the library solvers end to end (``--jobs``
-            # shards across the process pool).
-            report = analyze(
-                self.prepared_for(request),
-                request.cache,
-                method=request.method,
-                confidence=request.confidence,
-                width=request.width,
-                seed=request.seed,
-                jobs=jobs,
-                memo=self.memo,
-            )
-        else:
-            report = self._run_pooled(request, pool, deadline)
+        solver = solver_for(
+            request.method, request.confidence, request.width, request.seed
+        )
+        state = self._state_for(request)
+
+        @contextmanager
+        def unit_guard(ref):
+            self._check_deadline(deadline, ref)
+            with state.lock:
+                yield
+
+        report = solve_misses(
+            solver,
+            state.prepared.nprog,
+            state.prepared.layout,
+            state.cache,
+            reuse=state.reuse,
+            jobs=jobs,
+            memo=self.memo,
+            classifier=state.classifier,
+            unit_guard=unit_guard,
+        )
         info = {
             "memo": report.memo or {"hits": 0, "misses": 0, "store_hits": 0},
             "solve_seconds": time.perf_counter() - started,
         }
         return report, info
 
-    def _run_pooled(
-        self,
-        request: AnalyzeRequest,
-        pool: "ThreadPoolExecutor",
-        deadline: Optional[float],
-    ) -> MissReport:
-        """The daemon path: shared memo plan + shared unit pool."""
-        solver = solver_for(
-            request.method, request.confidence, request.width, request.seed
-        )
-        state = self._state_for(request)
-        nprog = state.prepared.nprog
-
-        def solve_refs(refs: list) -> dict:
-            self._check_deadline(deadline)
-            futures = [
-                pool.submit(self._solve_unit, state, solver, ref)
-                for ref in refs
-            ]
-            results = {}
-            try:
-                for ref, future in zip(refs, futures):
-                    remaining = None
-                    if deadline is not None:
-                        remaining = max(0.0, deadline - time.monotonic())
-                    try:
-                        results[ref.uid] = future.result(timeout=remaining)
-                    except FutureTimeout:
-                        raise RequestTimeout(
-                            f"deadline expired while solving {ref.name()} "
-                            f"({len(refs)} unit(s) in flight)"
-                        ) from None
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-            return results
-
-        report = run_units(
-            solver, nprog, state.prepared.layout, state.cache, state.reuse,
-            list(nprog.refs), self.memo, solve_refs,
-        )
-        if self.memo is not None:
-            self.memo.flush()
-        return report
-
     @staticmethod
-    def _solve_unit(state: _State, solver: Solver, ref):
-        """One per-reference unit on the shared pool (the daemon's shard)."""
-        with state.lock:
-            return solver.solve_ref(state.classifier, state.prepared.nprog, ref)
-
-    @staticmethod
-    def _check_deadline(deadline: Optional[float]) -> None:
+    def _check_deadline(deadline: Optional[float], ref=None) -> None:
         if deadline is not None and time.monotonic() >= deadline:
-            raise RequestTimeout("request deadline expired before solving")
+            where = "solving" if ref is None else f"solving {ref.name()}"
+            raise RequestTimeout(f"request deadline expired before {where}")

@@ -8,15 +8,13 @@ Request flow::
                                         429 / 400     dispatcher thread
                                                             │
                                                    AnalysisEngine.run
-                                                   (shared Memoizer,
-                                                    shared unit pool)
+                                                   (shared Memoizer)
 
 Handlers run on ``ThreadingHTTPServer``'s per-connection threads; they
 only validate, admit and wait.  All solving happens on ``dispatchers``
-dispatcher threads, which pull jobs fairly across clients and fan each
-job's per-reference units out to one shared ``ThreadPoolExecutor`` — so
-units of concurrent requests interleave and a long analysis cannot
-monopolise the pool.
+dispatcher threads, which pull jobs fairly across clients and solve each
+job's per-reference units inline, one after another, on the thread that
+took it — so at most ``dispatchers`` requests are solved at once.
 
 Endpoints (all JSON, schema ``repro.serve/v1``):
 
@@ -36,7 +34,6 @@ import statistics
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -84,17 +81,19 @@ class AnalysisServer:
 
     ``port=0`` binds an ephemeral port (read :attr:`url` after
     :meth:`start`).  ``queue_limit`` bounds admission (429 past it);
-    ``workers`` sizes the shared per-reference unit pool; ``dispatchers``
-    is the number of concurrently-solving requests.  ``cache_dir`` makes
-    the shared memoizer persistent; otherwise it is in-memory only (still
-    deduping across requests).
+    ``dispatchers`` is the number of concurrently-solving requests, the
+    daemon's only thread count: each dispatcher solves its request's
+    units itself.  ``workers`` is deprecated and ignored; it is accepted
+    so existing callers keep working.  ``cache_dir`` makes the shared
+    memoizer persistent; otherwise it is in-memory only (still deduping
+    across requests).
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: int = 2,
+        workers: Optional[int] = None,
         dispatchers: int = 2,
         queue_limit: int = 64,
         cache_dir: Optional[str] = None,
@@ -107,9 +106,6 @@ class AnalysisServer:
         self.engine = AnalysisEngine(memo=memo)
         self.queue = FairQueue(capacity=queue_limit)
         self.default_timeout = default_timeout
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers), thread_name_prefix="repro-serve-unit"
-        )
         self._dispatcher_count = max(1, dispatchers)
         self._dispatcher_threads: list[threading.Thread] = []
         self._jobs: OrderedDict[str, Job] = OrderedDict()
@@ -176,7 +172,6 @@ class AnalysisServer:
         self._httpd.server_close()
         for t in self._dispatcher_threads:
             t.join(timeout=5.0)
-        self._pool.shutdown(wait=False, cancel_futures=True)
         self.memo.flush()
 
     def __enter__(self) -> "AnalysisServer":
@@ -241,9 +236,8 @@ class AnalysisServer:
             return
         job.start()
         try:
-            report, info = self.engine.run(
-                job.request, pool=self._pool, deadline=job.deadline
-            )
+            report, info = self.engine.run(job.request, deadline=job.deadline)
+            self.memo.flush()
         except ServeError as exc:
             job.fail(exc)
         except ReproError as exc:
@@ -343,11 +337,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(exc.http_status, error_doc(exc))
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:  # "abc", "1e3": not a byte count
+            length = -1
         if length <= 0 or length > MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
             raise MalformedBody(
                 f"request body must be 1..{MAX_BODY_BYTES} bytes, "
-                f"got {length}"
+                f"got Content-Length {header!r}"
             )
         raw = self.rfile.read(length)
         try:

@@ -1,7 +1,6 @@
 """The solver table, the shared unit runner and the unit lookup."""
 
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -114,9 +113,9 @@ class TestUnitLookup:
         assert calls == [ref.uid for ref in prepared.nprog.refs]
 
     def test_daemon_pool(self, calls):
+        """The daemon's engine runs every unit through the same lookup."""
         request = AnalyzeRequest(
             cache=CACHE, kernel="hydro", size=12, method="find"
         )
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            report, _ = AnalysisEngine().run(request, pool=pool)
-        assert sorted(calls) == sorted(report.results)
+        report, _ = AnalysisEngine().run(request)
+        assert calls == list(report.results)

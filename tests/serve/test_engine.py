@@ -1,8 +1,13 @@
-"""Engine tests: pooled vs offline bit-identity, shared-memo dedup, errors."""
+"""Engine tests: bit-identity with offline ``analyze`` (also under
+concurrent callers), shared-memo dedup, deadlines, errors."""
 
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+import time
 
 import pytest
+
+import repro.cme.find
 
 from repro.analysis import analyze, prepare
 from repro.memo import Memoizer
@@ -48,19 +53,17 @@ def test_program_from_source_bad_text():
 
 @pytest.mark.parametrize("kernel,size,method", CASES)
 def test_pooled_report_bit_identical_to_offline(kernel, size, method):
-    """The daemon's pooled path equals the library path, field for field."""
+    """The engine over its cached state and the shared memo (the daemon's
+    path) equals the library path, field for field."""
     offline = analyze(
         prepare(load_kernel(kernel, size)),
         parse_cache_spec("4:32:2"),
         method=method,
     )
     engine = AnalysisEngine(memo=Memoizer())
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        pooled, info = engine.run(
-            request_for(kernel, size, method), pool=pool
-        )
-    assert pooled == offline
-    assert report_doc(pooled) == report_doc(offline)
+    report, info = engine.run(request_for(kernel, size, method))
+    assert report == offline
+    assert report_doc(report) == report_doc(offline)
     assert info["memo"]["misses"] > 0
 
 
@@ -68,9 +71,8 @@ def test_pooled_report_bit_identical_to_offline(kernel, size, method):
 def test_cross_request_memo_hits(method):
     """A repeated request replays entirely from the shared memo table."""
     engine = AnalysisEngine(memo=Memoizer())
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        first, info1 = engine.run(request_for("hydro", 16, method), pool=pool)
-        second, info2 = engine.run(request_for("hydro", 16, method), pool=pool)
+    first, info1 = engine.run(request_for("hydro", 16, method))
+    second, info2 = engine.run(request_for("hydro", 16, method))
     assert first == second
     assert info1["memo"]["hits"] >= 0 and info1["memo"]["misses"] > 0
     assert info2["memo"]["misses"] == 0
@@ -79,32 +81,32 @@ def test_cross_request_memo_hits(method):
 
 @pytest.mark.parametrize("method", ["find", "estimate", "regions"])
 def test_warm_store_hits_are_the_requests_own(tmp_path, method):
-    """On a warm store both solve modes report the plan's own counts: every
-    reference is replayed from disk and counted once as a store hit."""
+    """On a warm store the engine reports the plan's own counts: every
+    reference is replayed from disk and counted once as a store hit, by a
+    fresh engine and by one whose memo already holds other requests'."""
     request = request_for("hydro", 16, method)
     with Memoizer.open(str(tmp_path)) as cold:
         AnalysisEngine(memo=cold).run(request)
-    offline_memo = Memoizer.open(str(tmp_path))
-    _, offline = AnalysisEngine(memo=offline_memo).run(request)
-    pooled_memo = Memoizer.open(str(tmp_path))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        report, pooled = AnalysisEngine(memo=pooled_memo).run(
-            request, pool=pool
-        )
-    assert pooled["memo"] == offline["memo"]
+    fresh_memo = Memoizer.open(str(tmp_path))
+    report, fresh = AnalysisEngine(memo=fresh_memo).run(request)
+    busy_memo = Memoizer.open(str(tmp_path))
+    busy = AnalysisEngine(memo=busy_memo)
+    busy.run(request_for("mgrid", 8, method))
+    before = busy_memo.store_hits
+    _, warm = busy.run(request)
     refs = len(report.results)
-    assert pooled["memo"] == {"hits": refs, "misses": 0, "store_hits": refs}
-    assert pooled_memo.store_hits == offline_memo.store_hits == refs
+    assert warm["memo"] == fresh["memo"]
+    assert fresh["memo"] == {"hits": refs, "misses": 0, "store_hits": refs}
+    assert fresh_memo.store_hits == busy_memo.store_hits - before == refs
 
 
 def test_memoized_pooled_report_identical_to_unmemoized():
     request = request_for("mmt", 12, "find")
     bare = AnalysisEngine()
     memod = AnalysisEngine(memo=Memoizer())
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        a, _ = bare.run(request, pool=pool)
-        b, _ = memod.run(request, pool=pool)
-        c, _ = memod.run(request, pool=pool)  # warm replay
+    a, _ = bare.run(request)
+    b, _ = memod.run(request)
+    c, _ = memod.run(request)  # warm replay
     assert report_doc(a) == report_doc(b) == report_doc(c)
 
 
@@ -135,9 +137,8 @@ def test_source_requests_share_the_prepared_cache():
     req = AnalyzeRequest(
         cache=parse_cache_spec("1:16:1"), source=source, method="find"
     )
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        a, _ = engine.run(req, pool=pool)
-        b, info = engine.run(req, pool=pool)
+    a, _ = engine.run(req)
+    b, info = engine.run(req)
     assert a == b
     assert info["memo"]["misses"] == 0
     assert len(engine._prepared) == 1
@@ -145,9 +146,82 @@ def test_source_requests_share_the_prepared_cache():
 
 def test_expired_deadline_raises_timeout():
     engine = AnalysisEngine()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        with pytest.raises(RequestTimeout):
-            engine.run(request_for("hydro", 16, "find"), pool=pool, deadline=0.0)
+    with pytest.raises(RequestTimeout):
+        engine.run(request_for("hydro", 16, "find"), deadline=0.0)
+
+
+def test_deadline_between_units_times_out_and_releases_the_lock(
+    monkeypatch,
+):
+    """A deadline that passes after the first unit stops the request
+    before the next one; the state's lock is free again afterwards."""
+    request = request_for("hydro", 16, "find")
+    engine = AnalysisEngine()
+    state = engine._state_for(request)
+    original = repro.cme.find.find_ref_misses
+    solved = []
+
+    def slow_unit(classifier, nprog, ref):
+        solved.append(ref.uid)
+        time.sleep(0.2)
+        return original(classifier, nprog, ref)
+
+    monkeypatch.setattr(repro.cme.find, "find_ref_misses", slow_unit)
+    with pytest.raises(RequestTimeout, match="before solving"):
+        engine.run(request, deadline=time.monotonic() + 0.1)
+    assert len(solved) == 1
+    assert not state.lock.locked()
+    monkeypatch.undo()
+    report, _ = engine.run(request, deadline=time.monotonic() + 60.0)
+    offline = analyze(
+        prepare(load_kernel("hydro", 16)), parse_cache_spec("4:32:2"),
+        method="find",
+    )
+    assert report_doc(report) == report_doc(offline)
+
+
+def test_concurrent_callers_on_shared_and_distinct_states():
+    """Four threads call ``run`` at once: two pairs share a
+    ``(program, geometry)`` state, the pairs differ.  Every report equals
+    offline ``analyze``."""
+    requests = [
+        request_for("hydro", 16, "find"),
+        request_for("hydro", 16, "estimate"),
+        request_for("mmt", 12, "find", cache="2:32:1"),
+        request_for("mmt", 12, "regions", cache="2:32:1"),
+    ]
+    engine = AnalysisEngine(memo=Memoizer())
+    barrier = threading.Barrier(len(requests), timeout=30.0)
+    docs, errors = {}, []
+
+    def call(i):
+        try:
+            barrier.wait()
+            docs[i] = report_doc(engine.run(requests[i])[0])
+        except Exception as exc:  # surfaced after the join
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=call, args=(i,)) for i in range(len(requests))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside units too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(engine._states) == 2
+    for i, req in enumerate(requests):
+        offline = analyze(
+            prepare(load_kernel(req.kernel, req.size)), req.cache,
+            method=req.method,
+        )
+        assert docs[i] == report_doc(offline), (req.kernel, req.method)
 
 
 def test_prepared_lru_eviction():

@@ -1,8 +1,10 @@
 """End-to-end daemon tests over real HTTP (loopback, ephemeral ports)."""
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -25,7 +27,7 @@ from repro.serve.protocol import (
 
 @pytest.fixture()
 def server():
-    with AnalysisServer(port=0, workers=2, dispatchers=2).start() as srv:
+    with AnalysisServer(port=0, dispatchers=2).start() as srv:
         yield srv
 
 
@@ -123,10 +125,29 @@ def test_metrics_counts_requests_and_memo(client):
     assert metrics["memo"]["hits"] > 0  # the repeat replayed
 
 
+def post_with_length(url, path, length: str, body: bytes):
+    """POST ``body`` under a verbatim ``Content-Length`` header."""
+    parts = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+    try:
+        conn.putrequest("POST", path)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
 def test_malformed_json_is_400_bad_json(server):
     status, doc = post_raw(server.url, "/v1/analyze", b"{not json")
     assert status == 400
     assert doc["error"]["code"] == "bad_json"
+    for length in ("abc", "1e3", "-5", "0"):
+        status, doc = post_with_length(server.url, "/v1/analyze", length, b"{}")
+        assert status == 400, length
+        assert doc["error"]["code"] == "bad_json", length
 
 
 def test_malformed_batch_body(server):
