@@ -51,7 +51,11 @@ class PreparedProgram:
 
     Reuse tables and the compiled walker are cached so that sweeping cache
     configurations (the paper's direct/2-way/4-way columns) re-uses all the
-    front-end work.
+    front-end work.  Each reuse table also carries the classifier's
+    geometry-free decisions (:mod:`repro.cme.decisions`): the
+    ``EstimateMisses`` samples, the cold equations, the window ends and the
+    line trace, so a later geometry with the same line size only solves
+    its replacement windows.
     """
 
     program: Program

@@ -17,10 +17,20 @@ same cold/replacement machinery expressed as array arithmetic:
   for the reference's decided points: the scalar walker's windowed walk
   (cost proportional to each window) or the
   :class:`~repro.iteration.batch.TraceIndex` (the whole trace built once
-  per classifier, each window a per-set slice with a vectorized distinct
-  count).  :meth:`BatchClassifier._index_pays` prices both from the
-  points and the program alone, so ``EstimateMisses`` builds the trace
-  only when that is cheaper than walking its sample's windows.
+  per line size, sorted once per set count, each window a per-set slice
+  with a vectorized distinct count).  :meth:`BatchClassifier._index_ends`
+  prices both from the points and the program alone, so
+  ``EstimateMisses`` builds the trace only when that is cheaper than
+  walking its sample's windows.
+
+Only the last step reads the number of sets and the associativity.
+Everything before it — the points, the cold-equation decisions, the
+window-oracle choice and the window ends — is a :class:`_Decisions` record
+kept in the reuse table's :class:`~repro.cme.decisions.DecisionStore`
+under the reference and the points' name (the whole RIS, or an
+``EstimateMisses`` sample's solver parameters), so every later geometry
+with the same line size replays it (``cme.decisions.shared``) and pays
+for its replacement windows alone.
 
 The contract is **bit identity** with the scalar classifier: identical
 tallies, identical per-point :class:`~repro.cme.point.Classification`\\ s,
@@ -32,7 +42,7 @@ falling back changes speed, never results.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,11 +52,12 @@ from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NLeaf, NormalizedProgram, NRef
 from repro.polyhedra.batch import enumerate_points_array
 from repro.polyhedra.constraints import EQ
-from repro.iteration.batch import BatchAffine, TraceIndex
+from repro.iteration.batch import BatchAffine, LineTrace, TraceIndex
 from repro.iteration.position import interleave, subtract
 from repro.iteration.walker import Walker, compile_affine
 from repro.sim.batch import TracePlan
 from repro.reuse.generator import ReuseTable
+from repro.cme.decisions import DecisionStore
 from repro.cme.point import Classification, Outcome, PointClassifier, tally_points
 from repro.cme.result import RefResult
 
@@ -60,18 +71,6 @@ _OUTCOME_OF = {_HIT: Outcome.HIT, _COLD: Outcome.COLD, _REPLACEMENT: Outcome.REP
 #: DESIGN.md, "Window-strategy rule").
 _WALK_ACCESS = 0.2
 _WALK_POINT = 75.0
-
-
-def _window_ends(times, ref: NRef, producers: list, consumers: "np.ndarray"):
-    """``(producer, consumer)`` times of each decided point under ``times``.
-
-    ``producers`` holds ``(mask over the decided points, producer ref,
-    producer points)`` per deciding reuse vector.
-    """
-    t_producer = np.empty(len(consumers), dtype=np.int64)
-    for mask, producer, points in producers:
-        t_producer[mask] = times(producer, points)
-    return t_producer, times(ref, consumers)
 
 
 class _BatchUnsupported(Exception):
@@ -110,6 +109,31 @@ class _BatchRIS:
         return mask
 
 
+class _Decisions(NamedTuple):
+    """What the replacement equations of one reference read — all of it
+    independent of the number of sets and the associativity (a
+    :class:`~repro.cme.decisions.DecisionStore` entry).
+
+    ``count`` points were classified with ``trials`` reuse-vector trials;
+    the decided ones reuse the memory ``lines``.  Their windows are the
+    trace-time ``ends`` ``(t_producer, t_consumer)`` when the trace index
+    pays, else walked from the ``consumers`` points and the index ``via``
+    of each one's deciding vector.
+    """
+
+    count: int
+    trials: int
+    lines: "np.ndarray"
+    ends: Optional[tuple["np.ndarray", "np.ndarray"]]
+    consumers: Optional["np.ndarray"]
+    via: Optional["np.ndarray"]
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.lines, self.consumers, self.via) + (self.ends or ())
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
 class BatchClassifier:
     """Batch (NumPy) classifier with the scalar classifier's exact semantics.
 
@@ -117,6 +141,10 @@ class BatchClassifier:
     solvers: exposes the same :meth:`classify` /
     :meth:`drain_vector_trials` surface, plus the bulk entry point
     :meth:`tally_ref` the solvers prefer when present.
+
+    Everything it derives without reading the number of sets or the
+    associativity lives in :attr:`store`, shared by every classifier of
+    the same reuse table, layout and line size.
     """
 
     def __init__(
@@ -143,7 +171,12 @@ class BatchClassifier:
             id(leaf): _BatchRIS(nprog, leaf) for leaf in nprog.leaves
         }
         self._addr: dict[int, BatchAffine] = {}  # ref.uid -> address matrix
-        self._plan: Optional[TracePlan] = None
+        self._facts = reuse.derived((layout, cache.line_bytes))
+        #: Geometry-free samples, decisions and traces (shared).
+        self.store: DecisionStore = self._facts.get("decisions")
+        if self.store is None:
+            self.store = self._facts.setdefault("decisions", DecisionStore())
+        self._lines: Optional[LineTrace] = None
         self._trace: Optional[TraceIndex] = None
         #: Points decided by the vectorized path / by scalar fallback since
         #: the last drain (the ``cme.backend.*`` counters).
@@ -185,26 +218,32 @@ class BatchClassifier:
         ref: NRef,
         result: RefResult,
         points: Optional[Sequence[Sequence[int]]] = None,
+        key: Optional[tuple] = None,
     ) -> None:
         """Classify a reference in bulk, accumulating into ``result``.
 
         ``points=None`` means "the full RIS" (``FindMisses``); an explicit
         ``points`` sequence is an ``EstimateMisses`` sample or a
         ``RegionMisses`` exact fallback.  Either way the window oracle is
-        chosen by cost (:meth:`_index_pays`), from these points alone.
+        chosen by cost (:meth:`_index_ends`), from these points alone.
+        ``key`` names explicit points by what determines them (the
+        sample's solver parameters), so their decisions are kept in
+        :attr:`store` and replayed by the next geometry; without it only
+        the full RIS is kept.
         """
         try:
-            pts = self._points_array(ref, points)
-            outcomes, _ = self._classify_array(ref, pts, walk_only=False)
+            decisions = self._decisions(ref, points, key)
         except _BatchUnsupported:
             self._tally_scalar(ref, result, points)
             return
-        self.vectorized_points += len(pts)
-        result.analysed += len(pts)
-        counts = np.bincount(outcomes, minlength=3)
-        result.hits += int(counts[_HIT])
-        result.cold += int(counts[_COLD])
-        result.replacement += int(counts[_REPLACEMENT])
+        evicted = self._evicted(ref, decisions)
+        self.scalar.vector_trials += decisions.trials
+        self.vectorized_points += decisions.count
+        replaced = int(np.count_nonzero(evicted))
+        result.analysed += decisions.count
+        result.hits += len(evicted) - replaced
+        result.cold += decisions.count - len(evicted)
+        result.replacement += replaced
 
     def classify_points(
         self, ref: NRef, points: Sequence[Sequence[int]]
@@ -215,8 +254,17 @@ class BatchClassifier:
         this never builds the trace and stays the index's test oracle.
         """
         pts = self._points_array(ref, points)
-        outcomes, via = self._classify_array(ref, pts, walk_only=True)
+        via, _, lines_c, trials = self._cold(ref, pts)
+        self.scalar.vector_trials += trials
         self.vectorized_points += len(pts)
+        outcomes = np.full(len(pts), _COLD, dtype=np.int8)
+        decided = np.flatnonzero(via >= 0)
+        if len(decided):
+            self.walk_points += len(decided)
+            evicted = self._walk(
+                ref, pts[decided], via[decided], lines_c[decided]
+            )
+            outcomes[decided] = np.where(evicted, _REPLACEMENT, _HIT)
         vectors = self.reuse.vectors_for(ref)
         return [
             Classification(Outcome.COLD)
@@ -246,41 +294,111 @@ class BatchClassifier:
             self._addr[ref.uid] = aff
         return aff
 
+    def _plan(self) -> TracePlan:
+        plan = self._facts.get("plan")
+        if plan is None:
+            plan = self._facts.setdefault("plan", TracePlan(self.nprog))
+        return plan
+
+    def _line_trace(self) -> LineTrace:
+        if self._lines is None:
+            lines = self.store.get(("trace",))
+            if lines is None:
+                lines = LineTrace(
+                    self.nprog, self.walker, self._line_bytes, self._plan()
+                )
+                lines = self.store.put(("trace",), lines, lines.nbytes)
+            self._lines = lines
+        return self._lines
+
     def _trace_index(self) -> TraceIndex:
         if self._trace is None:
-            with obs.span("cme/batch/trace_index"):
-                self._trace = TraceIndex(
-                    self.nprog, self.walker, self._line_bytes, self._num_sets
-                )
+            key = ("index", self._num_sets)
+            index = self.store.get(key)
+            if index is None:
+                with obs.span("cme/batch/trace_index"):
+                    index = TraceIndex(
+                        self.nprog, self.walker, self._line_bytes,
+                        self._num_sets, self._line_trace(),
+                    )
+                index = self.store.put(key, index, index.nbytes)
+            self._trace = index
         return self._trace
 
-    def _index_pays(
-        self, ref: NRef, producers: list, consumers: "np.ndarray"
-    ) -> bool:
-        """True when walking these windows costs more than this reference's
-        share of the index build (trace length / references; the index is
-        built once and serves them all).  Depends on the points and the
-        program only — never on whether the index already exists — so
-        serial, pooled and daemon runs choose alike."""
-        if self._plan is None:
-            self._plan = TracePlan(self.nprog)
-        plan = self._plan
-        if not plan.materialisable:  # TraceIndex would raise TraceTooLargeError
-            return False
-        t_producer, t_consumer = _window_ends(
-            plan.times, ref, producers, consumers
+    def _decisions(
+        self,
+        ref: NRef,
+        points: Optional[Sequence[Sequence[int]]],
+        key: Optional[tuple],
+    ) -> _Decisions:
+        """The reference's :class:`_Decisions`, replayed from the store
+        when an earlier classifier (another geometry) made them.
+
+        Entries are keyed by the points' name and the trace budget's
+        verdict, which the window-oracle choice reads.
+        """
+        if points is None:
+            key = (ref.uid,)
+        if key is not None:
+            key = ("decisions", self._plan().materialisable) + key
+            decisions = self.store.get(key)
+            if decisions is not None:
+                obs.counter("cme.decisions.shared").inc()
+                return decisions
+        pts = self._points_array(ref, points)
+        via, producer_pts, lines_c, trials = self._cold(ref, pts)
+        decided = np.flatnonzero(via >= 0)
+        consumers, via = pts[decided], via[decided]
+        ends = None
+        if len(decided):
+            ends = self._index_ends(ref, via, producer_pts[decided], consumers)
+        if ends is not None:
+            consumers = via = None
+        decisions = _Decisions(
+            len(pts), trials, lines_c[decided], ends, consumers, via
         )
+        if key is not None:
+            decisions = self.store.put(key, decisions, decisions.nbytes)
+        return decisions
+
+    def _index_ends(
+        self,
+        ref: NRef,
+        via: "np.ndarray",
+        producers: "np.ndarray",
+        consumers: "np.ndarray",
+    ) -> Optional[tuple["np.ndarray", "np.ndarray"]]:
+        """The decided points' window ends in trace times when walking
+        their windows costs more than this reference's share of the index
+        build (trace length / references; the index is built once and
+        serves them all), else ``None``: walk.  Depends on the points and
+        the program only — never on whether the index already exists — so
+        serial, pooled and daemon runs choose alike."""
+        plan = self._plan()
+        if not plan.materialisable:  # TraceIndex would raise TraceTooLargeError
+            return None
+        vectors = self.reuse.vectors_for(ref)
+        t_producer = np.empty(len(consumers), dtype=np.int64)
+        for j in np.unique(via).tolist():
+            mask = via == j
+            t_producer[mask] = plan.times(vectors[j].producer, producers[mask])
+        t_consumer = plan.times(ref, consumers)
         windows = float((t_consumer - t_producer).sum(dtype=np.float64))
         walk = _WALK_ACCESS * windows + _WALK_POINT * len(consumers)
-        return walk * len(self.nprog.refs) >= plan.total
+        if walk * len(self.nprog.refs) < plan.total:
+            return None
+        if plan.rectangular:  # box times are trace times
+            return t_producer, t_consumer
+        times = self._line_trace().times
+        return times(t_producer), times(t_consumer)
 
-    def _classify_array(
-        self, ref: NRef, pts: "np.ndarray", walk_only: bool
-    ) -> tuple["np.ndarray", "np.ndarray"]:
-        """The batch cold + replacement equations over one point array.
+    def _cold(self, ref: NRef, pts: "np.ndarray") -> tuple:
+        """The batch cold equations over one point array.
 
-        Returns ``(outcomes, via)``: per point the outcome code and the
-        index of the deciding reuse vector (-1 = cold, no vector decided).
+        Returns ``(via, producer_pts, lines_c, trials)``: per point the
+        index of the deciding reuse vector (-1 = cold, no vector decided)
+        and the producer point it found, the consumer's memory line, and
+        the reuse-vector trials spent.
         """
         n_points = len(pts)
         vectors = self.reuse.vectors_for(ref)
@@ -289,8 +407,8 @@ class BatchClassifier:
         lines_c = self._addr_affine(ref).eval_single(pts) // self._line_bytes
         undecided = np.arange(n_points, dtype=np.int64)
         trials = 0
-        # Cold equations, vector by vector in lexicographic order over the
-        # shrinking undecided set — identical decision order to the scalar
+        # Vector by vector in lexicographic order over the shrinking
+        # undecided set — identical decision order to the scalar
         # classifier, but each vector is one subtraction + one mask.
         for j, rv in enumerate(vectors):
             if not len(undecided):
@@ -315,54 +433,41 @@ class BatchClassifier:
             keep[rows] = False
             undecided = undecided[keep]
         trials += len(undecided) * len(vectors)
-        self.scalar.vector_trials += trials
-        outcomes = np.full(n_points, _COLD, dtype=np.int8)
-        decided = np.flatnonzero(via >= 0)
-        if len(decided):
-            with obs.span("cme/window"):
-                evicted = self._windows(
-                    ref, pts, via, producer_pts, lines_c, decided, vectors,
-                    walk_only,
-                )
-            outcomes[decided] = np.where(evicted, _REPLACEMENT, _HIT)
-        return outcomes, via
+        return via, producer_pts, lines_c, trials
 
-    def _windows(
+    def _evicted(self, ref: NRef, decisions: _Decisions) -> "np.ndarray":
+        """Replacement equations for the decided points: evicted or not —
+        the only step that reads the number of sets and the associativity."""
+        if not len(decisions.lines):
+            return np.zeros(0, dtype=bool)
+        with obs.span("cme/window"):
+            if decisions.ends is not None:
+                self.trace_points += len(decisions.lines)
+                return self._trace_index().conflicts_reach(
+                    *decisions.ends, decisions.lines, self._assoc
+                )
+            self.walk_points += len(decisions.lines)
+            return self._walk(
+                ref, decisions.consumers, decisions.via, decisions.lines
+            )
+
+    def _walk(
         self,
         ref: NRef,
-        pts: "np.ndarray",
+        consumers: "np.ndarray",
         via: "np.ndarray",
-        producer_pts: "np.ndarray",
-        lines_c: "np.ndarray",
-        decided: "np.ndarray",
-        vectors,
-        walk_only: bool,
+        lines: "np.ndarray",
     ) -> "np.ndarray":
-        """Replacement equations for the decided points: evicted or not."""
-        consumers = pts[decided]
-        decided_via = via[decided]
-        producer_at = producer_pts[decided]
-        producers = []
-        for j in np.unique(decided_via).tolist():
-            mask = decided_via == j
-            producers.append((mask, vectors[j].producer, producer_at[mask]))
-        if not walk_only and self._index_pays(ref, producers, consumers):
-            trace = self._trace_index()
-            self.trace_points += len(decided)
-            t_producer, t_consumer = _window_ends(
-                trace.t_of, ref, producers, consumers
-            )
-            return trace.conflicts_reach(
-                t_producer, t_consumer, lines_c[decided], self._assoc
-            )
-        self.walk_points += len(decided)
+        """The replacement windows of decided points, walked one by one."""
+        vectors = self.reuse.vectors_for(ref)
         walker = self.walker
-        evicted = np.empty(len(decided), dtype=bool)
-        for i, q in enumerate(decided):
-            rv = vectors[via[q]]
-            ivec_c = interleave(ref.label, tuple(int(v) for v in pts[q]))
+        evicted = np.empty(len(lines), dtype=bool)
+        for i, (point, j, line_c) in enumerate(
+            zip(consumers.tolist(), via.tolist(), lines.tolist())
+        ):
+            rv = vectors[j]
+            ivec_c = interleave(ref.label, tuple(point))
             ivec_p = subtract(ivec_c, rv.vec)
-            line_c = int(lines_c[q])
             evicted[i] = walker.distinct_conflicts_reach(
                 (ivec_p, rv.producer.lexpos),
                 (ivec_c, ref.lexpos),

@@ -57,6 +57,21 @@ def ref_rng(seed: int, ref: NRef) -> random.Random:
     return random.Random(seed ^ ref.uid)
 
 
+def _draw(
+    ris, ref: NRef, confidence: float, width: float, seed: int, volume: int
+) -> tuple:
+    """``(points, fallback)``: the Fig. 6 sample of ``ref`` — at
+    ``(c, w)``, at the default ``(c', w')`` (``fallback``), or ``None``
+    points for an exhaustive analysis."""
+    if achievable(confidence, width, volume):
+        size = sample_size(confidence, width, volume)
+        return ris.sample(size, ref_rng(seed, ref)), False
+    if achievable(*DEFAULT_FALLBACK, volume):
+        size = sample_size(*DEFAULT_FALLBACK, volume)
+        return ris.sample(size, ref_rng(seed, ref)), True
+    return None, False
+
+
 def estimate_ref_misses(
     classifier: PointClassifier,
     nprog: NormalizedProgram,
@@ -65,29 +80,37 @@ def estimate_ref_misses(
     width: float = 0.05,
     seed: int = 0,
 ) -> RefResult:
-    """Sample and classify one reference (the shard unit, Fig. 6 inner loop)."""
+    """Sample and classify one reference (the shard unit, Fig. 6 inner loop).
+
+    The sample depends on the solver parameters alone, so the batch
+    classifier's store (:mod:`repro.cme.decisions`) keeps it, and its
+    decisions, for every geometry with this line size; the counters are
+    emitted on every call all the same.
+    """
     with obs.span("cme/classify_ref"):
         ris = nprog.ris(ref.leaf)
         volume = ris.count()
         result = RefResult(ref.name(), ref.uid, population=volume)
         if volume == 0:
             return result
+        key = (ref.uid, confidence, width, seed ^ ref.uid)
+        store = getattr(classifier, "store", None)
         with obs.span("cme/sample"):
-            if achievable(confidence, width, volume):
-                points = ris.sample(
-                    sample_size(confidence, width, volume), ref_rng(seed, ref)
-                )
-                obs.counter("cme.sampling.draws").inc(len(points))
-            elif achievable(*DEFAULT_FALLBACK, volume):
-                points = ris.sample(
-                    sample_size(*DEFAULT_FALLBACK, volume), ref_rng(seed, ref)
-                )
-                obs.counter("cme.sampling.draws").inc(len(points))
-                obs.counter("cme.sampling.fallbacks").inc()
-            else:
-                points = None  # analyse all points
+            sample = None if store is None else store.get(("sample",) + key)
+            if sample is None:
+                sample = _draw(ris, ref, confidence, width, seed, volume)
+                if store is not None:
+                    points = sample[0]
+                    size = 0 if points is None else points.nbytes
+                    sample = store.put(("sample",) + key, sample, size)
+            points, fallback = sample
+            if points is None:  # analyse all points
                 obs.counter("cme.sampling.exhaustive").inc()
-        classify_into(classifier, ref, result, points)
+            else:
+                obs.counter("cme.sampling.draws").inc(len(points))
+                if fallback:
+                    obs.counter("cme.sampling.fallbacks").inc()
+        classify_into(classifier, ref, result, points, key)
         result.check_invariants()
         record_ref_metrics(result, classifier)
     return result

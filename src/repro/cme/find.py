@@ -61,13 +61,16 @@ def classify_into(
     ref: NRef,
     result: RefResult,
     points: Optional[Iterable[Sequence[int]]] = None,
+    key: Optional[tuple] = None,
 ) -> None:
     """Classify ``points`` of ``ref`` (``None``: its whole RIS) into
     ``result`` — one vectorized call on the batch classifier, point by
-    point on the scalar oracle.  Shared by the three solvers."""
+    point on the scalar oracle.  Shared by the three solvers.  ``key``
+    names explicit points for the batch classifier's decision store
+    (:meth:`~repro.cme.batch.BatchClassifier.tally_ref`)."""
     tally = getattr(classifier, "tally_ref", None)
     if tally is not None:
-        tally(ref, result, points)
+        tally(ref, result, points, key)
         return
     if points is None:
         points = classifier.nprog.ris(ref.leaf).enumerate_points()

@@ -1,13 +1,16 @@
 """Vectorized access-order machinery for the batch classifier.
 
-Two pieces live here:
+Three pieces live here:
 
 * :class:`BatchAffine` — a stack of
   :class:`~repro.iteration.walker.CompiledAffine` expressions compiled to one
   ``(m, n)`` coefficient matrix, so bounds, guards and address polynomials
   evaluate over whole ``(N, n)`` point batches as a single matrix product;
-* :class:`TraceIndex` — the whole-program access trace materialised as flat
-  NumPy arrays by the simulator's builder (:mod:`repro.sim.batch`), after
+* :class:`LineTrace` — the whole-program access trace materialised as flat
+  NumPy arrays by the simulator's builder (:mod:`repro.sim.batch`), as
+  memory lines: it depends on the line size only, so every cache geometry
+  with that line size shares it;
+* :class:`TraceIndex` — the line trace sorted by cache set, after
   which the interference window of the replacement equations — all
   accesses strictly between a producer and a consumer position — becomes a
   contiguous slice of per-cache-set position arrays, and the ``k``
@@ -18,15 +21,16 @@ Two pieces live here:
 
 The index answers exactly the query
 :meth:`repro.iteration.walker.Walker.distinct_conflicts_reach` answers, so
-the batch classifier stays bit-identical to the scalar classifier.  Building it
-costs ``O(T log T)`` in the trace length ``T``; the batch classifier builds
-it only when a reference's windows would cost more to walk than that
-reference's share of the build (``repro.cme.batch``).
+the batch classifier stays bit-identical to the scalar classifier.  Building
+the line trace costs ``O(T log T)`` in the trace length ``T`` (``O(T)`` on
+rectangular programs), the per-set sort ``O(T)``; the batch classifier
+builds them only when a reference's windows would cost more to walk than
+that reference's share of the build (``repro.cme.batch``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,10 +69,48 @@ class BatchAffine:
         return points @ self.matrix[0] + self.const[0]
 
 
+class LineTrace:
+    """The whole-program access trace as memory lines, for one line size.
+
+    Everything of :class:`TraceIndex` that does not read the number of
+    sets: the builder's :class:`~repro.sim.batch.TracePlan`, its sorted
+    box times and the line of every access.  Built once per line size and
+    shared by every set count.  Raises
+    :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
+    """
+
+    __slots__ = ("plan", "keys", "lines")
+
+    def __init__(
+        self,
+        nprog: NormalizedProgram,
+        walker: Walker,
+        line_bytes: int,
+        plan: Optional[TracePlan] = None,
+    ):
+        self.plan = plan if plan is not None else TracePlan(nprog)
+        _, addrs, self.keys = build_trace(nprog, walker, self.plan)
+        self.lines = lines_of(addrs, line_bytes)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the line and sorted-key arrays."""
+        keys = 0 if self.keys is None else self.keys.nbytes
+        return self.lines.nbytes + keys
+
+    def times(self, box_times: "np.ndarray") -> "np.ndarray":
+        """Trace times of the given :meth:`TracePlan.times` box times."""
+        if self.keys is None:
+            return box_times
+        return np.searchsorted(self.keys, box_times)
+
+
 class TraceIndex:
     """The full access trace, indexed for vectorized window queries.
 
-    Raises :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
+    ``trace`` is the :class:`LineTrace` of ``line_bytes`` when the caller
+    already has it; only the per-set sort is built here.  Raises
+    :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
     """
 
     def __init__(
@@ -77,19 +119,29 @@ class TraceIndex:
         walker: Walker,
         line_bytes: int,
         num_sets: int,
+        trace: Optional[LineTrace] = None,
     ):
+        if trace is None:
+            trace = LineTrace(nprog, walker, line_bytes)
         self.num_sets = num_sets
-        self._plan = TracePlan(nprog)
-        _, addrs, self._keys = build_trace(nprog, walker, self._plan)
-        self.total = len(addrs)
-        line_at_t = lines_of(addrs, line_bytes)
+        self._plan, self._keys = trace.plan, trace.keys
+        line_at_t = trace.lines
+        self.total = len(line_at_t)
         set_at_t = line_at_t % num_sets
-        by_set = np.argsort(set_at_t, kind="stable")  # (set, t) ascending
+        # A stable sort of 16-bit keys is a radix sort: same order, O(T).
+        narrow = set_at_t.astype(np.uint16) if num_sets <= 1 << 16 else set_at_t
+        by_set = np.argsort(narrow, kind="stable")  # (set, t) ascending
         # One sorted key ``set·(T+1) + t`` per access: window boundaries in
         # any set become a single vectorized searchsorted over all queries
         # (keys of other sets land outside the query's [base, base+T] band).
         self._set_keys = set_at_t[by_set] * np.int64(self.total + 1) + by_set
         self._lines_by_set = line_at_t[by_set]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the per-set arrays and the sorted box times it keeps."""
+        keys = 0 if self._keys is None else self._keys.nbytes
+        return self._set_keys.nbytes + self._lines_by_set.nbytes + keys
 
     # -- position lookup ---------------------------------------------------------
 

@@ -60,6 +60,7 @@ KEY_SCHEMA = "repro.memo.key/1"
 FINGERPRINT_MODULES = (
     "repro.cme.backend",
     "repro.cme.batch",
+    "repro.cme.decisions",
     "repro.cme.point",
     "repro.cme.find",
     "repro.cme.estimate",

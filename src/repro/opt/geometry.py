@@ -37,8 +37,11 @@ def sweep_geometries(
     """Analytical miss ratios over a list of cache configurations.
 
     The prepared front end (inlining, normalisation, layout, walker) is
-    shared across all points; reuse tables are shared across points with
-    equal line sizes.
+    shared across all points; reuse tables, and with them every
+    geometry-free decision of the solvers (samples, cold equations, window
+    ends, the line trace; :mod:`repro.cme.decisions`), are shared across
+    points with equal line sizes, so each further point with a line size
+    already seen pays for its replacement windows only.
     """
     prepared = target if isinstance(target, PreparedProgram) else prepare(target)
     points = []

@@ -74,9 +74,12 @@ class ReuseTable:
 
         Lives and dies with the table, so facts computed once per program
         (for one layout and line size, say) are shared by every solve
-        that uses the table.  Entries must be pure functions of ``key``
-        and their own sub-key: concurrent solvers publish them with
-        ``dict.setdefault``, without a lock.
+        that uses the table: the regional solver's cold conditions and
+        certificates, the trace plan, and the batch classifier's
+        byte-budgeted :class:`~repro.cme.decisions.DecisionStore`.
+        Entries must be pure functions of ``key`` and their own sub-key:
+        concurrent solvers publish them with ``dict.setdefault``, without
+        a lock (the decision store evicts under its own).  Never pickled.
         """
         return self._derived.setdefault(key, {})
 

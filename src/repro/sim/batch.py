@@ -170,12 +170,17 @@ class TracePlan:
         self.total = box if self.rectangular else sum(
             nprog.ris(leaf).count() * len(leaf.refs) for leaf in nprog.leaves
         )
-        #: True when the trace fits the budget and box times fit in int64.
-        self.materialisable = self.total <= MAX_TRACE_ACCESSES and box < _MAX_BOX
+        self._box = box
         self._leaf = {
             key: (np.array(st, dtype=np.int64), bds, base)
             for key, (st, bds, base) in plans.items()
         } if box < _MAX_BOX else {}
+
+    @property
+    def materialisable(self) -> bool:
+        """True when the trace fits the budget and box times fit in int64
+        (read at each call, so a plan outlives no budget change)."""
+        return self.total <= MAX_TRACE_ACCESSES and self._box < _MAX_BOX
 
     def check_budget(self) -> None:
         """Raise :class:`TraceTooLargeError` unless :attr:`materialisable`."""

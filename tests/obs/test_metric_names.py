@@ -2,8 +2,9 @@
 
 The golden lists below enumerate every counter, gauge and histogram a
 fully exercised pipeline run produces — cold + warm memoized FindMisses
-(serial and ``jobs=2``), EstimateMisses, RegionMisses, and the simulator
-on one pinned workload.  The exporter treats names as opaque keys, so the
+(serial and ``jobs=2``), EstimateMisses at two geometries (the second
+replays the first's shared decisions), RegionMisses, and the simulator on
+one pinned workload.  The exporter treats names as opaque keys, so the
 *schema* never changes when metrics are added — but dashboards, the run
 ledger and the regression checker key on the names themselves.  Renaming
 or dropping one is a breaking change; this test makes it a deliberate one
@@ -19,6 +20,7 @@ from repro.kernels import build_hydro
 GOLDEN_COUNTERS = {
     "cme.backend.fallback_points",
     "cme.backend.vectorized_points",
+    "cme.decisions.shared",
     "cme.points.classified",
     "cme.points.cold",
     "cme.points.hit",
@@ -93,6 +95,7 @@ def pipeline_snapshot(tmp_path_factory):
         with Memoizer.open(store) as memo:
             analyze(prepared, cache, method="find", memo=memo)
         analyze(prepared, cache, method="estimate", seed=0)
+        analyze(prepared, CacheConfig.kb(4, 32, 4), method="estimate", seed=0)
         analyze(prepared, cache, method="regions")
         run_simulation(prepared, cache)
         return obs.snapshot()
