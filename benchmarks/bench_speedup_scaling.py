@@ -20,29 +20,6 @@ from repro.report import format_table
 
 STEPS = [1, 2, 4, 8]
 N = 32
-JOBS = [1, 2, 4]
-
-
-def compute_jobs_rows():
-    """Sweep the parallel engine's job count on a fixed program."""
-    prepared = prepare(build_tomcatv_like(N, 4))
-    cache = CacheConfig.kb(4, 32, 1)
-    rows = []
-    baseline = None
-    for jobs in JOBS:
-        report = analyze(prepared, cache, method="estimate", seed=0, jobs=jobs)
-        if baseline is None:
-            baseline = report
-        rows.append(
-            (
-                jobs,
-                report.elapsed_seconds,
-                report.points_per_second,
-                baseline.elapsed_seconds / max(report.elapsed_seconds, 1e-9),
-                "yes" if report == baseline else "NO",
-            )
-        )
-    return rows
 
 
 def compute_rows():
@@ -64,21 +41,6 @@ def compute_rows():
             )
         )
     return rows
-
-
-def test_jobs_scaling(benchmark):
-    rows = once(benchmark, compute_jobs_rows)
-    text = format_table(
-        ["Jobs", "Analysis t(s)", "Points/s", "Speedup", "Identical"],
-        rows,
-        title=(
-            "Parallel engine scaling — Tomcatv-class, EstimateMisses, "
-            "4KB/32B direct (reports must be identical across jobs)"
-        ),
-    )
-    emit("jobs_scaling", text)
-    # Determinism is non-negotiable: every job count yields the same report.
-    assert all(row[4] == "yes" for row in rows)
 
 
 def compute_pipeline_metrics():

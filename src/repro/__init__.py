@@ -56,7 +56,6 @@ from repro.ir import (
 from repro.layout import CacheConfig, MemoryLayout, layout_for_refs
 from repro.memo import Memoizer
 from repro.normalize import NormalizedProgram, normalize
-from repro.parallel import ParallelEngine
 from repro.polyhedra import Affine, Var
 from repro.reuse import ReuseOptions, ReuseTable, build_reuse_table
 from repro.sim import SimReport, simulate
@@ -99,7 +98,6 @@ __all__ = [
     "Memoizer",
     "NormalizedProgram",
     "normalize",
-    "ParallelEngine",
     "Affine",
     "Var",
     "ReuseOptions",

@@ -128,7 +128,7 @@ def analyze(
     width: float = 0.05,
     seed: int = 0,
     reuse_options: Optional[ReuseOptions] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
     memo: Optional["Memoizer"] = None,
 ) -> MissReport:
     """Predict the cache behaviour analytically.
@@ -139,12 +139,11 @@ def analyze(
     decomposition — classifications equal to ``"find"`` with solve time
     independent of the loop bounds wherever closed-form certificates
     apply).
-    ``jobs`` shards the per-reference work across worker processes
-    (``1`` = serial, ``0``/negative = all CPUs); the report is identical
-    for every job count.  ``memo`` (a :class:`repro.memo.Memoizer`) enables
-    content-addressed memoization of per-reference solutions — in-run
-    dedup, and cross-run persistence when the memoizer carries a store.
-    Reports are bit-identical across jobs and memoization.
+    ``memo`` (a :class:`repro.memo.Memoizer`) enables content-addressed
+    memoization of per-reference solutions — in-run dedup, and cross-run
+    persistence when the memoizer carries a store.  Reports are
+    bit-identical with and without memoization.  ``jobs`` is deprecated and
+    ignored; it is accepted so existing callers keep working.
     """
     solver = solver_for(method, confidence, width, seed)
     prepared = _as_prepared(target)
@@ -155,7 +154,6 @@ def analyze(
         cache,
         reuse=prepared.reuse_table(cache.line_bytes, reuse_options),
         walker=prepared.walker,
-        jobs=jobs,
         memo=memo,
     )
 

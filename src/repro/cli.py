@@ -12,7 +12,7 @@ Examples::
     repro-cache trace export swim --size 40 -o swim.trace
     repro-cache trace simulate swim.trace --cache 4:32:2 --policy fifo
     repro-cache trace import raw.addr --word-bytes 4 --byteorder big -o ext.trace
-    repro-cache analyze hydro --jobs 4 --timeline-out t.json --ledger-out runs.jsonl
+    repro-cache analyze hydro --timeline-out t.json --ledger-out runs.jsonl
     repro-cache perf check runs.jsonl --threshold 1.5
     repro-cache perf report runs.jsonl -o perf_report.html
     repro-cache serve --port 8091 --dispatchers 4 --cache-dir .serve-memo
@@ -29,8 +29,7 @@ Observability flags (accepted by every subcommand):
   ``PATH`` (``-`` writes it to stdout and moves all human output to stderr,
   so stdout stays machine-readable);
 * ``--timeline-out PATH`` — write the run's span events as Chrome
-  trace-event JSON (loadable in Perfetto / ``chrome://tracing``); with
-  ``--jobs N`` each worker process renders as its own lane;
+  trace-event JSON (loadable in Perfetto / ``chrome://tracing``);
 * ``--ledger-out PATH`` — append one ``repro.ledger/v1`` row (phase wall
   times, peak RSS, counters, code fingerprint) to the run ledger at
   ``PATH`` — the history ``perf check`` and ``perf report`` read;
@@ -55,7 +54,8 @@ Memoization flags (``analyze`` and ``compare``):
 
 Diagnostic lines go through :mod:`logging` (logger ``repro.cli``); final
 tables are printed directly, so ``--quiet`` silences everything except the
-result.
+result.  Bad input — a malformed source, an invalid size, an unreadable
+workload file — ends in a one-line error (exit status 1), not a traceback.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from typing import Callable, Optional, TextIO
 from repro import obs
 from repro.analysis import prepare, run_simulation
 from repro.cme.solver import METHODS
+from repro.errors import ReproError
 from repro.inline import classify_program
 from repro.ir import Program, program_stats
 from repro.layout import CacheConfig
@@ -100,6 +101,15 @@ def _fraction(name: str) -> Callable[[str], float]:
     return parse
 
 
+def _read_source(path: str) -> str:
+    """The text of the workload file ``path``; unreadable is a usage error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror or exc}")
+
+
 def _load_workload(name: str, size: Optional[int], steps: int) -> Program:
     from repro.serve.engine import load_kernel
     from repro.serve.protocol import UnknownKernel
@@ -107,8 +117,7 @@ def _load_workload(name: str, size: Optional[int], steps: int) -> Program:
     if name.endswith(".f"):
         from repro.frontend import parse_program
 
-        with open(name) as fh:
-            return parse_program(fh.read())
+        return parse_program(_read_source(name))
     try:
         return load_kernel(name, size, steps)
     except UnknownKernel as exc:
@@ -140,18 +149,8 @@ def _add_policy_args(sub: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help="seed of the random policy's deterministic victim draw "
-        "(fixed seed = reproducible across processes and --jobs; "
+        "(fixed seed = reproducible across runs and processes; "
         "ignored by lru/fifo/plru)",
-    )
-
-
-def _add_jobs_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the per-reference solve "
-        "(1 = serial, 0 = all CPUs); results are identical for any value",
     )
 
 
@@ -216,8 +215,7 @@ def _add_obs_args(sub: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help="write the run's span events as Chrome trace-event JSON "
-        "(open in Perfetto or chrome://tracing; --jobs N workers get "
-        "their own lanes)",
+        "(open in Perfetto or chrome://tracing)",
     )
     sub.add_argument(
         "--ledger-out",
@@ -308,11 +306,11 @@ def _cmd_analyze(args, program: Program, echo: Callable[[str], None]) -> int:
         width=args.width,
         seed=args.seed,
     )
-    report, _ = engine.run(request, jobs=args.jobs)
+    report, _ = engine.run(request)
     _close_memoizer(memo)
     log.info(
         "%s on %s: miss ratio %.2f%% (%.0f of %d accesses, %s, %.2fs, "
-        "%d points analysed, %d job(s), %.0f points/s)",
+        "%d points analysed, %.0f points/s)",
         program.name,
         cache.describe(),
         report.miss_ratio_percent,
@@ -321,7 +319,6 @@ def _cmd_analyze(args, program: Program, echo: Callable[[str], None]) -> int:
         report.method,
         report.elapsed_seconds,
         report.analysed_points,
-        report.jobs,
         report.points_per_second,
     )
     rows = [
@@ -385,7 +382,7 @@ def _cmd_compare(args, program: Program, echo: Callable[[str], None]) -> int:
     memo = _open_memoizer(args)
     engine = AnalysisEngine(memo=memo)
     request = AnalyzeRequest(cache=cache, program=program, method=args.method)
-    analytic, _ = engine.run(request, jobs=args.jobs)
+    analytic, _ = engine.run(request)
     prepared = engine.prepared_for(request)
     _close_memoizer(memo)
     simulated = run_simulation(
@@ -464,8 +461,7 @@ def _cmd_submit(args, echo: Callable[[str], None]) -> int:
         "client": args.client,
     }
     if args.workload.endswith(".f"):
-        with open(args.workload) as fh:
-            doc["source"] = fh.read()
+        doc["source"] = _read_source(args.workload)
     else:
         doc["kernel"] = args.workload
     if args.size is not None:
@@ -498,7 +494,6 @@ def _cmd_submit(args, echo: Callable[[str], None]) -> int:
 
 def _cmd_trace(args, echo: Callable[[str], None]) -> int:
     """The ``trace`` verbs: export, import and simulate binary traces."""
-    from repro.errors import TraceFormatError
     from repro.sim import (
         collect_walker_trace,
         import_address_trace,
@@ -506,48 +501,40 @@ def _cmd_trace(args, echo: Callable[[str], None]) -> int:
         write_trace,
     )
 
-    try:
-        if args.trace_command == "export":
-            program = _load_workload(args.workload, args.size, args.steps)
-            prepared = prepare(program)
-            count = write_trace(
-                args.output, collect_walker_trace(prepared.walker)
-            )
-            echo(
-                f"{program.name}: exported {count} accesses "
-                f"to {args.output}"
-            )
-            return 0
-        if args.trace_command == "import":
-            pairs = import_address_trace(
-                args.input,
-                word_bytes=args.word_bytes,
-                byteorder=args.byteorder,
-                ref_uid=args.ref_uid,
-            )
-            count = write_trace(args.output, pairs)
-            echo(
-                f"imported {count} {args.word_bytes}-byte "
-                f"{args.byteorder}-endian addresses from {args.input} "
-                f"to {args.output}"
-            )
-            return 0
-        cache = _parse_cache(args.cache)
-        report = simulate_trace(
+    if args.trace_command == "export":
+        program = _load_workload(args.workload, args.size, args.steps)
+        prepared = prepare(program)
+        count = write_trace(args.output, collect_walker_trace(prepared.walker))
+        echo(f"{program.name}: exported {count} accesses to {args.output}")
+        return 0
+    if args.trace_command == "import":
+        pairs = import_address_trace(
             args.input,
-            cache,
-            policy=args.policy,
-            seed=args.policy_seed,
+            word_bytes=args.word_bytes,
+            byteorder=args.byteorder,
+            ref_uid=args.ref_uid,
         )
+        count = write_trace(args.output, pairs)
         echo(
-            f"{args.input} on {cache.describe()} ({report.policy}): "
-            f"miss ratio {report.miss_ratio_percent:.2f}% "
-            f"({report.total_misses} of {report.total_accesses} accesses, "
-            f"{report.elapsed_seconds:.2f}s)"
+            f"imported {count} {args.word_bytes}-byte "
+            f"{args.byteorder}-endian addresses from {args.input} "
+            f"to {args.output}"
         )
         return 0
-    except TraceFormatError as exc:
-        raise SystemExit(str(exc))
+    cache = _parse_cache(args.cache)
+    report = simulate_trace(
+        args.input,
+        cache,
+        policy=args.policy,
+        seed=args.policy_seed,
+    )
+    echo(
+        f"{args.input} on {cache.describe()} ({report.policy}): "
+        f"miss ratio {report.miss_ratio_percent:.2f}% "
+        f"({report.total_misses} of {report.total_accesses} accesses, "
+        f"{report.elapsed_seconds:.2f}s)"
+    )
+    return 0
 
 
 def _cmd_perf(args, echo: Callable[[str], None]) -> int:
@@ -639,7 +626,6 @@ def _ledger_config(args) -> dict:
         "policy_seed",
         "l2_cache",
         "l2_policy",
-        "jobs",
         "size",
         "steps",
         "confidence",
@@ -692,7 +678,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     p_analyze.add_argument("--width", type=_fraction("width"), default=0.05)
     p_analyze.add_argument("--seed", type=int, default=0)
-    _add_jobs_arg(p_analyze)
     _add_memo_args(p_analyze)
     _add_obs_args(p_analyze)
 
@@ -718,7 +703,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_workload_args(p_cmp)
     p_cmp.add_argument("--method", choices=METHODS, default="estimate")
     _add_policy_args(p_cmp)
-    _add_jobs_arg(p_cmp)
     _add_memo_args(p_cmp)
     _add_obs_args(p_cmp)
 
@@ -969,6 +953,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 args.workload, args.size, getattr(args, "steps", 2)
             )
             rc = commands[args.command](args, program, echo)
+    except ReproError as exc:
+        raise SystemExit(str(exc))
     finally:
         wall_seconds = perf_counter() - started
         if mem_profiler is not None:

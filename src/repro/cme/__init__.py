@@ -10,7 +10,7 @@ from repro.cme.regions import (
     region_ref_misses,
     regional_coverage,
 )
-from repro.cme.solver import METHODS, Solver, run_units, solver_for
+from repro.cme.solver import METHODS, Solver, solver_for
 
 __all__ = [
     "METHODS",
@@ -29,7 +29,6 @@ __all__ = [
     "region_misses",
     "region_ref_misses",
     "regional_coverage",
-    "run_units",
     "Solver",
     "solver_for",
 ]

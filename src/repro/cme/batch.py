@@ -373,7 +373,7 @@ class BatchClassifier:
         build (trace length / references; the index is built once and
         serves them all), else ``None``: walk.  Depends on the points and
         the program only — never on whether the index already exists — so
-        serial, pooled and daemon runs choose alike."""
+        offline and daemon runs choose alike."""
         plan = self._plan()
         if not plan.materialisable:  # TraceIndex would raise TraceTooLargeError
             return None

@@ -25,8 +25,8 @@ the least recently used entries of any store go first, under a lock, and
 an entry larger than an eighth of it is used once and not kept, so one
 large exhaustive reference cannot flush the whole store.  Evicting an
 entry only costs a recomputation, never a different answer.  Stores are
-never pickled (``ReuseTable.__getstate__`` drops them), so pool workers
-start empty.
+never pickled (``ReuseTable.__getstate__`` drops them), so a process
+that unpickles a table starts empty.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ individually reproducible: adding or removing a reference cannot perturb any
 other reference's sample (a single shared generator used to do exactly
 that), and it is what lets the loop over references
 (:mod:`repro.cme.solver`) run the per-reference unit,
-:func:`estimate_ref_misses`, serially (also on the daemon's dispatcher
-threads, :mod:`repro.serve`) or in the process pool (:mod:`repro.parallel`)
-while producing bit-identical reports.
+:func:`estimate_ref_misses`, offline or on the daemon's dispatcher threads
+(:mod:`repro.serve`) while producing bit-identical reports.
 
 The number of sampled points depends on ``(c, w)``, not on the trace
 length — the source of the orders-of-magnitude speedup over simulation the
@@ -126,15 +125,13 @@ def estimate_misses(
     walker: Optional[Walker] = None,
     refs: Optional[Iterable[NRef]] = None,
     seed: int = 0,
-    jobs: int = 1,
     memo: Optional["Memoizer"] = None,
 ) -> MissReport:
     """Estimate per-reference and whole-program miss ratios by sampling.
 
     ``confidence``/``width`` are the paper's ``(c, w)``; the defaults match
     the experiments of Tables 4 and 6 (c = 95%, w = 0.05).  ``seed`` is the
-    base of the per-reference seeds.  ``jobs > 1`` shards references across
-    a process pool with identical results.
+    base of the per-reference seeds.
     ``memo`` enables content-addressed memoization; estimate keys include
     the per-reference seed ``seed ^ ref.uid``, so replays are bit-identical
     to the sampling runs that produced them (and two references never share
@@ -142,5 +139,5 @@ def estimate_misses(
     """
     return solve_misses(
         solver_for("estimate", confidence, width, seed), nprog, layout, cache,
-        reuse, walker, refs, jobs, memo,
+        reuse, walker, refs, memo,
     )

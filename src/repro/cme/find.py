@@ -9,8 +9,8 @@ generated).
 This module holds the per-reference unit, :func:`find_ref_misses`; the
 loop over references is :mod:`repro.cme.solver`'s, shared with the other
 solvers.  References are independent once the reuse table is built, so the
-same unit runs serially (also on the daemon's dispatcher threads,
-:mod:`repro.serve`) and in the process pool (:mod:`repro.parallel`).
+same unit runs for the offline solvers and on the daemon's dispatcher
+threads (:mod:`repro.serve`).
 """
 
 from __future__ import annotations
@@ -97,21 +97,18 @@ def find_misses(
     reuse: Optional[ReuseTable] = None,
     walker: Optional[Walker] = None,
     refs: Optional[Iterable[NRef]] = None,
-    jobs: int = 1,
     memo: Optional["Memoizer"] = None,
 ) -> MissReport:
     """Classify every iteration point of every reference.
 
     Parameters mirror :func:`~repro.cme.estimate.estimate_misses`; ``refs``
-    restricts the analysis to a subset of references (useful in tests) and
-    ``jobs > 1`` shards the references across a process pool — the report is
-    guaranteed identical to the serial one.  ``memo`` enables
+    restricts the analysis to a subset of references (useful in tests).
+    ``memo`` enables
     content-addressed memoization (:mod:`repro.memo`): references whose
     equation system was already classified — earlier in this call, in this
     process, or in a previous run via a persistent store — replay the
     stored tallies instead of being re-solved.
     """
     return solve_misses(
-        solver_for("find"), nprog, layout, cache, reuse, walker, refs, jobs,
-        memo,
+        solver_for("find"), nprog, layout, cache, reuse, walker, refs, memo,
     )

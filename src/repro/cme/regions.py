@@ -971,19 +971,16 @@ def region_misses(
     reuse: Optional[ReuseTable] = None,
     walker=None,
     refs: Optional[Iterable[NRef]] = None,
-    jobs: int = 1,
     memo: Optional["Memoizer"] = None,
 ) -> MissReport:
     """Classify every reference by regional decomposition (``--method regions``).
 
     Parameters mirror :func:`~repro.cme.find.find_misses` and the report is
     exactly equal to its (``FindMisses``) classifications — regions is an
-    execution strategy, not an approximation.  ``jobs`` shards references
-    across the parallel engine, ``memo`` enables content-addressed
-    memoization of per-reference region solutions (keyed under the
-    ``regions`` method, like point solutions).
+    execution strategy, not an approximation.  ``memo`` enables
+    content-addressed memoization of per-reference region solutions (keyed
+    under the ``regions`` method, like point solutions).
     """
     return solve_misses(
-        solver_for("regions"), nprog, layout, cache, reuse, walker, refs, jobs,
-        memo,
+        solver_for("regions"), nprog, layout, cache, reuse, walker, refs, memo,
     )

@@ -5,11 +5,12 @@ Equality contract
 
 :class:`MissReport` equality compares **classifications only** — the
 ``method``, ``cache`` and per-reference tallies.  Everything observational
-(``elapsed_seconds``, ``solver_seconds``, ``jobs``, ``metrics``,
-``memo``) is declared ``compare=False``: those fields describe *how* a run happened,
+(``elapsed_seconds``, ``solver_seconds``, ``metrics``, ``memo``) is
+declared ``compare=False``: those fields describe *how* a run happened,
 never *what* it computed.  This is what lets the differential tests assert
-``serial_report == parallel_report`` bit-identically while each run still
-carries its own timings and metrics snapshot.
+that memoized, observed and daemon reports equal the plain offline one
+bit-identically while each run still carries its own timings and metrics
+snapshot.
 
 Timing contract
 ---------------
@@ -17,10 +18,9 @@ Timing contract
 All timing fields are measured with :func:`time.perf_counter` — the
 monotonic, high-resolution clock — and are therefore only meaningful as
 *differences within one process*; they are never wall-clock timestamps.
-Throughput properties (:attr:`MissReport.points_per_second`,
-:attr:`MissReport.parallel_efficiency`) derive from the same clock, so
-they are internally consistent even across pauses or clock adjustments
-that would skew ``time.time()``.
+The throughput property :attr:`MissReport.points_per_second` derives
+from the same clock, so it is internally consistent even across pauses or
+clock adjustments that would skew ``time.time()``.
 """
 
 from __future__ import annotations
@@ -98,26 +98,20 @@ class RefResult:
 class MissReport:
     """Aggregate analysis outcome for a program.
 
-    Timing, parallelism and observability metadata (``elapsed_seconds``,
-    ``jobs``, ``solver_seconds``, ``metrics``, ``memo``) are excluded from
-    equality: two reports are equal when their classifications agree,
-    which is exactly the determinism guarantee of the parallel engine
-    (serial and ``jobs=N`` runs must compare equal, with or without
-    observability enabled).  See the module docstring for the full contract.
+    Timing and observability metadata (``elapsed_seconds``,
+    ``solver_seconds``, ``metrics``, ``memo``) are excluded from equality:
+    two reports are equal when their classifications agree, with or
+    without memoization or observability.  See the module docstring for
+    the full contract.
     """
 
     method: str
     cache: CacheConfig
     results: dict[int, RefResult] = field(default_factory=dict)
-    #: Wall-clock duration of the whole solve (serial or parallel),
-    #: measured with ``time.perf_counter`` (monotonic).
+    #: Wall-clock duration of the whole solve, measured with
+    #: ``time.perf_counter`` (monotonic).
     elapsed_seconds: float = field(default=0.0, compare=False)
-    #: Worker processes used (1 = the serial in-process path).
-    jobs: int = field(default=1, compare=False)
-    #: ``perf_counter`` time spent classifying points, summed across
-    #: workers.  Equals ``elapsed_seconds`` for serial runs; for parallel
-    #: runs the ratio ``solver_seconds / elapsed_seconds`` is the
-    #: effective speedup.
+    #: ``perf_counter`` time spent solving; equals ``elapsed_seconds``.
     solver_seconds: float = field(default=0.0, compare=False)
     #: Observability snapshot (``repro.obs`` schema document) taken at the
     #: end of the solve when observability was enabled, else ``None``.
@@ -159,12 +153,6 @@ class MissReport:
         if self.elapsed_seconds <= 0.0:
             return 0.0
         return self.analysed_points / self.elapsed_seconds
-
-    @property
-    def parallel_efficiency(self) -> float:
-        """``solver_seconds / (jobs * elapsed_seconds)`` — 1.0 is ideal."""
-        denom = self.jobs * self.elapsed_seconds
-        return self.solver_seconds / denom if denom > 0.0 else 0.0
 
     @property
     def miss_ratio_percent(self) -> float:

@@ -12,11 +12,8 @@ that loop, written once:
   per-reference unit (:meth:`Solver.solve_ref`);
 * :func:`solver_for` — the only place a method string is mapped to a
   solver (or rejected);
-* :func:`run_units` — memo plan → solve → finish for any executor.  The
-  executor is a ``refs -> {uid: RefResult}`` callable: the serial loop
-  below or the process pool (:class:`repro.parallel.ParallelEngine`);
-* :func:`solve_misses` — the serial driver (or the process pool for
-  ``jobs != 1``) behind ``find_misses``, ``estimate_misses``,
+* :func:`solve_misses` — memo plan → guarded serial loop → finish, the
+  one driver behind ``find_misses``, ``estimate_misses``,
   ``region_misses``, :func:`repro.analysis.analyze` and the daemon's
   :class:`repro.serve.engine.AnalysisEngine`, which passes its cached
   classifier and a per-unit guard.
@@ -58,9 +55,6 @@ _TABLE = {
 #: The selectable CME solvers (CLI ``--method`` choices, serve ``method``).
 METHODS = tuple(_TABLE)
 
-#: An executor: solves ``refs`` and returns ``{uid: RefResult}`` in order.
-SolveRefs = Callable[[list], dict[int, RefResult]]
-
 #: Entered around each serial unit: ``guard(ref)`` returns a context manager.
 UnitGuard = Callable[["NRef"], AbstractContextManager]
 
@@ -101,7 +95,7 @@ class Solver:
 
         The unit is looked up by name on every call, so a wrapper
         installed on its module attribute (a tracer, a profiler) sees
-        every unit, whichever executor runs it.
+        every unit, whichever caller runs it.
         """
         unit = getattr(import_module(self.unit_module), self.unit_name)
         if self.sampled:
@@ -131,41 +125,6 @@ def solver_for(
     return solver
 
 
-def run_units(
-    solver: Solver,
-    nprog: "NormalizedProgram",
-    layout: "MemoryLayout",
-    cache: "CacheConfig",
-    reuse: "ReuseTable",
-    targets: list,
-    memo: Optional["Memoizer"],
-    solve_refs: SolveRefs,
-) -> MissReport:
-    """Plan ``targets`` through ``memo``, solve with ``solve_refs``, finish.
-
-    Without a memoizer every target is solved.  With one, only the plan's
-    representatives are; the replays are filled in and ``report.memo``
-    carries the plan's ``{hits, misses, store_hits}``.  Timing fields are
-    left to the caller, which knows what its wall clock covers.
-    """
-    plan = None
-    if memo is not None:
-        plan = memo.session(solver, nprog, layout, cache, reuse).plan(targets)
-        targets = plan.solve
-    report = MissReport(solver.report_name, cache)
-    report.results = solve_refs(targets)
-    if plan is not None:
-        for ref in plan.solve:
-            plan.add(ref, report.results[ref.uid])
-        report.results = plan.finish(report.results)
-        report.memo = {
-            "hits": plan.replays,
-            "misses": len(plan.solve),
-            "store_hits": plan.store_hits,
-        }
-    return report
-
-
 def solve_misses(
     solver: Solver,
     nprog: "NormalizedProgram",
@@ -174,43 +133,48 @@ def solve_misses(
     reuse: Optional["ReuseTable"] = None,
     walker: Optional["Walker"] = None,
     refs: Optional[Iterable["NRef"]] = None,
-    jobs: int = 1,
     memo: Optional["Memoizer"] = None,
     classifier: Optional["BatchClassifier"] = None,
     unit_guard: UnitGuard = _no_guard,
 ) -> MissReport:
     """Solve ``refs`` (default: every reference) with ``solver``.
 
-    ``jobs != 1`` shards the references across a process pool (``0`` or
-    negative = all CPUs) with an identical report; ``memo`` is as in
-    :func:`repro.analysis.analyze`.  The serial loop classifies with
-    ``classifier`` (built here when ``None``) and runs each unit inside
-    ``unit_guard(ref)``: the daemon passes its cached classifier and a
-    guard that checks the request deadline and takes the state's lock.
+    Without a memoizer every reference is solved.  With one, the references
+    are planned through it first and only the plan's representatives are
+    solved; the replays are filled in and ``report.memo`` carries the
+    plan's ``{hits, misses, store_hits}``.  Each unit classifies with
+    ``classifier`` (built here when ``None``) inside ``unit_guard(ref)``:
+    the daemon passes its cached classifier and a guard that checks the
+    request deadline and takes the state's lock.
     """
     started = time.perf_counter()
     if reuse is None:
         reuse = build_reuse_table(nprog, cache.line_bytes)
     targets = list(refs) if refs is not None else list(nprog.refs)
-    if jobs != 1:
-        from repro.parallel import ParallelEngine
-
-        with ParallelEngine(nprog, layout, cache, reuse, jobs, memo) as engine:
-            return engine.solve(solver, targets)
     if classifier is None:
         classifier = make_classifier(nprog, layout, cache, reuse, walker)
-
-    def solve_refs(todo: list) -> dict[int, RefResult]:
-        results = {}
-        for ref in todo:
-            with unit_guard(ref):
-                results[ref.uid] = solver.solve_ref(classifier, nprog, ref)
-        return results
-
     with obs.span(solver.span):
-        report = run_units(
-            solver, nprog, layout, cache, reuse, targets, memo, solve_refs
-        )
+        plan = None
+        if memo is not None:
+            plan = memo.session(solver, nprog, layout, cache, reuse).plan(
+                targets
+            )
+            targets = plan.solve
+        report = MissReport(solver.report_name, cache)
+        for ref in targets:
+            with unit_guard(ref):
+                report.results[ref.uid] = solver.solve_ref(
+                    classifier, nprog, ref
+                )
+        if plan is not None:
+            for ref in plan.solve:
+                plan.add(ref, report.results[ref.uid])
+            report.results = plan.finish(report.results)
+            report.memo = {
+                "hits": plan.replays,
+                "misses": len(plan.solve),
+                "store_hits": plan.store_hits,
+            }
     report.elapsed_seconds = time.perf_counter() - started
     report.solver_seconds = report.elapsed_seconds
     if obs.is_enabled():

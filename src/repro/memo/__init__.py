@@ -17,9 +17,9 @@ per-reference solvers actually read:
   of the solver source code, so stale entries self-invalidate;
 * :mod:`repro.memo.memoizer` — the **in-run dedup layer**: references are
   grouped by key, each distinct equation system is classified once, and
-  duplicates replay the stored tallies.  The same planning code
-  (:func:`repro.cme.solver.run_units`) drives every executor, so
-  ``memo.*`` counters are identical for any ``--jobs`` value.
+  duplicates replay the stored tallies.  The one solve driver
+  (:func:`repro.cme.solver.solve_misses`) plans through it, offline and
+  in the daemon alike.
 
 Typical use::
 

@@ -10,11 +10,9 @@ partitions the targets into
   in this run, or from the persistent store), and
 * **solves** — one representative per distinct *new* equation system.
 
-Every executor — serial (also the daemon's) and the process pool —
-plans through :func:`repro.cme.solver.run_units` and then solves exactly
-``plan.solve``, so the ``memo.hits`` / ``memo.misses`` /
-``memo.dedup.groups`` counters are identical for any ``--jobs`` value — a
-duplicate of a not-yet-solved system counts as a hit in either case,
+The solve driver, :func:`repro.cme.solver.solve_misses` (offline and in
+the daemon), plans first and then solves exactly ``plan.solve``.  A
+duplicate of a not-yet-solved system counts as a ``memo.hits`` hit,
 because only one classification pays for the whole group.  Each plan also
 counts its own store hits, so a request's accounting is its own even when
 concurrent requests share the memoizer.
@@ -214,9 +212,9 @@ class MemoPlan:
     """The work split of one solver invocation.
 
     Solve every reference in :attr:`solve` (in order — the list preserves
-    the target order, which the parallel engine relies on for deterministic
-    sharding), feed each result to :meth:`add`, then call :meth:`finish` to
-    obtain the complete ``uid -> RefResult`` mapping including replays.
+    the target order), feed each result to :meth:`add`, then call
+    :meth:`finish` to obtain the complete ``uid -> RefResult`` mapping
+    including replays.
     """
 
     def __init__(self, session: MemoSession, targets: list):

@@ -19,8 +19,8 @@ Concurrent writers
 ------------------
 
 One store file may be appended to by many threads *and* many processes at
-once (the service daemon's dispatchers, a ``--jobs`` process pool, several
-CLI runs sharing a ``--cache-dir``).  :meth:`MemoStore.append` is safe
+once (the service daemon's dispatchers, several CLI runs sharing a
+``--cache-dir``).  :meth:`MemoStore.append` is safe
 under all of them:
 
 * every append is serialised under an advisory lock on a ``.lock``

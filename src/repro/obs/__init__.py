@@ -5,13 +5,13 @@ enough to sit inside a compiler*; this subsystem answers *where the time
 goes* — normalisation vs. reuse-vector solving vs. polyhedral point
 counting vs. CME classification — and *how much work* each phase performs
 (integer-solver calls, reuse vectors per kind, points classified per
-outcome, simulated accesses, per-worker shard costs).
+outcome, simulated accesses).
 
 Three layers, all zero-dependency:
 
 * :mod:`repro.obs.tracer` — a hierarchical span tracer
   (``obs.span("reuse/build_table")``) with monotonic-clock timings,
-  context-manager and decorator APIs, and thread/process-safe accumulation;
+  context-manager and decorator APIs, and thread-safe accumulation;
 * :mod:`repro.obs.registry` — counters, gauges and histograms under a
   stable dotted namespace (``polyhedra.intsolve.calls``,
   ``cme.points.classified``, ...);
@@ -36,16 +36,11 @@ Typical use::
         report = analyze(prepared, cache)
     print(obs.render())                 # span tree
     print(obs.to_json(obs.snapshot()))  # machine-readable export
-
-Worker processes of :mod:`repro.parallel.engine` run their own registry
-and tracer, snapshot them per chunk, and the parent folds the snapshots
-back with :func:`merge_snapshot` — so ``--jobs N`` runs report the same
-counters as serial runs.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
+from typing import Union
 
 from repro.obs.export import (
     SCHEMA,
@@ -101,7 +96,6 @@ __all__ = [
     "gauge",
     "histogram",
     "snapshot",
-    "merge_snapshot",
     "render",
     "phase_times",
     "build_snapshot",
@@ -221,28 +215,6 @@ def timeline_events() -> list:
 def snapshot() -> dict:
     """The full schema-stamped document (metrics + span tree)."""
     return build_snapshot(_registry, _tracer)
-
-
-def merge_snapshot(snap: Mapping) -> None:
-    """Fold a worker-process snapshot into the live instruments.
-
-    ``snap`` may be a full document from :func:`snapshot` or the partial
-    ``{"metrics": ..., "spans": ...[, "timeline": ...]}`` payload the
-    parallel engine ships.  Spans merge **under the currently open span**
-    of the calling thread; timeline events (worker lanes) are folded into
-    the active recorder, keeping their worker pids.
-    """
-    metrics = snap.get("metrics")
-    if metrics is None and "counters" in snap:
-        metrics = snap
-    if metrics:
-        _registry.merge(metrics)
-    spans = snap.get("spans")
-    if spans:
-        _tracer.merge(spans)
-    events = snap.get("timeline")
-    if events and _timeline is not None:
-        _timeline.extend(events)
 
 
 def render() -> str:

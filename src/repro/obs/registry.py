@@ -8,9 +8,9 @@ both.  Three instrument kinds cover everything the Fig. 7 pipeline needs:
 
 * :class:`Counter` — a monotonically increasing integer (``calls``,
   ``points``, ``misses``);
-* :class:`Gauge` — a last-write-wins value (``jobs``, configuration);
+* :class:`Gauge` — a last-write-wins value (configuration, peaks);
 * :class:`Histogram` — count/sum/min/max of observed values (RIS volumes,
-  UGS sizes, per-chunk worker seconds) plus a sparse geometric bucket
+  UGS sizes) plus a sparse geometric bucket
   ladder (:data:`BUCKET_BOUNDS`) feeding :meth:`Histogram.percentile`,
   which interpolates **linearly between bucket bounds** — a naive
   nearest-bucket readout would overstate p99 on sparse histograms by
@@ -21,10 +21,9 @@ Metric names form a stable dot-separated namespace documented in README.md
 treat the names as opaque keys, so the schema never changes when metrics
 are added.
 
-Thread-safety: instrument creation, :meth:`MetricsRegistry.merge` and
-:meth:`MetricsRegistry.snapshot` take the registry lock; per-event updates
-take the same lock so concurrent threads (and the parallel engine's merge
-of worker snapshots) never lose counts.
+Thread-safety: instrument creation and :meth:`MetricsRegistry.snapshot`
+take the registry lock; per-event updates take the same lock so concurrent
+threads never lose counts.
 
 When observability is disabled, :data:`NULL_REGISTRY` stands in: every
 instrument request returns a shared no-op singleton, so the disabled path
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Mapping, Optional
+from typing import Optional
 
 #: Upper bucket bounds of every histogram: a 1-2-5 geometric ladder from
 #: 1e-9 to 5e12, wide enough for seconds (ns..weeks) and bytes/counts
@@ -45,9 +44,6 @@ from typing import Mapping, Optional
 BUCKET_BOUNDS: tuple[float, ...] = tuple(
     m * 10.0**e for e in range(-9, 13) for m in (1.0, 2.0, 5.0)
 )
-
-#: Bound value → bucket index, for folding serialised buckets back in.
-_BOUND_INDEX = {bound: i for i, bound in enumerate(BUCKET_BOUNDS)}
 
 #: Index of the overflow bucket (values above the last bound).
 _OVERFLOW = len(BUCKET_BOUNDS)
@@ -224,11 +220,8 @@ class MetricsRegistry:
     # -- aggregation ---------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A plain-data copy: ``{counters, gauges, histograms}``.
-
-        The returned dict is JSON-serialisable and is the unit the parallel
-        engine ships from workers back to the parent process.
-        """
+        """A plain-data, JSON-serialisable copy:
+        ``{counters, gauges, histograms}``."""
         with self._lock:
             return {
                 "counters": {n: c.value for n, c in self._counters.items()},
@@ -237,32 +230,6 @@ class MetricsRegistry:
                     n: h.as_dict() for n, h in self._histograms.items()
                 },
             }
-
-    def merge(self, snapshot: Mapping) -> None:
-        """Fold a :meth:`snapshot` into this registry.
-
-        Counters and histograms accumulate; gauges take the incoming value
-        (last write wins).  Merging is how per-worker metrics from
-        ``parallel.engine`` become one program-wide view.
-        """
-        with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self.counter(name).inc(value)
-            for name, value in snapshot.get("gauges", {}).items():
-                self.gauge(name).set(value)
-            for name, h in snapshot.get("histograms", {}).items():
-                mine = self.histogram(name)
-                if not h.get("count"):
-                    continue
-                mine.count += h["count"]
-                mine.sum += h["sum"]
-                if mine.min is None or (h["min"] is not None and h["min"] < mine.min):
-                    mine.min = h["min"]
-                if mine.max is None or (h["max"] is not None and h["max"] > mine.max):
-                    mine.max = h["max"]
-                for bound, n in h.get("buckets", []):
-                    idx = _OVERFLOW if bound is None else _BOUND_INDEX[bound]
-                    mine.buckets[idx] = mine.buckets.get(idx, 0) + n
 
     def reset(self) -> None:
         """Drop every instrument (a fresh, empty registry)."""
@@ -339,9 +306,6 @@ class NullRegistry:
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def merge(self, snapshot: Mapping) -> None:
-        pass
 
     def reset(self) -> None:
         pass

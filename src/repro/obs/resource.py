@@ -19,9 +19,6 @@ of the rest of :mod:`repro.obs`:
 ``ru_maxrss`` is monotonic (a lifetime high-water mark), so the per-span
 gauges read as "how high had memory climbed by the time this phase
 finished" — the jump between consecutive phases attributes growth.
-Worker processes of the parallel engine report their own peaks through
-the ``parallel.worker_peak_rss_bytes`` histogram shipped with each chunk
-snapshot.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Cross-process span timelines as Chrome trace-event JSON.
+"""Span timelines as Chrome trace-event JSON.
 
 The span tracer (:mod:`repro.obs.tracer`) *aggregates* — repeated spans
 collapse into one tree node — which is the right shape for totals but the
@@ -16,15 +16,6 @@ missing view:
   (pid/tid pair) per process and thread and metadata events naming them;
 * :func:`write_chrome_trace` — the file-writing convenience behind the
   CLI's ``--timeline-out``.
-
-Cross-process stitching: worker processes of :mod:`repro.parallel.engine`
-run their own recorder and ship ``snapshot()`` back with each chunk; the
-parent folds the events in with :meth:`TimelineRecorder.extend`.  Events
-keep the worker's real pid, so each worker renders as its own lane.  The
-clocks are comparable because ``perf_counter`` reads a system-wide
-monotonic clock (``CLOCK_MONOTONIC`` on Linux, ``mach_absolute_time`` on
-macOS, ``QueryPerformanceCounter`` on Windows) whose origin is shared by
-parent and workers on the same machine.
 
 Durations are the *same* float the span tree accumulates, so for every
 span name the timeline durations sum to the tree's ``seconds`` exactly —
@@ -48,8 +39,7 @@ class TimelineRecorder:
 
     Attach to a tracer (``tracer.timeline = recorder``) to receive one
     :meth:`record` call per span exit.  The buffer is append-only until
-    :meth:`clear`; :meth:`snapshot` returns a JSON-serialisable copy (the
-    unit worker processes ship back to the parent).
+    :meth:`clear`; :meth:`snapshot` returns a JSON-serialisable copy.
     """
 
     def __init__(self):
@@ -67,11 +57,6 @@ class TimelineRecorder:
         }
         with self._lock:
             self._events.append(event)
-
-    def extend(self, events: Sequence[dict]) -> None:
-        """Fold in events shipped from another process (worker lanes)."""
-        with self._lock:
-            self._events.extend(events)
 
     def snapshot(self) -> list[dict]:
         """A copy of the recorded events (JSON-serialisable)."""
@@ -93,12 +78,12 @@ def chrome_trace(
 ) -> dict:
     """Render span events as a Chrome trace-event document.
 
-    ``events`` is a :meth:`TimelineRecorder.snapshot` (parent and worker
-    events mixed).  ``main_pid`` labels that process's lane ``repro
-    (parent)``; every other pid becomes ``worker <pid>``.  Thread ids are
-    renumbered to small integers per process (Perfetto renders raw Python
-    thread idents poorly), timestamps are shifted so the earliest event
-    starts at 0 and converted to microseconds.
+    ``events`` is a :meth:`TimelineRecorder.snapshot`.  ``main_pid``
+    labels that process's lane ``repro (parent)``; any other pid becomes
+    ``worker <pid>``.  Thread ids are renumbered to small integers per
+    process (Perfetto renders raw Python thread idents poorly), timestamps
+    are shifted so the earliest event starts at 0 and converted to
+    microseconds.
     """
     if main_pid is None:
         main_pid = os.getpid()
@@ -176,8 +161,8 @@ def sum_durations(events: Sequence[dict]) -> dict[str, float]:
     """Total event duration per span name (across all pids and threads).
 
     For any run, ``sum_durations(recorder.snapshot())[name]`` equals the
-    total ``seconds`` of every tree node called ``name`` in the merged
-    span tree — both sides accumulate the same per-entry floats.
+    total ``seconds`` of every tree node called ``name`` in the span
+    tree — both sides accumulate the same per-entry floats.
     """
     totals: dict[str, float] = {}
     for e in events:

@@ -11,15 +11,9 @@ Timings use :func:`time.perf_counter` — the monotonic high-resolution clock
 — consistently with the ``elapsed_seconds``/``solver_seconds`` fields of
 :class:`~repro.cme.result.MissReport`.
 
-Concurrency:
-
-* **threads** share one tracer; each thread keeps its own span stack
-  (``threading.local``) rooted at the same tree, and node updates are
-  guarded by the tracer lock;
-* **processes** (the ``parallel.engine`` workers) run their own tracer,
-  :meth:`Tracer.snapshot` the finished tree, and the parent
-  :meth:`Tracer.merge`\\ s it under its current span — so worker time shows
-  up nested inside ``parallel/solve`` in the final tree.
+Concurrency: threads share one tracer; each thread keeps its own span
+stack (``threading.local``) rooted at the same tree, and node updates are
+guarded by the tracer lock.
 
 When observability is disabled, :data:`NULL_TRACER` stands in:
 ``span(...)`` returns a shared reusable no-op context manager, so the
@@ -31,7 +25,7 @@ from __future__ import annotations
 import functools
 import threading
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 
 class SpanNode:
@@ -149,15 +143,6 @@ class Tracer:
         with self._lock:
             return [c.as_dict() for c in self.root.children.values()]
 
-    def merge(self, spans: Sequence[dict]) -> None:
-        """Fold a :meth:`snapshot` in **under the current span**.
-
-        The parallel engine calls this while its ``parallel/solve`` span is
-        open, so worker spans nest below it in the final tree.
-        """
-        with self._lock:
-            _merge_children(self._stack()[-1], spans)
-
     def phase_times(self) -> list[tuple[str, int, float]]:
         """``(name, count, seconds)`` for each top-level span, in order."""
         with self._lock:
@@ -171,17 +156,6 @@ class Tracer:
         with self._lock:
             self.root = SpanNode("root")
             self._generation += 1
-
-
-def _merge_children(node: SpanNode, spans: Sequence[dict]) -> None:
-    for s in spans:
-        child = node.children.get(s["name"])
-        if child is None:
-            child = SpanNode(s["name"])
-            node.children[s["name"]] = child
-        child.count += s["count"]
-        child.total_seconds += s["seconds"]
-        _merge_children(child, s.get("children", []))
 
 
 # -- disabled mode -------------------------------------------------------------
@@ -217,9 +191,6 @@ class NullTracer:
 
     def snapshot(self) -> list[dict]:
         return []
-
-    def merge(self, spans: Sequence[dict]) -> None:
-        pass
 
     def phase_times(self) -> list[tuple[str, int, float]]:
         return []

@@ -40,9 +40,9 @@ from repro.polyhedra.constraints import Constraint, ConstraintSet
 #: Cross-instance count cache keyed by canonical constraint-system signature.
 #: Spaces are built afresh per reference (and per region cell in the regional
 #: solver), but structurally identical systems recur constantly — translated
-#: producer spaces, residue cells differing only in dead constraints, the
-#: same RIS rebuilt in a worker process.  Caching per *signature* rather
-#: than per instance means a count is computed once while it stays cached.
+#: producer spaces, residue cells differing only in dead constraints.
+#: Caching per *signature* rather than per instance means a count is
+#: computed once while it stays cached.
 _COUNT_CACHE: dict[tuple, int] = {}
 
 #: Entries the count cache keeps; beyond it the oldest are evicted first,

@@ -9,8 +9,8 @@ There is one solve path.  :meth:`AnalysisEngine.run` hands the request's
 cached state to :func:`repro.cme.solver.solve_misses` — the loop behind
 :func:`repro.analysis.analyze` — so a report is field-for-field identical
 to an offline one.  The daemon runs it on the dispatcher thread that took
-the request; ``repro-cache analyze --jobs N`` runs it through the process
-pool.  The report carries the memo plan's own counts (``report.memo``), so
+the request; ``repro-cache analyze`` runs it in the calling thread.  The
+report carries the memo plan's own counts (``report.memo``), so
 a request's ``store_hits`` never picks up another request's lookups.
 
 Per analysis state — ``(program, cache geometry)`` — the engine
@@ -216,18 +216,16 @@ class AnalysisEngine:
     def run(
         self,
         request: AnalyzeRequest,
-        jobs: int = 1,
         deadline: Optional[float] = None,
     ) -> tuple[MissReport, dict]:
         """Solve one request; returns ``(report, info)``.
 
         ``info`` carries per-request accounting — the memo plan's hits,
         misses and store hits, and solve wall time — without touching the
-        report (whose serialisation must stay deterministic).  ``jobs``
-        is as in :func:`repro.analysis.analyze`.  ``deadline`` is an
-        absolute monotonic time, checked before each unit; crossing it
-        raises :class:`RequestTimeout`.  New memo solutions are left for
-        the caller to flush.
+        report (whose serialisation must stay deterministic).
+        ``deadline`` is an absolute monotonic time, checked before each
+        unit; crossing it raises :class:`RequestTimeout`.  New memo
+        solutions are left for the caller to flush.
         """
         started = time.perf_counter()
         self._check_deadline(deadline)
@@ -248,7 +246,6 @@ class AnalysisEngine:
             state.prepared.layout,
             state.cache,
             reuse=state.reuse,
-            jobs=jobs,
             memo=self.memo,
             classifier=state.classifier,
             unit_guard=unit_guard,

@@ -103,7 +103,7 @@ def mix_victim(seed: int, set_index: int, evictions: int, assoc: int) -> int:
     stream, it is independent of access interleaving across sets: the
     scalar walker (which visits sets in trace order) and the vectorized
     kernel (which replays one set at a time) draw identical victims, and
-    fixed seeds reproduce across processes and ``--jobs`` values.
+    fixed seeds reproduce across runs and processes.
     """
     x = (
         seed * 0x9E3779B97F4A7C15

@@ -31,7 +31,7 @@ def _normal_quantile(p: float) -> float:
     It agrees with SciPy's ``norm.ppf`` to ~1 ulp, and every sample size
     the solvers, CLI and benchmarks draw is pinned equal to SciPy's by
     ``tests/stats/test_confidence.py``; importing SciPy here would cost
-    every process (and every pool worker) a second on its first estimate.
+    every process a second on its first estimate.
     """
     return _STANDARD_NORMAL.inv_cdf(p)
 

@@ -192,3 +192,70 @@ class TestReporting:
         cache = CacheConfig.kb(8, 32, 1)
         est = estimate_misses(nprog, layout, cache, seed=random.Random(0).getrandbits(64))
         assert est.analysed_points < est.total_accesses / 2
+
+
+def random_program(rng: random.Random):
+    """A small random 2-D stencil (one or two arrays, optional guard)."""
+    n = rng.randrange(6, 11)
+    pb = ProgramBuilder("RAND")
+    a = pb.array("A", (n + 4, n + 4))
+    b = pb.array("B", (n + 4, n + 4)) if rng.random() < 0.5 else a
+    offsets = {(rng.randrange(-2, 3), rng.randrange(-2, 3))
+               for _ in range(rng.randrange(1, 4))}
+    with pb.subroutine("MAIN"):
+        with pb.do("J", 3, n + 2) as j:
+            with pb.do("I", 3, n + 2) as i:
+                if rng.random() < 0.3:
+                    with pb.if_(i.le(j)):
+                        pb.assign(b[i, j], *[a[i + x, j + y] for x, y in offsets])
+                else:
+                    pb.assign(b[i, j], *[a[i + x, j + y] for x, y in offsets])
+    prog = pb.build()
+    nprog = normalize(prog.main)
+    layout = layout_for_refs(
+        nprog.refs, declared_order=prog.global_arrays, align=32
+    )
+    return nprog, layout
+
+
+@pytest.fixture(scope="module", params=range(4))
+def program(request):
+    return random_program(random.Random(0xD1F ^ request.param))
+
+
+@pytest.fixture(scope="module", params=[CacheConfig.kb(1, 32, 1),
+                                        CacheConfig.kb(2, 32, 2)],
+                ids=["1k-direct", "2k-2way"])
+def cache(request):
+    return request.param
+
+
+class TestSeedInvariance:
+    def test_exhaustive_path_ignores_seed(self, cache):
+        """Small RISs are analysed exhaustively (Fig. 6): no RNG involved,
+        so any seed gives the identical report."""
+        pb = ProgramBuilder("TINY")
+        a = pb.array("A", (9, 9))
+        with pb.subroutine("MAIN"):
+            with pb.do("J", 1, 5) as j:
+                with pb.do("I", 1, 5) as i:  # RIS volume 25 < fallback n0
+                    pb.assign(a[i, j], a[i + 1, j])
+        prog = pb.build()
+        nprog = normalize(prog.main)
+        layout = layout_for_refs(
+            nprog.refs, declared_order=prog.global_arrays, align=32
+        )
+        reports = [
+            estimate_misses(nprog, layout, cache, seed=seed)
+            for seed in (0, 123, 999)
+        ]
+        for report in reports:
+            for res in report.results.values():
+                assert res.analysed == res.population
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_find_misses_has_no_rng_dependence(self, program, cache):
+        nprog, layout = program
+        assert find_misses(nprog, layout, cache) == find_misses(
+            nprog, layout, cache
+        )

@@ -1,12 +1,14 @@
-"""The solver table, the shared unit runner and the unit lookup."""
+"""The solver table, the solve driver's memo plan and the unit lookup."""
 
 import pickle
+from contextlib import contextmanager
 
 import pytest
 
 import repro.cme.find
 from repro import CacheConfig, Memoizer, analyze, prepare
-from repro.cme import METHODS, make_classifier, run_units, solver_for
+from repro.cme import METHODS, make_classifier, solver_for
+from repro.cme.solver import solve_misses
 from repro.kernels import build_hydro
 from repro.serve.engine import AnalysisEngine
 from repro.serve.protocol import AnalyzeRequest
@@ -63,33 +65,42 @@ class TestSolverTable:
         ]
 
 
-class TestRunUnits:
-    def test_executor_sees_only_the_plans_representatives(self, prepared):
+class TestSolveMisses:
+    def test_units_run_only_for_the_plans_representatives(self, prepared):
         solver = solver_for("find")
         nprog = prepared.nprog
         reuse = prepared.reuse_table(CACHE.line_bytes)
         classifier = make_classifier(
             nprog, prepared.layout, CACHE, reuse, prepared.walker
         )
-        batches = []
+        solved = []
 
-        def solve_refs(refs):
-            batches.append(list(refs))
-            return {r.uid: solver.solve_ref(classifier, nprog, r) for r in refs}
+        @contextmanager
+        def unit_guard(ref):
+            solved[-1].append(ref)
+            yield
+
+        def solve(memo):
+            solved.append([])
+            return solve_misses(
+                solver, nprog, prepared.layout, CACHE, reuse, memo=memo,
+                classifier=classifier, unit_guard=unit_guard,
+            )
 
         memo = Memoizer()
-        args = (solver, nprog, prepared.layout, CACHE, reuse, list(nprog.refs))
-        cold = run_units(*args, memo, solve_refs)
-        warm = run_units(*args, memo, solve_refs)
+        cold = solve(memo)
+        warm = solve(memo)
         assert cold == warm == analyze(prepared, CACHE, method="find")
         assert list(cold.results) == [ref.uid for ref in nprog.refs]
-        assert cold.memo["misses"] == len(batches[0])
+        assert cold.memo["misses"] == len(solved[0])
         assert cold.memo["hits"] + cold.memo["misses"] == len(nprog.refs)
-        assert batches[1] == []
+        assert solved[1] == []
         assert warm.memo == {
             "hits": len(nprog.refs), "misses": 0, "store_hits": 0
         }
-        assert run_units(*args, None, solve_refs).memo is None
+        plain = solve(None)
+        assert plain.memo is None
+        assert solved[2] == list(nprog.refs)
 
 
 class TestUnitLookup:

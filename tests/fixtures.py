@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.ir import ProgramBuilder
 
-#: Method names every entry point (``analyze``, ``ParallelEngine``, the
-#: serve protocol, the CLI) must reject — near misses of the real ones.
+#: Method names every entry point (``analyze``, the serve protocol, the
+#: CLI) must reject — near misses of the real ones.
 UNKNOWN_METHODS = ("simulate", "magic", "Find", "estimate ", "")
 
 

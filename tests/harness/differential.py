@@ -18,9 +18,7 @@ diffs the two analytical solvers against the trace-driven
   intervals may miss), and exhaustively analysed references must match
   ``FindMisses`` exactly.
 
-Both legs run serially or through the parallel engine (``jobs``) — the
-solvers guarantee identical reports either way, and the test module checks
-that too.  Everything is seeded: a failing case can be reproduced from its
+Everything is seeded: a failing case can be reproduced from its
 ``Case.name`` alone.
 
 The scalar oracles live here too: :func:`scalar_results` solves each
@@ -337,10 +335,10 @@ def check_policy_bit_identity(
 # -- the two legs ---------------------------------------------------------------------
 
 
-def check_find(case: Case, jobs: int = 1) -> list[str]:
+def check_find(case: Case) -> list[str]:
     """Diff ``find_misses`` against the simulator; returns failure messages."""
     nprog, layout = case.prepared()
-    analytic = find_misses(nprog, layout, case.cache, jobs=jobs)
+    analytic = find_misses(nprog, layout, case.cache)
     ground = simulate(nprog, layout, case.cache)
     failures = []
     if analytic.total_accesses != ground.total_accesses:
@@ -370,7 +368,6 @@ def check_estimate(
     confidence: float = 0.95,
     width: float = 0.10,
     seed: int = 0,
-    jobs: int = 1,
 ) -> MissReport:
     """Diff ``estimate_misses`` against ``FindMisses`` (its exact target).
 
@@ -380,7 +377,7 @@ def check_estimate(
     exhaustively-analysed references must match ``FindMisses`` exactly.
     """
     nprog, layout = case.prepared()
-    exact = find_misses(nprog, layout, case.cache, jobs=jobs)
+    exact = find_misses(nprog, layout, case.cache)
     est = estimate_misses(
         nprog,
         layout,
@@ -388,7 +385,6 @@ def check_estimate(
         confidence=confidence,
         width=width,
         seed=seed,
-        jobs=jobs,
     )
     for ref in nprog.refs:
         e = est.result_for(ref)
@@ -409,7 +405,6 @@ def check_estimate(
 
 def run_differential(
     cases: list[Case],
-    jobs: int = 1,
     confidence: float = 0.95,
     width: float = 0.10,
     seed: int = 0,
@@ -418,9 +413,8 @@ def run_differential(
     summary = DifferentialSummary()
     for case in cases:
         summary.cases += 1
-        summary.failures.extend(check_find(case, jobs=jobs))
+        summary.failures.extend(check_find(case))
         check_estimate(
-            case, summary, confidence=confidence, width=width, seed=seed,
-            jobs=jobs,
+            case, summary, confidence=confidence, width=width, seed=seed
         )
     return summary

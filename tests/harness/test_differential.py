@@ -2,7 +2,7 @@
 
 The case list is fixed by seed, so these are regression tests, not flaky
 statistical ones: the same programs, layouts, samples and outcomes are
-produced on every run (and on every ``jobs`` value).
+produced on every run.
 """
 
 import pytest
@@ -29,11 +29,6 @@ class TestFindLeg:
         failures = [msg for case in cases for msg in check_find(case)]
         assert not failures, "\n".join(failures)
 
-    def test_parallel_against_simulator(self, cases):
-        # A spread of families through the process pool (every 4th case).
-        failures = [msg for case in cases[::4] for msg in check_find(case, jobs=2)]
-        assert not failures, "\n".join(failures)
-
     def test_exact_and_conservative_families_both_present(self, cases):
         kinds = {case.exact for case in cases}
         assert kinds == {True, False}
@@ -50,15 +45,6 @@ class TestEstimateLeg:
         # At c = 95% about 5% of intervals may nominally miss; the case
         # list is seeded, so this rate is a deterministic regression value.
         assert summary.containment_rate >= 0.90
-
-    def test_parallel_estimate_matches_serial(self, cases):
-        for case in cases[::6]:
-            s1 = DifferentialSummary()
-            s2 = DifferentialSummary()
-            serial = check_estimate(case, s1)
-            parallel = check_estimate(case, s2, jobs=2)
-            assert serial == parallel, case.name
-            assert not s1.failures and not s2.failures
 
 
 class TestWholeRun:

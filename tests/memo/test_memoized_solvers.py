@@ -1,4 +1,4 @@
-"""Memoized solver behaviour: dedup, replay, persistence, counter parity."""
+"""Memoized solver behaviour: dedup, replay, persistence."""
 
 from __future__ import annotations
 
@@ -109,44 +109,6 @@ class TestColdWarm:
             est = analyze(prepared, CACHE, method="estimate", memo=memo, seed=5)
         assert find == analyze(prepared, CACHE, method="find")
         assert est == analyze(prepared, CACHE, method="estimate", seed=5)
-
-
-class TestParallelParity:
-    @pytest.mark.parametrize("method", ["find", "estimate"])
-    def test_serial_and_parallel_counters_match(self, method):
-        prepared = prepare(build_hydro(24, 24))
-        serial_memo = Memoizer()
-        serial = analyze(
-            prepared, CACHE, method=method, memo=serial_memo, seed=7
-        )
-        parallel_memo = Memoizer()
-        parallel = analyze(
-            prepared, CACHE, method=method, memo=parallel_memo, seed=7, jobs=2
-        )
-        assert serial == parallel
-        assert (serial_memo.hits, serial_memo.misses, serial_memo.groups) == (
-            parallel_memo.hits,
-            parallel_memo.misses,
-            parallel_memo.groups,
-        )
-
-    def test_warm_parallel_run_skips_the_pool(self, tmp_path):
-        prepared = prepare(build_hydro(24, 24))
-        with Memoizer.open(str(tmp_path)) as cold:
-            base = analyze(prepared, CACHE, method="find", memo=cold)
-        with Memoizer.open(str(tmp_path)) as warm:
-            report = analyze(prepared, CACHE, method="find", memo=warm, jobs=4)
-        assert report == base
-        assert warm.misses == 0
-        assert warm.hits == cold.hits + cold.misses
-
-    def test_parallel_in_run_dedup_matches_serial(self):
-        cache = CacheConfig.kb(1, 32, assoc=1)
-        prepared = prepare(congruent_twin_nests())
-        memo = Memoizer()
-        report = analyze(prepared, cache, method="find", memo=memo, jobs=2)
-        assert (memo.hits, memo.misses, memo.groups) == (1, 1, 1)
-        assert report == analyze(prepared, cache, method="find")
 
 
 class TestAgainstSimulator:

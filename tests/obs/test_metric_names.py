@@ -1,8 +1,8 @@
 """Schema stability of the ``repro.metrics/v1`` name namespace.
 
 The golden lists below enumerate every counter, gauge and histogram a
-fully exercised pipeline run produces — cold + warm memoized FindMisses
-(serial and ``jobs=2``), EstimateMisses at two geometries (the second
+fully exercised pipeline run produces — cold + warm memoized FindMisses,
+EstimateMisses at two geometries (the second
 replays the first's shared decisions), RegionMisses, and the simulator on
 one pinned workload.  The exporter treats names as opaque keys, so the
 *schema* never changes when metrics are added — but dashboards, the run
@@ -47,7 +47,6 @@ GOLDEN_COUNTERS = {
     "memo.store.appended",
     "memo.store.hits",
     "memo.store.loaded",
-    "parallel.chunks",
     "polyhedra.count.cache_hits",
     "polyhedra.intsolve.calls",
     "polyhedra.intsolve.solutions",
@@ -68,14 +67,9 @@ GOLDEN_COUNTERS = {
     "sim.policy.lru",
 }
 
-GOLDEN_GAUGES = {
-    "parallel.jobs",
-}
+GOLDEN_GAUGES: set = set()
 
 GOLDEN_HISTOGRAMS = {
-    "parallel.shard_size",
-    "parallel.worker_peak_rss_bytes",
-    "parallel.worker_seconds",
     "polyhedra.ris.volume",
     "reuse.ugs.size",
 }
@@ -91,7 +85,7 @@ def pipeline_snapshot(tmp_path_factory):
         prepared = prepare(build_hydro(16, 16))
         cache = CacheConfig.kb(2, 32, 2)
         with Memoizer.open(store) as memo:
-            analyze(prepared, cache, method="find", memo=memo, jobs=2)
+            analyze(prepared, cache, method="find", memo=memo)
         with Memoizer.open(store) as memo:
             analyze(prepared, cache, method="find", memo=memo)
         analyze(prepared, cache, method="estimate", seed=0)

@@ -103,15 +103,6 @@ class TestHistogramPercentiles:
         d = h.as_dict()
         assert d["buckets"] == [[2.0, 1]]
 
-    def test_merge_folds_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h").observe(1.5)
-        b.histogram("h").observe(1.6)
-        a.merge(b.snapshot())
-        h = a.histogram("h")
-        assert h.as_dict()["buckets"] == [[2.0, 2]]
-        assert h.percentile(100) == 1.6
-
 
 class TestSnapshotMerge:
     def test_snapshot_shape(self):
@@ -123,32 +114,6 @@ class TestSnapshotMerge:
         assert snap["counters"] == {"c": 7}
         assert snap["gauges"] == {"g": 1.5}
         assert snap["histograms"]["h"]["count"] == 1
-
-    def test_merge_accumulates_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(10)
-        b.counter("c").inc(32)
-        a.histogram("h").observe(1.0)
-        b.histogram("h").observe(9.0)
-        a.merge(b.snapshot())
-        assert a.counter("c").value == 42
-        h = a.histogram("h")
-        assert (h.count, h.sum, h.min, h.max) == (2, 10.0, 1.0, 9.0)
-
-    def test_merge_into_empty_registry(self):
-        src = MetricsRegistry()
-        src.counter("c").inc(3)
-        src.gauge("g").set(2)
-        src.histogram("h").observe(4.0)
-        dst = MetricsRegistry()
-        dst.merge(src.snapshot())
-        assert dst.snapshot() == src.snapshot()
-
-    def test_merge_empty_histogram_is_noop(self):
-        dst = MetricsRegistry()
-        dst.histogram("h").observe(1.0)
-        dst.merge({"histograms": {"h": {"count": 0, "sum": 0.0, "min": None, "max": None}}})
-        assert dst.histogram("h").count == 1
 
     def test_reset(self):
         reg = MetricsRegistry()
@@ -199,7 +164,6 @@ class TestNullRegistry:
         assert not hasattr(NULL_COUNTER, "__dict__")
         assert not hasattr(NULL_HISTOGRAM, "__dict__")
 
-    def test_merge_and_reset_are_noops(self):
-        NULL_REGISTRY.merge({"counters": {"c": 3}})
+    def test_reset_is_a_noop(self):
         NULL_REGISTRY.reset()
         assert NULL_REGISTRY.counter("c").value == 0

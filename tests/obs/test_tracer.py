@@ -90,26 +90,6 @@ class TestDecorator:
 
 
 class TestMergeReset:
-    def test_merge_under_current_span(self):
-        worker = Tracer()
-        with worker.span("chunk"):
-            pass
-        parent = Tracer()
-        with parent.span("parallel/solve"):
-            parent.merge(worker.snapshot())
-        (solve,) = parent.snapshot()
-        assert names(solve["children"]) == ["chunk"]
-        assert solve["children"][0]["count"] == 1
-
-    def test_merge_accumulates_counts_and_seconds(self):
-        parent = Tracer()
-        snap = [{"name": "x", "count": 2, "seconds": 1.5, "children": []}]
-        parent.merge(snap)
-        parent.merge(snap)
-        (node,) = parent.snapshot()
-        assert node["count"] == 4
-        assert node["seconds"] == pytest.approx(3.0)
-
     def test_reset_clears_tree_and_stack(self):
         t = Tracer()
         with t.span("a"):

@@ -108,21 +108,6 @@ def test_findmisses_never_underestimates(case, cache):
 
 
 @settings(
-    max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
-@given(stencil_programs(), caches)
-def test_findmisses_invariant_under_jobs(case, cache):
-    """Sharding references across a process pool must not change a single
-    classification: the parallel report compares equal to the serial one."""
-    prog, _ = case
-    nprog, layout = prepared(prog)
-    serial = find_misses(nprog, layout, cache)
-    parallel = find_misses(nprog, layout, cache, jobs=2)
-    assert serial == parallel
-    assert parallel.jobs == 2
-
-
-@settings(
     max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(stencil_programs(), caches)

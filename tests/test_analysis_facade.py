@@ -1,5 +1,8 @@
 """Tests of the high-level façade (prepare / analyze / run_simulation)."""
 
+import importlib
+import multiprocessing
+
 import pytest
 
 from repro import (
@@ -71,9 +74,22 @@ class TestAnalyze:
         prepared = prepare(demo_program())
         cache = CacheConfig.kb(8, 32, 1)
         for method in UNKNOWN_METHODS:
-            for jobs in (1, 2):
-                with pytest.raises(ValueError, match="unknown method"):
-                    analyze(prepared, cache, method=method, jobs=jobs)
+            with pytest.raises(ValueError, match="unknown method"):
+                analyze(prepared, cache, method=method)
+
+    @pytest.mark.parametrize("jobs", [0, 2, -1])
+    def test_jobs_is_ignored(self, jobs):
+        """``jobs`` is deprecated: accepted, unvalidated, always serial."""
+        prepared = prepare(demo_program(48))
+        cache = CacheConfig.kb(2, 32, 2)
+        for method in ("estimate", "find"):
+            report = analyze(prepared, cache, method=method, jobs=jobs)
+            assert report == analyze(prepared, cache, method=method)
+            assert multiprocessing.active_children() == []
+
+    def test_no_process_pool_module(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.parallel")
 
     def test_seed_controls_sampling(self):
         prepared = prepare(demo_program(48))
