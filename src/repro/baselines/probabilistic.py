@@ -51,7 +51,6 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.affine import Var
-from repro.polyhedra.space import BoundedSpace
 from repro.reuse.generator import ReuseTable, build_reuse_table
 from repro.reuse.ugs import linear_part
 from repro.reuse.vectors import ReuseVector
@@ -103,14 +102,13 @@ def _reuse_fraction(
     shift = {
         var: Var(var) - dx for var, dx in zip(nprog.index_vars, x)
     }
-    guard = consumer_ris.guard
+    both = consumer_ris
     for d, (lo, hi) in enumerate(producer_ris.bounds):
-        var = nprog.index_vars[d]
-        shifted_var = shift[var]
-        guard = guard.conjoin(shifted_var.ge(lo.substitute(shift)))
-        guard = guard.conjoin(shifted_var.le(hi.substitute(shift)))
-    guard = guard.conjoin(producer_ris.guard.substitute(shift))
-    both = BoundedSpace(consumer_ris.dims, consumer_ris.bounds, guard)
+        shifted_var = shift[nprog.index_vars[d]]
+        both = both.conjoin(shifted_var.ge(lo.substitute(shift)))
+        both = both.conjoin(shifted_var.le(hi.substitute(shift)))
+    for c in producer_ris.constraints:
+        both = both.conjoin(c.substitute(shift))
     return both.count() / total
 
 

@@ -15,9 +15,14 @@ own machinery:
    constraints (the translated producer RIS) and one residue-interval
    constraint ``(addr_c(i) mod L) ∈ [max(0,−δ), min(L−1, L−1−δ)]``.
    Sequential set difference over these conditions splits the RIS into
-   disjoint :class:`~repro.polyhedra.regions.RegionSpace` cells: per vector
-   a *decided* cell plus complement cells that continue to the next vector;
-   whatever survives every vector is **cold** and is counted in closed form.
+   disjoint cells: per vector a *decided* cell plus complement cells that
+   continue to the next vector; whatever survives every vector is **cold**
+   and is counted in closed form.  A cell is the RIS itself — the
+   :class:`~repro.polyhedra.space.BoundedSpace` that
+   :meth:`~repro.normalize.nprogram.NormalizedProgram.ris` returns — with
+   more conjuncts (:meth:`~repro.polyhedra.space.BoundedSpace.conjoin`,
+   :meth:`~repro.polyhedra.space.BoundedSpace.with_residue`), so the cells
+   are counted, probed and enumerated by the same class as the RIS.
 
 2. **Replacement by residue class.**  A decided cell is classified without
    enumeration when the *replacement-uniformity certificate* holds: the
@@ -72,8 +77,8 @@ from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.affine import Affine
 from repro.polyhedra.batch import enumerate_points_array
-from repro.polyhedra.constraints import Constraint, EQ, GE
-from repro.polyhedra.regions import RegionSpace, negate_constraint
+from repro.polyhedra.constraints import Constraint, EQ, GE, negate_constraint
+from repro.polyhedra.space import BoundedSpace
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
 from repro.cme.find import classify_into, record_ref_metrics
@@ -246,7 +251,7 @@ class RegionSolver:
                 cons.append(
                     (tuple(c - u for u, c in zip(unit, hi_row)), hi_c, GE)
                 )
-            for c in ris.guard:
+            for c in ris.constraints:
                 cons.append((*self._row(c.expr), c.kind))
             ranges = ris.var_ranges()
             box = tuple(ranges[v] for v in self.nprog.index_vars)
@@ -454,7 +459,7 @@ class RegionSolver:
         return len(parent.loops) == 1 and not parent.leaves
 
     def _crossing_pairs(
-        self, ref: NRef, rv: ReuseVector, cell: RegionSpace
+        self, ref: NRef, rv: ReuseVector, cell: BoundedSpace
     ) -> Optional[list[tuple[Affine, tuple[Constraint, ...]]]]:
         """Unrolled ``(Δ, guard)`` pairs for a second-innermost crossing.
 
@@ -530,7 +535,7 @@ class RegionSolver:
     def _classify_cell_window(
         self,
         ref: NRef,
-        cell: RegionSpace,
+        cell: BoundedSpace,
         cell_count: int,
         rv: ReuseVector,
         pairs: list[tuple[Affine, tuple[Constraint, ...]]],
@@ -558,8 +563,8 @@ class RegionSolver:
         if sum(cnt for _, _, cnt in classes) != cell_count:
             obs.counter("cme.regions.partition_mismatch").inc()
             return 0, "partition_mismatch"
-        replacement: list[RegionSpace] = []
-        hits: list[RegionSpace] = []
+        replacement: list[BoundedSpace] = []
+        hits: list[BoundedSpace] = []
         for cls, r, _ in classes:
             survivors = [cls]
             for delta, guard in deltas:
@@ -572,7 +577,7 @@ class RegionSolver:
                     Constraint.inequality(-shifted - 1),
                     Constraint.inequality(shifted - line_bytes),
                 )
-                nxt: list[RegionSpace] = []
+                nxt: list[BoundedSpace] = []
                 for region in survivors:
                     if len(nxt) + len(replacement) > MAX_PIECES:
                         return 0, "window_budget"
@@ -649,8 +654,8 @@ class RegionSolver:
         return len(replacement) + len(hits), None
 
     def _residue_classes(
-        self, cell: RegionSpace, a_expr: Affine
-    ) -> list[tuple[RegionSpace, int, int]]:
+        self, cell: BoundedSpace, a_expr: Affine
+    ) -> list[tuple[BoundedSpace, int, int]]:
         """The non-empty ``(class, r, count)`` splits of ``cell`` by
         ``a_c mod L = r`` (only residues ``a_c`` can take are tried)."""
         line_bytes = self.cache.line_bytes
@@ -668,7 +673,9 @@ class RegionSolver:
     def decompose(
         self, ref: NRef
     ) -> tuple[
-        list[RegionSpace], list[tuple[RegionSpace, int]], list[tuple[RegionSpace, str]]
+        list[BoundedSpace],
+        list[tuple[BoundedSpace, int]],
+        list[tuple[BoundedSpace, str]],
     ]:
         """Split the RIS into disjoint ``(cold, decided, irregular)`` cells.
 
@@ -679,16 +686,14 @@ class RegionSolver:
         ``irregular`` pairs each cell left to enumeration with its fallback
         reason (``"irregular"`` or ``"cell_cap"``).
         """
-        ris = self.nprog.ris(ref.leaf)
-        base = RegionSpace(ris.dims, ris.bounds, tuple(ris.guard), ())
         vectors = self.reuse.vectors_for(ref)
         conds = self._conditions(ref)
         line_bytes = self.cache.line_bytes
         a_expr = self.addr_affine(ref)
-        cold: list[RegionSpace] = []
-        decided: list[tuple[RegionSpace, int]] = []
-        irregular: list[tuple[RegionSpace, str]] = []
-        work: list[tuple[RegionSpace, int]] = [(base, 0)]
+        cold: list[BoundedSpace] = []
+        decided: list[tuple[BoundedSpace, int]] = []
+        irregular: list[tuple[BoundedSpace, str]] = []
+        work: list[tuple[BoundedSpace, int]] = [(self.nprog.ris(ref.leaf), 0)]
         produced = 1
         while work:
             cell, t = work.pop()
@@ -705,7 +710,7 @@ class RegionSolver:
                 irregular.append((cell, "irregular"))
                 continue
             prefix = cell
-            pieces: list[RegionSpace] = []
+            pieces: list[BoundedSpace] = []
             for c, negs in cons:
                 for neg in negs:
                     pieces.append(prefix.conjoin(neg))
@@ -754,7 +759,7 @@ class RegionSolver:
     def _classify_cell(
         self,
         ref: NRef,
-        cell: RegionSpace,
+        cell: BoundedSpace,
         cell_count: int,
         rv: ReuseVector,
         result: RefResult,
@@ -792,7 +797,7 @@ class RegionSolver:
     def _classify_decided(
         self,
         ref: NRef,
-        cell: RegionSpace,
+        cell: BoundedSpace,
         cnt: int,
         t: int,
         result: RefResult,
@@ -853,9 +858,8 @@ class RegionSolver:
                 # The cells failed to tile the RIS — never guess: classify
                 # the whole space through the classifier instead.
                 obs.counter("cme.regions.partition_mismatch").inc()
-                whole = RegionSpace(ris.dims, ris.bounds, tuple(ris.guard), ())
                 cold_counts, decided_counts = [], []
-                irregular_counts = [(whole, population, "partition_mismatch")]
+                irregular_counts = [(ris, population, "partition_mismatch")]
             exact_regions = 0
             fallback = _Fallback()
             for cell, cnt in cold_counts:
@@ -897,7 +901,7 @@ class _Fallback:
         self.cells = 0
         self.by_reason = dict.fromkeys(FALLBACK_REASONS, 0)
 
-    def add(self, cell: RegionSpace, reason: str) -> None:
+    def add(self, cell: BoundedSpace, reason: str) -> None:
         pts = enumerate_points_array(cell)
         self.arrays.append(pts)
         self.cells += 1

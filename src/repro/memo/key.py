@@ -73,7 +73,6 @@ FINGERPRINT_MODULES = (
     "repro.polyhedra.affine",
     "repro.polyhedra.batch",
     "repro.polyhedra.constraints",
-    "repro.polyhedra.regions",
     "repro.polyhedra.space",
     "repro.polyhedra.intsolve",
     "repro.reuse.generator",

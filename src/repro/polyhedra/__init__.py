@@ -9,34 +9,35 @@ needs:
   named loop indices,
 * :class:`~repro.polyhedra.constraints.Constraint` /
   :class:`~repro.polyhedra.constraints.ConstraintSet` — conjunctions of affine
-  equalities and inequalities (the guards of references),
+  equalities and inequalities (the guards of references), and
+  :class:`~repro.polyhedra.constraints.ResidueConstraint` — the
+  residue-interval conditions ``(expr mod m) ∈ [lo, hi]`` of the cold
+  equations,
 * :mod:`~repro.polyhedra.intsolve` — integer linear algebra (Hermite normal
   form, particular solutions, null-space lattice bases) used to solve the
   reuse equations ``M·x = m_p − m_c`` of Section 3.5,
 * :class:`~repro.polyhedra.space.BoundedSpace` — per-dimension affine bounds
-  plus guard constraints, with exact point counting, membership, lexicographic
-  enumeration and uniform integer-point sampling (the "volume of a RIS"
-  computation of Fig. 6),
-* :class:`~repro.polyhedra.regions.RegionSpace` — bounded spaces extended
-  with residue-class constraints and periodic counting, the cells of the
-  regional CME solver (loop-bound-independent exact counts).
+  plus affine and residue constraints, with exact point counting (the
+  "volume of a RIS" computation of Fig. 6, loop-bound-independent through
+  bound tightening and periodic residue counting), membership,
+  lexicographic enumeration and uniform integer-point sampling.  One class
+  serves both the reference iteration spaces and the cells of the regional
+  CME solver.
 """
 
 from repro.polyhedra.affine import Affine, Var
-from repro.polyhedra.constraints import Constraint, ConstraintSet
+from repro.polyhedra.constraints import (
+    Constraint,
+    ConstraintSet,
+    ResidueConstraint,
+    negate_constraint,
+)
 from repro.polyhedra.intsolve import (
     count_range_residue,
-    first_range_residue,
     hermite_normal_form,
     nullspace_basis,
     residue_period,
     solve_integer,
-)
-from repro.polyhedra.regions import (
-    RegionSpace,
-    ResidueConstraint,
-    negate_constraint,
-    region_of_space,
 )
 from repro.polyhedra.space import (
     BoundedSpace,
@@ -50,17 +51,14 @@ __all__ = [
     "Var",
     "Constraint",
     "ConstraintSet",
+    "ResidueConstraint",
+    "negate_constraint",
     "count_range_residue",
-    "first_range_residue",
     "hermite_normal_form",
     "nullspace_basis",
     "residue_period",
     "solve_integer",
     "BoundedSpace",
-    "RegionSpace",
-    "ResidueConstraint",
-    "negate_constraint",
-    "region_of_space",
     "cached_count",
     "clear_count_cache",
     "count_cache_size",

@@ -1,17 +1,14 @@
 """Vectorized counterparts of the :class:`~repro.polyhedra.space.BoundedSpace`
-point operations (enumeration, membership and sampling) used by the batch
-classifier (:mod:`repro.cme.batch`), ``EstimateMisses`` and the
-``RegionMisses`` fallback.
+point operations (enumeration and sampling) used by the batch classifier
+(:mod:`repro.cme.batch`), ``EstimateMisses`` and the ``RegionMisses``
+fallback.
 
 Everything here is exact integer arithmetic on ``int64`` arrays: the batch
 enumeration yields precisely the points of
-:meth:`~repro.polyhedra.space.BoundedSpace.enumerate_points` (and of
-:meth:`~repro.polyhedra.regions.RegionSpace.enumerate_points`) in the same
-lexicographic order, the batch membership test agrees point-for-point
-with :meth:`~repro.polyhedra.space.BoundedSpace.contains`, and the batch
-sampler draws the descent's points from the same generator words —
-properties the bit-identity contract of the batch classifier and of
-``EstimateMisses`` rests on (and the tests assert).
+:meth:`~repro.polyhedra.space.BoundedSpace.enumerate_points` in the same
+lexicographic order, and the batch sampler draws the descent's points from
+the same generator words — properties the bit-identity contract of the
+batch classifier and of ``EstimateMisses`` rests on (and the tests assert).
 """
 
 from __future__ import annotations
@@ -44,14 +41,13 @@ def eval_affine(
     return points @ row + const
 
 
-def enumerate_points_array(space) -> "np.ndarray":
+def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
     """Every integer point of ``space`` as an ``(N, n)`` int64 array.
 
-    ``space`` is a :class:`BoundedSpace` or a
-    :class:`~repro.polyhedra.regions.RegionSpace`.  Rows appear in
-    lexicographic order — exactly the order (and set) of the space's
-    ``enumerate_points``, its scalar oracle.  The expansion is dimension by
-    dimension: evaluate the affine bounds over the current prefixes,
+    Rows appear in lexicographic order — exactly the order (and set) of
+    :meth:`BoundedSpace.enumerate_points`, its scalar oracle.  The
+    expansion is dimension by dimension: evaluate the affine bounds over
+    the current prefixes,
     tighten them by the affine constraints anchored at this depth (each
     reduces to an interval once the outer dimensions are fixed), repeat
     each prefix once per value in its range, then drop the rows that
@@ -61,7 +57,6 @@ def enumerate_points_array(space) -> "np.ndarray":
     empty = np.empty((0, n), dtype=np.int64)
     if space.is_trivially_empty():
         return empty
-    residues_at = getattr(space, "residues_at", None)
     dim_index = {name: k for k, name in enumerate(space.dims)}
     points = np.empty((1, 0), dtype=np.int64)
     for d in range(n):
@@ -88,40 +83,12 @@ def enumerate_points_array(space) -> "np.ndarray":
         starts = np.repeat(ends - counts, counts)
         values = np.arange(total, dtype=np.int64) - starts + lo[rows]
         points = np.column_stack([points[rows], values])
-        if residues_at is not None:
-            for r in residues_at(d):
-                value = eval_affine(r.expr, points, dim_index) % r.modulus
-                points = points[(value >= r.lo) & (value <= r.hi)]
-            if len(points) == 0:
-                return empty
+        for r in space.residues_at(d):
+            value = eval_affine(r.expr, points, dim_index) % r.modulus
+            points = points[(value >= r.lo) & (value <= r.hi)]
+        if len(points) == 0:
+            return empty
     return points
-
-
-def contains_batch(space: BoundedSpace, points: "np.ndarray") -> "np.ndarray":
-    """Boolean membership mask for a batch of candidate points.
-
-    Agrees entry-for-entry with :meth:`BoundedSpace.contains`: a point is a
-    member iff it satisfies every per-dimension bound pair and every guard
-    constraint.  (Bounds of dimension ``k`` only reference outer dimensions,
-    so evaluating them on the full point rows is sound.)
-    """
-    points = np.asarray(points, dtype=np.int64)
-    if points.ndim != 2 or points.shape[1] != space.ndim:
-        raise ValueError(
-            f"expected an (N, {space.ndim}) point array, got {points.shape}"
-        )
-    if space.is_trivially_empty():
-        return np.zeros(len(points), dtype=bool)
-    dim_index = {name: k for k, name in enumerate(space.dims)}
-    mask = np.ones(len(points), dtype=bool)
-    for d in range(space.ndim):
-        lo = eval_affine(space.bounds[d][0], points, dim_index)
-        hi = eval_affine(space.bounds[d][1], points, dim_index)
-        mask &= (points[:, d] >= lo) & (points[:, d] <= hi)
-        for c in space.constraints_at(d):
-            value = eval_affine(c.expr, points, dim_index)
-            mask &= (value == 0) if c.kind == EQ else (value >= 0)
-    return mask
 
 
 #: Words drawn per expected word; a draw that runs short retries with

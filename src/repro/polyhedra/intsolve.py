@@ -18,9 +18,9 @@ error):
 It also provides the residue-class arithmetic of the regional CME solver
 (:mod:`repro.cme.regions`): the memory-line equality of the cold equations
 confines an address expression modulo the line size, so counting a region
-reduces to counting ``v ≡ r (mod p)`` inside an interval — closed forms
-(:func:`count_range_residue`, :func:`first_range_residue`) whose cost is
-independent of the interval length, which is precisely what makes regional
+reduces to counting ``v ≡ r (mod p)`` inside an interval — a closed form
+(:func:`count_range_residue`) whose cost is independent of the interval
+length, which is precisely what makes regional
 analysis time flat in the loop bounds.
 
 Matrices are plain ``list[list[int]]`` (rows); vectors are ``list[int]``.
@@ -223,14 +223,3 @@ def count_range_residue(lo: int, hi: int, period: int, residue: int) -> int:
         return 0
     return (hi - first) // period + 1
 
-
-def first_range_residue(
-    lo: int, hi: int, period: int, residue: int
-) -> Optional[int]:
-    """The smallest ``v ∈ [lo, hi]`` with ``v ≡ residue (mod period)``."""
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    if hi < lo:
-        return None
-    first = lo + ((residue - lo) % period)
-    return first if first <= hi else None

@@ -1,41 +1,67 @@
-"""Bounded integer spaces: per-dimension affine bounds plus guards.
+"""Bounded integer spaces: per-dimension affine bounds plus conjuncts.
 
 A :class:`BoundedSpace` represents the set of integer points
 
-    { (v₁, …, vₙ) | lbₖ(v₁..vₖ₋₁) ≤ vₖ ≤ ubₖ(v₁..vₖ₋₁), guard(v₁..vₙ) }
+    { (v₁, …, vₙ) | lbₖ(v₁..vₖ₋₁) ≤ vₖ ≤ ubₖ(v₁..vₖ₋₁), C(v), R(v) }
 
-which is exactly the shape of a reference iteration space (RIS, Section 3.3):
-normalised loop bounds are affine in the outer indices and IF guards add a
-conjunction of affine constraints.
+with ``C`` a conjunction of affine constraints and ``R`` one of residue
+constraints ``(c·v + k) mod m ∈ [a, b]``.  A reference iteration space
+(RIS, Section 3.3) is one: normalised loop bounds are affine in the outer
+indices and IF guards are its affine constraints.  The cells of the
+regional solver (:mod:`repro.cme.regions`) are the same set with more
+conjuncts — translated producer bounds, negated cold conditions and the
+memory-line residue intervals of the cold equations, after Zhu et al.,
+*Fully Symbolic Analysis of Loop Locality*.
 
-The class provides the polyhedral operations the solvers of Fig. 6 need:
+Every bound and conjunct is compiled once into an integer coefficient row
+over ``dims`` and anchored at the deepest dimension it mentions; every
+operation below evaluates rows against the list of fixed outer values.
+The operations the solvers of Fig. 6 need:
 
-* :meth:`contains` — membership test (used by the cold equations),
-* :meth:`count` — the exact number of integer points (the "volume of a RIS"),
-* :meth:`enumerate_points` — lexicographic enumeration (``FindMisses``),
+* :meth:`contains` — membership test;
+* :meth:`count` — the exact number of integer points (the "volume of a
+  RIS"), at a cost that is a function of the space's *structure*, never of
+  its loop bounds: an affine constraint anchored at a dimension reduces,
+  once the outer dimensions are fixed, to ``c·v + k ⋈ 0`` and so to an
+  interval adjustment (**bound tightening**); satisfaction of a residue
+  constraint is periodic in ``v`` with period ``m / gcd(c, m)``, so one
+  period is scanned and each class weighted in closed form (**periodic
+  counting**); and memo keys use, for outer variables that matter only
+  through a residue, the partial sum modulo the modulus instead of the raw
+  value;
+* :meth:`enumerate_points` — lexicographic enumeration, the scalar oracle
+  of :func:`repro.polyhedra.batch.enumerate_points_array`;
+* :meth:`representative` — one point, by count-guided lexmin descent;
 * :meth:`sample` — *uniform* sampling of integer points
-  (``EstimateMisses``).  A space of constant extent (no guard, every
+  (``EstimateMisses``).  A space of constant extent (no conjunct, every
   level's ``hi − lo`` a constant) draws the whole sample at once in NumPy
   (:func:`repro.polyhedra.batch.sample_points_array`); any other space
   descends the dimensions count-weighted, so triangular and guarded spaces
   are sampled without bias, each level a ``bisect`` into a
   cumulative-weight table cached next to the counts.  Both consume the
   generator identically and return the same points.
+
+:meth:`conjoin` and :meth:`with_residue` derive a space from its already
+validated parent by compiling only the one new conjunct — the same step
+the constructor folds over its arguments, so a derived space and a
+freshly built one are the same set.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
-
+import math
 import random
 import threading
 from bisect import bisect_right
+from operator import mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.polyhedra.affine import Affine
-from repro.polyhedra.constraints import Constraint, ConstraintSet
+from repro.polyhedra.constraints import Constraint, EQ, ResidueConstraint
+from repro.polyhedra.intsolve import count_range_residue, residue_period
 
 #: Cross-instance count cache keyed by canonical constraint-system signature.
 #: Spaces are built afresh per reference (and per region cell in the regional
@@ -52,6 +78,9 @@ _COUNT_CACHE: dict[tuple, int] = {}
 COUNT_CACHE_CAP = 16_384
 
 _COUNT_CACHE_LOCK = threading.Lock()
+
+#: Default cap on subtree-count probes during representative search.
+REPRESENTATIVE_BUDGET = 4096
 
 
 def cached_count(signature: tuple, compute: Callable[[], int]) -> int:
@@ -82,79 +111,199 @@ def clear_count_cache() -> None:
         _COUNT_CACHE.clear()
 
 
+def _deepest(row: tuple[int, ...]) -> int:
+    """The deepest dimension index with a non-zero coefficient."""
+    k = len(row) - 1
+    while not row[k]:
+        k -= 1
+    return k
+
+
+def _mask(row: tuple[int, ...]) -> int:
+    """Bit ``k`` set for every dimension ``k`` with a non-zero coefficient."""
+    return sum(1 << k for k, c in enumerate(row) if c)
+
+
+def _interval(
+    row: tuple[int, ...], const: int, los: list[int], his: list[int]
+) -> tuple[int, int]:
+    """Interval bounds of ``const + Σ row[k]·v_k`` over ``v_k ∈ [los[k],
+    his[k]]`` (only the ``len(los)`` outer dimensions are read)."""
+    lo = hi = const
+    for c, v_lo, v_hi in zip(row, los, his):
+        if c >= 0:
+            lo += c * v_lo
+            hi += c * v_hi
+        else:
+            lo += c * v_hi
+            hi += c * v_lo
+    return lo, hi
+
+
+def _passes(checks: list[tuple[int, int, int, int, int]], value: int) -> bool:
+    """True if ``value`` satisfies every reduced residue check
+    ``(coeff, rest, m, lo, hi)``: ``(coeff·value + rest) mod m ∈ [lo, hi]``."""
+    return all(
+        rl <= (cf * value + rest) % m <= rh for cf, rest, m, rl, rh in checks
+    )
+
+
+def _admitted(
+    checks: list[tuple[int, int, int, int, int]], lo: int, hi: int
+) -> Iterable[int]:
+    """The values of ``[lo, hi]`` that pass every residue check, in order."""
+    if not checks:
+        return range(lo, hi + 1)
+    return (v for v in range(lo, hi + 1) if _passes(checks, v))
+
+
 class BoundedSpace:
-    """An integer space with per-dimension affine bounds and a guard.
+    """An integer space: per-dimension bounds + affine + residue constraints.
 
     Parameters
     ----------
     dims:
         Ordered variable names ``(v1, …, vn)``.
     bounds:
-        One ``(lower, upper)`` pair of :class:`Affine` per dimension; the
-        bounds of dimension ``k`` may reference only ``v1..v(k-1)``.
-    guard:
-        Extra affine constraints over all dimensions (IF guards).
+        One affine ``(lower, upper)`` pair per dimension; the bounds of
+        dimension ``k`` may reference only ``v1..v(k-1)``.
+    constraints:
+        Affine constraints over any of the dimensions (IF guards,
+        translated producer bounds, negated cold conditions).
+    residues:
+        :class:`~repro.polyhedra.constraints.ResidueConstraint` conjuncts
+        (memory-line conditions).
     """
 
     def __init__(
         self,
         dims: Sequence[str],
         bounds: Sequence[tuple[Affine, Affine]],
-        guard: ConstraintSet | None = None,
+        constraints: Iterable[Constraint] = (),
+        residues: Iterable[ResidueConstraint] = (),
     ):
         if len(dims) != len(bounds):
             raise ValueError("one (lower, upper) bound pair required per dimension")
         self.dims = tuple(dims)
-        self.bounds = tuple((Affine.coerce(lo), Affine.coerce(hi)) for lo, hi in bounds)
-        self.guard = guard if guard is not None else ConstraintSet.true()
-        self._n = len(self.dims)
+        self.bounds = tuple(
+            (Affine.coerce(lo), Affine.coerce(hi)) for lo, hi in bounds
+        )
+        n = self._n = len(self.dims)
         self._dim_index = {name: k for k, name in enumerate(self.dims)}
-        for k, (lo, hi) in enumerate(self.bounds):
-            allowed = set(self.dims[:k])
-            for expr in (lo, hi):
-                extra = expr.variables() - allowed
+        # Relevance, per depth d: a bit per dimension whose *value* the
+        # subproblem at depth d depends on (bounds or affine constraints
+        # anchored at >= d); residues anchored at >= d contribute their
+        # partial sum mod m to the memo key instead (``_res_from``).
+        raw = [0] * (n + 1)
+        bound_rows = []
+        for k, pair in enumerate(self.bounds):
+            compiled = []
+            for expr in pair:
+                extra = sorted(
+                    v for v, _ in expr.terms if self._dim_index.get(v, n) >= k
+                )
                 if extra:
                     raise ValueError(
                         f"bound {expr} of dimension {self.dims[k]} references "
-                        f"non-outer variables {sorted(extra)}"
+                        f"non-outer variables {extra}"
                     )
-        # Assign every guard constraint to the deepest dimension it mentions,
-        # so it is checked as soon as that dimension is fixed.
-        self._cons_at: list[list[Constraint]] = [[] for _ in range(self._n)]
-        self._const_cons: list[Constraint] = []
-        for c in self.guard:
-            vs = c.variables()
-            if not vs:
-                self._const_cons.append(c)
-                continue
-            unknown = vs - set(self.dims)
-            if unknown:
+                row = self._row(expr)
+                compiled.append((row, expr.constant))
+                mask = _mask(row)
+                for d in range(k + 1):
+                    raw[d] |= mask
+            bound_rows.append(tuple(compiled))
+        self._bound_rows = tuple(bound_rows)
+        self._raw = tuple(raw)
+        self._empty = False
+        self.constraints: tuple[Constraint, ...] = ()
+        self.residues: tuple[ResidueConstraint, ...] = ()
+        self._cons_at: tuple[tuple, ...] = ((),) * n
+        self._res_at: tuple[tuple, ...] = ((),) * n
+        self._res_from: tuple[tuple, ...] = ((),) * (n + 1)
+        for c in constraints:
+            self._add_constraint(c)
+        for r in residues:
+            self._add_residue(r)
+        self._index_raw()
+        self._reset_memos()
+
+    # -- construction steps (shared by __init__ and derivation) -----------------
+
+    def _row(self, expr: Affine, what: str = "", owner=None) -> tuple[int, ...]:
+        """``expr``'s coefficients as a row over ``dims`` (``what`` and
+        ``owner`` name the conjunct in the unknown-variable error)."""
+        row = [0] * self._n
+        for name, c in expr.terms:
+            k = self._dim_index.get(name)
+            if k is None:
+                extra = sorted(expr.variables() - set(self.dims))
                 raise ValueError(
-                    f"guard {c!r} references unknown variables {sorted(unknown)}"
+                    f"{what} {owner!r} references unknown variables {extra}"
                 )
-            level = max(self._dim_index[v] for v in vs)
-            self._cons_at[level].append(c)
-        # Memoisation keys: the outer variables that still matter at depth d.
-        self._memo_vars: list[tuple[str, ...]] = []
-        for d in range(self._n + 1):
-            relevant: set[str] = set()
-            for e in range(d, self._n):
-                for expr in self.bounds[e]:
-                    relevant |= expr.variables()
-                for c in self._cons_at[e]:
-                    relevant |= c.variables()
-            self._memo_vars.append(
-                tuple(v for v in self.dims[:d] if v in relevant)
-            )
-        # Per-level constant extents ``hi − lo + 1``, or None when a guard
-        # or an extent that varies with the outer indices rules them out.
-        self._extents: tuple[int, ...] | None = None
-        if self.guard.is_true():
-            widths = [hi - lo for lo, hi in self.bounds]
-            if all(w.is_constant() for w in widths):
-                self._extents = tuple(w.constant_value() + 1 for w in widths)
+            row[k] = c
+        return tuple(row)
+
+    def _add_constraint(self, c: Constraint) -> None:
+        """Fold one affine constraint in: drop it if trivially true; a
+        trivially false one empties the space (and stays listed, so readers
+        of :attr:`constraints` see the emptiness too); anchor the rest at
+        their deepest dimension."""
+        if c.trivially_true():
+            return
+        self.constraints += (c,)
+        if c.trivially_false():
+            self._empty = True
+            return
+        row = self._row(c.expr, "constraint", c)
+        anchor = _deepest(row)
+        compiled = (row[anchor], row, c.expr.constant, c.kind == EQ, c)
+        cons_at = list(self._cons_at)
+        cons_at[anchor] += (compiled,)
+        self._cons_at = tuple(cons_at)
+        mask = _mask(row)
+        self._raw = tuple(
+            m | mask if d <= anchor else m for d, m in enumerate(self._raw)
+        )
+
+    def _add_residue(self, r: ResidueConstraint) -> None:
+        """Fold one residue constraint in: a constant one resolves now, the
+        rest anchor like affine constraints."""
+        if r.expr.is_constant():
+            if not (r.lo <= r.expr.constant % r.modulus <= r.hi):
+                self._empty = True
+            return
+        row = self._row(r.expr, "residue", r)
+        anchor = _deepest(row)
+        self.residues += (r,)
+        compiled = (row[anchor], row, r.expr.constant, r.modulus, r.lo, r.hi, r)
+        res_at = list(self._res_at)
+        res_at[anchor] += (compiled,)
+        self._res_at = tuple(res_at)
+        self._res_from = tuple(
+            rs + (compiled,) if d <= anchor else rs
+            for d, rs in enumerate(self._res_from)
+        )
+
+    def _index_raw(self) -> None:
+        """Per depth, the indices of the fixed dimensions in the memo key."""
+        self._raw_idx = tuple(
+            tuple(k for k in range(d) if mask >> k & 1)
+            for d, mask in enumerate(self._raw)
+        )
+
+    def _reset_memos(self) -> None:
         self._count_memo: dict[tuple, int] = {}
-        self._weight_memo: dict[tuple, tuple[list[int], list[int]]] = {}
+        self._weight_memo: dict[tuple, tuple[Sequence[int], Sequence[int]]] = {}
+        self._signature: Optional[tuple] = None
+        self._periods: Optional[list] = None
+
+    def _derived(self) -> "BoundedSpace":
+        """A copy sharing every compiled table, with fresh memos."""
+        new = object.__new__(type(self))
+        new.__dict__ = self.__dict__.copy()
+        new._reset_memos()
+        return new
 
     # -- basic queries ---------------------------------------------------------
 
@@ -164,54 +313,115 @@ class BoundedSpace:
         return self._n
 
     def is_trivially_empty(self) -> bool:
-        """True if a constant guard constraint already rules out all points."""
-        return any(c.trivially_false() for c in self._const_cons)
+        """True if a constant conjunct already rules out all points."""
+        return self._empty
 
     def constant_extents(self) -> tuple[int, ...] | None:
         """Each level's ``hi − lo + 1`` if the space has constant extent.
 
-        A space has constant extent when it has no guard and every level's
-        ``hi − lo`` is a constant: rectangular spaces, and tiled ones whose
-        bounds translate with the outer indices.  ``None`` otherwise.
+        A space has constant extent when it has no conjunct and every
+        level's ``hi − lo`` is a constant: rectangular spaces, and tiled
+        ones whose bounds translate with the outer indices.  ``None``
+        otherwise.
         """
-        return self._extents
+        if self._empty or self.constraints or self.residues:
+            return None
+        extents = []
+        for (lo_row, lo_c), (hi_row, hi_c) in self._bound_rows:
+            if lo_row != hi_row:
+                return None
+            extents.append(hi_c - lo_c + 1)
+        return tuple(extents)
 
     def constraints_at(self, level: int) -> tuple[Constraint, ...]:
-        """The guard constraints anchored at dimension ``level``.
+        """The affine constraints anchored at dimension ``level``.
 
         A constraint is anchored at the deepest dimension it mentions, so
-        it becomes checkable as soon as that dimension is fixed — the same
-        schedule :meth:`contains`, :meth:`count` and :meth:`enumerate_points`
-        use, exposed for the vectorized helpers of
-        :mod:`repro.polyhedra.batch`.
+        it becomes checkable as soon as that dimension is fixed — the
+        schedule every walk here uses, exposed for the vectorized helpers
+        of :mod:`repro.polyhedra.batch`.
         """
-        return tuple(self._cons_at[level])
+        return tuple(entry[-1] for entry in self._cons_at[level])
+
+    def residues_at(self, level: int) -> tuple[ResidueConstraint, ...]:
+        """The residue constraints anchored at dimension ``level``."""
+        return tuple(entry[-1] for entry in self._res_at[level])
+
+    def conjoin(self, constraint: Constraint) -> "BoundedSpace":
+        """A new space with one more affine constraint."""
+        new = self._derived()
+        new._add_constraint(constraint)
+        new._index_raw()
+        return new
+
+    def with_residue(
+        self, expr: Affine, modulus: int, lo: int, hi: int
+    ) -> "BoundedSpace":
+        """A new space additionally requiring ``expr mod modulus ∈ [lo, hi]``."""
+        new = self._derived()
+        new._add_residue(ResidueConstraint.make(expr, modulus, lo, hi))
+        return new
+
+    def var_ranges(self) -> dict[str, tuple[int, int]]:
+        """Conservative per-dimension ``(min, max)`` box of the bounds alone
+        (interval arithmetic, one forward pass)."""
+        return self._box(tighten=False)
+
+    def tight_ranges(self) -> dict[str, tuple[int, int]]:
+        """Conservative per-dimension ``(min, max)`` box, constraint-aware.
+
+        Like :meth:`var_ranges` but each affine constraint anchored at a
+        dimension also narrows that dimension's interval.  Crucial for the
+        crossing-window certificate: a decided cell's thinness lives in its
+        *constraints* (negated earlier cold conditions, producer
+        containment), not in the raw loop bounds.
+        """
+        return self._box(tighten=True)
+
+    def _box(self, tighten: bool) -> dict[str, tuple[int, int]]:
+        los: list[int] = []
+        his: list[int] = []
+        for d, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(self._bound_rows):
+            lo = _interval(lo_row, lo_c, los, his)[0]
+            hi = _interval(hi_row, hi_c, los, his)[1]
+            for coeff, row, const, is_eq, _ in self._cons_at[d] if tighten else ():
+                r_lo, r_hi = _interval(row, const, los, his)
+                # coeff·v + rest >= 0 over rest ∈ [r_lo, r_hi] (weakest case).
+                if coeff > 0:
+                    lo = max(lo, -(r_hi // coeff))
+                else:
+                    hi = min(hi, r_hi // -coeff)
+                if is_eq:  # also -coeff·v - rest >= 0
+                    if coeff > 0:
+                        hi = min(hi, (-r_lo) // coeff)
+                    else:
+                        lo = max(lo, -((-r_lo) // -coeff))
+            los.append(lo)
+            his.append(max(lo, hi))
+        return {var: (lo, hi) for var, lo, hi in zip(self.dims, los, his)}
 
     def contains(self, point: Sequence[int]) -> bool:
         """True if ``point`` (one integer per dimension) lies in the space."""
-        if len(point) != self._n:
+        if len(point) != self._n or self._empty:
             return False
-        if self.is_trivially_empty():
-            return False
-        env: dict[str, int] = {}
-        for k, value in enumerate(point):
-            lo, hi = self.bounds[k]
-            if not (lo.evaluate(env) <= value <= hi.evaluate(env)):
+        for k, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(self._bound_rows):
+            value = point[k]
+            if not (
+                lo_c + sum(map(mul, lo_row, point))
+                <= value
+                <= hi_c + sum(map(mul, hi_row, point))
+            ):
                 return False
-            env[self.dims[k]] = value
-            for c in self._cons_at[k]:
-                if not c.satisfied(env):
+        for level in self._cons_at:
+            for _, row, const, is_eq, _ in level:
+                value = const + sum(map(mul, row, point))
+                if value != 0 if is_eq else value < 0:
+                    return False
+        for level in self._res_at:
+            for _, row, const, m, lo, hi, _ in level:
+                if not lo <= (const + sum(map(mul, row, point))) % m <= hi:
                     return False
         return True
-
-    def var_ranges(self) -> dict[str, tuple[int, int]]:
-        """Conservative per-dimension ``(min, max)`` box via interval arithmetic."""
-        ranges: dict[str, tuple[int, int]] = {}
-        for k, (lo, hi) in enumerate(self.bounds):
-            lo_lo, _ = lo.bounds(ranges)
-            _, hi_hi = hi.bounds(ranges)
-            ranges[self.dims[k]] = (lo_lo, max(lo_lo, hi_hi))
-        return ranges
 
     # -- counting ----------------------------------------------------------------
 
@@ -220,9 +430,18 @@ class BoundedSpace:
 
         Two spaces with equal signatures contain exactly the same points, so
         counts may be shared across instances (:func:`cached_count`).  The
-        guard is a set — constraint order never affects the point set.
+        conjuncts are sets — their order never affects the point set.
         """
-        return ("space", self.dims, self.bounds, frozenset(self.guard))
+        sig = self._signature
+        if sig is None:
+            sig = self._signature = (
+                "space",
+                self.dims,
+                self.bounds,
+                frozenset(self.constraints),
+                frozenset(self.residues),
+            )
+        return sig
 
     def count(self) -> int:
         """The exact number of integer points in the space.
@@ -231,38 +450,117 @@ class BoundedSpace:
         instances (``polyhedra.count.cache_hits``) — repeated region counts
         inside one solve never recompute structurally identical systems.
         """
-        if self.is_trivially_empty():
+        if self._empty:
             return 0
         return cached_count(
-            self.signature(), lambda: self._count_from(0, {})
+            self.signature(), lambda: self._count_from(0, [])
         )
 
-    def _count_from(self, d: int, env: dict[str, int]) -> int:
+    def _memo_key(self, d: int, vals: list[int]) -> tuple:
+        """Depth, relevant raw values, then residue partials (the
+        fixed-variable part of each residue expression, mod its modulus)."""
+        key = (d, *[vals[k] for k in self._raw_idx[d]])
+        residues = self._res_from[d]
+        if residues:
+            key += tuple(
+                (const + sum(map(mul, row, vals))) % m
+                for _, row, const, m, _, _, _ in residues
+            )
+        return key
+
+    def _tightened_range(
+        self, d: int, vals: list[int]
+    ) -> Optional[tuple[int, int]]:
+        """The value range of dimension ``d`` under bounds + anchored affine
+        constraints, given the fixed outer values ``vals`` (``None`` =
+        provably empty).
+
+        Every affine constraint anchored at ``d`` mentions only already-fixed
+        variables besides ``dims[d]``, so it always reduces to an interval
+        adjustment — never to a per-value check.
+        """
+        (lo_row, lo_c), (hi_row, hi_c) = self._bound_rows[d]
+        lo = lo_c + sum(map(mul, lo_row, vals))
+        hi = hi_c + sum(map(mul, hi_row, vals))
+        for coeff, row, const, is_eq, _ in self._cons_at[d]:
+            # coeff·v + rest (row[d] is not read: len(vals) == d).
+            rest = const + sum(map(mul, row, vals))
+            if is_eq:
+                if rest % coeff:
+                    return None
+                pinned = -rest // coeff
+                lo = max(lo, pinned)
+                hi = min(hi, pinned)
+            elif coeff > 0:
+                lo = max(lo, -(rest // coeff))
+            else:
+                hi = min(hi, rest // -coeff)
+        return (lo, hi) if hi >= lo else None
+
+    def _anchored_checks(
+        self, d: int, vals: list[int]
+    ) -> list[tuple[int, int, int, int, int]]:
+        """Residues anchored at ``d`` reduced to ``(coeff, rest, m, lo, hi)``."""
+        return [
+            (coeff, const + sum(map(mul, row, vals)), m, lo, hi)
+            for coeff, row, const, m, lo, hi, _ in self._res_at[d]
+        ]
+
+    def _values(self, d: int, vals: list[int]) -> Iterable[int]:
+        """The values of dimension ``d`` every conjunct anchored there
+        admits, given the fixed outer values ``vals``, in order."""
+        rng = self._tightened_range(d, vals)
+        if rng is None:
+            return ()
+        return _admitted(self._anchored_checks(d, vals), *rng)
+
+    def _period(self, d: int) -> int:
+        """The period in ``dims[d]`` of every residue test at or below ``d``."""
+        periods = self._periods
+        if periods is None:
+            periods = self._periods = [0] * self._n
+        period = periods[d]
+        if not period:
+            period = 1
+            for coeff, _, _, m, _, _, _ in self._res_at[d]:
+                period = math.lcm(period, residue_period(coeff, m))
+            for _, row, _, m, _, _, _ in self._res_from[d + 1]:
+                if row[d]:
+                    period = math.lcm(period, residue_period(row[d], m))
+            periods[d] = period
+        return period
+
+    def _count_from(self, d: int, vals: list[int]) -> int:
         if d == self._n:
             return 1
-        key = (d,) + tuple(env[v] for v in self._memo_vars[d])
+        key = self._memo_key(d, vals)
         cached = self._count_memo.get(key)
         if cached is not None:
             return cached
-        lo = self.bounds[d][0].evaluate(env)
-        hi = self.bounds[d][1].evaluate(env)
         total = 0
-        if hi >= lo:
-            var = self.dims[d]
-            cons = self._cons_at[d]
-            # Fast path: no guard at this level and the inner count does not
-            # depend on this variable -> multiply instead of iterating.
-            if not cons and var not in self._memo_vars[d + 1]:
-                env[var] = lo
-                inner = self._count_from(d + 1, env)
-                del env[var]
-                total = (hi - lo + 1) * inner
+        rng = self._tightened_range(d, vals)
+        if rng is not None:
+            lo, hi = rng
+            checks = self._anchored_checks(d, vals)
+            # A dimension that matters below (if at all) only through
+            # residue partials makes satisfaction and every deeper count
+            # periodic in it: scan one period and weight each class by its
+            # closed-form multiplicity.
+            period = 0 if self._raw[d + 1] >> d & 1 else self._period(d)
+            if period and period < hi - lo + 1:
+                for w in _admitted(checks, lo, lo + period - 1):
+                    vals.append(w)
+                    inner = self._count_from(d + 1, vals)
+                    vals.pop()
+                    if inner:
+                        total += inner * count_range_residue(
+                            lo, hi, period, w % period
+                        )
             else:
-                for value in range(lo, hi + 1):
-                    env[var] = value
-                    if all(c.satisfied(env) for c in cons):
-                        total += self._count_from(d + 1, env)
-                del env[var]
+                for value in _admitted(checks, lo, hi):
+                    vals.append(value)
+                    total += self._count_from(d + 1, vals)
+                    vals.pop()
         self._count_memo[key] = total
         return total
 
@@ -270,27 +568,58 @@ class BoundedSpace:
 
     def enumerate_points(self) -> Iterator[tuple[int, ...]]:
         """Yield every integer point in lexicographic order."""
-        if self.is_trivially_empty():
+        if self._empty:
             return
-        yield from self._enumerate_from(0, {}, [])
+        yield from self._enumerate_from(0, [])
 
     def _enumerate_from(
-        self, d: int, env: dict[str, int], prefix: list[int]
+        self, d: int, vals: list[int]
     ) -> Iterator[tuple[int, ...]]:
         if d == self._n:
-            yield tuple(prefix)
+            yield tuple(vals)
             return
-        lo = self.bounds[d][0].evaluate(env)
-        hi = self.bounds[d][1].evaluate(env)
-        var = self.dims[d]
-        cons = self._cons_at[d]
-        for value in range(lo, hi + 1):
-            env[var] = value
-            if all(c.satisfied(env) for c in cons):
-                prefix.append(value)
-                yield from self._enumerate_from(d + 1, env, prefix)
-                prefix.pop()
-        env.pop(var, None)
+        for value in self._values(d, vals):
+            vals.append(value)
+            yield from self._enumerate_from(d + 1, vals)
+            vals.pop()
+
+    # -- representative search ----------------------------------------------------
+
+    def representative(
+        self, budget: int = REPRESENTATIVE_BUDGET
+    ) -> Optional[tuple[int, ...]]:
+        """One point of the space, or ``None`` if empty or over budget.
+
+        Count-guided lexmin descent: at each dimension the first value whose
+        subtree is non-empty is fixed.  Subtree probes share the counting
+        memo, so a successful search after a :meth:`count` call costs almost
+        nothing extra.  ``budget`` caps the total number of candidate-value
+        probes — exhaustion returns ``None`` and the caller falls back to
+        enumeration, so the search can never silently degrade to a scan of
+        the loop bounds.
+        """
+        if self._empty or self.count() == 0:
+            return None
+        vals: list[int] = []
+        for d in range(self._n):
+            rng = self._tightened_range(d, vals)
+            if rng is None:
+                return None  # unreachable after the count() > 0 check
+            lo, hi = rng
+            checks = self._anchored_checks(d, vals)
+            for value in range(lo, hi + 1):
+                budget -= 1
+                if budget < 0:
+                    return None
+                if not _passes(checks, value):
+                    continue
+                vals.append(value)
+                if self._count_from(d + 1, vals) > 0:
+                    break
+                vals.pop()
+            else:
+                return None
+        return tuple(vals)
 
     # -- uniform sampling -------------------------------------------------------------
 
@@ -303,9 +632,9 @@ class BoundedSpace:
         the integer points even for triangular or guarded spaces.  Each
         dimension costs one ``rng.randrange(total)`` and one
         :func:`bisect.bisect_right` into a cumulative-weight table, built
-        once per ``(depth, memo key)`` and kept next to the counts; a level
-        whose subtree count does not depend on the value needs no table at
-        all (``lo + pick // inner``).
+        once per memo key and kept next to the counts; a level whose
+        subtree count does not depend on the value needs no table at all
+        (``lo + pick // inner``).
 
         On a space of :meth:`constant_extents` every level's ``randrange``
         bound is a constant, so when ``rng`` is exactly
@@ -320,7 +649,7 @@ class BoundedSpace:
         if total == 0:
             raise ValueError("cannot sample from an empty space")
         if (
-            self._extents is not None
+            self.constant_extents() is not None
             and type(rng) is random.Random
             and total < 1 << 32
         ):
@@ -332,57 +661,58 @@ class BoundedSpace:
         return np.array(points, dtype=np.int64).reshape(n, self._n)
 
     def _sample_one(self, rng: random.Random) -> tuple[int, ...]:
-        env: dict[str, int] = {}
-        point: list[int] = []
+        vals: list[int] = []
         for d in range(self._n):
-            var = self.dims[d]
-            if not self._cons_at[d] and var not in self._memo_vars[d + 1]:
-                # Every value weighs the same: the k-th value's cumulative
-                # weight is (k+1)·inner, so the linear scan's pick is exact.
-                lo = self.bounds[d][0].evaluate(env)
-                hi = self.bounds[d][1].evaluate(env)
-                inner = self._count_from(d + 1, env) if hi >= lo else 0
-                if not inner:
-                    raise ValueError("cannot sample from an empty space")
-                chosen = lo + rng.randrange((hi - lo + 1) * inner) // inner
-            else:
-                values, cumulative = self._weights(d, env)
-                chosen = values[bisect_right(cumulative, rng.randrange(cumulative[-1]))]
-            env[var] = chosen
-            point.append(chosen)
-        return tuple(point)
+            values, cumulative = self._weights(d, vals)
+            pick = rng.randrange(cumulative[-1])
+            vals.append(values[bisect_right(cumulative, pick)])
+        return tuple(vals)
 
     def _weights(
-        self, d: int, env: dict[str, int]
-    ) -> tuple[list[int], list[int]]:
+        self, d: int, vals: list[int]
+    ) -> tuple[Sequence[int], Sequence[int]]:
         """Candidate values of dimension ``d`` and their cumulative weights.
 
-        Zero-weight values (guarded out, or with an empty subtree) are
-        dropped.  Cached per ``(depth, memo key)`` like :meth:`_count_from`.
+        Zero-weight values (an empty subtree) are dropped.  A level whose
+        subtree count does not depend on the value (no deeper bound,
+        affine constraint or residue reads it) gets two ranges instead of
+        tables: every value weighs the same ``inner``, so the ``k``-th
+        value's cumulative weight is ``(k+1)·inner``.  Cached per memo key
+        like :meth:`_count_from`.
         """
-        key = (d,) + tuple(env[v] for v in self._memo_vars[d])
+        key = self._memo_key(d, vals)
         table = self._weight_memo.get(key)
         if table is not None:
             return table
-        lo = self.bounds[d][0].evaluate(env)
-        hi = self.bounds[d][1].evaluate(env)
-        var = self.dims[d]
-        cons = self._cons_at[d]
-        values: list[int] = []
-        cumulative: list[int] = []
-        running = 0
-        for value in range(lo, hi + 1):
-            env[var] = value
-            if all(c.satisfied(env) for c in cons):
-                w = self._count_from(d + 1, env)
+        if not (self._raw[d + 1] >> d & 1 or self._res_from[d]):
+            span = self._tightened_range(d, vals)
+            inner = 0
+            if span is not None:
+                lo, hi = span
+                vals.append(lo)
+                inner = self._count_from(d + 1, vals)
+                vals.pop()
+            if not inner:
+                raise ValueError("cannot sample from an empty space")
+            table = (
+                range(lo, hi + 1),
+                range(inner, (hi - lo + 1) * inner + 1, inner),
+            )
+        else:
+            values: list[int] = []
+            cumulative: list[int] = []
+            running = 0
+            for value in self._values(d, vals):
+                vals.append(value)
+                w = self._count_from(d + 1, vals)
+                vals.pop()
                 if w:
                     running += w
                     values.append(value)
                     cumulative.append(running)
-        env.pop(var, None)
-        if not values:
-            raise ValueError("cannot sample from an empty space")
-        table = (values, cumulative)
+            if not values:
+                raise ValueError("cannot sample from an empty space")
+            table = (values, cumulative)
         self._weight_memo[key] = table
         return table
 
@@ -391,6 +721,6 @@ class BoundedSpace:
             f"{lo} <= {v} <= {hi}"
             for v, (lo, hi) in zip(self.dims, self.bounds)
         ]
-        if not self.guard.is_true():
-            parts.append(repr(self.guard))
+        parts.extend(map(repr, self.constraints))
+        parts.extend(map(repr, self.residues))
         return "BoundedSpace(" + ", ".join(parts) + ")"

@@ -43,6 +43,7 @@ from repro.serve.protocol import (
     NotAnalysable,
     ParseFailure,
     RequestTimeout,
+    ServeError,
     UnknownKernel,
 )
 
@@ -148,8 +149,10 @@ class AnalysisEngine:
     def prepared_for(self, request: AnalyzeRequest) -> PreparedProgram:
         """The prepared program of ``request`` (LRU-cached).
 
-        Model violations surfacing during inlining/normalisation map to
-        :class:`NotAnalysable` (HTTP 422).
+        Model violations surfacing while the program is built, inlined or
+        normalised — a builtin kernel's out-of-range size among them — map
+        to :class:`NotAnalysable` (HTTP 422); the typed service errors
+        (unknown kernel, parse failure, bad request) pass through.
         """
         key = self.program_key(request)
         with self._lock:
@@ -157,19 +160,21 @@ class AnalysisEngine:
             if prepared is not None:
                 self._prepared.move_to_end(key)
                 return prepared
-        if request.program is not None:
-            program = request.program
-        elif request.source is not None:
-            program = program_from_source(request.source)
-        else:
-            program = load_kernel(request.kernel, request.size, request.steps)
-        if not isinstance(program, Program):
-            raise BadRequest(
-                f"request program must be a Program, "
-                f"got {type(program).__name__}"
-            )
         try:
+            if request.program is not None:
+                program = request.program
+            elif request.source is not None:
+                program = program_from_source(request.source)
+            else:
+                program = load_kernel(request.kernel, request.size, request.steps)
+            if not isinstance(program, Program):
+                raise BadRequest(
+                    f"request program must be a Program, "
+                    f"got {type(program).__name__}"
+                )
             prepared = prepare(program)
+        except ServeError:
+            raise
         except ReproError as exc:
             raise NotAnalysable(f"program cannot be analysed: {exc}") from exc
         with self._lock:

@@ -18,8 +18,10 @@ The sweep also pins down the operational contracts around the solver:
 
 from __future__ import annotations
 
-from repro import obs
+from repro import obs, prepare
 from repro.cme import find_misses, region_misses, regional_coverage
+from repro.ir import ProgramBuilder
+from repro.polyhedra import Affine
 from repro.cme.regions import FALLBACK_REASONS
 from repro.layout import CacheConfig
 from repro.reuse import build_reuse_table
@@ -141,6 +143,30 @@ def test_fallback_path_runs_on_irregular_guarded_family():
         "no guarded case exercised the enumeration fallback — the "
         "irregular-region path is untested"
     )
+
+
+def test_constant_false_guard_empties_the_producer():
+    """A producer under a constant-false guard never supplies reuse: its
+    RIS keeps the false conjunct, so the cold conditions find its vectors
+    inapplicable and no cell is probed against them or enumerated."""
+    pb = ProgramBuilder("FALSEGUARD")
+    a = pb.array("A", (40,))
+    b = pb.array("B", (40,))
+    with pb.subroutine("MAIN"):
+        with pb.do("I", 2, 30) as i:
+            with pb.if_(Affine.const(0).ge(1)):
+                pb.assign(a[i], b[i])
+            pb.assign(b[i], a[i - 1], a[i])
+    prep = prepare(pb.build())
+    cache = CacheConfig.kb(1, 32, 1)
+    obs.enable()
+    try:
+        results, counters = _solve_counted(prep.nprog, prep.layout, cache)
+    finally:
+        obs.disable()
+    assert results == find_misses(prep.nprog, prep.layout, cache).results
+    assert counters["cme.regions.fallback_points"] == 0
+    assert counters["cme.regions.exact_regions"] > 0
 
 
 def test_exact_regions_counted_on_regular_families():

@@ -1,23 +1,19 @@
-"""Parity of the vectorized polyhedra helpers with the scalar Space API.
+"""Parity of the vectorized enumerator with the scalar Space API.
 
 :func:`~repro.polyhedra.batch.enumerate_points_array` must reproduce
 :meth:`BoundedSpace.enumerate_points` exactly — same points, same
 lexicographic order (the trace index depends on the order, not just the
-set) — and :func:`~repro.polyhedra.batch.contains_batch` must agree with
-:meth:`BoundedSpace.contains` entrywise, guards included.
+set), guards included.
 """
 
 from __future__ import annotations
 
-import itertools
-
-import numpy as np
 import pytest
 
 from repro.ir import ProgramBuilder
 from repro.normalize import normalize
 
-from repro.polyhedra.batch import contains_batch, enumerate_points_array
+from repro.polyhedra.batch import enumerate_points_array
 
 
 def _spaces():
@@ -51,17 +47,3 @@ def test_enumerate_points_array_matches_scalar_order(index):
     scalar = list(space.enumerate_points())
     assert batch.shape == (len(scalar), space.ndim)
     assert [tuple(row) for row in batch.tolist()] == scalar
-
-
-@pytest.mark.parametrize(
-    "index", range(4), ids=["rect", "tri", "guarded", "point"]
-)
-def test_contains_batch_matches_scalar(index):
-    _, space = _spaces()[index]
-    ranges = [space.var_ranges()[v] for v in space.dims]
-    grid = list(
-        itertools.product(*[range(lo - 2, hi + 3) for lo, hi in ranges])
-    )
-    mask = contains_batch(space, np.array(grid, dtype=np.int64))
-    for point, got in zip(grid, mask.tolist()):
-        assert got == space.contains(point), point

@@ -1,19 +1,20 @@
-"""Property tests for the regional counting machinery (ISSUE 10).
+"""Property tests for the regional counting machinery of ``BoundedSpace``.
 
-Randomized (seeded) systems are checked against brute force:
+Randomized (seeded) systems with affine and residue constraints — the
+cells of the regional solver — are checked against brute force:
 
 * the closed-form residue helpers of :mod:`repro.polyhedra.intsolve`
-  (``residue_period`` / ``count_range_residue`` / ``first_range_residue``)
-  against explicit enumeration of the range,
-* :meth:`RegionSpace.count` — periodic counting with residue constraints —
-  against :meth:`RegionSpace.enumerate_points` and a raw triple loop,
-* :meth:`RegionSpace.tight_ranges` — the interval-arithmetic box the
+  (``residue_period`` / ``count_range_residue``) against explicit
+  enumeration of the range,
+* :meth:`BoundedSpace.count` — periodic counting with residue constraints —
+  against :meth:`BoundedSpace.enumerate_points` and a raw triple loop,
+* :meth:`BoundedSpace.tight_ranges` — the interval-arithmetic box the
   crossing-window certificate bounds its unroll with — must contain every
   point of the space (conservativeness is what the solver relies on),
 * cells derived by ``conjoin``/``with_residue`` chains against a fresh
   construction of the same region, and the vectorised enumerator
   (:func:`~repro.polyhedra.batch.enumerate_points_array`) against
-  :meth:`RegionSpace.enumerate_points`.
+  :meth:`BoundedSpace.enumerate_points`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ import numpy as np
 from repro.polyhedra.batch import enumerate_points_array
 from repro.polyhedra import (
     Affine,
+    BoundedSpace,
     Constraint,
-    RegionSpace,
     ResidueConstraint,
     count_range_residue,
-    first_range_residue,
     negate_constraint,
     residue_period,
 )
@@ -59,21 +59,7 @@ def test_count_range_residue_vs_bruteforce():
         assert count_range_residue(lo, hi, period, residue) == want
 
 
-def test_first_range_residue_vs_bruteforce():
-    rng = random.Random(303)
-    for _ in range(500):
-        period = rng.randrange(1, 20)
-        residue = rng.randrange(-2 * period, 2 * period)
-        lo = rng.randrange(-50, 50)
-        hi = lo + rng.randrange(-5, 60)
-        want = next(
-            (v for v in range(lo, hi + 1) if (v - residue) % period == 0),
-            None,
-        )
-        assert first_range_residue(lo, hi, period, residue) == want
-
-
-def _random_region(rng: random.Random) -> RegionSpace:
+def _random_region(rng: random.Random) -> BoundedSpace:
     """A random 1–3-dim region with affine and residue constraints."""
     ndim = rng.randrange(1, 4)
     dims = tuple(f"v{k}" for k in range(ndim))
@@ -106,10 +92,10 @@ def _random_region(rng: random.Random) -> RegionSpace:
             {v: rng.randrange(0, modulus) for v in dims}, rng.randrange(modulus)
         )
         residues.append(ResidueConstraint.make(expr, modulus, lo_r, hi_r))
-    return RegionSpace(dims, bounds, tuple(constraints), tuple(residues))
+    return BoundedSpace(dims, bounds, tuple(constraints), tuple(residues))
 
 
-def _bruteforce_count(space: RegionSpace) -> int:
+def _bruteforce_count(space: BoundedSpace) -> int:
     box = space.tight_ranges()
     # Enumerate the raw bounding box (ignoring all structure) and test
     # membership — fully independent of the counting code paths.
@@ -179,7 +165,7 @@ def _random_chain(rng: random.Random):
     however many conjuncts follow.
     """
     start = _random_region(rng)
-    base = RegionSpace(start.dims, start.bounds)
+    base = BoundedSpace(start.dims, start.bounds)
     dims = base.dims
     region = base
     constraints: list[Constraint] = []
@@ -226,7 +212,7 @@ def test_derived_cells_equal_fresh_construction():
     empties = 0
     for _ in range(300):
         derived, base, constraints, residues = _random_chain(rng)
-        fresh = RegionSpace(base.dims, base.bounds, constraints, residues)
+        fresh = BoundedSpace(base.dims, base.bounds, constraints, residues)
         assert derived.signature() == fresh.signature()
         assert derived.is_trivially_empty() == fresh.is_trivially_empty()
         assert derived.count() == fresh.count()
@@ -241,7 +227,7 @@ def test_derived_cells_equal_fresh_construction():
 
 
 def test_derivation_keeps_an_emptied_region_empty():
-    space = RegionSpace(("x",), [(Affine.const(0), Affine.const(9))])
+    space = BoundedSpace(("x",), [(Affine.const(0), Affine.const(9))])
     emptied = space.with_residue(Affine.const(5), 4, 0, 0)  # 5 mod 4 = 1
     assert emptied.is_trivially_empty()
     grown = emptied.conjoin(Constraint.inequality(Affine.var("x"))).with_residue(

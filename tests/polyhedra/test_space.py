@@ -1,5 +1,7 @@
 """Unit and property tests for bounded integer spaces."""
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -187,38 +189,50 @@ class TestSampling:
         assert r["y"] == (1, 5)
 
 
-def linear_scan_sample_one(space, rng):
+def subtree_weights(space):
+    """Members of every prefix, counted by brute force: each point of the
+    :meth:`var_ranges` box that :meth:`contains` accepts adds one to each
+    of its prefixes."""
+    box = space.var_ranges()
+    weights = collections.Counter()
+    for point in itertools.product(
+        *(range(lo, hi + 1) for lo, hi in (box[v] for v in space.dims))
+    ):
+        if space.contains(point):
+            weights.update(point[: d + 1] for d in range(space.ndim))
+    return weights
+
+
+def linear_scan_sample_one(space, rng, weights):
     """The original draw: rescan every candidate value of every dimension.
 
-    Kept verbatim as the oracle of the cumulative-table sampler: both make
-    one ``rng.randrange(total)`` call per dimension, so for any seed they
-    must return the same points.
+    The oracle of the cumulative-table sampler, on the public API alone:
+    a dimension's candidates are the values its bounds allow after the
+    prefix drawn so far, each weighted by its brute-force subtree count
+    (``weights``, from :func:`subtree_weights`).  Both make one
+    ``rng.randrange(total)`` call per dimension, so for any seed they must
+    return the same points.
     """
-    env = {}
     point = []
-    for d in range(space._n):
+    for d in range(space.ndim):
+        env = dict(zip(space.dims, point))
         lo = space.bounds[d][0].evaluate(env)
         hi = space.bounds[d][1].evaluate(env)
-        var = space.dims[d]
-        cons = space._cons_at[d]
-        weights = []
+        cumulative = []
         running = 0
         for value in range(lo, hi + 1):
-            env[var] = value
-            if all(c.satisfied(env) for c in cons):
-                w = space._count_from(d + 1, env)
-                if w:
-                    running += w
-                    weights.append((value, running))
-        if not weights:
+            w = weights[(*point, value)]
+            if w:
+                running += w
+                cumulative.append((value, running))
+        if not cumulative:
             raise ValueError("cannot sample from an empty space")
-        pick = rng.randrange(weights[-1][1])
-        chosen = weights[-1][0]
-        for value, cumulative in weights:
-            if pick < cumulative:
+        pick = rng.randrange(cumulative[-1][1])
+        chosen = cumulative[-1][0]
+        for value, upto in cumulative:
+            if pick < upto:
                 chosen = value
                 break
-        env[var] = chosen
         point.append(chosen)
     return tuple(point)
 
@@ -330,8 +344,11 @@ class TestSamplingMatchesLinearScan:
             assert (fast.constant_extents() is not None) == (
                 name in self.CONSTANT_EXTENT
             )
+            weights = subtree_weights(oracle)
             rng, fast_rng = random.Random(seed), random.Random(seed)
-            expected = [linear_scan_sample_one(oracle, rng) for _ in range(60)]
+            expected = [
+                linear_scan_sample_one(oracle, rng, weights) for _ in range(60)
+            ]
             drawn = fast.sample(60, fast_rng)
             assert drawn.shape == (60, fast.ndim)
             assert [tuple(p) for p in drawn.tolist()] == expected, (name, seed)

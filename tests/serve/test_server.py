@@ -171,6 +171,16 @@ def test_parse_error_is_422(client):
         client.analyze({"source": "not fortran (", "cache": "4:32:2"})
 
 
+def test_out_of_range_kernel_size_is_422(server):
+    """``mmt`` at size 2 has a zero tile step (``size // 4``): the builder
+    rejects it as outside the analysable model, not as a server fault."""
+    body = {"kernel": "mmt", "size": 2, "cache": "4:32:2", "method": "find"}
+    status, doc = post_raw(server.url, "/v1/analyze", json.dumps(body).encode())
+    assert status == 422
+    assert doc["error"]["code"] == "not_analysable"
+    assert "step must be a non-zero integer" in doc["error"]["message"]
+
+
 def test_unknown_job_is_404(client):
     with pytest.raises(JobNotFound):
         client.job("no-such-job")
