@@ -240,19 +240,17 @@ class RegionSolver:
         rows = self._ris_rows.get(ref.uid)
         if rows is None:
             ris = self.nprog.ris(ref.leaf)
+            bound_rows, cons_rows = ris.rows()
             cons = []
-            for k, (lo, hi) in enumerate(ris.bounds):
+            for k, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(bound_rows):
                 unit = tuple(int(j == k) for j in range(self.nprog.depth))
-                lo_row, lo_c = self._row(lo)
-                hi_row, hi_c = self._row(hi)
                 cons.append(
                     (tuple(u - c for u, c in zip(unit, lo_row)), -lo_c, GE)
                 )
                 cons.append(
                     (tuple(c - u for u, c in zip(unit, hi_row)), hi_c, GE)
                 )
-            for c in ris.constraints:
-                cons.append((*self._row(c.expr), c.kind))
+            cons.extend(cons_rows)
             ranges = ris.var_ranges()
             box = tuple(ranges[v] for v in self.nprog.index_vars)
             rows = self._ris_rows.setdefault(ref.uid, (tuple(cons), box))

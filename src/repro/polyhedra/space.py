@@ -343,6 +343,25 @@ class BoundedSpace:
         """
         return tuple(entry[-1] for entry in self._cons_at[level])
 
+    def rows(self) -> tuple[tuple, tuple]:
+        """The compiled integer rows, read-only: ``(bounds, constraints)``.
+
+        ``bounds`` holds one ``((lo_row, lo_const), (hi_row, hi_const))``
+        pair per dimension and ``constraints`` one ``(row, const, kind)``
+        per entry of :attr:`constraints`, in that order; every row is over
+        :attr:`dims`.
+        """
+        compiled = {
+            c: (row, const)
+            for level in self._cons_at
+            for _, row, const, _, c in level
+        }
+        zero = (0,) * self._n  # a trivially false conjunct is not compiled
+        return self._bound_rows, tuple(
+            (*compiled.get(c, (zero, c.expr.constant)), c.kind)
+            for c in self.constraints
+        )
+
     def residues_at(self, level: int) -> tuple[ResidueConstraint, ...]:
         """The residue constraints anchored at dimension ``level``."""
         return tuple(entry[-1] for entry in self._res_at[level])
@@ -541,13 +560,18 @@ class BoundedSpace:
         rng = self._tightened_range(d, vals)
         if rng is not None:
             lo, hi = rng
-            checks = self._anchored_checks(d, vals)
             # A dimension that matters below (if at all) only through
             # residue partials makes satisfaction and every deeper count
             # periodic in it: scan one period and weight each class by its
             # closed-form multiplicity.
             period = 0 if self._raw[d + 1] >> d & 1 else self._period(d)
-            if period and period < hi - lo + 1:
+            if period == 1 and not self._res_at[d]:
+                # Nothing reads the value: every value has the same subtree.
+                vals.append(lo)
+                total = (hi - lo + 1) * self._count_from(d + 1, vals)
+                vals.pop()
+            elif period and period < hi - lo + 1:
+                checks = self._anchored_checks(d, vals)
                 for w in _admitted(checks, lo, lo + period - 1):
                     vals.append(w)
                     inner = self._count_from(d + 1, vals)
@@ -557,6 +581,7 @@ class BoundedSpace:
                             lo, hi, period, w % period
                         )
             else:
+                checks = self._anchored_checks(d, vals)
                 for value in _admitted(checks, lo, hi):
                     vals.append(value)
                     total += self._count_from(d + 1, vals)

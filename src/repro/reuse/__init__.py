@@ -4,7 +4,6 @@ from repro.reuse.generator import (
     ReuseOptions,
     ReuseTable,
     build_reuse_table,
-    generate_pair_vectors,
 )
 from repro.reuse.ugs import (
     constant_part,
@@ -18,7 +17,6 @@ __all__ = [
     "ReuseOptions",
     "ReuseTable",
     "build_reuse_table",
-    "generate_pair_vectors",
     "constant_part",
     "linear_part",
     "ugs_key",

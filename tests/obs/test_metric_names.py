@@ -51,6 +51,8 @@ GOLDEN_COUNTERS = {
     "polyhedra.intsolve.calls",
     "polyhedra.intsolve.solutions",
     "polyhedra.nullspace.calls",
+    "reuse.pairs",
+    "reuse.solves",
     "reuse.ugs.count",
     "reuse.vectors.cross_column",
     "reuse.vectors.spatial_group",

@@ -10,6 +10,13 @@ import pytest
 from repro import CacheConfig, analyze, obs, prepare, run_simulation
 from repro.kernels import build_hydro
 from repro.obs.export import validate_snapshot
+from repro.programs import build_applu_like, build_swim_like, build_tomcatv_like
+from repro.reuse import (
+    build_reuse_table,
+    constant_part,
+    ugs_key,
+    uniformly_generated_sets,
+)
 from tests.harness.differential import scalar_simulate
 
 
@@ -97,6 +104,52 @@ class TestSerialInstrumentation:
             == report.total_accesses
         )
         assert {s["name"] for s in snap["spans"]} >= {"sim/decode", "sim/batch"}
+
+
+class TestReuseSharing:
+    """``reuse.pairs`` counts the (producer, consumer) pairs of every
+    uniformly generated set; ``reuse.solves`` the distinct (set, Δm)
+    reuse equations the build solved for them."""
+
+    @staticmethod
+    def shared_counts(nprog) -> dict[str, int]:
+        obs.enable()
+        obs.reset()
+        build_reuse_table(nprog, 32)
+        counters = obs.snapshot()["counters"]
+        obs.disable()
+        return {k: counters[k] for k in ("reuse.pairs", "reuse.solves")}
+
+    def test_pairs_and_solves_match_their_definitions(self, prepared):
+        nprog = prepared.nprog
+        groups = uniformly_generated_sets(nprog)
+        equations = {
+            (
+                ugs_key(rc, nprog.depth),
+                tuple(
+                    p - c for p, c in zip(constant_part(rp), constant_part(rc))
+                ),
+            )
+            for group in groups
+            for rc in group
+            for rp in group
+        }
+        assert self.shared_counts(nprog) == {
+            "reuse.pairs": sum(len(g) ** 2 for g in groups),
+            "reuse.solves": len(equations),
+        }
+
+    def test_table6_programs_solve_946_pairs_as_170_equations(self):
+        totals = {"reuse.pairs": 0, "reuse.solves": 0}
+        for build, n in (
+            (build_tomcatv_like, 40),
+            (build_swim_like, 40),
+            (build_applu_like, 20),
+        ):
+            counts = self.shared_counts(prepare(build(n, 2)).nprog)
+            for name, value in counts.items():
+                totals[name] += value
+        assert totals == {"reuse.pairs": 946, "reuse.solves": 170}
 
 
 class TestReportMetricsField:

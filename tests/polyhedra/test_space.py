@@ -68,6 +68,32 @@ class TestCount:
         assert list(s.enumerate_points()) == [(2,)]
 
 
+class TestRows:
+    def test_rows_in_dims_and_constraint_order(self):
+        s = BoundedSpace(
+            ("x", "y"),
+            [(Affine.const(1), Affine.const(4)), (Var("x"), Affine.const(9))],
+            # Listed deepest anchor first; the trivially true one is dropped.
+            ConstraintSet(
+                [Var("y").ge(Var("x") + 2), Var("x").le(3), Affine.const(0).ge(0)]
+            ),
+        )
+        bounds, constraints = s.rows()
+        assert bounds == (
+            (((0, 0), 1), ((0, 0), 4)),
+            (((1, 0), 0), ((0, 0), 9)),
+        )
+        assert constraints == (((-1, 1), -2, ">="), ((-1, 0), 3, ">="))
+
+    def test_trivially_false_constraint_keeps_a_zero_row(self):
+        s = BoundedSpace(
+            ("x",),
+            [(Affine.const(1), Affine.const(3))],
+            ConstraintSet([Var("x").ge(0), Affine.const(-1).ge(0)]),
+        )
+        assert s.rows()[1] == (((1,), 0, ">="), ((0,), -1, ">="))
+
+
 class TestCountCache:
     """The cross-instance count cache stays bounded in a long-lived
     process (the daemon analyses ever more distinct systems)."""
