@@ -150,9 +150,6 @@ def compute_memo_rows(tmp_dir):
         assert warm.hits == cold.hits + cold.misses
 
         speedup = cold_t / warm_t if warm_t > 0 else float("inf")
-        assert speedup >= 5.0, (
-            f"{name}: warm sweep only {speedup:.1f}x faster than cold"
-        )
         rows.append(
             (name, cold.misses, cold.hits, cold_t, warm_t, speedup)
         )
@@ -179,3 +176,7 @@ def test_table3_memoization_cold_vs_warm(benchmark, tmp_path):
             ),
         ),
     )
+    for name, _, _, _, _, speedup in rows:
+        assert speedup >= 5.0, (
+            f"{name}: warm sweep only {speedup:.1f}x faster than cold"
+        )

@@ -18,8 +18,9 @@ same cold/replacement machinery expressed as array arithmetic:
   (cost proportional to each window) or the
   :class:`~repro.iteration.batch.TraceIndex` (the whole trace built once
   per line size, sorted once per set count, each window a per-set slice
-  with a vectorized distinct count).  :meth:`BatchClassifier._index_ends`
-  prices both from the points and the program alone, so
+  found by two gathers and counted by a few hops over runs of equal
+  lines).  :meth:`BatchClassifier._index_ends` prices both from the
+  points and the program alone, so
   ``EstimateMisses`` builds the trace only when that is cheaper than
   walking its sample's windows.
 
@@ -379,9 +380,12 @@ class BatchClassifier:
             return None
         vectors = self.reuse.vectors_for(ref)
         t_producer = np.empty(len(consumers), dtype=np.int64)
-        for j in np.unique(via).tolist():
-            mask = via == j
-            t_producer[mask] = plan.times(vectors[j].producer, producers[mask])
+        # One pass groups the points by deciding vector: sort, then split.
+        order = np.argsort(via, kind="stable")
+        cuts = np.flatnonzero(np.diff(via[order])) + 1
+        for group in np.split(order, cuts):
+            producer = vectors[int(via[group[0]])].producer
+            t_producer[group] = plan.times(producer, producers[group])
         t_consumer = plan.times(ref, consumers)
         windows = float((t_consumer - t_producer).sum(dtype=np.float64))
         walk = _WALK_ACCESS * windows + _WALK_POINT * len(consumers)

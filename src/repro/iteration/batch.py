@@ -13,9 +13,10 @@ Three pieces live here:
 * :class:`TraceIndex` — the line trace sorted by cache set, after
   which the interference window of the replacement equations — all
   accesses strictly between a producer and a consumer position — becomes a
-  contiguous slice of per-cache-set position arrays, and the ``k``
-  distinct-line test of Section 4.1.2 a vectorized distinct-count over that
-  slice.  Positions come from the builder's :class:`~repro.sim.batch.TracePlan`:
+  contiguous slice of the set-sorted lines, found by two gathers from each
+  access's set-sorted rank, and the ``k`` distinct-line test of Section
+  4.1.2 a comparison (``k = 1``) or a few hops over runs of equal lines
+  (``k ≥ 2``).  Positions come from the builder's :class:`~repro.sim.batch.TracePlan`:
   the affine time plan itself on rectangular programs, the rank of a box
   time among the builder's sorted keys elsewhere.
 
@@ -23,7 +24,9 @@ The index answers exactly the query
 :meth:`repro.iteration.walker.Walker.distinct_conflicts_reach` answers, so
 the batch classifier stays bit-identical to the scalar classifier.  Building
 the line trace costs ``O(T log T)`` in the trace length ``T`` (``O(T)`` on
-rectangular programs), the per-set sort ``O(T)``; the batch classifier
+rectangular programs), the per-set sort ``O(T)``; a query costs ``O(1)``
+at ``k = 1`` and at most :data:`_PROBE_HOPS` hops at ``k ≥ 2``, past which
+the rare unsettled window is counted exactly.  The batch classifier
 builds them only when a reference's windows would cost more to walk than
 that reference's share of the build (``repro.cme.batch``).
 """
@@ -38,13 +41,10 @@ from repro.iteration.walker import CompiledAffine, Walker
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.sim.batch import TracePlan, build_trace, lines_of
 
-#: Length of the vectorized probe prefix of each interference window; only
-#: windows longer than this whose probe stays below ``k`` distinct lines
-#: (rare) fall back to a per-window ``np.unique``.
-_SMALL_WINDOW = 64
-
-#: Rows of the probe matrix processed per chunk (bounds peak memory).
-_CHUNK = 1 << 15
+#: Runs of equal lines each window advances over in the vectorized probe;
+#: only windows still below ``k`` distinct lines after this many (rare)
+#: fall back to an exact per-window count.
+_PROBE_HOPS = 64
 
 
 class BatchAffine:
@@ -111,6 +111,13 @@ class TraceIndex:
     ``trace`` is the :class:`LineTrace` of ``line_bytes`` when the caller
     already has it; only the per-set sort is built here.  Raises
     :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
+
+    Three arrays of ``T`` entries each: ``lines_by_set``, the lines in
+    ``(set, t)`` order; ``rank``, the position of every access in that
+    order (the inverse permutation of the sort); and ``run_end``, per
+    set-sorted position the first later one holding another line.  The
+    last two are int32, since the trace budget keeps ``T`` below 2³¹, so
+    the index takes 16 bytes per access.
     """
 
     def __init__(
@@ -126,22 +133,32 @@ class TraceIndex:
         self.num_sets = num_sets
         self._plan, self._keys = trace.plan, trace.keys
         line_at_t = trace.lines
-        self.total = len(line_at_t)
+        self.total = total = len(line_at_t)
         set_at_t = line_at_t % num_sets
         # A stable sort of 16-bit keys is a radix sort: same order, O(T).
         narrow = set_at_t.astype(np.uint16) if num_sets <= 1 << 16 else set_at_t
         by_set = np.argsort(narrow, kind="stable")  # (set, t) ascending
-        # One sorted key ``set·(T+1) + t`` per access: window boundaries in
-        # any set become a single vectorized searchsorted over all queries
-        # (keys of other sets land outside the query's [base, base+T] band).
-        self._set_keys = set_at_t[by_set] * np.int64(self.total + 1) + by_set
-        self._lines_by_set = line_at_t[by_set]
+        del set_at_t, narrow
+        self.lines_by_set = lines = line_at_t[by_set]
+        self.rank = np.empty(total, dtype=np.int32)
+        self.rank[by_set] = np.arange(total, dtype=np.int32)
+        del by_set
+        # A run of equal lines never crosses into the next set: another
+        # set means another line.
+        ends = np.append(
+            np.flatnonzero(lines[1:] != lines[:-1]).astype(np.int32) + 1,
+            np.int32(total),
+        )
+        self.run_end = np.repeat(ends, np.diff(ends, prepend=0))
 
     @property
     def nbytes(self) -> int:
         """Bytes of the per-set arrays and the sorted box times it keeps."""
         keys = 0 if self._keys is None else self._keys.nbytes
-        return self._set_keys.nbytes + self._lines_by_set.nbytes + keys
+        return (
+            self.lines_by_set.nbytes + self.rank.nbytes + self.run_end.nbytes
+            + keys
+        )
 
     # -- position lookup ---------------------------------------------------------
 
@@ -158,6 +175,18 @@ class TraceIndex:
 
     # -- the replacement-equation window query -------------------------------------
 
+    def bounds(
+        self, t_lo: "np.ndarray", t_hi: "np.ndarray"
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """Set-sorted slices ``[lo, hi)`` of the accesses strictly between
+        trace times ``t_lo`` and ``t_hi`` in their cache set.
+
+        Both ends must touch the same line — a reuse window's producer and
+        consumer do, by the cold equations — so both sit in that line's
+        set, and each bound is one gather.
+        """
+        return self.rank[t_lo] + 1, self.rank[t_hi]
+
     def conflicts_reach(
         self,
         t_lo: "np.ndarray",
@@ -170,75 +199,66 @@ class TraceIndex:
         For each query ``q``: True iff at least ``k`` *distinct* memory
         lines other than ``reused_lines[q]`` map to the reused line's cache
         set among the accesses with trace time strictly between
-        ``t_lo[q]`` and ``t_hi[q]``.
+        ``t_lo[q]`` and ``t_hi[q]``; both ends must access
+        ``reused_lines[q]`` (see :meth:`bounds`).
         """
-        count = len(t_lo)
-        result = np.zeros(count, dtype=bool)
-        if count == 0:
-            return result
-        base = (reused_lines % self.num_sets) * np.int64(self.total + 1)
-        lo = np.searchsorted(self._set_keys, base + t_lo, side="right")
-        hi = np.searchsorted(self._set_keys, base + t_hi, side="left")
-        lengths = hi - lo
+        result = np.zeros(len(t_lo), dtype=bool)
+        lo, hi = self.bounds(t_lo, t_hi)
         # < k accesses cannot hold k distinct lines.
-        queries = np.flatnonzero(lengths >= k)
-        for chunk_at in range(0, len(queries), _CHUNK):
-            chunk = queries[chunk_at : chunk_at + _CHUNK]
-            # Probe pass: the distinct count over the first
-            # min(length, _SMALL_WINDOW) accesses of every window at once.
-            # Reaching k inside the prefix settles the query (distinct
-            # counts only grow with the window); a short window is its own
-            # prefix, so staying below k settles it too.  Only long windows
-            # whose probe stayed below k need an exact per-window count —
-            # in practice a handful, because k is the associativity (2–8)
-            # and prefixes of long reuse windows reach it almost always.
-            width = min(int(lengths[chunk].max()), _SMALL_WINDOW)
-            distinct = self._distinct_prefix(
-                lo[chunk],
-                np.minimum(lengths[chunk], width),
-                reused_lines[chunk],
-                width,
+        live = np.flatnonzero(hi - lo >= k)
+        lo, hi, reused = lo[live], hi[live], reused_lines[live]
+        if k == 1:
+            # The window's first run is another line, or ends inside it.
+            result[live] = (self.lines_by_set[lo] != reused) | (
+                self.run_end[lo] < hi
             )
-            settled = distinct >= k
-            result[chunk] = settled
-            for q in chunk[~settled & (lengths[chunk] > width)]:
-                window = self._lines_by_set[lo[q] : hi[q]]
-                unique = np.unique(window)
-                conflicts = len(unique) - int(
-                    np.searchsorted(unique, reused_lines[q], side="right")
-                    > np.searchsorted(unique, reused_lines[q], side="left")
-                )
-                result[q] = conflicts >= k
+        else:
+            result[live] = self._hop_probe(lo, hi, reused, k)
         return result
 
-    def _distinct_prefix(
+    def _hop_probe(
         self,
         lo: "np.ndarray",
-        lengths: "np.ndarray",
-        reused_lines: "np.ndarray",
-        width: int,
+        hi: "np.ndarray",
+        reused: "np.ndarray",
+        k: int,
     ) -> "np.ndarray":
-        """Distinct lines (excluding the reused one) per window prefix.
+        """:meth:`conflicts_reach` for ``k ≥ 2`` on non-empty windows.
 
-        Window prefixes (``lengths`` ≤ ``width``) are gathered into one
-        padded ``(Q, width)`` matrix; the reused line and the padding become
-        a sentinel, rows are sorted, and the distinct count is the number of
-        value transitions — one ``np.unique`` semantics pass for the whole
-        batch.
+        Every live window advances one run per hop (``run_end``), keeping
+        the first ``k`` distinct lines other than the reused one it meets.
+        Reaching ``k`` settles a window (distinct counts only grow with the
+        window), and so does running past its end.  Windows still live
+        after :data:`_PROBE_HOPS` hops — long ones that alternate among
+        fewer than ``k`` lines, in practice a handful — count the rest of
+        the window exactly with ``np.setdiff1d``.  The ``k`` slots per
+        window cost about what the window's two ends do, so all windows
+        probe at once.
         """
-        offsets = np.arange(width, dtype=np.int64)
-        index = lo[:, None] + offsets[None, :]
-        valid = offsets[None, :] < lengths[:, None]
-        index = np.minimum(index, max(self.total - 1, 0))
-        values = self._lines_by_set[index]
-        sentinel = np.iinfo(np.int64).max
-        values = np.where(valid, values, sentinel)
-        values = np.where(values == reused_lines[:, None], sentinel, values)
-        values.sort(axis=1)
-        real = values != sentinel
-        distinct = real[:, 0].astype(np.int64)
-        if width > 1:
-            distinct += (
-                (values[:, 1:] != values[:, :-1]) & real[:, 1:]
-            ).sum(axis=1)
-        return distinct
+        lines, run_end = self.lines_by_set, self.run_end
+        result = np.zeros(len(lo), dtype=bool)
+        query, at = np.arange(len(lo)), lo
+        # Unfilled slots hold the reused line, so it never counts as new,
+        # and a live window (fewer than k found) always has one left.
+        seen = np.repeat(reused[:, None], k, axis=1)
+        found = np.zeros(len(lo), dtype=np.intp)
+        for _ in range(_PROBE_HOPS):
+            if not len(query):
+                return result
+            line = lines[at]
+            rows = np.flatnonzero((seen != line[:, None]).all(axis=1))
+            slot = found[rows]
+            seen[rows, slot] = line[rows]
+            found[rows] = slot + 1
+            reached = rows[slot == k - 1]
+            result[query[reached]] = True
+            at = run_end[at]
+            go = at < hi
+            go[reached] = False
+            if not go.all():
+                query, at, hi, seen, found = (
+                    a[go] for a in (query, at, hi, seen, found)
+                )
+        for q, a, b, known, count in zip(query, at, hi, seen, found):
+            result[q] = count + len(np.setdiff1d(lines[a:b], known)) >= k
+        return result

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.iteration import Walker
-from repro.iteration.batch import TraceIndex
+from repro.iteration.batch import LineTrace, TraceIndex
 from repro.polyhedra.batch import enumerate_points_array
 from repro.sim import collect_walker_trace
 from repro.sim.batch import TracePlan
@@ -48,3 +48,20 @@ def test_t_of_matches_walker_order_on_pool():
             np.add.at(seen, t, 1)
         assert (seen == 1).all(), f"{case.name}: slots do not tile the trace"
     assert kinds[True] and kinds[False], kinds
+
+
+def test_footprint_is_sixteen_bytes_per_access():
+    """``rank`` and ``run_end`` are int32: with the int64 lines they take
+    the 16 bytes per access the index has always had, plus the sorted box
+    times of a non-rectangular program."""
+    for case in generate_cases(2 * len(FAMILIES)):
+        nprog, layout = case.prepared()
+        walker = Walker(nprog, layout)
+        trace = LineTrace(nprog, walker, case.cache.line_bytes)
+        index = TraceIndex(
+            nprog, walker, case.cache.line_bytes, case.cache.num_sets, trace
+        )
+        assert index.rank.dtype == np.int32, case.name
+        assert index.run_end.dtype == np.int32, case.name
+        keys = 0 if trace.keys is None else trace.keys.nbytes
+        assert index.nbytes <= 16 * index.total + keys, case.name
