@@ -295,7 +295,10 @@ class BatchClassifier:
             self._addr[ref.uid] = aff
         return aff
 
-    def _plan(self) -> TracePlan:
+    def plan(self) -> TracePlan:
+        """The program's trace plan, shared by every geometry with this
+        line size; its :attr:`~TracePlan.materialisable` verdict gates
+        every solver step that materialises points or accesses."""
         plan = self._facts.get("plan")
         if plan is None:
             plan = self._facts.setdefault("plan", TracePlan(self.nprog))
@@ -306,7 +309,7 @@ class BatchClassifier:
             lines = self.store.get(("trace",))
             if lines is None:
                 lines = LineTrace(
-                    self.nprog, self.walker, self._line_bytes, self._plan()
+                    self.nprog, self.walker, self._line_bytes, self.plan()
                 )
                 lines = self.store.put(("trace",), lines, lines.nbytes)
             self._lines = lines
@@ -341,7 +344,7 @@ class BatchClassifier:
         if points is None:
             key = (ref.uid,)
         if key is not None:
-            key = ("decisions", self._plan().materialisable) + key
+            key = ("decisions", self.plan().materialisable) + key
             decisions = self.store.get(key)
             if decisions is not None:
                 obs.counter("cme.decisions.shared").inc()
@@ -375,7 +378,7 @@ class BatchClassifier:
         serves them all), else ``None``: walk.  Depends on the points and
         the program only — never on whether the index already exists — so
         offline and daemon runs choose alike."""
-        plan = self._plan()
+        plan = self.plan()
         if not plan.materialisable:  # TraceIndex would raise TraceTooLargeError
             return None
         vectors = self.reuse.vectors_for(ref)

@@ -49,6 +49,21 @@ own machinery:
    set difference over the window carves the cell into exact REPLACEMENT
    and HIT pieces — every piece still probe-verified before being tallied.
 
+   The pieces are :class:`~repro.polyhedra.space.BoundedSpace` objects
+   either way, but a set residue ``mod L·S`` has a period longer than the
+   loop range, so counting one symbolically is an enumeration in disguise.
+   So while the program's trace fits its materialisation budget
+   (:attr:`repro.sim.batch.TracePlan.materialisable`, the budget that
+   gates the trace index) the cell is enumerated once, and every piece is
+   counted, tested for emptiness and probed on its own rows of those
+   points, narrowed one conjunct at a time
+   (:func:`~repro.polyhedra.batch.satisfied_array`).  A piece's
+   representative is its first row, since the rows are in lexicographic
+   order, and :func:`~repro.polyhedra.batch.lexmin_array` keeps the
+   descent's probe-budget verdict.  Past the trace budget the pieces are
+   counted symbolically.
+   The residue-class certificate above stays closed-form.
+
 3. **Fallback.**  Anything irregular — a non-constant ``δ`` (references
    outside the consumer's uniformly generated set), a failed certificate, a
    probe deciding via an unexpected vector — is *enumerated* through the
@@ -56,6 +71,10 @@ own machinery:
    one residual region per reference.  Fallback changes speed, never
    results: the report is exactly equal to ``FindMisses`` by construction,
    which the 210-case differential suite asserts.
+
+Decomposition reads the line size alone, so a reference's cells are kept
+with the other geometry-free facts (:meth:`RegionSolver.decompose`) and
+every later geometry with that line size replays them.
 
 Coverage is observable: ``cme.regions.exact_regions`` counts closed-form
 units (cold cells and certified residue classes), ``fallback_regions`` the
@@ -76,8 +95,18 @@ from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.affine import Affine
-from repro.polyhedra.batch import enumerate_points_array
-from repro.polyhedra.constraints import Constraint, EQ, GE, negate_constraint
+from repro.polyhedra.batch import (
+    enumerate_points_array,
+    lexmin_array,
+    satisfied_array,
+)
+from repro.polyhedra.constraints import (
+    Constraint,
+    EQ,
+    GE,
+    ResidueConstraint,
+    negate_constraint,
+)
 from repro.polyhedra.space import BoundedSpace
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
@@ -148,10 +177,14 @@ class RegionSolver:
 
     Built once per classifier and cached on it.  Everything it derives
     without reading the number of sets or the associativity — address
-    rows, cold conditions, certificates, static windows — lives in a
-    dict owned by the reuse table (:meth:`ReuseTable.derived`) under the
-    key ``(layout, line size)``, so every geometry with that line size and
-    every repeated solve of the program share it.
+    rows, cold conditions, certificates, static windows and each
+    reference's decomposition into cells — lives in a dict owned by the
+    reuse table (:meth:`ReuseTable.derived`) under the key ``(layout, line
+    size)``, so every geometry with that line size and every repeated
+    solve of the program share it.  The cells' count memos are caches of
+    pure functions, so sharing them needs no lock.  Direct-mapped window
+    pieces are counted on the decided cell's points while the trace fits
+    its budget (:meth:`_classify_cell_window`).
     """
 
     def __init__(
@@ -184,6 +217,7 @@ class RegionSolver:
         self._window: dict[tuple[int, int], Optional[list]] = facts.setdefault(
             "window", {}
         )
+        self._cells: dict[int, tuple] = facts.setdefault("cells", {})
 
     @staticmethod
     def for_classifier(classifier) -> "RegionSolver":
@@ -538,6 +572,7 @@ class RegionSolver:
         rv: ReuseVector,
         pairs: list[tuple[Affine, tuple[Constraint, ...]]],
         result: RefResult,
+        points: Optional[np.ndarray],
     ) -> tuple[int, Optional[str]]:
         """Carve a decided cell into exact HIT/REPLACEMENT pieces (k = 1).
 
@@ -550,6 +585,10 @@ class RegionSolver:
         after the pieces tile the cell exactly and every piece's
         representative probe agrees.  Returns ``(exact pieces, None)``, or
         ``(0, reason)`` to make the caller fall back (nothing tallied).
+
+        ``points`` is the cell enumerated, or ``None``: the pieces are the
+        same either way, but with points every test and tally is a count
+        of the piece's rows of them (:class:`_Pieces`).
         """
         line_bytes = self.cache.line_bytes
         num_sets = self.cache.num_sets
@@ -557,12 +596,13 @@ class RegionSolver:
         a_expr = self.addr_affine(ref)
         # Duplicate address rows carve the same conflict region.
         deltas = list(dict.fromkeys(pairs))
-        classes = self._residue_classes(cell, a_expr)
+        carve = _Pieces(cell, points)
+        classes = self._residue_classes(cell, a_expr, carve)
         if sum(cnt for _, _, cnt in classes) != cell_count:
             obs.counter("cme.regions.partition_mismatch").inc()
             return 0, "partition_mismatch"
-        replacement: list[BoundedSpace] = []
-        hits: list[BoundedSpace] = []
+        replacement: list[tuple] = []
+        hits: list[tuple] = []
         for cls, r, _ in classes:
             survivors = [cls]
             for delta, guard in deltas:
@@ -575,7 +615,7 @@ class RegionSolver:
                     Constraint.inequality(-shifted - 1),
                     Constraint.inequality(shifted - line_bytes),
                 )
-                nxt: list[BoundedSpace] = []
+                nxt: list[tuple] = []
                 for region in survivors:
                     if len(nxt) + len(replacement) > MAX_PIECES:
                         return 0, "window_budget"
@@ -585,41 +625,43 @@ class RegionSolver:
                     present = region
                     for c in guard:
                         for neg in negate_constraint(c):
-                            absent = present.conjoin(neg)
-                            if absent.count():
+                            absent = carve.conjoin(present, neg)
+                            if carve.count(absent):
                                 nxt.append(absent)
-                        present = present.conjoin(c)
-                        if present.count() == 0:
+                        present = carve.conjoin(present, c)
+                        if carve.count(present) == 0:
                             break
-                    if present.count() == 0:
+                    if carve.count(present) == 0:
                         continue
                     in_set = (
                         present
                         if modulus == line_bytes
-                        else present.with_residue(
-                            shifted, modulus, 0, line_bytes - 1
+                        else carve.with_residue(
+                            present, shifted, modulus, 0, line_bytes - 1
                         )
                     )
-                    if in_set.count() == 0:
+                    if carve.count(in_set) == 0:
                         nxt.append(present)  # never maps to the reused set
                         continue
                     if modulus > line_bytes:
-                        out_set = present.with_residue(
-                            shifted, modulus, line_bytes, modulus - 1
+                        out_set = carve.with_residue(
+                            present, shifted, modulus, line_bytes, modulus - 1
                         )
-                        if out_set.count():
+                        if carve.count(out_set):
                             nxt.append(out_set)
-                    same = in_set.conjoin(same_line[0]).conjoin(same_line[1])
-                    if same.count():
+                    same = carve.conjoin(
+                        carve.conjoin(in_set, same_line[0]), same_line[1]
+                    )
+                    if carve.count(same):
                         nxt.append(same)
                     for conflict in conflicts:
-                        piece = in_set.conjoin(conflict)
-                        if piece.count():
+                        piece = carve.conjoin(in_set, conflict)
+                        if carve.count(piece):
                             replacement.append(piece)
                 survivors = nxt
             hits.extend(survivors)
         if (
-            sum(p.count() for p in replacement) + sum(p.count() for p in hits)
+            sum(map(carve.count, replacement)) + sum(map(carve.count, hits))
             != cell_count
         ):
             obs.counter("cme.regions.partition_mismatch").inc()
@@ -629,7 +671,7 @@ class RegionSolver:
             (hits, Outcome.HIT),
         ):
             for piece in pieces:
-                rep = piece.representative()
+                rep = carve.representative(piece)
                 probe = (
                     self.scalar.classify(ref, rep) if rep is not None else None
                 )
@@ -642,26 +684,35 @@ class RegionSolver:
                         obs.counter("cme.regions.probe_mismatch").inc()
                     return 0, "probe_mismatch"
         for piece in replacement:
-            cnt = piece.count()
+            cnt = carve.count(piece)
             result.analysed += cnt
             result.replacement += cnt
         for piece in hits:
-            cnt = piece.count()
+            cnt = carve.count(piece)
             result.analysed += cnt
             result.hits += cnt
         return len(replacement) + len(hits), None
 
     def _residue_classes(
-        self, cell: BoundedSpace, a_expr: Affine
-    ) -> list[tuple[BoundedSpace, int, int]]:
+        self,
+        cell: BoundedSpace,
+        a_expr: Affine,
+        carve: Optional["_Pieces"] = None,
+    ) -> list[tuple]:
         """The non-empty ``(class, r, count)`` splits of ``cell`` by
-        ``a_c mod L = r`` (only residues ``a_c`` can take are tried)."""
+        ``a_c mod L = r`` (only residues ``a_c`` can take are tried).  Each
+        class is a :class:`BoundedSpace`, or a piece of ``carve`` when one
+        is given."""
         line_bytes = self.cache.line_bytes
         g = math.gcd(line_bytes, *(c for _, c in a_expr.terms))
         classes = []
         for r in range(a_expr.constant % g, line_bytes, g):
-            cls = cell.with_residue(a_expr, line_bytes, r, r)
-            cnt = cls.count()
+            if carve is None:
+                cls = cell.with_residue(a_expr, line_bytes, r, r)
+                cnt = cls.count()
+            else:
+                cls = carve.with_residue(carve.whole, a_expr, line_bytes, r, r)
+                cnt = carve.count(cls)
             if cnt:
                 classes.append((cls, r, cnt))
         return classes
@@ -683,6 +734,10 @@ class RegionSolver:
         classifier would pick exactly that vector at any of its points.
         ``irregular`` pairs each cell left to enumeration with its fallback
         reason (``"irregular"`` or ``"cell_cap"``).
+
+        Reads the line size but not the number of sets or the
+        associativity, so :meth:`solve_ref` keeps the result in the shared
+        facts and every later geometry with this line size replays it.
         """
         vectors = self.reuse.vectors_for(ref)
         conds = self._conditions(ref)
@@ -733,7 +788,6 @@ class RegionSolver:
                 continue
             produced += len(pieces) + 1
             if produced > MAX_CELLS:
-                obs.counter("cme.regions.cell_cap").inc()
                 irregular.append((cell, "cell_cap"))
                 continue
             decided.append((prefix, t))
@@ -818,12 +872,21 @@ class RegionSolver:
             if pairs is None:
                 pairs = self._crossing_pairs(ref, rv, cell)
             if pairs is not None:
+                # Within the trace budget the pieces are counted on the
+                # cell's points: faster than symbolic counting on every
+                # workload measured, up to loop ranges 16x a set
+                # residue's period (DESIGN.md section 14).
+                points = (
+                    enumerate_points_array(cell)
+                    if self.classifier.plan().materialisable
+                    else None
+                )
                 exact, reason = self._classify_cell_window(
-                    ref, cell, cnt, rv, pairs, result
+                    ref, cell, cnt, rv, pairs, result, points
                 )
                 if reason is None:
                     return exact
-                fallback.add(cell, reason)
+                fallback.add(cell, reason, points)
                 return 0
         # A certificate's shape holds but one of its caps stopped it, or
         # no certificate applies to this vector at all.
@@ -843,7 +906,13 @@ class RegionSolver:
             ris = self.nprog.ris(ref.leaf)
             population = ris.count()
             result = RefResult(ref.name(), ref.uid, population=population)
-            cold, decided, irregular = self.decompose(ref)
+            cells = self._cells.get(ref.uid)
+            if cells is None:
+                cells = self._cells.setdefault(ref.uid, self.decompose(ref))
+            cold, decided, irregular = cells
+            capped = sum(why == "cell_cap" for _, why in irregular)
+            if capped:
+                obs.counter("cme.regions.cell_cap").inc(capped)
             cold_counts = [(c, c.count()) for c in cold]
             decided_counts = [(c, t, c.count()) for c, t in decided]
             irregular_counts = [(c, c.count(), why) for c, why in irregular]
@@ -899,8 +968,16 @@ class _Fallback:
         self.cells = 0
         self.by_reason = dict.fromkeys(FALLBACK_REASONS, 0)
 
-    def add(self, cell: BoundedSpace, reason: str) -> None:
-        pts = enumerate_points_array(cell)
+    def add(
+        self,
+        cell: BoundedSpace,
+        reason: str,
+        pts: Optional[np.ndarray] = None,
+    ) -> None:
+        """Add ``cell``, enumerating it unless ``pts`` already holds its
+        points."""
+        if pts is None:
+            pts = enumerate_points_array(cell)
         self.arrays.append(pts)
         self.cells += 1
         self.by_reason[reason] += len(pts)
@@ -910,6 +987,62 @@ class _Fallback:
         if not self.arrays:
             return np.empty((0, 0), dtype=np.int64)
         return np.concatenate(self.arrays)
+
+
+class _Pieces:
+    """The pieces carved out of one decided cell, as ``(space, rows)``.
+
+    ``space`` is the piece as a :class:`BoundedSpace`, built by the same
+    :meth:`~BoundedSpace.conjoin` and :meth:`~BoundedSpace.with_residue`
+    steps whether or not the cell was enumerated.  ``rows`` indexes the
+    piece's points among the cell's, ascending, or is ``None`` without
+    them.  With points, a piece is counted and its representative found on
+    its rows; without, its space is counted and descended symbolically.
+    Both give the same numbers: the rows are exactly the space's points.
+    Each narrowing tests only the piece's own rows, and live pieces are
+    disjoint, so the rows of all of them together take O(cell) memory.
+    """
+
+    def __init__(self, cell: BoundedSpace, points: Optional[np.ndarray] = None):
+        self.points = points
+        self._dim_index = {name: k for k, name in enumerate(cell.dims)}
+        rows = None if points is None else np.arange(len(points))
+        #: The cell itself, as a piece.
+        self.whole = (cell, rows)
+
+    def _narrow(self, rows: np.ndarray, conjunct) -> np.ndarray:
+        return rows[
+            satisfied_array(conjunct, self.points[rows], self._dim_index)
+        ]
+
+    def conjoin(self, piece: tuple, c: Constraint) -> tuple:
+        """``piece`` with one more affine constraint."""
+        space, rows = piece
+        if rows is not None:
+            rows = self._narrow(rows, c)
+        return space.conjoin(c), rows
+
+    def with_residue(
+        self, piece: tuple, expr: Affine, modulus: int, lo: int, hi: int
+    ) -> tuple:
+        """``piece`` additionally requiring ``expr mod modulus ∈ [lo, hi]``."""
+        space, rows = piece
+        if rows is not None:
+            residue = ResidueConstraint.make(expr, modulus, lo, hi)
+            rows = self._narrow(rows, residue)
+        return space.with_residue(expr, modulus, lo, hi), rows
+
+    @staticmethod
+    def count(piece: tuple) -> int:
+        space, rows = piece
+        return space.count() if rows is None else len(rows)
+
+    def representative(self, piece: tuple) -> Optional[tuple[int, ...]]:
+        """:meth:`BoundedSpace.representative` of the piece's space."""
+        space, rows = piece
+        if rows is None:
+            return space.representative()
+        return lexmin_array(space, self.points, rows)
 
 
 def region_ref_misses(

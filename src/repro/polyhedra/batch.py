@@ -1,26 +1,33 @@
 """Vectorized counterparts of the :class:`~repro.polyhedra.space.BoundedSpace`
-point operations (enumeration and sampling) used by the batch classifier
-(:mod:`repro.cme.batch`), ``EstimateMisses`` and the ``RegionMisses``
-fallback.
+point operations (enumeration, membership, lexmin and sampling) used by the
+batch classifier (:mod:`repro.cme.batch`), ``EstimateMisses`` and
+``RegionMisses`` (its fallback, and the window carving it counts on a
+cell's points).
 
 Everything here is exact integer arithmetic on ``int64`` arrays: the batch
 enumeration yields precisely the points of
 :meth:`~repro.polyhedra.space.BoundedSpace.enumerate_points` in the same
-lexicographic order, and the batch sampler draws the descent's points from
-the same generator words — properties the bit-identity contract of the
-batch classifier and of ``EstimateMisses`` rests on (and the tests assert).
+lexicographic order, a conjunct's mask marks exactly the rows that
+satisfy it (so narrowing a superset's points conjunct by conjunct leaves
+the rows :meth:`~repro.polyhedra.space.BoundedSpace.contains` accepts), the
+budgeted lexmin returns what
+:meth:`~repro.polyhedra.space.BoundedSpace.representative` returns, and the
+batch sampler draws the descent's points from the same generator words —
+properties the bit-identity contracts of the batch classifier, of
+``EstimateMisses`` and of ``RegionMisses`` rest on (and the tests assert).
 """
 
 from __future__ import annotations
 
 import random
 from math import prod
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.polyhedra.affine import Affine
-from repro.polyhedra.constraints import EQ
-from repro.polyhedra.space import BoundedSpace
+from repro.polyhedra.constraints import Constraint, EQ, ResidueConstraint
+from repro.polyhedra.space import BoundedSpace, REPRESENTATIVE_BUDGET
 
 
 def affine_row(
@@ -89,6 +96,43 @@ def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
         if len(points) == 0:
             return empty
     return points
+
+
+def satisfied_array(
+    conjunct: Union[Constraint, ResidueConstraint],
+    points: "np.ndarray",
+    dim_index: dict[str, int],
+) -> "np.ndarray":
+    """Whether each row of ``points`` satisfies one affine or residue
+    conjunct, as a boolean mask."""
+    value = eval_affine(conjunct.expr, points, dim_index)
+    if isinstance(conjunct, ResidueConstraint):
+        value %= conjunct.modulus
+        return (value >= conjunct.lo) & (value <= conjunct.hi)
+    return value == 0 if conjunct.kind == EQ else value >= 0
+
+
+def lexmin_array(
+    space: BoundedSpace,
+    points: "np.ndarray",
+    rows: "np.ndarray",
+    budget: int = REPRESENTATIVE_BUDGET,
+) -> Optional[tuple[int, ...]]:
+    """:meth:`BoundedSpace.representative` read off the space's points.
+
+    ``points`` is an ``(N, n)`` array in lexicographic order (as
+    :func:`enumerate_points_array` of a superset returns it) and ``rows``
+    the ascending indices of exactly the space's points in it, so the
+    first is the space's lexmin.  It is returned when the descent would
+    reach it within ``budget`` probes
+    (:meth:`BoundedSpace.descent_probes`), and ``None`` when ``rows`` is
+    empty or the descent would run out: the same verdict as
+    ``space.representative(budget)``.
+    """
+    if not len(rows):
+        return None
+    point = tuple(int(v) for v in points[rows[0]])
+    return point if space.descent_probes(point) <= budget else None
 
 
 #: Words drawn per expected word; a draw that runs short retries with

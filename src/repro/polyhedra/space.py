@@ -31,7 +31,8 @@ The operations the solvers of Fig. 6 need:
   value;
 * :meth:`enumerate_points` — lexicographic enumeration, the scalar oracle
   of :func:`repro.polyhedra.batch.enumerate_points_array`;
-* :meth:`representative` — one point, by count-guided lexmin descent;
+* :meth:`representative` — one point, by count-guided lexmin descent
+  (:meth:`descent_probes` prices that descent when the lexmin is known);
 * :meth:`sample` — *uniform* sampling of integer points
   (``EstimateMisses``).  A space of constant extent (no conjunct, every
   level's ``hi − lo`` a constant) draws the whole sample at once in NumPy
@@ -645,6 +646,25 @@ class BoundedSpace:
             else:
                 return None
         return tuple(vals)
+
+    def descent_probes(self, point: Sequence[int]) -> int:
+        """The candidate-value probes :meth:`representative` spends to
+        reach ``point``, which must be the space's lexmin.
+
+        The descent fixes the lexmin's coordinates in turn, probing at
+        each dimension every value from the tightened lower bound up to
+        the lexmin's, so it returns ``point`` iff this is at most its
+        budget.  Lets a caller that already has the lexmin (the first of
+        the space's points in lexicographic order) reproduce the budget
+        verdict without descending.
+        """
+        vals: list[int] = []
+        probes = 0
+        for value in point:
+            lo = self._tightened_range(len(vals), vals)[0]
+            probes += value - lo + 1
+            vals.append(value)
+        return probes
 
     # -- uniform sampling -------------------------------------------------------------
 
