@@ -1,8 +1,13 @@
 """Cache Miss Equations: forming and solving (Section 4 of the paper)."""
 
 from repro.cme.backend import make_classifier
-from repro.cme.point import Classification, Outcome, PointClassifier
-from repro.cme.result import MissReport, RefResult, compare_reports
+from repro.cme.result import (
+    Classification,
+    MissReport,
+    Outcome,
+    RefResult,
+    compare_reports,
+)
 from repro.cme.find import find_misses, find_ref_misses
 from repro.cme.estimate import estimate_misses, estimate_ref_misses, ref_rng
 from repro.cme.regions import (
@@ -16,7 +21,6 @@ __all__ = [
     "METHODS",
     "Classification",
     "Outcome",
-    "PointClassifier",
     "MissReport",
     "RefResult",
     "compare_reports",

@@ -1,21 +1,33 @@
-"""The vectorized NumPy classifier (batch CME solving).
+"""The per-point miss classifier — the cold and replacement equations (4.1).
 
-The scalar :class:`~repro.cme.point.PointClassifier` decides one iteration
-point at a time.  This module decides a reference's points in bulk, with the
-same cold/replacement machinery expressed as array arithmetic:
+For a consumer reference at one iteration point, reuse vectors are tried in
+increasing lexicographic order (Fig. 6).  For each vector the **cold
+equations** check that the producer point lies inside the producer's RIS and
+touches the *same memory line*; if either fails the point stays
+indeterminate along this vector and the next one is tried.  Otherwise the
+**replacement equations** decide the point: the cache line survives unless
+``k`` *distinct* memory lines mapped to the same cache set between the
+producer access and the consumer access (k-way LRU).  A point no vector
+resolves is a **cold miss**.  Because vectors are sorted, the first vector
+with valid reuse is the nearest captured earlier access to the line; any
+access to the *same* line inside the window is excluded from the
+contention count, so missing vectors can only widen windows and
+over-estimate misses — never under-estimate (the paper's conservatism).
+
+This module decides a reference's points in bulk, as NumPy array
+arithmetic:
 
 * the points under analysis — the full RIS for ``FindMisses``, the seeded
-  sample for ``EstimateMisses`` — become one ``(N, n)`` int64 array;
+  sample for ``EstimateMisses``, the representatives ``RegionMisses``
+  probes — become one ``(N, n)`` int64 array;
 * per reuse vector, candidate producer points are one array subtraction,
-  the cold equations (producer inside its RIS, same memory line) are a
-  batched affine-bounds/guards mask plus vectorized address → line
-  arithmetic, and reuse vectors are still tried in increasing lexicographic
-  order over the shrinking set of undecided points — so each point is
-  decided by exactly the vector the scalar classifier would pick;
+  the cold equations are a batched affine-bounds/guards mask plus
+  vectorized address → line arithmetic, and reuse vectors are tried in
+  lexicographic order over the shrinking set of undecided points;
 * the replacement equations (``k`` distinct conflicting lines inside the
   reuse window, Section 4.1.2) are answered by whichever oracle is cheaper
-  for the reference's decided points: the scalar walker's windowed walk
-  (cost proportional to each window) or the
+  for the reference's decided points: the walker's windowed walk (cost
+  proportional to each window) or the
   :class:`~repro.iteration.batch.TraceIndex` (the whole trace built once
   per line size, sorted once per set count, each window a per-set slice
   found by two gathers and counted by a few hops over runs of equal
@@ -33,12 +45,10 @@ under the reference and the points' name (the whole RIS, or an
 with the same line size replays it (``cme.decisions.shared``) and pays
 for its replacement windows alone.
 
-The contract is **bit identity** with the scalar classifier: identical
-tallies, identical per-point :class:`~repro.cme.point.Classification`\\ s,
-identical ``cme.solver.vector_trials`` accounting.  Any reference the
-vectorized path cannot handle is classified point-by-point by the embedded
-scalar classifier instead (counted in ``cme.backend.fallback_points``), so
-falling back changes speed, never results.
+The tests diff this classifier against a pure-Python per-point oracle
+(``tests/cme/scalar_oracle.py``): identical tallies, identical per-point
+:class:`~repro.cme.result.Classification`\\ s and identical
+``cme.solver.vector_trials`` accounting.
 """
 
 from __future__ import annotations
@@ -50,22 +60,17 @@ import numpy as np
 from repro import obs
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
-from repro.normalize.nprogram import NLeaf, NormalizedProgram, NRef
+from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.polyhedra.batch import enumerate_points_array
 from repro.polyhedra.constraints import EQ
-from repro.iteration.batch import BatchAffine, LineTrace, TraceIndex
+from repro.iteration.batch import LineTrace, TraceIndex
 from repro.iteration.position import interleave, subtract
-from repro.iteration.walker import Walker, compile_affine
+from repro.iteration.walker import Walker
+from repro.polyhedra.space import BoundedSpace
 from repro.sim.batch import TracePlan
 from repro.reuse.generator import ReuseTable
 from repro.cme.decisions import DecisionStore
-from repro.cme.point import Classification, Outcome, PointClassifier, tally_points
-from repro.cme.result import RefResult
-
-#: Outcome codes of the batch pipeline (values of the ``outcomes`` arrays).
-_HIT, _COLD, _REPLACEMENT = 0, 1, 2
-
-_OUTCOME_OF = {_HIT: Outcome.HIT, _COLD: Outcome.COLD, _REPLACEMENT: Outcome.REPLACEMENT}
+from repro.cme.result import Classification, Outcome, RefResult
 
 #: Walker cost per window access and per point, in units of one trace
 #: access of :class:`TraceIndex` build (measured: 25 ns, 10 µs, 130 ns; see
@@ -74,39 +79,34 @@ _WALK_ACCESS = 0.2
 _WALK_POINT = 75.0
 
 
-class _BatchUnsupported(Exception):
-    """Internal: this reference cannot go through the vectorized path."""
-
-
 class _BatchRIS:
-    """Vectorized membership test for a reference iteration space.
+    """Vectorized membership test for a reference iteration space: its
+    :meth:`~repro.polyhedra.space.BoundedSpace.conjunct_rows` as two
+    matrices, ``row·i >= -const`` and ``row·i == -const``.
 
-    The batched twin of :class:`repro.cme.point._CompiledRIS`: per-dimension
-    affine bound pairs as two stacked coefficient matrices plus the leaf's
-    guard constraints, agreeing entry-for-entry with the scalar test.
+    Conjuncts are evaluated as ``(rows, N)`` so the conjunction reduces
+    over the outer axis, which NumPy does far faster than over a short
+    inner one.
     """
 
-    __slots__ = ("lower", "upper", "guards")
+    __slots__ = ("ge", "ge_bound", "eq", "eq_bound")
 
-    def __init__(self, nprog: NormalizedProgram, leaf: NLeaf):
-        n = nprog.depth
-        loops = nprog.loops_on_path(leaf.label)
-        self.lower = BatchAffine([compile_affine(l.lower, n) for l in loops], n)
-        self.upper = BatchAffine([compile_affine(l.upper, n) for l in loops], n)
-        self.guards = tuple(
-            (c.kind == EQ, BatchAffine([compile_affine(c.expr, n)], n))
-            for c in leaf.guard
-        )
+    def __init__(self, space: BoundedSpace):
+        conjuncts = space.conjunct_rows()
+
+        def stack(eq: bool) -> tuple["np.ndarray", "np.ndarray"]:
+            picked = [(r, c) for r, c, kind in conjuncts if (kind == EQ) == eq]
+            rows = np.array([r for r, _ in picked], dtype=np.int64)
+            bound = np.array([[-c] for _, c in picked], dtype=np.int64)
+            return rows.reshape(len(picked), space.ndim), bound
+
+        self.ge, self.ge_bound = stack(False)
+        self.eq, self.eq_bound = stack(True)
 
     def contains(self, points: "np.ndarray") -> "np.ndarray":
-        mask = np.all(
-            (points >= self.lower.eval(points))
-            & (points <= self.upper.eval(points)),
-            axis=1,
-        )
-        for is_eq, aff in self.guards:
-            value = aff.eval_single(points)
-            mask &= (value == 0) if is_eq else (value >= 0)
+        mask = np.all(self.ge @ points.T >= self.ge_bound, axis=0)
+        if len(self.eq_bound):
+            mask &= np.all(self.eq @ points.T == self.eq_bound, axis=0)
         return mask
 
 
@@ -136,12 +136,7 @@ class _Decisions(NamedTuple):
 
 
 class BatchClassifier:
-    """Batch (NumPy) classifier with the scalar classifier's exact semantics.
-
-    Drop-in replacement for :class:`~repro.cme.point.PointClassifier` in the
-    solvers: exposes the same :meth:`classify` /
-    :meth:`drain_vector_trials` surface, plus the bulk entry point
-    :meth:`tally_ref` the solvers prefer when present.
+    """Classifies the iteration points of references as hit/cold/replacement.
 
     Everything it derives without reading the number of sets or the
     associativity lives in :attr:`store`, shared by every classifier of
@@ -156,22 +151,18 @@ class BatchClassifier:
         reuse: ReuseTable,
         walker: Optional[Walker] = None,
     ):
-        #: Embedded scalar classifier: the fallback path *and* the single
-        #: owner of the ``vector_trials`` accumulator, so trial accounting
-        #: is one counter no matter which path decided a point.
-        self.scalar = PointClassifier(nprog, layout, cache, reuse, walker)
         self.nprog = nprog
         self.layout = layout
         self.cache = cache
         self.reuse = reuse
-        self.walker = self.scalar.walker
+        self.walker = walker if walker is not None else Walker(nprog, layout)
         self._line_bytes = cache.line_bytes
         self._num_sets = cache.num_sets
         self._assoc = cache.assoc
         self._ris = {
-            id(leaf): _BatchRIS(nprog, leaf) for leaf in nprog.leaves
+            id(leaf): _BatchRIS(nprog.ris(leaf)) for leaf in nprog.leaves
         }
-        self._addr: dict[int, BatchAffine] = {}  # ref.uid -> address matrix
+        self._addr: dict[int, tuple] = {}  # ref.uid -> (address row, const)
         self._facts = reuse.derived((layout, cache.line_bytes))
         #: Geometry-free samples, decisions and traces (shared).
         self.store: DecisionStore = self._facts.get("decisions")
@@ -179,31 +170,20 @@ class BatchClassifier:
             self.store = self._facts.setdefault("decisions", DecisionStore())
         self._lines: Optional[LineTrace] = None
         self._trace: Optional[TraceIndex] = None
-        #: Points decided by the vectorized path / by scalar fallback since
-        #: the last drain (the ``cme.backend.*`` counters).
-        self.vectorized_points = 0
-        self.fallback_points = 0
+        #: Reuse vectors tried since the last drain — the CME "solver
+        #: iterations" metric, drained in bulk per reference so the hot
+        #: path never touches the metrics registry.
+        self.vector_trials = 0
         #: Decided points whose windows the trace index / the walker
         #: answered since the last drain (the ``cme.window.*`` counters).
         self.trace_points = 0
         self.walk_points = 0
 
-    # -- scalar-compatible surface ---------------------------------------------
-
-    def classify(self, ref: NRef, point: Sequence[int]) -> Classification:
-        """Classify a single point (delegates to the scalar machinery)."""
-        return self.scalar.classify(ref, point)
-
     def drain_vector_trials(self) -> int:
         """Return and reset the accumulated reuse-vector trial count."""
-        return self.scalar.drain_vector_trials()
-
-    def drain_backend_counts(self) -> tuple[int, int]:
-        """Return and reset ``(vectorized_points, fallback_points)``."""
-        counts = (self.vectorized_points, self.fallback_points)
-        self.vectorized_points = 0
-        self.fallback_points = 0
-        return counts
+        n = self.vector_trials
+        self.vector_trials = 0
+        return n
 
     def drain_window_counts(self) -> tuple[int, int]:
         """Return and reset ``(trace_points, walk_points)``."""
@@ -212,7 +192,7 @@ class BatchClassifier:
         self.walk_points = 0
         return counts
 
-    # -- bulk classification ------------------------------------------------------
+    # -- classification -----------------------------------------------------------
 
     def tally_ref(
         self,
@@ -232,14 +212,9 @@ class BatchClassifier:
         :attr:`store` and replayed by the next geometry; without it only
         the full RIS is kept.
         """
-        try:
-            decisions = self._decisions(ref, points, key)
-        except _BatchUnsupported:
-            self._tally_scalar(ref, result, points)
-            return
+        decisions = self._decisions(ref, points, key)
         evicted = self._evicted(ref, decisions)
-        self.scalar.vector_trials += decisions.trials
-        self.vectorized_points += decisions.count
+        self.vector_trials += decisions.trials
         replaced = int(np.count_nonzero(evicted))
         result.analysed += decisions.count
         result.hits += len(evicted) - replaced
@@ -249,51 +224,48 @@ class BatchClassifier:
     def classify_points(
         self, ref: NRef, points: Sequence[Sequence[int]]
     ) -> list[Classification]:
-        """Batch :meth:`classify`: one :class:`Classification` per point.
+        """One :class:`Classification` per point: the outcome and the
+        deciding reuse vector.
 
-        Used by the parity tests; windows go through the scalar walker, so
-        this never builds the trace and stays the index's test oracle.
+        ``RegionMisses`` probes its representatives through this call.
+        Windows are walked, so it never builds the trace index, and they
+        are not counted in ``cme.window.*``.
         """
         pts = self._points_array(ref, points)
         via, _, lines_c, trials = self._cold(ref, pts)
-        self.scalar.vector_trials += trials
-        self.vectorized_points += len(pts)
-        outcomes = np.full(len(pts), _COLD, dtype=np.int8)
+        self.vector_trials += trials
         decided = np.flatnonzero(via >= 0)
-        if len(decided):
-            self.walk_points += len(decided)
-            evicted = self._walk(
-                ref, pts[decided], via[decided], lines_c[decided]
-            )
-            outcomes[decided] = np.where(evicted, _REPLACEMENT, _HIT)
+        via = via[decided]
+        evicted = self._walk(ref, pts[decided], via, lines_c[decided])
         vectors = self.reuse.vectors_for(ref)
-        return [
-            Classification(Outcome.COLD)
-            if j < 0
-            else Classification(_OUTCOME_OF[o], vectors[j])
-            for o, j in zip(outcomes.tolist(), via.tolist())
-        ]
+        found = [Classification(Outcome.COLD)] * len(pts)
+        for i, j, e in zip(decided.tolist(), via.tolist(), evicted.tolist()):
+            outcome = Outcome.REPLACEMENT if e else Outcome.HIT
+            found[i] = Classification(outcome, vectors[j])
+        return found
 
     # -- internals -----------------------------------------------------------------
 
     def _points_array(
         self, ref: NRef, points: Optional[Sequence[Sequence[int]]]
     ) -> "np.ndarray":
-        n = self.nprog.depth
-        if n == 0:
-            raise _BatchUnsupported("no loop dimensions to vectorize over")
         if points is None:
             return enumerate_points_array(self.nprog.ris(ref.leaf))
-        return np.asarray(points, dtype=np.int64).reshape(len(points), n)
+        return np.asarray(points, dtype=np.int64).reshape(
+            len(points), self.nprog.depth
+        )
 
-    def _addr_affine(self, ref: NRef) -> BatchAffine:
-        aff = self._addr.get(ref.uid)
-        if aff is None:
-            aff = BatchAffine(
-                [self.walker.compiled_ref(ref).addr], self.nprog.depth
-            )
-            self._addr[ref.uid] = aff
-        return aff
+    def _address(self, ref: NRef, pts: "np.ndarray") -> "np.ndarray":
+        """The byte address ``ref`` accesses at every row of ``pts``."""
+        addr = self._addr.get(ref.uid)
+        if addr is None:
+            compiled = self.walker.compiled_ref(ref).addr
+            row = np.zeros(self.nprog.depth, dtype=np.int64)
+            for d, coeff in compiled.terms:
+                row[d] = coeff
+            addr = self._addr[ref.uid] = (row, np.int64(compiled.const))
+        row, const = addr
+        return pts @ row + const
 
     def plan(self) -> TracePlan:
         """The program's trace plan, shared by every geometry with this
@@ -411,12 +383,11 @@ class BatchClassifier:
         vectors = self.reuse.vectors_for(ref)
         via = np.full(n_points, -1, dtype=np.int64)
         producer_pts = np.zeros_like(pts)
-        lines_c = self._addr_affine(ref).eval_single(pts) // self._line_bytes
+        lines_c = self._address(ref, pts) // self._line_bytes
         undecided = np.arange(n_points, dtype=np.int64)
         trials = 0
         # Vector by vector in lexicographic order over the shrinking
-        # undecided set — identical decision order to the scalar
-        # classifier, but each vector is one subtraction + one mask.
+        # undecided set: each vector is one subtraction + one mask.
         for j, rv in enumerate(vectors):
             if not len(undecided):
                 break
@@ -425,9 +396,7 @@ class BatchClassifier:
             inside = self._ris[id(rv.producer.leaf)].contains(candidates)
             if not inside.any():
                 continue
-            addr_p = self._addr_affine(rv.producer).eval_single(
-                candidates[inside]
-            )
+            addr_p = self._address(rv.producer, candidates[inside])
             same_line = (addr_p // self._line_bytes) == lines_c[undecided][inside]
             rows = np.flatnonzero(inside)[same_line]
             if not len(rows):
@@ -485,16 +454,3 @@ class BatchClassifier:
                 self._num_sets,
             )
         return evicted
-
-    def _tally_scalar(
-        self,
-        ref: NRef,
-        result: RefResult,
-        points: Optional[Sequence[Sequence[int]]],
-    ) -> None:
-        """Point-by-point scalar fallback with identical tallies."""
-        if points is None:
-            points = self.nprog.ris(ref.leaf).enumerate_points()
-        before = result.analysed
-        tally_points(self.scalar.classify, ref, result, points)
-        self.fallback_points += result.analysed - before

@@ -42,12 +42,12 @@ from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
 from repro.reuse.generator import ReuseTable
 from repro.stats.confidence import DEFAULT_FALLBACK, achievable, sample_size
-from repro.cme.find import classify_into, record_ref_metrics
-from repro.cme.point import PointClassifier
+from repro.cme.find import record_ref_metrics
 from repro.cme.result import MissReport, RefResult
 from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
+    from repro.cme.batch import BatchClassifier
     from repro.memo import Memoizer
 
 
@@ -72,7 +72,7 @@ def _draw(
 
 
 def estimate_ref_misses(
-    classifier: PointClassifier,
+    classifier: "BatchClassifier",
     nprog: NormalizedProgram,
     ref: NRef,
     confidence: float = 0.95,
@@ -81,7 +81,7 @@ def estimate_ref_misses(
 ) -> RefResult:
     """Sample and classify one reference (the shard unit, Fig. 6 inner loop).
 
-    The sample depends on the solver parameters alone, so the batch
+    The sample depends on the solver parameters alone, so the
     classifier's store (:mod:`repro.cme.decisions`) keeps it, and its
     decisions, for every geometry with this line size; the counters are
     emitted on every call all the same.
@@ -93,15 +93,14 @@ def estimate_ref_misses(
         if volume == 0:
             return result
         key = (ref.uid, confidence, width, seed ^ ref.uid)
-        store = getattr(classifier, "store", None)
+        store = classifier.store
         with obs.span("cme/sample"):
-            sample = None if store is None else store.get(("sample",) + key)
+            sample = store.get(("sample",) + key)
             if sample is None:
                 sample = _draw(ris, ref, confidence, width, seed, volume)
-                if store is not None:
-                    points = sample[0]
-                    size = 0 if points is None else points.nbytes
-                    sample = store.put(("sample",) + key, sample, size)
+                points = sample[0]
+                size = 0 if points is None else points.nbytes
+                sample = store.put(("sample",) + key, sample, size)
             points, fallback = sample
             if points is None:  # analyse all points
                 obs.counter("cme.sampling.exhaustive").inc()
@@ -109,7 +108,7 @@ def estimate_ref_misses(
                 obs.counter("cme.sampling.draws").inc(len(points))
                 if fallback:
                     obs.counter("cme.sampling.fallbacks").inc()
-        classify_into(classifier, ref, result, points, key)
+        classifier.tally_ref(ref, result, points, key)
         result.check_invariants()
         record_ref_metrics(result, classifier)
     return result

@@ -15,7 +15,7 @@ threads (:mod:`repro.serve`).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro import obs
 from repro.layout.cache import CacheConfig
@@ -23,16 +23,16 @@ from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.iteration.walker import Walker
 from repro.reuse.generator import ReuseTable
-from repro.cme.point import PointClassifier, tally_points
 from repro.cme.result import MissReport, RefResult
 from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
+    from repro.cme.batch import BatchClassifier
     from repro.memo import Memoizer
 
 
-def record_ref_metrics(result: RefResult, classifier: PointClassifier) -> None:
-    """Bulk per-reference observability counters (shared by both solvers).
+def record_ref_metrics(result: RefResult, classifier: "BatchClassifier") -> None:
+    """Bulk per-reference observability counters (shared by the solvers).
 
     Incrementing once per reference — not per point — keeps the metric
     namespace (``cme.points.*``, ``polyhedra.ris.volume``) entirely out of
@@ -46,45 +46,19 @@ def record_ref_metrics(result: RefResult, classifier: PointClassifier) -> None:
     obs.counter("cme.points.hit").inc(result.hits)
     obs.histogram("polyhedra.ris.volume").observe(result.population)
     obs.counter("cme.solver.vector_trials").inc(classifier.drain_vector_trials())
-    drain_backend = getattr(classifier, "drain_backend_counts", None)
-    if drain_backend is not None:  # batch classifier only
-        vectorized, fallback = drain_backend()
-        obs.counter("cme.backend.vectorized_points").inc(vectorized)
-        obs.counter("cme.backend.fallback_points").inc(fallback)
-        trace, walk = classifier.drain_window_counts()
-        obs.counter("cme.window.trace_points").inc(trace)
-        obs.counter("cme.window.walk_points").inc(walk)
-
-
-def classify_into(
-    classifier: PointClassifier,
-    ref: NRef,
-    result: RefResult,
-    points: Optional[Iterable[Sequence[int]]] = None,
-    key: Optional[tuple] = None,
-) -> None:
-    """Classify ``points`` of ``ref`` (``None``: its whole RIS) into
-    ``result`` — one vectorized call on the batch classifier, point by
-    point on the scalar oracle.  Shared by the three solvers.  ``key``
-    names explicit points for the batch classifier's decision store
-    (:meth:`~repro.cme.batch.BatchClassifier.tally_ref`)."""
-    tally = getattr(classifier, "tally_ref", None)
-    if tally is not None:
-        tally(ref, result, points, key)
-        return
-    if points is None:
-        points = classifier.nprog.ris(ref.leaf).enumerate_points()
-    tally_points(classifier.classify, ref, result, points)
+    trace, walk = classifier.drain_window_counts()
+    obs.counter("cme.window.trace_points").inc(trace)
+    obs.counter("cme.window.walk_points").inc(walk)
 
 
 def find_ref_misses(
-    classifier: PointClassifier, nprog: NormalizedProgram, ref: NRef
+    classifier: "BatchClassifier", nprog: NormalizedProgram, ref: NRef
 ) -> RefResult:
     """Classify every iteration point of one reference (the shard unit)."""
     with obs.span("cme/classify_ref"):
         ris = nprog.ris(ref.leaf)
         result = RefResult(ref.name(), ref.uid, population=ris.count())
-        classify_into(classifier, ref, result)
+        classifier.tally_ref(ref, result)
         result.check_invariants(exhaustive=True)
         record_ref_metrics(result, classifier)
     return result

@@ -32,9 +32,11 @@ own machinery:
    offset from the consumer.  Then the interference window's line offsets
    are a fixed set of carries ``(a mod L + Δ) // L``, so the outcome is a
    function of ``a mod L`` alone: the cell splits into at most ``L/gcd``
-   residue classes, one representative per class is probed with the scalar
+   residue classes, one representative per class is probed with the
    classifier (verifying it is decided by the expected vector), and the
-   probed outcome is multiplied by the class's closed-form count.
+   probed outcome is multiplied by the class's closed-form count.  A
+   cell's representatives are probed in one
+   :meth:`~repro.cme.batch.BatchClassifier.classify_points` call.
 
    For **direct-mapped** caches a second certificate covers windows whose
    references are *not* uniformly generated with the consumer (``mmt``'s
@@ -67,7 +69,7 @@ own machinery:
 3. **Fallback.**  Anything irregular — a non-constant ``δ`` (references
    outside the consumer's uniformly generated set), a failed certificate, a
    probe deciding via an unexpected vector — is *enumerated* through the
-   existing classifier (:mod:`repro.cme.backend`), merged into
+   classifier (:class:`~repro.cme.batch.BatchClassifier`), merged into
    one residual region per reference.  Fallback changes speed, never
    results: the report is exactly equal to ``FindMisses`` by construction,
    which the 210-case differential suite asserts.
@@ -103,16 +105,14 @@ from repro.polyhedra.batch import (
 from repro.polyhedra.constraints import (
     Constraint,
     EQ,
-    GE,
     ResidueConstraint,
     negate_constraint,
 )
 from repro.polyhedra.space import BoundedSpace
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
-from repro.cme.find import classify_into, record_ref_metrics
-from repro.cme.point import Outcome
-from repro.cme.result import MissReport, RefResult
+from repro.cme.find import record_ref_metrics
+from repro.cme.result import MissReport, Outcome, RefResult
 from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
@@ -199,12 +199,9 @@ class RegionSolver:
         self.layout = layout
         self.cache = cache
         self.reuse = reuse
-        #: Classifier for fallback enumeration (optional for the coverage
-        #: probe of :func:`regional_coverage`).
+        #: Classifier for probes and fallback enumeration (optional for
+        #: the coverage probe of :func:`regional_coverage`).
         self.classifier = classifier
-        #: Scalar probe oracle: the embedded scalar classifier of the batch
-        #: classifier, or the classifier itself.
-        self.scalar = getattr(classifier, "scalar", classifier)
         # Geometry-independent facts, shared through the reuse table.  The
         # values are pure functions of the key, so concurrent solvers
         # publish them with ``setdefault`` and never need a lock.
@@ -265,29 +262,17 @@ class RegionSolver:
         return self._address(ref)[0]
 
     def _ris_of(self, ref: NRef) -> tuple:
-        """``ref``'s RIS as integer rows: ``(constraints, box)``.
-
-        ``constraints`` lists ``(row, const, kind)`` for ``Iₖ − lo ≥ 0`` and
-        ``hi − Iₖ ≥ 0`` per dimension, then the guards, in that order;
-        ``box`` is the RIS's ``(lo, hi)`` per dimension.
-        """
+        """``ref``'s RIS as integer rows: ``(constraints, box)``, the
+        space's :meth:`~BoundedSpace.conjunct_rows` and its ``(lo, hi)``
+        per dimension."""
         rows = self._ris_rows.get(ref.uid)
         if rows is None:
             ris = self.nprog.ris(ref.leaf)
-            bound_rows, cons_rows = ris.rows()
-            cons = []
-            for k, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(bound_rows):
-                unit = tuple(int(j == k) for j in range(self.nprog.depth))
-                cons.append(
-                    (tuple(u - c for u, c in zip(unit, lo_row)), -lo_c, GE)
-                )
-                cons.append(
-                    (tuple(c - u for u, c in zip(unit, hi_row)), hi_c, GE)
-                )
-            cons.extend(cons_rows)
             ranges = ris.var_ranges()
             box = tuple(ranges[v] for v in self.nprog.index_vars)
-            rows = self._ris_rows.setdefault(ref.uid, (tuple(cons), box))
+            rows = self._ris_rows.setdefault(
+                ref.uid, (ris.conjunct_rows(), box)
+            )
         return rows
 
     def _cold_condition(self, ref: NRef, rv: ReuseVector):
@@ -365,8 +350,6 @@ class RegionSolver:
         part, zero outer index components, non-negative innermost step) of
         a consumer loop with no child loops — the window shape both
         innermost certificates start from."""
-        if self.nprog.depth == 0:
-            return False
         if any(l != 0 for l in rv.label_part()):
             return False
         x = rv.index_part()
@@ -666,23 +649,23 @@ class RegionSolver:
         ):
             obs.counter("cme.regions.partition_mismatch").inc()
             return 0, "partition_mismatch"
-        for pieces, outcome in (
-            (replacement, Outcome.REPLACEMENT),
-            (hits, Outcome.HIT),
-        ):
-            for piece in pieces:
-                rep = carve.representative(piece)
-                probe = (
-                    self.scalar.classify(ref, rep) if rep is not None else None
-                )
-                if (
-                    probe is None
-                    or probe.outcome is not outcome
-                    or not self._via_matches(probe.via, rv)
-                ):
-                    if probe is not None:
-                        obs.counter("cme.regions.probe_mismatch").inc()
-                    return 0, "probe_mismatch"
+        expected = [Outcome.REPLACEMENT] * len(replacement)
+        expected += [Outcome.HIT] * len(hits)
+        reps = []
+        for piece in replacement + hits:
+            rep = carve.representative(piece)
+            if rep is None:  # no representative within the probe budget
+                break
+            reps.append(rep)
+        probes = self.classifier.classify_points(ref, reps)
+        for probe, outcome in zip(probes, expected):
+            if probe.outcome is not outcome or not self._via_matches(
+                probe.via, rv
+            ):
+                obs.counter("cme.regions.probe_mismatch").inc()
+                return 0, "probe_mismatch"
+        if len(reps) < len(expected):
+            return 0, "probe_mismatch"
         for piece in replacement:
             cnt = carve.count(piece)
             result.analysed += cnt
@@ -730,7 +713,7 @@ class RegionSolver:
 
         ``decided`` pairs each cell with the index of the reuse vector that
         decides every one of its points — by construction the cell satisfies
-        the negation of every earlier regular cold condition, so the scalar
+        the negation of every earlier regular cold condition, so the
         classifier would pick exactly that vector at any of its points.
         ``irregular`` pairs each cell left to enumeration with its fallback
         reason (``"irregular"`` or ``"cell_cap"``).
@@ -829,10 +812,15 @@ class RegionSolver:
             obs.counter("cme.regions.partition_mismatch").inc()
             fallback.add(cell, "partition_mismatch")
             return 0
+        reps = [cls.representative() for cls, _, _ in classes]
+        probes = iter(
+            self.classifier.classify_points(
+                ref, [r for r in reps if r is not None]
+            )
+        )
         exact = 0
-        for cls, _, cnt in classes:
-            rep = cls.representative()
-            probe = self.scalar.classify(ref, rep) if rep is not None else None
+        for (cls, _, cnt), rep in zip(classes, reps):
+            probe = None if rep is None else next(probes)
             if probe is None or not self._via_matches(probe.via, rv):
                 if probe is not None:
                     obs.counter("cme.regions.probe_mismatch").inc()
@@ -945,7 +933,7 @@ class RegionSolver:
                     fallback.add(cell, why)
             points = fallback.points()
             if len(points):
-                classify_into(self.classifier, ref, result, points)
+                self.classifier.tally_ref(ref, result, points)
             result.check_invariants(exhaustive=True)
             obs.counter("cme.regions.exact_regions").inc(exact_regions)
             obs.counter("cme.regions.fallback_regions").inc(

@@ -26,11 +26,34 @@ clock adjustments that would skew ``time.time()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Iterable, Optional
 
 from repro.errors import InvariantError
 from repro.layout.cache import CacheConfig
 from repro.normalize.nprogram import NRef
+from repro.reuse.vectors import ReuseVector
+
+
+class Outcome(Enum):
+    """Classification of one access."""
+
+    HIT = "hit"
+    COLD = "cold-miss"
+    REPLACEMENT = "replacement-miss"
+
+    @property
+    def is_miss(self) -> bool:
+        """True for either kind of miss."""
+        return self is not Outcome.HIT
+
+
+@dataclass(frozen=True)
+class Classification:
+    """The outcome of one access plus the reuse vector that decided it."""
+
+    outcome: Outcome
+    via: Optional[ReuseVector] = None
 
 
 @dataclass

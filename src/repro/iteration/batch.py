@@ -1,11 +1,7 @@
 """Vectorized access-order machinery for the batch classifier.
 
-Three pieces live here:
+Two pieces live here:
 
-* :class:`BatchAffine` — a stack of
-  :class:`~repro.iteration.walker.CompiledAffine` expressions compiled to one
-  ``(m, n)`` coefficient matrix, so bounds, guards and address polynomials
-  evaluate over whole ``(N, n)`` point batches as a single matrix product;
 * :class:`LineTrace` — the whole-program access trace materialised as flat
   NumPy arrays by the simulator's builder (:mod:`repro.sim.batch`), as
   memory lines: it depends on the line size only, so every cache geometry
@@ -22,7 +18,7 @@ Three pieces live here:
 
 The index answers exactly the query
 :meth:`repro.iteration.walker.Walker.distinct_conflicts_reach` answers, so
-the batch classifier stays bit-identical to the scalar classifier.  Building
+either oracle gives the classifier the same outcomes.  Building
 the line trace costs ``O(T log T)`` in the trace length ``T`` (``O(T)`` on
 rectangular programs), the per-set sort ``O(T)``; a query costs ``O(1)``
 at ``k = 1`` and at most :data:`_PROBE_HOPS` hops at ``k ≥ 2``, past which
@@ -33,11 +29,11 @@ that reference's share of the build (``repro.cme.batch``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.iteration.walker import CompiledAffine, Walker
+from repro.iteration.walker import Walker
 from repro.normalize.nprogram import NormalizedProgram, NRef
 from repro.sim.batch import TracePlan, build_trace, lines_of
 
@@ -45,28 +41,6 @@ from repro.sim.batch import TracePlan, build_trace, lines_of
 #: only windows still below ``k`` distinct lines after this many (rare)
 #: fall back to an exact per-window count.
 _PROBE_HOPS = 64
-
-
-class BatchAffine:
-    """A stack of compiled affine expressions as one coefficient matrix."""
-
-    __slots__ = ("matrix", "const")
-
-    def __init__(self, affines: Sequence[CompiledAffine], depth: int):
-        self.matrix = np.zeros((len(affines), depth), dtype=np.int64)
-        self.const = np.zeros(len(affines), dtype=np.int64)
-        for i, ca in enumerate(affines):
-            self.const[i] = ca.const
-            for d, coeff in ca.terms:
-                self.matrix[i, d] = coeff
-
-    def eval(self, points: "np.ndarray") -> "np.ndarray":
-        """Evaluate every expression at every point: ``(N, n) -> (N, m)``."""
-        return points @ self.matrix.T + self.const
-
-    def eval_single(self, points: "np.ndarray") -> "np.ndarray":
-        """Evaluate a single-expression stack to a flat ``(N,)`` array."""
-        return points @ self.matrix[0] + self.const[0]
 
 
 class LineTrace:

@@ -52,16 +52,15 @@ from repro.reuse.generator import ReuseTable
 KEY_SCHEMA = "repro.memo.key/1"
 
 #: Modules whose source code determines solver outcomes — every module the
-#: per-reference units and the classifiers import from the solver
-#: packages, plus the simulator's trace builder, which builds the batch
-#: classifier's window index.  The persistent store stamps their combined hash into its
-#: header: editing any of them (including this module) invalidates every
-#: stored entry.
+#: per-reference units and the classifier import from the solver
+#: packages, plus the simulator's trace builder, which builds the
+#: classifier's window index.  The persistent store stamps their combined
+#: hash into its header: editing any of them (including this module)
+#: invalidates every stored entry.
 FINGERPRINT_MODULES = (
     "repro.cme.backend",
     "repro.cme.batch",
     "repro.cme.decisions",
-    "repro.cme.point",
     "repro.cme.find",
     "repro.cme.estimate",
     "repro.cme.regions",

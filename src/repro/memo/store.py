@@ -117,13 +117,15 @@ class MemoStore:
         """
         entries: dict[str, list] = {}
         try:
-            fh = open(self.path, "r", encoding="utf-8")
+            fh = open(self.path, "rb")
         except OSError:
             return entries
         with fh:
-            header_line = fh.readline()
+            # Each line is decoded inside its ``try``: a torn write can
+            # leave bytes that are not UTF-8 (UnicodeDecodeError is a
+            # ValueError).
             try:
-                header = json.loads(header_line)
+                header = json.loads(fh.readline().decode("utf-8"))
                 ok = (
                     isinstance(header, dict)
                     and header.get("schema") == STORE_SCHEMA
@@ -137,7 +139,7 @@ class MemoStore:
                 return entries
             for line in fh:
                 try:
-                    entry = json.loads(line)
+                    entry = json.loads(line.decode("utf-8"))
                     key = entry["k"]
                     payload = entry["p"]
                     if not isinstance(key, str) or not _valid_payload(payload):

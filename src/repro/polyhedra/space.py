@@ -61,7 +61,7 @@ import numpy as np
 
 from repro import obs
 from repro.polyhedra.affine import Affine
-from repro.polyhedra.constraints import Constraint, EQ, ResidueConstraint
+from repro.polyhedra.constraints import Constraint, EQ, GE, ResidueConstraint
 from repro.polyhedra.intsolve import count_range_residue, residue_period
 
 #: Cross-instance count cache keyed by canonical constraint-system signature.
@@ -362,6 +362,22 @@ class BoundedSpace:
             (*compiled.get(c, (zero, c.expr.constant)), c.kind)
             for c in self.constraints
         )
+
+    def conjunct_rows(self) -> tuple[tuple, ...]:
+        """:meth:`rows` as one tuple of ``(row, const, kind)`` conjuncts:
+        ``Iₖ − lo ≥ 0`` and ``hi − Iₖ ≥ 0`` per dimension, then the
+        constraints."""
+        bounds, constraints = self.rows()
+        conjuncts = []
+        for k, ((lo_row, lo_c), (hi_row, hi_c)) in enumerate(bounds):
+            unit = tuple(int(j == k) for j in range(self._n))
+            conjuncts.append(
+                (tuple(u - c for u, c in zip(unit, lo_row)), -lo_c, GE)
+            )
+            conjuncts.append(
+                (tuple(c - u for u, c in zip(unit, hi_row)), hi_c, GE)
+            )
+        return tuple(conjuncts) + constraints
 
     def residues_at(self, level: int) -> tuple[ResidueConstraint, ...]:
         """The residue constraints anchored at dimension ``level``."""

@@ -1,8 +1,10 @@
-"""The batch classifier's per-reference fallback contract.
+"""The one classifier every solver runs on, and programs without loops.
 
-A reference the vectorized path cannot handle is classified by the
-embedded scalar classifier with identical tallies, surfaced through the
-``cme.backend.fallback_points`` counter.
+``make_classifier`` builds the batch classifier; its counters surface
+through observability (the ``cme.backend.*`` counters of the removed
+scalar fallback do not).  A straight-line program needs no fallback
+either: the normaliser pads it to depth 1, and every solver classifies its
+single iteration exactly as the scalar oracle does.
 """
 
 from __future__ import annotations
@@ -10,10 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.cme import find_misses, make_classifier, solver_for
-from repro.cme.batch import BatchClassifier, _BatchUnsupported
-from repro.cme.point import PointClassifier
-from repro.cme.result import RefResult
+from repro.cme import (
+    estimate_misses,
+    find_misses,
+    make_classifier,
+    region_misses,
+    solver_for,
+)
+from repro.cme.batch import BatchClassifier
 from repro.ir import ProgramBuilder
 from repro.layout import CacheConfig, layout_for_refs
 from repro.normalize import normalize
@@ -42,47 +48,10 @@ def _prepared():
 
 
 def test_make_classifier_builds_the_resolved_backend():
-    """The one classifier: the batch path, embedding its scalar fallback."""
     nprog, layout, cache = _prepared()
     reuse = build_reuse_table(nprog, cache.line_bytes)
     classifier = make_classifier(nprog, layout, cache, reuse)
     assert isinstance(classifier, BatchClassifier)
-    assert isinstance(classifier.scalar, PointClassifier)
-
-
-# -- per-reference fallback -----------------------------------------------------------
-
-
-def test_unsupported_reference_falls_back_with_identical_tallies(monkeypatch):
-    nprog, layout, cache = _prepared()
-    reuse = build_reuse_table(nprog, cache.line_bytes)
-    batch = make_classifier(nprog, layout, cache, reuse)
-
-    def unsupported(ref, points):
-        raise _BatchUnsupported("forced by the test")
-
-    monkeypatch.setattr(batch, "_points_array", unsupported)
-    scalar = PointClassifier(nprog, layout, cache, reuse)
-    for ref in nprog.refs:
-        population = nprog.ris(ref.leaf).count()
-        got = RefResult(ref.name(), ref.uid, population=population)
-        batch.tally_ref(ref, got)
-        want = RefResult(ref.name(), ref.uid, population=population)
-        for point in nprog.ris(ref.leaf).enumerate_points():
-            outcome = scalar.classify(ref, point).outcome
-            want.analysed += 1
-            if outcome.is_miss:
-                if outcome.name == "COLD":
-                    want.cold += 1
-                else:
-                    want.replacement += 1
-            else:
-                want.hits += 1
-        assert got == want
-    vectorized, fallback = batch.drain_backend_counts()
-    assert vectorized == 0
-    assert fallback == sum(nprog.ris(r.leaf).count() for r in nprog.refs)
-    assert batch.drain_vector_trials() == scalar.drain_vector_trials()
 
 
 def test_backend_counters_surface_in_observability():
@@ -90,12 +59,43 @@ def test_backend_counters_surface_in_observability():
     obs.enable()
     report = find_misses(nprog, layout, cache)
     counters = obs.snapshot()["counters"]
-    assert counters["cme.backend.vectorized_points"] == report.analysed_points
-    assert counters.get("cme.backend.fallback_points", 0) == 0
     obs.disable()
+    assert counters["cme.points.classified"] == report.analysed_points
+    trials = counters["cme.solver.vector_trials"]
+    assert trials > 0
+    assert counters["cme.window.trace_points"] + counters[
+        "cme.window.walk_points"
+    ] == sum(r.hits + r.replacement for r in report.results.values())
+    assert not [name for name in counters if name.startswith("cme.backend.")]
     obs.enable()
-    results = scalar_results(solver_for("find"), nprog, layout, cache)
+    scalar_results(solver_for("find"), nprog, layout, cache)
     counters = obs.snapshot()["counters"]
-    # The scalar classifier has no backend counters to drain.
-    assert "cme.backend.vectorized_points" not in counters
-    assert sum(r.analysed for r in results.values()) > 0
+    assert counters["cme.solver.vector_trials"] == trials
+
+
+def _straight_line():
+    pb = ProgramBuilder("SL")
+    a = pb.array("A", (16,))
+    b = pb.array("B", (16,))
+    with pb.subroutine("MAIN"):
+        pb.assign(a[1], b[1], b[2])
+        pb.assign(a[2], a[1], b[9])
+        pb.assign(b[1], a[2], a[9])
+    return pb.build()
+
+
+@pytest.mark.parametrize("cache", [(1, 32, 1), (1, 32, 2)], ids=str)
+def test_loop_free_program_matches_the_scalar_oracle(cache):
+    prog = _straight_line()
+    nprog = normalize(prog.main)
+    assert nprog.depth == 1
+    assert all(nprog.ris(leaf).count() == 1 for leaf in nprog.leaves)
+    layout = layout_for_refs(nprog.refs, declared_order=prog.global_arrays)
+    cache = CacheConfig.kb(*cache)
+    find = scalar_results(solver_for("find"), nprog, layout, cache)
+    assert find_misses(nprog, layout, cache).results == find
+    assert region_misses(nprog, layout, cache).results == find
+    estimate = scalar_results(solver_for("estimate"), nprog, layout, cache)
+    assert estimate_misses(nprog, layout, cache).results == estimate
+    outcomes = [(r.cold, r.replacement, r.hits) for r in find.values()]
+    assert (0, 0, 1) in outcomes  # A(1) and A(2) are reused, not all cold

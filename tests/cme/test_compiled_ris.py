@@ -1,8 +1,9 @@
-"""Guard edge cases for the compiled RIS membership tests (ISSUE 5).
+"""Guard edge cases for the compiled RIS membership tests.
 
-:class:`~repro.cme.point._CompiledRIS` is the scalar fast path the cold
-equations probe for every candidate producer point, and
-:class:`~repro.cme.batch._BatchRIS` its vectorized twin.  Both must agree
+:class:`~repro.cme.batch._BatchRIS` is the membership test the cold
+equations run on every candidate producer point, built from the RIS's
+integer rows, and ``_CompiledRIS`` (:mod:`tests.cme.scalar_oracle`) the
+oracle's scalar twin compiled from the loop bounds.  Both must agree
 with the polyhedral :meth:`Space.contains` oracle — in particular around
 the guard-kind split (an ``EQ`` guard admits only ``expr == 0``, a ``GEQ``
 guard everything with ``expr >= 0``), empty guard tuples, and degenerate
@@ -18,7 +19,7 @@ import pytest
 
 from repro.ir import ProgramBuilder
 from repro.normalize import normalize
-from repro.cme.point import _CompiledRIS
+from tests.cme.scalar_oracle import _CompiledRIS
 
 
 def _leafspace(build):
@@ -126,7 +127,7 @@ def test_batch_ris_agrees_with_scalar_entrywise(build):
 
     nprog, leaf, space = _leafspace(build)
     scalar = _CompiledRIS(nprog, leaf)
-    batch = _BatchRIS(nprog, leaf)
+    batch = _BatchRIS(space)
     grid = _grid(space)
     mask = batch.contains(np.array(grid, dtype=np.int64))
     for point, got in zip(grid, mask.tolist()):

@@ -1,12 +1,13 @@
-"""Unit tests of the per-point classifier: outcomes, kinds and via-vectors."""
+"""Unit tests of the scalar oracle classifier: outcomes, kinds and via-vectors."""
 
 import pytest
 
 from repro.ir import ProgramBuilder
-from repro.layout import CacheConfig, MemoryLayout, layout_for_refs
+from repro.layout import CacheConfig, layout_for_refs
 from repro.normalize import normalize
 from repro.reuse import build_reuse_table
-from repro.cme import Outcome, PointClassifier
+from repro.cme import Outcome
+from tests.cme.scalar_oracle import PointClassifier
 
 
 def classifier_for(pb, cache, align=32):
@@ -61,20 +62,20 @@ class TestOutcomes:
         # I = 5 starts the second 32B line (elements 5..8).
         assert classifier.classify(ref, (5,)).outcome is Outcome.COLD
 
-    def test_conflict_eviction_is_replacement_miss(self):
+    @staticmethod
+    def conflicting_copy(cache):
+        """``B(I) = A(I)`` with A and B one 1KB cache apart."""
         pb = ProgramBuilder("P")
-        a = pb.array("A", (128,))  # one 1KB cache apart
+        a = pb.array("A", (128,))
         b = pb.array("B", (128,))
         with pb.subroutine("MAIN"):
             with pb.do("I", 1, 128) as i:
                 pb.assign(b[i], a[i])
-        prog = pb.build()
-        nprog = normalize(prog.main)
-        layout = MemoryLayout(prog.global_arrays, align=1024)
-        cache = CacheConfig.kb(1, 32, 1)
-        reuse = build_reuse_table(nprog, cache.line_bytes)
-        classifier = PointClassifier(nprog, layout, cache, reuse)
-        a_ref = nprog.refs[0]
+        nprog, classifier = classifier_for(pb, cache, align=1024)
+        return nprog.refs[0], classifier
+
+    def test_conflict_eviction_is_replacement_miss(self):
+        a_ref, classifier = self.conflicting_copy(CacheConfig.kb(1, 32, 1))
         # A(2) would reuse A(1)'s line, but B(1)'s write in between maps to
         # the same set in a direct-mapped cache and evicts it.
         result = classifier.classify(a_ref, (2,))
@@ -82,19 +83,7 @@ class TestOutcomes:
         assert result.via is not None
 
     def test_associativity_turns_replacement_into_hit(self):
-        pb = ProgramBuilder("P")
-        a = pb.array("A", (128,))
-        b = pb.array("B", (128,))
-        with pb.subroutine("MAIN"):
-            with pb.do("I", 1, 128) as i:
-                pb.assign(b[i], a[i])
-        prog = pb.build()
-        nprog = normalize(prog.main)
-        layout = MemoryLayout(prog.global_arrays, align=1024)
-        cache = CacheConfig.kb(1, 32, 2)
-        reuse = build_reuse_table(nprog, cache.line_bytes)
-        classifier = PointClassifier(nprog, layout, cache, reuse)
-        a_ref = nprog.refs[0]
+        a_ref, classifier = self.conflicting_copy(CacheConfig.kb(1, 32, 2))
         assert classifier.classify(a_ref, (2,)).outcome is Outcome.HIT
 
     def test_temporal_reuse_across_nests(self):
@@ -207,7 +196,8 @@ class TestTallyPoints:
         import numpy as np
 
         from repro.cme import RefResult
-        from repro.cme.point import Classification, tally_points
+        from repro.cme import Classification
+        from tests.cme.scalar_oracle import tally_points
 
         seen = []
 

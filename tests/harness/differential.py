@@ -22,7 +22,8 @@ Everything is seeded: a failing case can be reproduced from its
 ``Case.name`` alone.
 
 The scalar oracles live here too: :func:`scalar_results` solves each
-reference on the pure-Python :class:`~repro.cme.point.PointClassifier`,
+reference on the pure-Python ``PointClassifier``
+(:mod:`tests.cme.scalar_oracle`),
 and :func:`scalar_simulate` (with its trace and hierarchy siblings) runs
 the walker simulator, so every suite diffs the production
 paths against the same reference implementations.
@@ -37,12 +38,12 @@ from repro.ir import Program, ProgramBuilder
 from repro.layout import CacheConfig, layout_for_refs
 from repro.normalize import normalize
 from repro.cme import MissReport, estimate_misses, find_misses
-from repro.cme.point import PointClassifier
 from repro.reuse import build_reuse_table
 from repro.sim import simulate
 from repro.sim import simulator as _simulator
 from repro.sim.policy import resolve_policy
 from repro.stats import wilson_interval
+from tests.cme.scalar_oracle import PointClassifier
 
 #: Cache geometries the generator samples from (size KB, line bytes, assoc).
 GEOMETRIES = [

@@ -114,6 +114,25 @@ class TestLoad:
         assert list(loaded) == ["cc" * 32]
         assert counter_value("memo.store.invalid") == 1
 
+    def test_non_utf8_entry_skipped_others_survive(self, tmp_path, metrics):
+        """A torn write can leave bytes that are not UTF-8 at all."""
+        path = tmp_path / "s.jsonl"
+        write_lines(path, [good_header(), good_entry("aa" * 32)])
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n" + good_entry("bb" * 32).encode() + b"\n\xff")
+        loaded = MemoStore(str(path)).load()
+        assert list(loaded) == ["aa" * 32, "bb" * 32]
+        assert counter_value("memo.store.invalid") == 2
+
+    def test_non_utf8_header_invalidates_everything(self, tmp_path, metrics):
+        path = tmp_path / "s.jsonl"
+        path.write_bytes(b"\xff" + (good_header() + "\n").encode()
+                         + (good_entry() + "\n").encode())
+        store = MemoStore(str(path))
+        assert store.load() == {}
+        assert store._stale
+        assert counter_value("memo.store.invalid") == 1
+
 
 class TestRewrite:
     def test_stale_store_is_rewritten_on_append(self, tmp_path, metrics):
@@ -163,3 +182,21 @@ class TestRewrite:
             warm = analyze(prepared, cache, method="find", memo=memo2)
         assert warm == baseline
         assert memo2.misses == 0 and memo2.hits > 0
+
+    def test_cli_survives_a_torn_non_utf8_byte(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["analyze", "hydro", "--size", "8", "--cache", "1:32:1",
+                "--method", "find", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        with open(tmp_path / "cme-memo.jsonl", "ab") as fh:
+            fh.write(b"\xff")
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert " 0 miss(es)" in warm  # every entry before the byte replays
+
+        def ratio(out):
+            return out[out.index("miss ratio"):out.index("FindMisses")]
+
+        assert ratio(warm) == ratio(cold)

@@ -18,8 +18,6 @@ from repro import CacheConfig, Memoizer, analyze, obs, prepare, run_simulation
 from repro.kernels import build_hydro
 
 GOLDEN_COUNTERS = {
-    "cme.backend.fallback_points",
-    "cme.backend.vectorized_points",
     "cme.decisions.shared",
     "cme.points.classified",
     "cme.points.cold",

@@ -84,6 +84,12 @@ class TestRows:
             (((1, 0), 0), ((0, 0), 9)),
         )
         assert constraints == (((-1, 1), -2, ">="), ((-1, 0), 3, ">="))
+        # Bounds become ``x - 1 >= 0``, ``4 - x >= 0``, ``y - x >= 0`` and
+        # ``9 - y >= 0``, ahead of the constraints.
+        assert s.conjunct_rows() == (
+            ((1, 0), -1, ">="), ((-1, 0), 4, ">="),
+            ((-1, 1), 0, ">="), ((0, -1), 9, ">="),
+        ) + constraints
 
     def test_trivially_false_constraint_keeps_a_zero_row(self):
         s = BoundedSpace(

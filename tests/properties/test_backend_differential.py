@@ -2,28 +2,24 @@
 
 Over the same 210-case seeded pool as the memoization sweep (all harness
 families, all cache geometries), the vectorized solvers must be
-**bit-identical** to the pure-Python :class:`~repro.cme.PointClassifier`
-oracle (:func:`tests.harness.differential.scalar_results`):
+**bit-identical** to the pure-Python ``PointClassifier`` oracle
+(:mod:`tests.cme.scalar_oracle`, run through
+:func:`tests.harness.differential.scalar_results`):
 
 * ``FindMisses`` per-reference results compare equal case-for-case;
 * ``EstimateMisses`` at a fixed sampling seed compares equal — the batch
   path must consume the identical sample the scalar path draws;
 * point-by-point, :meth:`BatchClassifier.classify_points` returns the same
   :class:`~repro.cme.Classification` — outcome *and* deciding reuse
-  vector — as scalar :meth:`~repro.cme.PointClassifier.classify`, with the
-  same ``vector_trials`` accounting.
+  vector — as the oracle's ``classify``, with the same ``vector_trials``
+  accounting.
 """
 
 from __future__ import annotations
 
-from repro.cme import (
-    PointClassifier,
-    estimate_misses,
-    find_misses,
-    make_classifier,
-    solver_for,
-)
+from repro.cme import estimate_misses, find_misses, make_classifier, solver_for
 from repro.reuse import build_reuse_table
+from tests.cme.scalar_oracle import PointClassifier
 from tests.harness.differential import FAMILIES, generate_cases, scalar_results
 
 #: 30 cases per family — 210 total, same pool size as the memo sweep.
@@ -84,8 +80,3 @@ def test_classifications_agree_point_by_point():
                     f"by the batch classifier, {w} by the scalar oracle"
                 )
         assert batch.drain_vector_trials() == scalar.drain_vector_trials()
-        vectorized, fallback = batch.drain_backend_counts()
-        assert fallback == 0
-        assert vectorized == sum(
-            nprog.ris(ref.leaf).count() for ref in nprog.refs
-        )
