@@ -28,6 +28,16 @@ references with equal keys provably receive identical ``RefResult`` tallies:
 seed ^ ref.uid)`` — the per-reference RNG seed — so warm replays are
 bit-identical to the sampling run that produced them.
 
+The document is spliced rather than encoded whole.  Its geometry-free
+parts — each span's nest structure and absolute storage bases, each
+reference's span bounds and ``locator, vectors`` tail — are encoded once
+per (reuse table, layout) and kept in ``reuse.derived((layout,
+"memo.key"))``; each :class:`KeyBuilder` adds only what its geometry
+decides, the ``[C, Ls, k]`` header and every span's rebased placements.
+The spliced text is byte-identical to ``json.dumps(doc, separators=(",",
+":"))`` of the whole document, so keys do not depend on how they were
+assembled.
+
 Keys deliberately do *not* hash the solver implementation; that is the job
 of :func:`code_fingerprint`, which the persistent store records once per
 file so a solver change invalidates every stored entry at load time.
@@ -124,14 +134,30 @@ def _guard_doc(guard: ConstraintSet) -> list:
     )
 
 
+def _dumps(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
 class KeyBuilder:
     """Computes canonical keys for the references of one analysis state.
 
     One builder is bound to a ``(NormalizedProgram, MemoryLayout,
     CacheConfig, ReuseTable)`` quadruple — exactly the state a solver run is
-    bound to — and caches span documents and per-reference fragments, so
-    sweeping all references of a program costs one structural walk per
-    distinct interference span.
+    bound to.  A fragment is the JSON text of ``[KEY_SCHEMA, geometry,
+    [structure, placements], locator, vectors]``, spliced from parts of two
+    lifetimes:
+
+    * the **geometry-free parts** — each interference span's nest
+      structure and absolute storage bases, each reference's span bounds
+      and ``locator, vectors`` tail — are encoded once per (reuse table,
+      layout) and kept in ``reuse.derived((layout, "memo.key"))``, so
+      every builder over that table (every geometry of its line size,
+      every session) shares them;
+    * the **geometry** ``[C, Ls, k]`` and each span's placements, rebased
+      to ``num_sets * line_bytes``, are encoded per builder.
+
+    The splice is byte-identical to encoding the whole document with one
+    ``json.dumps(doc, separators=(",", ":"))``.
     """
 
     def __init__(
@@ -146,13 +172,17 @@ class KeyBuilder:
         self.cache = cache
         self.reuse = reuse
         self._ord2idx = {root.ordinal: i for i, root in enumerate(nprog.roots)}
+        # Entries are pure functions of (reuse table, layout): concurrent
+        # builders publish them with ``setdefault``, without a lock.
+        self._shared = reuse.derived((layout, "memo.key"))
         self._set_span = cache.num_sets * cache.line_bytes
-        self._geometry = [cache.size_bytes, cache.line_bytes, cache.assoc]
-        self._span_docs: dict[tuple[int, int], list] = {}
+        geometry = [cache.size_bytes, cache.line_bytes, cache.assoc]
+        self._head = f"[{_dumps(KEY_SCHEMA)},{_dumps(geometry)},"
         self._locators: dict[int, list] = {}
+        self._spans: dict[tuple[int, int], str] = {}
         self._fragments: dict[int, str] = {}
 
-    # -- canonical structure ---------------------------------------------------
+    # -- canonical structure (once per reuse table and layout) -----------------
 
     def _locator(self, ref: NRef) -> list:
         """``[sibling-index path below the root, lexpos]`` — the position of
@@ -197,11 +227,9 @@ class KeyBuilder:
             [self._leaf_doc(l, storage_idx) for l in loop.leaves],
         ]
 
-    def _span_doc(self, first: int, last: int) -> list:
-        """Structure + relative placement of the nests ``roots[first..last]``."""
-        doc = self._span_docs.get((first, last))
-        if doc is not None:
-            return doc
+    def _encode_span(self, first: int, last: int) -> tuple[str, tuple]:
+        """``("[" + structure JSON, absolute storage bases)`` of the nests
+        ``roots[first..last]``; storages are numbered by first use."""
         storages: list = []
         index: dict[int, int] = {}
 
@@ -218,11 +246,38 @@ class KeyBuilder:
             self._loop_doc(r, storage_idx)
             for r in self.nprog.roots[first : last + 1]
         ]
-        bases = [self.layout.base_of(a) for a in storages]
-        rebase = (min(bases) // self._set_span) * self._set_span if bases else 0
-        doc = [roots, [b - rebase for b in bases]]
-        self._span_docs[(first, last)] = doc
-        return doc
+        bases = tuple(self.layout.base_of(a) for a in storages)
+        return "[" + _dumps(roots), bases
+
+    def _encode_ref(self, ref: NRef) -> tuple[int, int, str]:
+        """``(first, last, tail)``: the bounds of ``ref``'s interference span
+        and the ``,locator,vectors]`` text that closes its fragment."""
+        c_idx = self._ord2idx[ref.label[0]]
+        first = c_idx
+        vectors = []
+        for rv in self.reuse.vectors_for(ref):
+            p_idx = self._ord2idx[rv.producer.label[0]]
+            first = min(first, p_idx)
+            vectors.append(
+                [list(rv.vec), rv.kind, c_idx - p_idx, self._locator(rv.producer)]
+            )
+        return first, c_idx, f",{_dumps(self._locator(ref))},{_dumps(vectors)}]"
+
+    # -- geometry (once per builder) -------------------------------------------
+
+    def _span(self, first: int, last: int) -> str:
+        """``[structure,placements]`` of ``roots[first..last]`` under this
+        builder's geometry."""
+        text = self._spans.get((first, last))
+        if text is None:
+            key = ("span", first, last)
+            structure, bases = self._shared.get(key) or self._shared.setdefault(
+                key, self._encode_span(first, last)
+            )
+            rebase = (min(bases) // self._set_span) * self._set_span if bases else 0
+            text = f"{structure},{_dumps([b - rebase for b in bases])}]"
+            self._spans[(first, last)] = text
+        return text
 
     # -- keys -----------------------------------------------------------------
 
@@ -230,28 +285,11 @@ class KeyBuilder:
         """The method-independent structural JSON fragment of ``ref``."""
         frag = self._fragments.get(ref.uid)
         if frag is None:
-            c_idx = self._ord2idx[ref.label[0]]
-            first = c_idx
-            vectors = []
-            for rv in self.reuse.vectors_for(ref):
-                p_idx = self._ord2idx[rv.producer.label[0]]
-                first = min(first, p_idx)
-                vectors.append(
-                    [
-                        list(rv.vec),
-                        rv.kind,
-                        c_idx - p_idx,
-                        self._locator(rv.producer),
-                    ]
-                )
-            doc = [
-                KEY_SCHEMA,
-                self._geometry,
-                self._span_doc(first, c_idx),
-                self._locator(ref),
-                vectors,
-            ]
-            frag = json.dumps(doc, separators=(",", ":"))
+            key = ("ref", ref.uid)
+            first, last, tail = self._shared.get(key) or self._shared.setdefault(
+                key, self._encode_ref(ref)
+            )
+            frag = self._head + self._span(first, last) + tail
             self._fragments[ref.uid] = frag
         return frag
 
@@ -262,5 +300,5 @@ class KeyBuilder:
         — empty for ``FindMisses``, ``(confidence, width, seed ^ uid)`` for
         ``EstimateMisses``.
         """
-        head = json.dumps([method, list(params)], separators=(",", ":"))
+        head = _dumps([method, list(params)])
         return hashlib.sha256((head + self.fragment(ref)).encode()).hexdigest()

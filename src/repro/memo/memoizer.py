@@ -175,36 +175,40 @@ class MemoSession:
         """Partition ``targets`` into replays and representative solves."""
         memo = self.memo
         plan = MemoPlan(self, list(targets))
-        with memo.lock, obs.span("memo/probe"):
-            pending: dict[str, int] = {}  # key -> index of the representative
-            for ref in plan.targets:
-                key = self.key_for(ref)
-                if key not in memo._seen:
-                    memo._seen.add(key)
-                    memo.groups += 1
-                    obs.counter("memo.dedup.groups").inc()
-                payload = memo._results.get(key)
-                if payload is None:
-                    payload = memo._persisted.get(key)
+        with obs.span("memo/probe"):
+            # Keys are pure: build them before taking the shared lock, so a
+            # request still encoding blocks no other request's probe.
+            keys = [self.key_for(ref) for ref in plan.targets]
+            with memo.lock:
+                pending: dict[str, int] = {}  # key -> index of the representative
+                for ref, key in zip(plan.targets, keys):
+                    if key not in memo._seen:
+                        memo._seen.add(key)
+                        memo.groups += 1
+                        obs.counter("memo.dedup.groups").inc()
+                    payload = memo._results.get(key)
+                    if payload is None:
+                        payload = memo._persisted.get(key)
+                        if payload is not None:
+                            memo.store_hits += 1
+                            plan.store_hits += 1
+                            obs.counter("memo.store.hits").inc()
                     if payload is not None:
-                        memo.store_hits += 1
-                        plan.store_hits += 1
-                        obs.counter("memo.store.hits").inc()
-                if payload is not None:
-                    memo.hits += 1
-                    obs.counter("memo.hits").inc()
-                    plan._replays.append((ref, key, payload))
-                elif key in pending:
-                    # A duplicate of a system already queued for solving:
-                    # the group is classified once, so this ref is a hit.
-                    memo.hits += 1
-                    obs.counter("memo.hits").inc()
-                    plan._replays.append((ref, key, None))
-                else:
-                    memo.misses += 1
-                    obs.counter("memo.misses").inc()
-                    pending[key] = len(plan.solve)
-                    plan.solve.append(ref)
+                        memo.hits += 1
+                        obs.counter("memo.hits").inc()
+                        plan._replays.append((ref, key, payload))
+                    elif key in pending:
+                        # A duplicate of a system already queued for
+                        # solving: the group is classified once, so this
+                        # ref is a hit.
+                        memo.hits += 1
+                        obs.counter("memo.hits").inc()
+                        plan._replays.append((ref, key, None))
+                    else:
+                        memo.misses += 1
+                        obs.counter("memo.misses").inc()
+                        pending[key] = len(plan.solve)
+                        plan.solve.append(ref)
         return plan
 
 

@@ -80,12 +80,16 @@ class _FileLock:
 
 
 def _valid_payload(payload) -> bool:
-    """True for a well-formed ``[population, analysed, cold, repl, hits]``."""
+    """True for a well-formed ``[population, analysed, cold, repl, hits]``:
+    five non-negative integers (JSON ``true``/``false`` are not counts),
+    no more analysed than the population, and tallies summing to
+    ``analysed``."""
     if not isinstance(payload, list) or len(payload) != 5:
         return False
-    if not all(isinstance(n, int) and n >= 0 for n in payload):
+    if not all(type(n) is int and n >= 0 for n in payload):
         return False
-    return payload[1] == payload[2] + payload[3] + payload[4]
+    population, analysed, cold, replacement, hits = payload
+    return analysed <= population and analysed == cold + replacement + hits
 
 
 class MemoStore:

@@ -103,6 +103,9 @@ class TestLoad:
             json.dumps({"k": "x", "p": [1, 2, 3]}),  # wrong arity
             json.dumps({"k": "x", "p": [1, -1, -1, 0, 0]}),  # negative
             json.dumps({"k": "x", "p": [10, 9, 3, 2, 5]}),  # tallies disagree
+            json.dumps({"k": "x", "p": [10, True, True, False, False]}),  # bools
+            json.dumps({"k": "x", "p": [1, 5, 5, 0, 0]}),  # analysed > population
+            json.dumps({"k": "x", "p": [4, 4, 4.0, 0, 0]}),  # float count
             json.dumps({"k": 5, "p": [1, 1, 1, 0, 0]}),  # non-string key
             json.dumps([1, 2, 3]),  # not an object
         ],
