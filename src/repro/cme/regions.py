@@ -20,9 +20,13 @@ own machinery:
    and is counted in closed form.  A cell is the RIS itself — the
    :class:`~repro.polyhedra.space.BoundedSpace` that
    :meth:`~repro.normalize.nprogram.NormalizedProgram.ris` returns — with
-   more conjuncts (:meth:`~repro.polyhedra.space.BoundedSpace.conjoin`,
-   :meth:`~repro.polyhedra.space.BoundedSpace.with_residue`), so the cells
-   are counted, probed and enumerated by the same class as the RIS.
+   more conjuncts (:meth:`~repro.polyhedra.space.BoundedSpace.conjoin`),
+   so the cells are counted, probed and enumerated by the same class as
+   the RIS.  Every conjunct stays an integer row: the translated producer
+   conjuncts, their negations and the residue intervals are compiled once
+   per reference and line size
+   (:class:`~repro.polyhedra.space.RowConstraint`,
+   :class:`~repro.polyhedra.space.RowResidue`) and conjoined as they are.
 
 2. **Replacement by residue class.**  A decided cell is classified without
    enumeration when the *replacement-uniformity certificate* holds: the
@@ -87,7 +91,7 @@ residual regions (at most one per reference), with ``fallback_cells`` /
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -102,13 +106,8 @@ from repro.polyhedra.batch import (
     lexmin_array,
     satisfied_array,
 )
-from repro.polyhedra.constraints import (
-    Constraint,
-    EQ,
-    ResidueConstraint,
-    negate_constraint,
-)
-from repro.polyhedra.space import BoundedSpace
+from repro.polyhedra.constraints import Constraint, EQ, GE
+from repro.polyhedra.space import BoundedSpace, RowConstraint, RowResidue
 from repro.reuse.generator import ReuseTable
 from repro.reuse.vectors import ReuseVector
 from repro.cme.find import record_ref_metrics
@@ -240,13 +239,8 @@ class RegionSolver:
             row[self._index[name]] = c
         return tuple(row), expr.constant
 
-    def _affine(self, row: Sequence[int], const: int) -> Affine:
-        """The inverse of :meth:`_row`."""
-        nvars = self.nprog.index_vars
-        return Affine({nvars[k]: c for k, c in enumerate(row) if c}, const)
-
-    def _address(self, ref: NRef) -> tuple[Affine, tuple[int, ...], int]:
-        """``ref``'s byte address: the affine, its row and its constant."""
+    def _address(self, ref: NRef) -> tuple[tuple[int, ...], int]:
+        """``ref``'s byte address as a row and a constant."""
         a = self._addr.get(ref.uid)
         if a is None:
             array = ref.array
@@ -254,12 +248,26 @@ class RegionSolver:
                 array.element_offset(ref.subscripts) * array.element_size
                 + self.layout.base_of(array)
             )
-            a = self._addr.setdefault(ref.uid, (expr, *self._row(expr)))
+            a = self._addr.setdefault(ref.uid, self._row(expr))
         return a
 
-    def addr_affine(self, ref: NRef) -> Affine:
-        """The byte address of ``ref`` as an affine over ``I1..In``."""
-        return self._address(ref)[0]
+    def _compiled(self, c: Constraint, shift: Sequence[int]) -> RowConstraint:
+        """The constraint ``c`` at ``i + shift``, as a row conjunct."""
+        row, const = self._row(c.expr)
+        return RowConstraint.make(row, const + sum(map(mul, row, shift)), c.kind)
+
+    def _delta(
+        self, other: NRef, ref: NRef, shift: Sequence[int]
+    ) -> RowConstraint:
+        """``Δ = addr_other(i + shift) − addr_ref(i) >= 0`` as a row
+        conjunct over the consumer point ``i``."""
+        row, const = self._address(other)
+        a_row, a_const = self._address(ref)
+        return RowConstraint.make(
+            tuple(map(sub, row, a_row)),
+            const + sum(map(mul, row, shift)) - a_const,
+            GE,
+        )
 
     def _ris_of(self, ref: NRef) -> tuple:
         """``ref``'s RIS as integer rows: ``(constraints, box)``, the
@@ -275,69 +283,111 @@ class RegionSolver:
             )
         return rows
 
-    def _cold_condition(self, ref: NRef, rv: ReuseVector):
-        """The cold equations of one vector as region constraints.
-
-        Returns ``(kind, constraints, residue)`` with ``kind`` one of
-        ``"never"`` (provably no point satisfies them), ``"regular"``
-        (affine constraints + optional residue interval on the consumer
-        address mod the line size) or ``"irregular"`` (non-constant ``δ`` —
-        the producer is outside the consumer's uniformly generated set, so
-        the line equality is not a residue condition).
-
-        Computed on integer rows: translating a row by the vector ``x``
-        (``i ↦ i − x``) only moves its constant by ``−row·x``.
-        """
-        x = rv.index_part()
-        _, row_c, const_c = self._address(ref)
-        _, row_p, const_p = self._address(rv.producer)
-        line_bytes = self.cache.line_bytes
-        producer_cons, _ = self._ris_of(rv.producer)
+    def _producer_spans(self, producer: NRef, ref: NRef) -> list[tuple]:
+        """The producer RIS's conjuncts as ``(row, lo, hi, is_eq,
+        conjunct)``, ``[lo, hi]`` the range of ``row·i + const`` over the
+        consumer's bounding box."""
+        producer_cons, _ = self._ris_of(producer)
         _, box = self._ris_of(ref)
-        # Prune against the consumer's bounding box: constraints that are
-        # provably true over the whole RIS never split a cell, provably
-        # false ones make the vector inapplicable outright.
-        kept: list[Constraint] = []
+        spans = []
         for row, const, kind in producer_cons:
-            const -= sum(map(mul, row, x))
-            lo_v = hi_v = const
+            lo = hi = const
             for c, (b_lo, b_hi) in zip(row, box):
                 if c > 0:
-                    lo_v += c * b_lo
-                    hi_v += c * b_hi
+                    lo += c * b_lo
+                    hi += c * b_hi
                 elif c < 0:
-                    lo_v += c * b_hi
-                    hi_v += c * b_lo
-            if kind == EQ:
-                if lo_v == 0 and hi_v == 0:
+                    lo += c * b_hi
+                    hi += c * b_lo
+            conjunct = RowConstraint.make(row, const, kind)
+            spans.append((row, lo, hi, kind == EQ, conjunct))
+        return spans
+
+    def _cold_condition(
+        self,
+        ref: NRef,
+        rv: ReuseVector,
+        spans: dict[int, list],
+        residues: dict[tuple[int, int], RowResidue],
+    ):
+        """The cold equations of one vector as region constraints.
+
+        Returns ``(kind, conjuncts)`` with ``kind`` one of ``"never"``
+        (provably no point satisfies them), ``"regular"`` (affine
+        constraints + optional residue interval on the consumer address mod
+        the line size) or ``"irregular"`` (non-constant ``δ`` — the
+        producer is outside the consumer's uniformly generated set, so the
+        line equality is not a residue condition).  ``conjuncts`` pairs
+        each kept condition with the disjuncts of its complement, all
+        compiled rows: the producer's affine conjuncts and their
+        negations, then the residue interval and the one or two intervals
+        outside it.
+
+        Computed on integer rows: translating a row by the vector ``x``
+        (``i ↦ i − x``) only moves its constant by ``−row·x``.  The
+        consumer's vectors share ``spans`` (per producer uid, from
+        :meth:`_producer_spans`) and ``residues`` (per interval).
+        """
+        x = rv.index_part()
+        row_c, const_c = self._address(ref)
+        row_p, const_p = self._address(rv.producer)
+        line_bytes = self.cache.line_bytes
+        producer = spans.get(rv.producer.uid)
+        if producer is None:
+            producer = spans[rv.producer.uid] = self._producer_spans(
+                rv.producer, ref
+            )
+        # Prune against the consumer's bounding box: constraints that are
+        # provably true over the whole RIS never split a cell, provably
+        # false ones make the vector inapplicable outright.  The translated
+        # conjunct ranges over [lo - shift, hi - shift].
+        kept: list[tuple] = []
+        for row, lo, hi, is_eq, c in producer:
+            shift = sum(map(mul, row, x))
+            if is_eq:
+                if lo == shift == hi:
                     continue
-                if lo_v > 0 or hi_v < 0:
-                    return (_NEVER, (), None)
+                if lo > shift or hi < shift:
+                    return (_NEVER, ())
             else:
-                if lo_v >= 0:
+                if lo >= shift:
                     continue
-                if hi_v < 0:
-                    return (_NEVER, (), None)
-            c = Constraint(self._affine(row, const), kind)
-            kept.append((c, tuple(negate_constraint(c))))
+                if hi < shift:
+                    return (_NEVER, ())
+            shifted = RowConstraint(
+                row, c.const - shift, c.kind, c.anchor, c.mask
+            )
+            kept.append((shifted, shifted.negated()))
         if row_p != row_c:
-            return (_IRREGULAR, tuple(kept), None)
+            return (_IRREGULAR, tuple(kept))
         d = const_p - sum(map(mul, row_p, x)) - const_c
-        if d == 0:
-            residue = None
-        elif abs(d) >= line_bytes:
-            return (_NEVER, (), None)
-        else:
-            residue = (max(0, -d), min(line_bytes - 1, line_bytes - 1 - d))
-        return (_REGULAR, tuple(kept), residue)
+        if abs(d) >= line_bytes:
+            return (_NEVER, ())
+        if d:
+            lo_r, hi_r = max(0, -d), min(line_bytes - 1, line_bytes - 1 - d)
+            intervals = [(lo_r, hi_r)]
+            if lo_r > 0:
+                intervals.append((0, lo_r - 1))
+            if hi_r < line_bytes - 1:
+                intervals.append((hi_r + 1, line_bytes - 1))
+            for interval in intervals:
+                if interval not in residues:
+                    residues[interval] = RowResidue.make(
+                        row_c, const_c, line_bytes, *interval
+                    )
+            inside, *outside = (residues[i] for i in intervals)
+            kept.append((inside, tuple(outside)))
+        return (_REGULAR, tuple(kept))
 
     def _conditions(self, ref: NRef) -> list:
         conds = self._conds.get(ref.uid)
         if conds is None:
+            spans: dict[int, list] = {}
+            residues: dict[tuple[int, int], RowResidue] = {}
             conds = self._conds.setdefault(
                 ref.uid,
                 [
-                    self._cold_condition(ref, rv)
+                    self._cold_condition(ref, rv, spans, residues)
                     for rv in self.reuse.vectors_for(ref)
                 ],
             )
@@ -371,12 +421,12 @@ class RegionSolver:
         """
         if not self._innermost_shape(ref, rv):
             return False
-        row_c = self._address(ref)[1]
+        row_c = self._address(ref)[0]
         for leaf in self.nprog.loop_at(ref.label).leaves:
             if not leaf.guard.is_true():
                 return False
             for other in leaf.refs:
-                if self._address(other)[1] != row_c:
+                if self._address(other)[0] != row_c:
                     return False
         return True
 
@@ -391,10 +441,10 @@ class RegionSolver:
 
     def _window_pairs(
         self, ref: NRef, t: int, rv: ReuseVector
-    ) -> Optional[list[tuple[Affine, tuple[Constraint, ...]]]]:
+    ) -> Optional[list[tuple[RowConstraint, tuple[RowConstraint, ...]]]]:
         """The static interference window of an innermost-only vector, as
-        ``(Δ, presence guard)`` carving pairs (``Δ = addr_access −
-        addr_consumer``), in exact walker order.
+        ``(Δ >= 0, presence guard)`` carving pairs of row conjuncts
+        (:meth:`_delta`), in exact walker order.
 
         ``None`` when the window is not statically known: the vector must
         have the innermost shape and the window must fit
@@ -411,39 +461,26 @@ class RegionSolver:
             self._window.setdefault(key, self._compute_window(ref, rv))
         return self._window[key]
 
-    def _shift_guard(self, guard, offset: int) -> tuple[Constraint, ...]:
-        """A leaf guard as consumer-point constraints, inner var shifted."""
-        if offset == 0:
-            return tuple(guard)
-        inner = self.nprog.index_vars[-1]
-        shift = {inner: Affine.var(inner) + offset}
-        return tuple(c.substitute(shift) for c in guard)
-
     def _compute_window(
         self, ref: NRef, rv: ReuseVector
-    ) -> Optional[list[tuple[Affine, tuple[Constraint, ...]]]]:
+    ) -> Optional[list[tuple[RowConstraint, tuple[RowConstraint, ...]]]]:
         if not self._innermost_shape(ref, rv):
             return None
         step = rv.index_part()[-1]
         loop = self.nprog.loop_at(ref.label)
         producer_lex = rv.producer.lexpos
         consumer_lex = ref.lexpos
-        a_expr = self.addr_affine(ref)
-        inner = self.nprog.index_vars[-1]
-        pairs: list[tuple[Affine, tuple[Constraint, ...]]] = []
+        pairs: list[tuple[RowConstraint, tuple[RowConstraint, ...]]] = []
         for offset in range(-step, 1):
-            shift = {inner: Affine.var(inner) + offset}
+            shift = (0,) * (self.nprog.depth - 1) + (offset,)
             for leaf in loop.leaves:
-                guard = self._shift_guard(leaf.guard, offset)
+                guard = tuple(self._compiled(c, shift) for c in leaf.guard)
                 for other in leaf.refs:
                     if offset == -step and other.lexpos <= producer_lex:
                         continue
                     if offset == 0 and other.lexpos >= consumer_lex:
                         return pairs
-                    addr = self.addr_affine(other)
-                    if offset:
-                        addr = addr.substitute(shift)
-                    pairs.append((addr - a_expr, guard))
+                    pairs.append((self._delta(other, ref, shift), guard))
                     if len(pairs) > MAX_WINDOW:
                         return None
         return pairs
@@ -475,8 +512,9 @@ class RegionSolver:
 
     def _crossing_pairs(
         self, ref: NRef, rv: ReuseVector, cell: BoundedSpace
-    ) -> Optional[list[tuple[Affine, tuple[Constraint, ...]]]]:
-        """Unrolled ``(Δ, guard)`` pairs for a second-innermost crossing.
+    ) -> Optional[list[tuple[RowConstraint, tuple[RowConstraint, ...]]]]:
+        """Unrolled ``(Δ >= 0, guard)`` pairs for a second-innermost
+        crossing.
 
         The window runs from the producer at ``(…, i₍ₙ₋₁₎−1, iₙ−s)`` to the
         consumer at ``(…, i₍ₙ₋₁₎, iₙ)``: the rest of the previous inner run
@@ -493,8 +531,7 @@ class RegionSolver:
         outer, inner = nvars[-2], nvars[-1]
         s = rv.index_part()[-1]
         loop = self.nprog.loop_at(ref.label)
-        prev_map = {outer: Affine.var(outer) - 1}
-        ub_prev = loop.upper.substitute(prev_map)
+        ub_prev = loop.upper.substitute({outer: Affine.var(outer) - 1})
         lb_cur = loop.lower
         p_inner = Affine.var(inner) - s
         box = cell.tight_ranges()
@@ -507,44 +544,50 @@ class RegionSolver:
             return None
         if (w1 + w2 + 2) * per_iter > MAX_CROSS_ACCESSES:
             return None
-        a_expr = self.addr_affine(ref)
         producer_lex = rv.producer.lexpos
         consumer_lex = ref.lexpos
-        pairs: list[tuple[Affine, tuple[Constraint, ...]]] = []
+        outer_shift = (0,) * (self.nprog.depth - 2)
+        pairs: list[tuple[RowConstraint, tuple[RowConstraint, ...]]] = []
         # Tail of the previous inner run: u = iₙ − s + ω at outer − 1.
         for omega in range(0, w1 + 1):
-            subst = dict(prev_map)
-            subst[inner] = p_inner + omega
-            presence: tuple[Constraint, ...] = ()
+            shift = outer_shift + (-1, omega - s)
+            presence: tuple[RowConstraint, ...] = ()
             if omega:  # the producer iteration itself is in-bounds by cold
                 presence = (
-                    Constraint.inequality(ub_prev - (p_inner + omega)),
+                    self._compiled(
+                        Constraint.inequality(ub_prev - (p_inner + omega)), ()
+                    ),
                 )
             for leaf in loop.leaves:
-                guard = presence + tuple(c.substitute(subst) for c in leaf.guard)
+                guard = presence + tuple(
+                    self._compiled(c, shift) for c in leaf.guard
+                )
                 for other in leaf.refs:
                     if omega == 0 and other.lexpos <= producer_lex:
                         continue
-                    pairs.append(
-                        (self.addr_affine(other).substitute(subst) - a_expr, guard)
-                    )
+                    pairs.append((self._delta(other, ref, shift), guard))
         # Head of the current inner run: u = iₙ − ω (ω = 0 is the consumer's
         # own iteration, cut at the consumer's lexical position).
         for omega in range(0, w2 + 1):
-            subst = {inner: Affine.var(inner) - omega}
+            shift = outer_shift + (0, -omega)
             presence = ()
             if omega:
                 presence = (
-                    Constraint.inequality((Affine.var(inner) - omega) - lb_cur),
+                    self._compiled(
+                        Constraint.inequality(
+                            (Affine.var(inner) - omega) - lb_cur
+                        ),
+                        (),
+                    ),
                 )
             for leaf in loop.leaves:
-                guard = presence + tuple(c.substitute(subst) for c in leaf.guard)
+                guard = presence + tuple(
+                    self._compiled(c, shift) for c in leaf.guard
+                )
                 for other in leaf.refs:
                     if omega == 0 and other.lexpos >= consumer_lex:
                         continue
-                    pairs.append(
-                        (self.addr_affine(other).substitute(subst) - a_expr, guard)
-                    )
+                    pairs.append((self._delta(other, ref, shift), guard))
         return pairs
 
     def _classify_cell_window(
@@ -553,14 +596,15 @@ class RegionSolver:
         cell: BoundedSpace,
         cell_count: int,
         rv: ReuseVector,
-        pairs: list[tuple[Affine, tuple[Constraint, ...]]],
+        pairs: list[tuple[RowConstraint, tuple[RowConstraint, ...]]],
         result: RefResult,
         points: Optional[np.ndarray],
     ) -> tuple[int, Optional[str]]:
         """Carve a decided cell into exact HIT/REPLACEMENT pieces (k = 1).
 
-        ``pairs`` gives each window access as ``(Δ, presence guard)`` with
-        ``Δ = addr_access − addr_consumer`` affine in the consumer point.
+        ``pairs`` gives each window access as ``(Δ >= 0, presence guard)``
+        row conjuncts, ``Δ = addr_access − addr_consumer`` affine in the
+        consumer point.
         Splits the cell by consumer residue ``r = a_c mod L``, then applies
         each access's conflict condition by sequential set difference (a
         guarded access first splits off the guard-false part, where the
@@ -576,11 +620,10 @@ class RegionSolver:
         line_bytes = self.cache.line_bytes
         num_sets = self.cache.num_sets
         modulus = line_bytes * num_sets
-        a_expr = self.addr_affine(ref)
         # Duplicate address rows carve the same conflict region.
         deltas = list(dict.fromkeys(pairs))
         carve = _Pieces(cell, points)
-        classes = self._residue_classes(cell, a_expr, carve)
+        classes = self._residue_classes(ref, carve)
         if sum(cnt for _, _, cnt in classes) != cell_count:
             obs.counter("cme.regions.partition_mismatch").inc()
             return 0, "partition_mismatch"
@@ -588,16 +631,16 @@ class RegionSolver:
         hits: list[tuple] = []
         for cls, r, _ in classes:
             survivors = [cls]
-            for delta, guard in deltas:
-                shifted = delta + r
+            for up, guard in deltas:
+                # Same line iff 0 <= Δ + r <= L-1; a conflict is either
+                # side's complement.
+                shifted = up.const + r
+                down = up.negated()[0]
                 same_line = (
-                    Constraint.inequality(shifted),
-                    Constraint.inequality((line_bytes - 1) - shifted),
+                    up._replace(const=shifted),
+                    down._replace(const=(line_bytes - 1) - shifted),
                 )
-                conflicts = (
-                    Constraint.inequality(-shifted - 1),
-                    Constraint.inequality(shifted - line_bytes),
-                )
+                conflicts = tuple(c.negated()[0] for c in same_line)
                 nxt: list[tuple] = []
                 for region in survivors:
                     if len(nxt) + len(replacement) > MAX_PIECES:
@@ -607,8 +650,8 @@ class RegionSolver:
                     # there, so that part survives untouched.
                     present = region
                     for c in guard:
-                        for neg in negate_constraint(c):
-                            absent = carve.conjoin(present, neg)
+                        for fails in c.negated():
+                            absent = carve.conjoin(present, fails)
                             if carve.count(absent):
                                 nxt.append(absent)
                         present = carve.conjoin(present, c)
@@ -619,16 +662,23 @@ class RegionSolver:
                     in_set = (
                         present
                         if modulus == line_bytes
-                        else carve.with_residue(
-                            present, shifted, modulus, 0, line_bytes - 1
+                        else carve.conjoin(
+                            present,
+                            RowResidue.make(
+                                up.row, shifted, modulus, 0, line_bytes - 1
+                            ),
                         )
                     )
                     if carve.count(in_set) == 0:
                         nxt.append(present)  # never maps to the reused set
                         continue
                     if modulus > line_bytes:
-                        out_set = carve.with_residue(
-                            present, shifted, modulus, line_bytes, modulus - 1
+                        out_set = carve.conjoin(
+                            present,
+                            RowResidue.make(
+                                up.row, shifted, modulus, line_bytes,
+                                modulus - 1,
+                            ),
                         )
                         if carve.count(out_set):
                             nxt.append(out_set)
@@ -676,26 +726,18 @@ class RegionSolver:
             result.hits += cnt
         return len(replacement) + len(hits), None
 
-    def _residue_classes(
-        self,
-        cell: BoundedSpace,
-        a_expr: Affine,
-        carve: Optional["_Pieces"] = None,
-    ) -> list[tuple]:
-        """The non-empty ``(class, r, count)`` splits of ``cell`` by
-        ``a_c mod L = r`` (only residues ``a_c`` can take are tried).  Each
-        class is a :class:`BoundedSpace`, or a piece of ``carve`` when one
-        is given."""
+    def _residue_classes(self, ref: NRef, carve: "_Pieces") -> list[tuple]:
+        """The non-empty ``(class, r, count)`` splits of ``carve``'s cell
+        by ``a_c mod L = r`` (only residues ``a_c`` can take are tried),
+        each class a piece of ``carve``."""
         line_bytes = self.cache.line_bytes
-        g = math.gcd(line_bytes, *(c for _, c in a_expr.terms))
+        a_row, a_const = self._address(ref)
+        g = math.gcd(line_bytes, *a_row)
         classes = []
-        for r in range(a_expr.constant % g, line_bytes, g):
-            if carve is None:
-                cls = cell.with_residue(a_expr, line_bytes, r, r)
-                cnt = cls.count()
-            else:
-                cls = carve.with_residue(carve.whole, a_expr, line_bytes, r, r)
-                cnt = carve.count(cls)
+        for r in range(a_const % g, line_bytes, g):
+            residue = RowResidue.make(a_row, a_const, line_bytes, r, r)
+            cls = carve.conjoin(carve.whole, residue)
+            cnt = carve.count(cls)
             if cnt:
                 classes.append((cls, r, cnt))
         return classes
@@ -724,8 +766,6 @@ class RegionSolver:
         """
         vectors = self.reuse.vectors_for(ref)
         conds = self._conditions(ref)
-        line_bytes = self.cache.line_bytes
-        a_expr = self.addr_affine(ref)
         cold: list[BoundedSpace] = []
         decided: list[tuple[BoundedSpace, int]] = []
         irregular: list[tuple[BoundedSpace, str]] = []
@@ -738,7 +778,7 @@ class RegionSolver:
             if t == len(vectors):
                 cold.append(cell)
                 continue
-            kind, cons, residue = conds[t]
+            kind, cons = conds[t]
             if kind == _NEVER:
                 work.append((cell, t + 1))
                 continue
@@ -751,19 +791,6 @@ class RegionSolver:
                 for neg in negs:
                     pieces.append(prefix.conjoin(neg))
                 prefix = prefix.conjoin(c)
-            if residue is not None:
-                lo_r, hi_r = residue
-                if lo_r > 0:
-                    pieces.append(
-                        prefix.with_residue(a_expr, line_bytes, 0, lo_r - 1)
-                    )
-                if hi_r < line_bytes - 1:
-                    pieces.append(
-                        prefix.with_residue(
-                            a_expr, line_bytes, hi_r + 1, line_bytes - 1
-                        )
-                    )
-                prefix = prefix.with_residue(a_expr, line_bytes, lo_r, hi_r)
             if prefix.count() == 0:
                 # The vector decides nothing here: keep the cell whole
                 # instead of fragmenting it over a vacuous condition.
@@ -807,7 +834,10 @@ class RegionSolver:
         whole class only after the probe confirms it was decided by the
         expected vector (mismatches are counted and enumerated instead).
         """
-        classes = self._residue_classes(cell, self.addr_affine(ref))
+        classes = [
+            (space, r, cnt)
+            for (space, _), r, cnt in self._residue_classes(ref, _Pieces(cell))
+        ]
         if sum(cnt for _, _, cnt in classes) != cell_count:
             obs.counter("cme.regions.partition_mismatch").inc()
             fallback.add(cell, "partition_mismatch")
@@ -896,7 +926,10 @@ class RegionSolver:
             result = RefResult(ref.name(), ref.uid, population=population)
             cells = self._cells.get(ref.uid)
             if cells is None:
-                cells = self._cells.setdefault(ref.uid, self.decompose(ref))
+                with obs.span("cme/regions/decompose"):
+                    cells = self._cells.setdefault(
+                        ref.uid, self.decompose(ref)
+                    )
             cold, decided, irregular = cells
             capped = sum(why == "cell_cap" for _, why in irregular)
             if capped:
@@ -981,8 +1014,8 @@ class _Pieces:
     """The pieces carved out of one decided cell, as ``(space, rows)``.
 
     ``space`` is the piece as a :class:`BoundedSpace`, built by the same
-    :meth:`~BoundedSpace.conjoin` and :meth:`~BoundedSpace.with_residue`
-    steps whether or not the cell was enumerated.  ``rows`` indexes the
+    :meth:`~BoundedSpace.conjoin` steps, one compiled conjunct each,
+    whether or not the cell was enumerated.  ``rows`` indexes the
     piece's points among the cell's, ascending, or is ``None`` without
     them.  With points, a piece is counted and its representative found on
     its rows; without, its space is counted and descended symbolically.
@@ -993,32 +1026,16 @@ class _Pieces:
 
     def __init__(self, cell: BoundedSpace, points: Optional[np.ndarray] = None):
         self.points = points
-        self._dim_index = {name: k for k, name in enumerate(cell.dims)}
         rows = None if points is None else np.arange(len(points))
         #: The cell itself, as a piece.
         self.whole = (cell, rows)
 
-    def _narrow(self, rows: np.ndarray, conjunct) -> np.ndarray:
-        return rows[
-            satisfied_array(conjunct, self.points[rows], self._dim_index)
-        ]
-
-    def conjoin(self, piece: tuple, c: Constraint) -> tuple:
-        """``piece`` with one more affine constraint."""
+    def conjoin(self, piece: tuple, conjunct) -> tuple:
+        """``piece`` with one more compiled affine or residue conjunct."""
         space, rows = piece
         if rows is not None:
-            rows = self._narrow(rows, c)
-        return space.conjoin(c), rows
-
-    def with_residue(
-        self, piece: tuple, expr: Affine, modulus: int, lo: int, hi: int
-    ) -> tuple:
-        """``piece`` additionally requiring ``expr mod modulus ∈ [lo, hi]``."""
-        space, rows = piece
-        if rows is not None:
-            residue = ResidueConstraint.make(expr, modulus, lo, hi)
-            rows = self._narrow(rows, residue)
-        return space.with_residue(expr, modulus, lo, hi), rows
+            rows = rows[satisfied_array(conjunct, self.points[rows])]
+        return space.conjoin(conjunct), rows
 
     @staticmethod
     def count(piece: tuple) -> int:

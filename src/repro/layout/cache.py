@@ -11,6 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Most sets a cache may have: the simulator and the trace index number
+#: sets with int32.
+MAX_SETS = 2**31 - 1
+
+#: Largest cache size in bytes: addresses and line numbers are int64.
+MAX_BYTES = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -37,6 +44,11 @@ class CacheConfig:
             raise ValueError(
                 f"cache size {self.size_bytes} is not divisible by "
                 f"line_bytes*assoc = {self.line_bytes * self.assoc}"
+            )
+        if self.size_bytes > MAX_BYTES or self.num_sets > MAX_SETS:
+            raise ValueError(
+                f"cache of {self.size_bytes} bytes in {self.num_sets} sets "
+                f"is too large: at most {MAX_BYTES} bytes and {MAX_SETS} sets"
             )
 
     @staticmethod

@@ -22,7 +22,10 @@ needs:
   bound tightening and periodic residue counting), membership,
   lexicographic enumeration and uniform integer-point sampling.  One class
   serves both the reference iteration spaces and the cells of the regional
-  CME solver.
+  CME solver; it keeps every conjunct as an integer row, and
+  :class:`~repro.polyhedra.space.RowConstraint` /
+  :class:`~repro.polyhedra.space.RowResidue` let a caller conjoin one it
+  compiled in advance.
 """
 
 from repro.polyhedra.affine import Affine, Var
@@ -30,7 +33,6 @@ from repro.polyhedra.constraints import (
     Constraint,
     ConstraintSet,
     ResidueConstraint,
-    negate_constraint,
 )
 from repro.polyhedra.intsolve import (
     count_range_residue,
@@ -41,6 +43,8 @@ from repro.polyhedra.intsolve import (
 )
 from repro.polyhedra.space import (
     BoundedSpace,
+    RowConstraint,
+    RowResidue,
     cached_count,
     clear_count_cache,
     count_cache_size,
@@ -52,13 +56,14 @@ __all__ = [
     "Constraint",
     "ConstraintSet",
     "ResidueConstraint",
-    "negate_constraint",
     "count_range_residue",
     "hermite_normal_form",
     "nullspace_basis",
     "residue_period",
     "solve_integer",
     "BoundedSpace",
+    "RowConstraint",
+    "RowResidue",
     "cached_count",
     "clear_count_cache",
     "count_cache_size",

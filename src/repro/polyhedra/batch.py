@@ -25,27 +25,22 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.polyhedra.affine import Affine
-from repro.polyhedra.constraints import Constraint, EQ, ResidueConstraint
-from repro.polyhedra.space import BoundedSpace, REPRESENTATIVE_BUDGET
+from repro.polyhedra.constraints import EQ
+from repro.polyhedra.space import (
+    BoundedSpace,
+    REPRESENTATIVE_BUDGET,
+    RowConstraint,
+    RowResidue,
+)
 
 
-def affine_row(
-    expr: Affine, dim_index: dict[str, int], width: int
-) -> tuple["np.ndarray", int]:
-    """``expr`` as a dense coefficient row over ``width`` ordered dimensions."""
-    row = np.zeros(width, dtype=np.int64)
-    for name, coeff in expr.coeffs.items():
-        row[dim_index[name]] = coeff
-    return row, int(expr.constant)
-
-
-def eval_affine(
-    expr: Affine, points: "np.ndarray", dim_index: dict[str, int]
+def _eval_row(
+    row: tuple[int, ...], const: int, points: "np.ndarray"
 ) -> "np.ndarray":
-    """Evaluate an affine expression at every row of ``points``."""
-    row, const = affine_row(expr, dim_index, points.shape[1])
-    return points @ row + const
+    """``row·p + const`` at every row ``p`` of ``points`` (``row`` may be
+    longer than a row of ``points``: bounds read only the outer
+    dimensions)."""
+    return points @ np.array(row[: points.shape[1]], dtype=np.int64) + const
 
 
 def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
@@ -64,15 +59,14 @@ def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
     empty = np.empty((0, n), dtype=np.int64)
     if space.is_trivially_empty():
         return empty
-    dim_index = {name: k for k, name in enumerate(space.dims)}
+    bounds, _ = space.rows()
     points = np.empty((1, 0), dtype=np.int64)
-    for d in range(n):
-        lo = eval_affine(space.bounds[d][0], points, dim_index)
-        hi = eval_affine(space.bounds[d][1], points, dim_index)
+    for d, (lo_bound, hi_bound) in enumerate(bounds):
+        lo = _eval_row(*lo_bound, points)
+        hi = _eval_row(*hi_bound, points)
         for c in space.constraints_at(d):
-            row, const = affine_row(c.expr, dim_index, n)
-            coeff = int(row[d])
-            rest = points @ row[:d] + const  # coeff·v + rest ⋈ 0
+            coeff = c.row[d]
+            rest = _eval_row(c.row, c.const, points)  # coeff·v + rest ⋈ 0
             if c.kind == EQ:
                 pinned = -rest // coeff
                 lo = np.maximum(lo, pinned)
@@ -91,22 +85,19 @@ def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
         values = np.arange(total, dtype=np.int64) - starts + lo[rows]
         points = np.column_stack([points[rows], values])
         for r in space.residues_at(d):
-            value = eval_affine(r.expr, points, dim_index) % r.modulus
-            points = points[(value >= r.lo) & (value <= r.hi)]
+            points = points[satisfied_array(r, points)]
         if len(points) == 0:
             return empty
     return points
 
 
 def satisfied_array(
-    conjunct: Union[Constraint, ResidueConstraint],
-    points: "np.ndarray",
-    dim_index: dict[str, int],
+    conjunct: Union[RowConstraint, RowResidue], points: "np.ndarray"
 ) -> "np.ndarray":
     """Whether each row of ``points`` satisfies one affine or residue
-    conjunct, as a boolean mask."""
-    value = eval_affine(conjunct.expr, points, dim_index)
-    if isinstance(conjunct, ResidueConstraint):
+    conjunct compiled over the points' dimensions, as a boolean mask."""
+    value = _eval_row(conjunct.row, conjunct.const, points)
+    if isinstance(conjunct, RowResidue):
         value %= conjunct.modulus
         return (value >= conjunct.lo) & (value <= conjunct.hi)
     return value == 0 if conjunct.kind == EQ else value >= 0
@@ -187,13 +178,12 @@ def sample_points_array(
         if used <= m:
             break
         m *= 2
-    dim_index = {name: k for k, name in enumerate(space.dims)}
+    bounds, _ = space.rows()
     position = starts[:n]
     for d in range(ndim):
         position_after = advance[d][position]
         pick = words[position_after - 1] >> shifts[d]
-        row, const = affine_row(space.bounds[d][0], dim_index, ndim)
-        points[:, d] = points[:, :d] @ row[:d] + const + pick // inner[d]
+        points[:, d] = _eval_row(*bounds[d][0], points[:, :d]) + pick // inner[d]
         position = position_after
     rng.getrandbits(32 * used)
     return points

@@ -5,8 +5,8 @@ A :class:`Constraint` is either an equality ``expr == 0`` or an inequality
 used for IF guards and reference iteration spaces (Section 3.3 of the paper).
 Disjunctions never arise in the paper's program model, which keeps the
 machinery simple and exact; the one place a complement is needed — the
-regional solver's sequential set difference — takes
-:func:`negate_constraint`'s disjuncts one cell each.  A
+regional solver's sequential set difference — takes the disjuncts of
+:meth:`repro.polyhedra.space.RowConstraint.negated` one cell each.  A
 :class:`ResidueConstraint` ``(expr mod m) ∈ [lo, hi]`` is the memory-line
 condition of the cold equations.
 """
@@ -91,53 +91,22 @@ class Constraint:
         return f"({self.expr} {op} 0)"
 
 
-def negate_constraint(c: Constraint) -> list[Constraint]:
-    """The complement of one affine constraint over integer points.
-
-    ``expr >= 0`` negates to the single constraint ``expr <= -1``;
-    ``expr == 0`` negates to the *disjunction* ``expr >= 1 | expr <= -1``,
-    returned as a list — the regional decomposition turns each disjunct
-    into its own cell (sequential set difference keeps cells disjoint).
-    """
-    if c.kind == EQ:
-        return [
-            Constraint.inequality(c.expr - 1),
-            Constraint.inequality(-c.expr - 1),
-        ]
-    return [Constraint.inequality(-c.expr - 1)]
-
-
 @dataclass(frozen=True)
 class ResidueConstraint:
     """The constraint ``(expr mod modulus) ∈ [lo, hi]``.
 
-    ``expr`` is canonicalised modulo ``modulus`` at construction (every
-    coefficient and the constant reduced into ``[0, modulus)``), so two
-    constraints describing the same residue condition share one signature
-    and therefore one cached count.
+    A :class:`~repro.polyhedra.space.BoundedSpace` validates the interval
+    and reduces ``expr`` modulo ``modulus`` on the way in
+    (:meth:`~repro.polyhedra.space.RowResidue.make`), so two constraints
+    describing the same residue condition share one signature, and its
+    :attr:`~repro.polyhedra.space.BoundedSpace.residues` reports them
+    reduced.
     """
 
     expr: Affine
     modulus: int
     lo: int
     hi: int
-
-    @staticmethod
-    def make(
-        expr: Affine, modulus: int, lo: int, hi: int
-    ) -> "ResidueConstraint":
-        """Build a canonical residue constraint (validates the interval)."""
-        if modulus <= 0:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        if not (0 <= lo <= hi < modulus):
-            raise ValueError(
-                f"residue interval [{lo}, {hi}] not within [0, {modulus})"
-            )
-        reduced = Affine(
-            {v: c % modulus for v, c in expr.coeffs.items()},
-            expr.constant % modulus,
-        )
-        return ResidueConstraint(reduced, modulus, lo, hi)
 
     def __repr__(self) -> str:
         return f"({self.expr} mod {self.modulus} in [{self.lo}, {self.hi}])"

@@ -42,10 +42,16 @@ The operations the solvers of Fig. 6 need:
   cumulative-weight table cached next to the counts.  Both consume the
   generator identically and return the same points.
 
-:meth:`conjoin` and :meth:`with_residue` derive a space from its already
-validated parent by compiling only the one new conjunct — the same step
-the constructor folds over its arguments, so a derived space and a
-freshly built one are the same set.
+Integer rows are the representation: affine conjuncts are kept as
+:class:`RowConstraint` and residues as :class:`RowResidue` (reduced mod
+the modulus), and :meth:`signature` is taken over them and the bound rows.
+:class:`Constraint` / :class:`ResidueConstraint` objects go in through the
+constructor and come out of :attr:`constraints` / :attr:`residues`, built
+on each read.  :meth:`conjoin` folds one conjunct into a copy of an
+already validated space — the step the constructor folds over its
+arguments — given as a :class:`Constraint` or compiled in advance, which
+costs no compilation; the copy rebuilds a depth's memo-key layout only
+where the conjunct widens that depth's relevance.
 """
 
 from __future__ import annotations
@@ -54,8 +60,10 @@ import math
 import random
 import threading
 from bisect import bisect_right
-from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import mul, neg
+from typing import (
+    Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union,
+)
 
 import numpy as np
 
@@ -113,9 +121,10 @@ def clear_count_cache() -> None:
 
 
 def _deepest(row: tuple[int, ...]) -> int:
-    """The deepest dimension index with a non-zero coefficient."""
+    """The deepest dimension index with a non-zero coefficient (``-1`` for
+    an all-zero row)."""
     k = len(row) - 1
-    while not row[k]:
+    while k >= 0 and not row[k]:
         k -= 1
     return k
 
@@ -123,6 +132,70 @@ def _deepest(row: tuple[int, ...]) -> int:
 def _mask(row: tuple[int, ...]) -> int:
     """Bit ``k`` set for every dimension ``k`` with a non-zero coefficient."""
     return sum(1 << k for k, c in enumerate(row) if c)
+
+
+def _fixed(mask: int, d: int) -> tuple[int, ...]:
+    """The dimensions below ``d`` whose bit is set in ``mask``."""
+    return tuple(k for k in range(d) if mask >> k & 1)
+
+
+class RowConstraint(NamedTuple):
+    """An affine conjunct ``row·v + const ⋈ 0`` compiled over a space's
+    :attr:`~BoundedSpace.dims`, with ``⋈`` the ``kind`` (``==`` or ``>=``).
+
+    ``anchor`` is the deepest dimension with a non-zero coefficient (``-1``
+    for a constant conjunct) and ``mask`` has bit ``k`` set per non-zero
+    one; :meth:`make` derives both, and a caller that varies only
+    ``const`` reuses them.
+    """
+
+    row: tuple[int, ...]
+    const: int
+    kind: str
+    anchor: int
+    mask: int
+
+    @classmethod
+    def make(cls, row: tuple[int, ...], const: int, kind: str):
+        return cls(row, const, kind, _deepest(row), _mask(row))
+
+    def negated(self) -> tuple["RowConstraint", ...]:
+        """The complement over integer points, one disjunct per entry:
+        ``e >= 0`` negates to ``-e - 1 >= 0`` and ``e == 0`` to ``e - 1 >=
+        0`` or ``-e - 1 >= 0``, where ``e = row·v + const``."""
+        row, const, kind, anchor, mask = self
+        below = RowConstraint(tuple(map(neg, row)), -const - 1, GE, anchor, mask)
+        if kind == EQ:
+            return (RowConstraint(row, const - 1, GE, anchor, mask), below)
+        return (below,)
+
+
+class RowResidue(NamedTuple):
+    """A residue conjunct ``(row·v + const) mod modulus ∈ [lo, hi]`` over a
+    space's :attr:`~BoundedSpace.dims`, row and constant reduced into
+    ``[0, modulus)`` so equal conditions compare equal.  ``anchor`` as in
+    :class:`RowConstraint`: ``-1`` when the reduced row is all zero."""
+
+    row: tuple[int, ...]
+    const: int
+    modulus: int
+    lo: int
+    hi: int
+    anchor: int
+
+    @classmethod
+    def make(
+        cls, row: tuple[int, ...], const: int, modulus: int, lo: int, hi: int
+    ) -> "RowResidue":
+        """Reduce and validate (the interval must lie in ``[0, modulus)``)."""
+        if modulus <= 0:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not (0 <= lo <= hi < modulus):
+            raise ValueError(
+                f"residue interval [{lo}, {hi}] not within [0, {modulus})"
+            )
+        row = tuple(c % modulus for c in row)
+        return cls(row, const % modulus, modulus, lo, hi, _deepest(row))
 
 
 def _interval(
@@ -216,17 +289,22 @@ class BoundedSpace:
             bound_rows.append(tuple(compiled))
         self._bound_rows = tuple(bound_rows)
         self._raw = tuple(raw)
+        self._raw_idx = tuple(_fixed(m, d) for d, m in enumerate(raw))
         self._empty = False
-        self.constraints: tuple[Constraint, ...] = ()
-        self.residues: tuple[ResidueConstraint, ...] = ()
+        self._cons: tuple[RowConstraint, ...] = ()
+        self._res: tuple[RowResidue, ...] = ()
         self._cons_at: tuple[tuple, ...] = ((),) * n
         self._res_at: tuple[tuple, ...] = ((),) * n
         self._res_from: tuple[tuple, ...] = ((),) * (n + 1)
         for c in constraints:
-            self._add_constraint(c)
+            self._add_constraint(self._compile(c))
         for r in residues:
-            self._add_residue(r)
-        self._index_raw()
+            self._add_residue(
+                RowResidue.make(
+                    self._row(r.expr, "residue", r), r.expr.constant,
+                    r.modulus, r.lo, r.hi,
+                )
+            )
         self._reset_memos()
 
     # -- construction steps (shared by __init__ and derivation) -----------------
@@ -245,52 +323,61 @@ class BoundedSpace:
             row[k] = c
         return tuple(row)
 
-    def _add_constraint(self, c: Constraint) -> None:
+    def _compile(self, c: Constraint) -> RowConstraint:
+        """An affine constraint as a :class:`RowConstraint` over ``dims``."""
+        return RowConstraint.make(
+            self._row(c.expr, "constraint", c), c.expr.constant, c.kind
+        )
+
+    def _add_constraint(self, c: RowConstraint) -> None:
         """Fold one affine constraint in: drop it if trivially true; a
         trivially false one empties the space (and stays listed, so readers
         of :attr:`constraints` see the emptiness too); anchor the rest at
         their deepest dimension."""
-        if c.trivially_true():
+        anchor = c.anchor
+        if anchor < 0 and (c.const == 0 if c.kind == EQ else c.const >= 0):
             return
-        self.constraints += (c,)
-        if c.trivially_false():
+        self._cons += (c,)
+        if anchor < 0:
             self._empty = True
             return
-        row = self._row(c.expr, "constraint", c)
-        anchor = _deepest(row)
-        compiled = (row[anchor], row, c.expr.constant, c.kind == EQ, c)
+        row = c.row
         cons_at = list(self._cons_at)
-        cons_at[anchor] += (compiled,)
+        cons_at[anchor] += ((row[anchor], row, c.const, c.kind == EQ, c),)
         self._cons_at = tuple(cons_at)
-        mask = _mask(row)
-        self._raw = tuple(
-            m | mask if d <= anchor else m for d, m in enumerate(self._raw)
-        )
+        mask = c.mask
+        raw = self._raw
+        # Relevance only shrinks with depth, so depths above the anchor
+        # already hold every bit ``raw[anchor]`` holds.
+        if raw[anchor] | mask != raw[anchor]:
+            # Only the depths whose relevance grows get a new key layout.
+            self._raw = tuple(
+                m | mask if d <= anchor else m for d, m in enumerate(raw)
+            )
+            self._raw_idx = tuple(
+                idx if old == new else _fixed(new, d)
+                for d, (idx, old, new) in enumerate(
+                    zip(self._raw_idx, raw, self._raw)
+                )
+            )
 
-    def _add_residue(self, r: ResidueConstraint) -> None:
+    def _add_residue(self, r: RowResidue) -> None:
         """Fold one residue constraint in: a constant one resolves now, the
         rest anchor like affine constraints."""
-        if r.expr.is_constant():
-            if not (r.lo <= r.expr.constant % r.modulus <= r.hi):
+        anchor = r.anchor
+        if anchor < 0:
+            if not (r.lo <= r.const <= r.hi):
                 self._empty = True
             return
-        row = self._row(r.expr, "residue", r)
-        anchor = _deepest(row)
-        self.residues += (r,)
-        compiled = (row[anchor], row, r.expr.constant, r.modulus, r.lo, r.hi, r)
+        self._res += (r,)
+        row = r.row
+        compiled = (row[anchor], row, r.const, r.modulus, r.lo, r.hi, r)
         res_at = list(self._res_at)
         res_at[anchor] += (compiled,)
         self._res_at = tuple(res_at)
         self._res_from = tuple(
             rs + (compiled,) if d <= anchor else rs
             for d, rs in enumerate(self._res_from)
-        )
-
-    def _index_raw(self) -> None:
-        """Per depth, the indices of the fixed dimensions in the memo key."""
-        self._raw_idx = tuple(
-            tuple(k for k in range(d) if mask >> k & 1)
-            for d, mask in enumerate(self._raw)
         )
 
     def _reset_memos(self) -> None:
@@ -306,12 +393,35 @@ class BoundedSpace:
         new._reset_memos()
         return new
 
+    def _affine(self, row: tuple[int, ...], const: int) -> Affine:
+        """The inverse of :meth:`_row`."""
+        return Affine({v: c for v, c in zip(self.dims, row) if c}, const)
+
     # -- basic queries ---------------------------------------------------------
 
     @property
     def ndim(self) -> int:
         """Number of dimensions."""
         return self._n
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The affine conjuncts as :class:`Constraint` objects, in the order
+        they were added (built on each read; the space keeps rows)."""
+        return tuple(
+            Constraint(self._affine(c.row, c.const), c.kind) for c in self._cons
+        )
+
+    @property
+    def residues(self) -> tuple[ResidueConstraint, ...]:
+        """The non-constant residue conjuncts as canonical
+        :class:`ResidueConstraint` objects (built on each read)."""
+        return tuple(
+            ResidueConstraint(
+                self._affine(r.row, r.const), r.modulus, r.lo, r.hi
+            )
+            for r in self._res
+        )
 
     def is_trivially_empty(self) -> bool:
         """True if a constant conjunct already rules out all points."""
@@ -325,7 +435,7 @@ class BoundedSpace:
         ones whose bounds translate with the outer indices.  ``None``
         otherwise.
         """
-        if self._empty or self.constraints or self.residues:
+        if self._empty or self._cons or self._res:
             return None
         extents = []
         for (lo_row, lo_c), (hi_row, hi_c) in self._bound_rows:
@@ -334,8 +444,8 @@ class BoundedSpace:
             extents.append(hi_c - lo_c + 1)
         return tuple(extents)
 
-    def constraints_at(self, level: int) -> tuple[Constraint, ...]:
-        """The affine constraints anchored at dimension ``level``.
+    def constraints_at(self, level: int) -> tuple[RowConstraint, ...]:
+        """The affine conjuncts anchored at dimension ``level``.
 
         A constraint is anchored at the deepest dimension it mentions, so
         it becomes checkable as soon as that dimension is fixed — the
@@ -344,24 +454,19 @@ class BoundedSpace:
         """
         return tuple(entry[-1] for entry in self._cons_at[level])
 
+    def residues_at(self, level: int) -> tuple[RowResidue, ...]:
+        """The residue conjuncts anchored at dimension ``level``."""
+        return tuple(entry[-1] for entry in self._res_at[level])
+
     def rows(self) -> tuple[tuple, tuple]:
         """The compiled integer rows, read-only: ``(bounds, constraints)``.
 
         ``bounds`` holds one ``((lo_row, lo_const), (hi_row, hi_const))``
         pair per dimension and ``constraints`` one ``(row, const, kind)``
-        per entry of :attr:`constraints`, in that order; every row is over
-        :attr:`dims`.
+        per entry of :attr:`constraints`, in that order (a trivially false
+        one has an all-zero row); every row is over :attr:`dims`.
         """
-        compiled = {
-            c: (row, const)
-            for level in self._cons_at
-            for _, row, const, _, c in level
-        }
-        zero = (0,) * self._n  # a trivially false conjunct is not compiled
-        return self._bound_rows, tuple(
-            (*compiled.get(c, (zero, c.expr.constant)), c.kind)
-            for c in self.constraints
-        )
+        return self._bound_rows, tuple(c[:3] for c in self._cons)
 
     def conjunct_rows(self) -> tuple[tuple, ...]:
         """:meth:`rows` as one tuple of ``(row, const, kind)`` conjuncts:
@@ -379,24 +484,28 @@ class BoundedSpace:
             )
         return tuple(conjuncts) + constraints
 
-    def residues_at(self, level: int) -> tuple[ResidueConstraint, ...]:
-        """The residue constraints anchored at dimension ``level``."""
-        return tuple(entry[-1] for entry in self._res_at[level])
-
-    def conjoin(self, constraint: Constraint) -> "BoundedSpace":
-        """A new space with one more affine constraint."""
+    def conjoin(
+        self, conjunct: Union[Constraint, RowConstraint, RowResidue]
+    ) -> "BoundedSpace":
+        """A new space with one more conjunct: an affine
+        :class:`Constraint`, or a conjunct already compiled over
+        :attr:`dims` (:class:`RowConstraint`, :class:`RowResidue`), which
+        is folded in without compiling anything."""
         new = self._derived()
-        new._add_constraint(constraint)
-        new._index_raw()
+        if isinstance(conjunct, RowResidue):
+            new._add_residue(conjunct)
+        elif isinstance(conjunct, RowConstraint):
+            new._add_constraint(conjunct)
+        else:
+            new._add_constraint(self._compile(conjunct))
         return new
 
     def with_residue(
         self, expr: Affine, modulus: int, lo: int, hi: int
     ) -> "BoundedSpace":
         """A new space additionally requiring ``expr mod modulus ∈ [lo, hi]``."""
-        new = self._derived()
-        new._add_residue(ResidueConstraint.make(expr, modulus, lo, hi))
-        return new
+        row = self._row(expr, "residue", expr)
+        return self.conjoin(RowResidue.make(row, expr.constant, modulus, lo, hi))
 
     def var_ranges(self) -> dict[str, tuple[int, int]]:
         """Conservative per-dimension ``(min, max)`` box of the bounds alone
@@ -473,9 +582,9 @@ class BoundedSpace:
             sig = self._signature = (
                 "space",
                 self.dims,
-                self.bounds,
-                frozenset(self.constraints),
-                frozenset(self.residues),
+                self._bound_rows,
+                frozenset(self._cons),
+                frozenset(self._res),
             )
         return sig
 

@@ -212,11 +212,14 @@ def parse_cache_spec(value: Union[str, Mapping]) -> CacheConfig:
     if isinstance(value, str):
         try:
             size_kb, line, assoc = (int(p) for p in value.split(":"))
-            return CacheConfig(size_kb * 1024, line, assoc)
         except ValueError as exc:
             raise BadRequest(
                 f"bad cache spec {value!r}: expected SIZE_KB:LINE_BYTES:ASSOC"
             ) from exc
+        try:
+            return CacheConfig(size_kb * 1024, line, assoc)
+        except ValueError as exc:
+            raise BadRequest(f"bad cache spec {value!r}: {exc}") from exc
     if isinstance(value, Mapping):
         try:
             size_bytes = value.get("size_bytes")

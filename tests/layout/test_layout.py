@@ -32,6 +32,17 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(0, 32, 1)
 
+    def test_geometry_beyond_the_index_types_rejected(self):
+        # Sets are numbered with int32 and addresses with int64.
+        assert CacheConfig(2**31 - 1, 1, 1).num_sets == 2**31 - 1
+        assert CacheConfig(2**63 - 2**32, 2**32, 1).num_sets == 2**31 - 1
+        with pytest.raises(ValueError, match="too large"):
+            CacheConfig(2**31, 1, 1)
+        with pytest.raises(ValueError, match="too large"):
+            CacheConfig(2**63, 2**62, 2)
+        with pytest.raises(ValueError, match="too large"):
+            CacheConfig.kb(99999999999999999999, 32, 1)
+
     def test_describe(self):
         assert CacheConfig.kb(32, 32, 1).describe() == "32KB/32B direct"
         assert "2-way" in CacheConfig.kb(32, 32, 2).describe()

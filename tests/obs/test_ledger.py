@@ -161,6 +161,8 @@ CI_SMOKE = {
                       "--method", "estimate"],
     "regions-mmt": ["analyze", "mmt", "--size", "16", "--cache", "4:32:2",
                     "--method", "regions"],
+    "regions-mmt-serve": ["analyze", "mmt", "--size", "16", "--cache",
+                          "1:32:1", "--method", "regions"],
 }
 
 

@@ -1,7 +1,7 @@
 """Schema stability of the ``repro.metrics/v1`` name namespace.
 
-The golden lists below enumerate every counter, gauge and histogram a
-fully exercised pipeline run produces — cold + warm memoized FindMisses,
+The golden lists below enumerate every counter, gauge, histogram and span
+name a fully exercised pipeline run produces — cold + warm memoized FindMisses,
 EstimateMisses at two geometries (the second
 replays the first's shared decisions), RegionMisses, and the simulator on
 one pinned workload.  The exporter treats names as opaque keys, so the
@@ -74,6 +74,34 @@ GOLDEN_HISTOGRAMS = {
     "reuse.ugs.size",
 }
 
+GOLDEN_SPANS = {
+    "cme/batch/trace_index",
+    "cme/classify_ref",
+    "cme/estimate",
+    "cme/find",
+    "cme/region_ref",
+    "cme/regions",
+    "cme/regions/decompose",
+    "cme/sample",
+    "cme/window",
+    "memo/probe",
+    "memo/store",
+    "prepare/inline",
+    "prepare/layout",
+    "prepare/normalise",
+    "reuse/build_table",
+    "sim/batch",
+    "sim/decode",
+}
+
+
+def _span_paths(nodes, parents=()):
+    """``(names from the top span down, node)`` for every span node."""
+    for node in nodes:
+        path = parents + (node["name"],)
+        yield path, node
+        yield from _span_paths(node.get("children", ()), path)
+
 
 @pytest.fixture(scope="module")
 def pipeline_snapshot(tmp_path_factory):
@@ -106,6 +134,22 @@ class TestMetricNameStability:
 
     def test_histogram_names_exact(self, pipeline_snapshot):
         assert set(pipeline_snapshot["histograms"]) == GOLDEN_HISTOGRAMS
+
+    def test_span_names_exact(self, pipeline_snapshot):
+        names = {path[-1] for path, _ in _span_paths(pipeline_snapshot["spans"])}
+        assert names == GOLDEN_SPANS
+
+    def test_decomposition_is_timed_once_per_region_reference(
+        self, pipeline_snapshot
+    ):
+        spans = dict(_span_paths(pipeline_snapshot["spans"]))
+        ref = spans[("cme/regions", "cme/region_ref")]
+        decompose = spans[
+            ("cme/regions", "cme/region_ref", "cme/regions/decompose")
+        ]
+        # One fresh regional solve: every reference decomposes once.
+        assert decompose["count"] == ref["count"] > 0
+        assert 0 < decompose["seconds"] <= ref["seconds"]
 
     def test_names_are_dotted_lowercase(self, pipeline_snapshot):
         for kind in ("counters", "gauges", "histograms"):

@@ -25,11 +25,20 @@ from repro.normalize import normalize
 from repro.polyhedra import Affine, BoundedSpace, Constraint, ResidueConstraint
 from repro.polyhedra.batch import (
     enumerate_points_array,
-    eval_affine,
     lexmin_array,
     satisfied_array,
 )
 from repro.polyhedra.space import REPRESENTATIVE_BUDGET
+
+
+def eval_affine(
+    expr: Affine, points: np.ndarray, dim_index: dict[str, int]
+) -> np.ndarray:
+    """Evaluate an affine expression at every row of ``points``."""
+    row = np.zeros(points.shape[1], dtype=np.int64)
+    for name, coeff in expr.coeffs.items():
+        row[dim_index[name]] = coeff
+    return points @ row + expr.constant
 
 
 def _spaces():
@@ -100,13 +109,13 @@ def _spaces_with_conjuncts(draw):
             {v: draw(st.integers(0, modulus - 1)) for v in dims},
             draw(st.integers(0, modulus - 1)),
         )
-        residues.append(ResidueConstraint.make(expr, modulus, lo_r, hi_r))
+        residues.append(ResidueConstraint(expr, modulus, lo_r, hi_r))
     return BoundedSpace(dims, bounds, constraints, residues)
 
 
 def contains_array(space: BoundedSpace, points: np.ndarray) -> np.ndarray:
     """:meth:`BoundedSpace.contains` of every row of an ``(N, n)`` array,
-    as a boolean mask: the bounds, then every affine and residue
+    as a boolean mask: the bounds, then every compiled affine and residue
     conjunct through :func:`satisfied_array`."""
     mask = np.full(len(points), not space.is_trivially_empty())
     dim_index = {name: k for k, name in enumerate(space.dims)}
@@ -114,8 +123,9 @@ def contains_array(space: BoundedSpace, points: np.ndarray) -> np.ndarray:
         value = points[:, d]
         mask &= eval_affine(lo, points, dim_index) <= value
         mask &= value <= eval_affine(hi, points, dim_index)
-    for conjunct in space.constraints + space.residues:
-        mask &= satisfied_array(conjunct, points, dim_index)
+    for d in range(space.ndim):
+        for conjunct in space.constraints_at(d) + space.residues_at(d):
+            mask &= satisfied_array(conjunct, points)
     return mask
 
 

@@ -31,9 +31,9 @@ from repro.polyhedra import (
     Constraint,
     ResidueConstraint,
     count_range_residue,
-    negate_constraint,
     residue_period,
 )
+from tests.cme.decompose_oracle import negate_constraint
 
 
 def test_residue_period_matches_orbit_length():
@@ -91,7 +91,7 @@ def _random_region(rng: random.Random) -> BoundedSpace:
         expr = Affine(
             {v: rng.randrange(0, modulus) for v in dims}, rng.randrange(modulus)
         )
-        residues.append(ResidueConstraint.make(expr, modulus, lo_r, hi_r))
+        residues.append(ResidueConstraint(expr, modulus, lo_r, hi_r))
     return BoundedSpace(dims, bounds, tuple(constraints), tuple(residues))
 
 
@@ -203,7 +203,7 @@ def _random_chain(rng: random.Random):
                 rng.randrange(modulus),
             )
         region = region.with_residue(expr, modulus, lo_r, hi_r)
-        residues.append(ResidueConstraint.make(expr, modulus, lo_r, hi_r))
+        residues.append(ResidueConstraint(expr, modulus, lo_r, hi_r))
     return region, base, constraints, residues
 
 

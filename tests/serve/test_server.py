@@ -181,6 +181,26 @@ def test_out_of_range_kernel_size_is_422(server):
     assert "step must be a non-zero integer" in doc["error"]["message"]
 
 
+#: Cache geometries whose size or set count overflow the int64 addresses
+#: and int32 set numbers the solvers and the simulator index with.
+OVERSIZED_CACHES = [
+    "99999999999999999999:32:1",
+    "9007199254740992:32:1",
+    "8388608:1:1",
+    {"size_bytes": 2**63, "line_bytes": 32, "assoc": 1},
+]
+
+
+@pytest.mark.parametrize("cache", OVERSIZED_CACHES, ids=str)
+@pytest.mark.parametrize("method", ["find", "estimate", "regions"])
+def test_oversized_cache_geometry_is_400(server, cache, method):
+    body = {"kernel": "hydro", "size": 8, "cache": cache, "method": method}
+    status, doc = post_raw(server.url, "/v1/analyze", json.dumps(body).encode())
+    assert status == 400
+    assert doc["error"]["code"] == "bad_request"
+    assert "too large" in doc["error"]["message"]
+
+
 def test_unknown_job_is_404(client):
     with pytest.raises(JobNotFound):
         client.job("no-such-job")

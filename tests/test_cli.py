@@ -96,6 +96,26 @@ class TestErrors:
         with pytest.raises(SystemExit):
             main(["analyze", "hydro", "--size", "8", "--cache", "banana"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "hydro", "--method", "find"],
+            ["analyze", "hydro", "--method", "regions"],
+            ["simulate", "hydro"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")),
+    )
+    @pytest.mark.parametrize(
+        "spec", ["99999999999999999999:32:1", "9007199254740992:32:1"]
+    )
+    def test_oversized_cache_geometry_is_a_one_line_exit(self, argv, spec):
+        """Set counts past int32 or sizes past int64 are a usage error,
+        not an ``OverflowError`` from the solvers or the simulator."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--size", "8", "--cache", spec])
+        message = str(exc.value.code)
+        assert "too large" in message and "\n" not in message
+
     @pytest.mark.parametrize("verb", ["analyze", "compare", "submit"])
     def test_unknown_method(self, verb, capsys):
         """``--method`` offers exactly the solver table's names."""
