@@ -24,6 +24,12 @@ arithmetic:
   the cold equations are a batched affine-bounds/guards mask plus
   vectorized address → line arithmetic, and reuse vectors are tried in
   lexicographic order over the shrinking set of undecided points;
+* once few points are left — the cold ones walk every vector — the
+  remaining (point, vector) pairs are decided in one grid
+  (:meth:`BatchClassifier._cold_tail`): producer-RIS containment one
+  conjunct at a time, the same-line test through the address identity of
+  a uniformly generated set (:class:`_ColdTable`), and the first true
+  vector per point, which is the one the loop would stop at;
 * the replacement equations (``k`` distinct conflicting lines inside the
   reuse window, Section 4.1.2) are answered by whichever oracle is cheaper
   for the reference's decided points: the walker's windowed walk (cost
@@ -43,7 +49,11 @@ kept in the reuse table's :class:`~repro.cme.decisions.DecisionStore`
 under the reference and the points' name (the whole RIS, or an
 ``EstimateMisses`` sample's solver parameters), so every later geometry
 with the same line size replays it (``cme.decisions.shared``) and pays
-for its replacement windows alone.
+for its replacement windows alone.  Those it answers for every reference
+at once: before the first unit of a solve the classifier is handed every
+unit's decision key (:meth:`BatchClassifier.query_windows`), and one
+:meth:`~repro.iteration.batch.TraceIndex.conflicts_reach` answers all the
+stored decisions whose windows end in trace times.
 
 The tests diff this classifier against a pure-Python per-point oracle
 (``tests/cme/scalar_oracle.py``): identical tallies, identical per-point
@@ -67,9 +77,10 @@ from repro.iteration.batch import LineTrace, TraceIndex
 from repro.iteration.position import interleave, subtract
 from repro.iteration.walker import Walker
 from repro.polyhedra.space import BoundedSpace
-from repro.sim.batch import TracePlan
+from repro.sim.batch import TracePlan, narrow_lines
 from repro.reuse.generator import ReuseTable
 from repro.cme.decisions import DecisionStore
+from repro.errors import InvariantError
 from repro.cme.result import Classification, Outcome, RefResult
 
 #: Walker cost per window access and per point, in units of one trace
@@ -77,6 +88,12 @@ from repro.cme.result import Classification, Outcome, RefResult
 #: DESIGN.md, "Window-strategy rule").
 _WALK_ACCESS = 0.2
 _WALK_POINT = 75.0
+
+#: Once at most this many points are undecided, and more than
+#: :data:`_TAIL_VECTORS` vectors are left, the cold equations decide every
+#: remaining (point, vector) pair in one grid instead of vector by vector.
+_TAIL = 256
+_TAIL_VECTORS = 4
 
 
 class _BatchRIS:
@@ -108,6 +125,37 @@ class _BatchRIS:
         if len(self.eq_bound):
             mask &= np.all(self.eq @ points.T == self.eq_bound, axis=0)
         return mask
+
+
+class _ColdTable(NamedTuple):
+    """A reference's reuse vectors as arrays for the batch cold equations;
+    geometry-free, so kept in the reuse table's derived facts.
+
+    Vector ``j`` moves a consumer point ``p`` to the producer point
+    ``p − shifts[j]`` in the leaf ``leaves[used[local[j]]]``.  Its
+    producer accesses the byte ``addr_c(p) + offsets[j]`` there: a reuse
+    vector pairs references of one uniformly generated set, which share
+    the address row, so ``addr_p(p − s) = addr_c(p) − row·s + (c_p −
+    c_c)``.
+    """
+
+    shifts: "np.ndarray"
+    offsets: "np.ndarray"
+    used: "np.ndarray"
+    local: "np.ndarray"
+
+
+class _ProgramRows(NamedTuple):
+    """Every reference's byte address ``addr_rows[uid]·p +
+    addr_consts[uid]``, and every leaf's RIS (``leaf_index[id(leaf)]``) as
+    inequalities ``ineq_rows[leaf, r]·p >= ineq_bounds[leaf, r]``, padded
+    with ``0 >= 0`` to one width; kept per layout."""
+
+    addr_rows: "np.ndarray"
+    addr_consts: "np.ndarray"
+    leaf_index: dict
+    ineq_rows: "np.ndarray"
+    ineq_bounds: "np.ndarray"
 
 
 class _Decisions(NamedTuple):
@@ -162,7 +210,6 @@ class BatchClassifier:
         self._ris = {
             id(leaf): _BatchRIS(nprog.ris(leaf)) for leaf in nprog.leaves
         }
-        self._addr: dict[int, tuple] = {}  # ref.uid -> (address row, const)
         self._facts = reuse.derived((layout, cache.line_bytes))
         #: Geometry-free samples, decisions and traces (shared).
         self.store: DecisionStore = self._facts.get("decisions")
@@ -170,6 +217,12 @@ class BatchClassifier:
             self.store = self._facts.setdefault("decisions", DecisionStore())
         self._lines: Optional[LineTrace] = None
         self._trace: Optional[TraceIndex] = None
+        #: The line trace and index :meth:`query_windows` built, published
+        #: to the store where a unit would have built them.
+        self._unpublished: dict = {}
+        #: Replacement outcomes :meth:`query_windows` found, by decision
+        #: key; each unit takes its own.
+        self._answers: dict = {}
         #: Reuse vectors tried since the last drain — the CME "solver
         #: iterations" metric, drained in bulk per reference so the hot
         #: path never touches the metrics registry.
@@ -212,14 +265,57 @@ class BatchClassifier:
         :attr:`store` and replayed by the next geometry; without it only
         the full RIS is kept.
         """
+        if points is None or key is not None:
+            key = self.decision_key(ref, None if points is None else key)
         decisions = self._decisions(ref, points, key)
-        evicted = self._evicted(ref, decisions)
+        evicted = self._evicted(ref, decisions, key)
         self.vector_trials += decisions.trials
         replaced = int(np.count_nonzero(evicted))
         result.analysed += decisions.count
         result.hits += len(evicted) - replaced
         result.cold += decisions.count - len(evicted)
         result.replacement += replaced
+
+    def decision_key(self, ref: NRef, name: Optional[tuple] = None) -> tuple:
+        """The store key of ``ref``'s decisions over the points ``name``
+        names (``None``: the whole RIS), with the trace budget's verdict,
+        which the window-oracle choice reads."""
+        if name is None:
+            name = (ref.uid,)
+        return ("decisions", self.plan().materialisable) + name
+
+    def query_windows(self, keys: Sequence[Optional[tuple]]) -> None:
+        """Answer, in one :meth:`TraceIndex.conflicts_reach`, the windows of
+        every decision stored under ``keys`` (``None`` entries skipped)
+        that ends in trace times.
+
+        A solve passes every unit's key before the first unit runs; a unit
+        whose decisions were answered here takes its outcomes instead of
+        querying the index alone.  The store is only peeked and the index
+        only published where a unit would, so the store evolves as it does
+        without this call; outcomes depend on the key and the geometry
+        alone, so a unit that recomputes evicted decisions still takes
+        its own.
+        """
+        self._answers = {}
+        found = {}
+        for key in keys:
+            decisions = None if key is None else self.store.peek(key)
+            if decisions is not None and decisions.ends is not None:
+                found[key] = decisions
+        if len(found) < 2:  # one query per reference anyway
+            return
+        with obs.span("cme/window"):
+            t_lo, t_hi = (
+                np.concatenate(ends)
+                for ends in zip(*(d.ends for d in found.values()))
+            )
+            lines = np.concatenate([d.lines for d in found.values()])
+            evicted = self._index_unpublished().conflicts_reach(
+                t_lo, t_hi, lines, self._assoc
+            )
+        cuts = np.cumsum([len(d.lines) for d in found.values()])[:-1]
+        self._answers = dict(zip(found, np.split(evicted, cuts)))
 
     def classify_points(
         self, ref: NRef, points: Sequence[Sequence[int]]
@@ -255,17 +351,74 @@ class BatchClassifier:
             len(points), self.nprog.depth
         )
 
+    def _program_rows(self) -> _ProgramRows:
+        found = self._facts.get("rows")
+        if found is not None:
+            return found
+        depth = self.nprog.depth
+        addr_rows = np.zeros((len(self.nprog.refs), depth), dtype=np.int64)
+        addr_consts = np.zeros(len(self.nprog.refs), dtype=np.int64)
+        for ref in self.nprog.refs:
+            compiled = self.walker.compiled_ref(ref).addr
+            for d, coeff in compiled.terms:
+                addr_rows[ref.uid, d] = coeff
+            addr_consts[ref.uid] = compiled.const
+        leaves = self.nprog.leaves
+        conjuncts = []  # row·i >= bound; an equality is two
+        for leaf in leaves:
+            conjuncts.append([])
+            for row, c, kind in self.nprog.ris(leaf).conjunct_rows():
+                conjuncts[-1].append((row, -c))
+                if kind == EQ:
+                    conjuncts[-1].append(([-v for v in row], c))
+        width = max([1, *map(len, conjuncts)])
+        ineq_rows = np.zeros((len(leaves), width, depth), dtype=np.int64)
+        ineq_bounds = np.zeros((len(leaves), width), dtype=np.int64)
+        for i, leaf_conjuncts in enumerate(conjuncts):
+            for r, (row, bound) in enumerate(leaf_conjuncts):
+                ineq_rows[i, r] = row
+                ineq_bounds[i, r] = bound
+        leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
+        found = _ProgramRows(
+            addr_rows, addr_consts, leaf_index, ineq_rows, ineq_bounds
+        )
+        return self._facts.setdefault("rows", found)
+
     def _address(self, ref: NRef, pts: "np.ndarray") -> "np.ndarray":
         """The byte address ``ref`` accesses at every row of ``pts``."""
-        addr = self._addr.get(ref.uid)
-        if addr is None:
-            compiled = self.walker.compiled_ref(ref).addr
-            row = np.zeros(self.nprog.depth, dtype=np.int64)
-            for d, coeff in compiled.terms:
-                row[d] = coeff
-            addr = self._addr[ref.uid] = (row, np.int64(compiled.const))
-        row, const = addr
-        return pts @ row + const
+        rows = self._program_rows()
+        return pts @ rows.addr_rows[ref.uid] + rows.addr_consts[ref.uid]
+
+    def _cold_table(self, ref: NRef) -> _ColdTable:
+        """The reference's :class:`_ColdTable`, built once per layout."""
+        key = ("cold", ref.uid)
+        table = self._facts.get(key)
+        if table is not None:
+            return table
+        addr_rows, addr_consts, leaf_index, _, _ = self._program_rows()
+        vectors = self.reuse.vectors_for(ref)
+        depth = self.nprog.depth
+        shifts = np.array(
+            [rv.vec[1::2] for rv in vectors], dtype=np.int64
+        ).reshape(len(vectors), depth)
+        producers = np.array([rv.producer.uid for rv in vectors])
+        row = addr_rows[ref.uid]
+        if (addr_rows[producers] != row).any():
+            raise InvariantError(
+                f"a reuse vector of {ref} pairs it with a reference of "
+                "another address row"
+            )
+        offsets = (
+            addr_consts[producers] - addr_consts[ref.uid] - shifts @ row
+        )
+        leaves = np.array(
+            [leaf_index[id(rv.producer.leaf)] for rv in vectors],
+            dtype=np.intp,
+        )
+        table = _ColdTable(shifts, offsets, *np.unique(
+            leaves, return_inverse=True
+        ))
+        return self._facts.setdefault(key, table)
 
     def plan(self) -> TracePlan:
         """The program's trace plan, shared by every geometry with this
@@ -280,9 +433,11 @@ class BatchClassifier:
         if self._lines is None:
             lines = self.store.get(("trace",))
             if lines is None:
-                lines = LineTrace(
-                    self.nprog, self.walker, self._line_bytes, self.plan()
-                )
+                lines = self._unpublished.pop(("trace",), None)
+                if lines is None:
+                    lines = LineTrace(
+                        self.nprog, self.walker, self._line_bytes, self.plan()
+                    )
                 lines = self.store.put(("trace",), lines, lines.nbytes)
             self._lines = lines
         return self._lines
@@ -292,14 +447,41 @@ class BatchClassifier:
             key = ("index", self._num_sets)
             index = self.store.get(key)
             if index is None:
-                with obs.span("cme/batch/trace_index"):
-                    index = TraceIndex(
-                        self.nprog, self.walker, self._line_bytes,
-                        self._num_sets, self._line_trace(),
-                    )
+                lines = self._line_trace()
+                index = self._unpublished.pop(key, None)
+                if index is None:
+                    index = self._build_index(lines)
                 index = self.store.put(key, index, index.nbytes)
             self._trace = index
         return self._trace
+
+    def _index_unpublished(self) -> TraceIndex:
+        """The trace index, found or built without touching the store's
+        contents or recency; :meth:`_trace_index` publishes it later."""
+        key = ("index", self._num_sets)
+        index = self._trace if self._trace is not None else self._peek(key)
+        if index is None:
+            lines = self._lines
+            if lines is None:
+                lines = self._peek(("trace",))
+            if lines is None:
+                lines = self._unpublished["trace",] = LineTrace(
+                    self.nprog, self.walker, self._line_bytes, self.plan()
+                )
+            index = self._unpublished[key] = self._build_index(lines)
+        return index
+
+    def _peek(self, key: tuple):
+        """The store's entry under ``key``, or the one set aside."""
+        entry = self.store.peek(key)
+        return self._unpublished.get(key) if entry is None else entry
+
+    def _build_index(self, lines: LineTrace) -> TraceIndex:
+        with obs.span("cme/batch/trace_index"):
+            return TraceIndex(
+                self.nprog, self.walker, self._line_bytes, self._num_sets,
+                lines,
+            )
 
     def _decisions(
         self,
@@ -308,15 +490,9 @@ class BatchClassifier:
         key: Optional[tuple],
     ) -> _Decisions:
         """The reference's :class:`_Decisions`, replayed from the store
-        when an earlier classifier (another geometry) made them.
-
-        Entries are keyed by the points' name and the trace budget's
-        verdict, which the window-oracle choice reads.
-        """
-        if points is None:
-            key = (ref.uid,)
+        when an earlier classifier (another geometry) made them; kept
+        under the store key ``key`` unless it is ``None``."""
         if key is not None:
-            key = ("decisions", self.plan().materialisable) + key
             decisions = self.store.get(key)
             if decisions is not None:
                 obs.counter("cme.decisions.shared").inc()
@@ -331,7 +507,8 @@ class BatchClassifier:
         if ends is not None:
             consumers = via = None
         decisions = _Decisions(
-            len(pts), trials, lines_c[decided], ends, consumers, via
+            len(pts), trials, narrow_lines(lines_c[decided]), ends, consumers,
+            via,
         )
         if key is not None:
             decisions = self.store.put(key, decisions, decisions.nbytes)
@@ -366,10 +543,11 @@ class BatchClassifier:
         walk = _WALK_ACCESS * windows + _WALK_POINT * len(consumers)
         if walk * len(self.nprog.refs) < plan.total:
             return None
-        if plan.rectangular:  # box times are trace times
-            return t_producer, t_consumer
-        times = self._line_trace().times
-        return times(t_producer), times(t_consumer)
+        if not plan.rectangular:  # box times are not trace times
+            times = self._line_trace().times
+            t_producer, t_consumer = times(t_producer), times(t_consumer)
+        # The trace budget keeps trace times below 2³¹.
+        return t_producer.astype(np.int32), t_consumer.astype(np.int32)
 
     def _cold(self, ref: NRef, pts: "np.ndarray") -> tuple:
         """The batch cold equations over one point array.
@@ -378,21 +556,29 @@ class BatchClassifier:
         index of the deciding reuse vector (-1 = cold, no vector decided)
         and the producer point it found, the consumer's memory line, and
         the reuse-vector trials spent.
+
+        Vectors are tried in lexicographic order over the shrinking
+        undecided set, each one subtraction and one mask.  Most points
+        are decided by their first few vectors; the few left (cold ones
+        walk every vector) are decided by :meth:`_cold_tail` in one grid.
         """
         n_points = len(pts)
         vectors = self.reuse.vectors_for(ref)
         via = np.full(n_points, -1, dtype=np.int64)
         producer_pts = np.zeros_like(pts)
-        lines_c = self._address(ref, pts) // self._line_bytes
+        addr_c = self._address(ref, pts)
+        lines_c = addr_c // self._line_bytes
         undecided = np.arange(n_points, dtype=np.int64)
         trials = 0
-        # Vector by vector in lexicographic order over the shrinking
-        # undecided set: each vector is one subtraction + one mask.
+        table = self._cold_table(ref) if vectors else None
+        tail = len(vectors)
         for j, rv in enumerate(vectors):
             if not len(undecided):
                 break
-            shift = np.asarray(rv.vec[1::2], dtype=np.int64)
-            candidates = pts[undecided] - shift
+            if len(undecided) <= _TAIL and len(vectors) - j > _TAIL_VECTORS:
+                tail = j
+                break
+            candidates = pts[undecided] - table.shifts[j]
             inside = self._ris[id(rv.producer.leaf)].contains(candidates)
             if not inside.any():
                 continue
@@ -408,20 +594,72 @@ class BatchClassifier:
             keep = np.ones(len(undecided), dtype=bool)
             keep[rows] = False
             undecided = undecided[keep]
+        if tail < len(vectors):
+            rows, deciding = self._cold_tail(
+                table, tail, pts[undecided], addr_c[undecided],
+                lines_c[undecided],
+            )
+            decided = undecided[rows]
+            via[decided] = deciding
+            producer_pts[decided] = pts[decided] - table.shifts[deciding]
+            trials += int(deciding.sum()) + len(decided)
+            keep = np.ones(len(undecided), dtype=bool)
+            keep[rows] = False
+            undecided = undecided[keep]
         trials += len(undecided) * len(vectors)
         return via, producer_pts, lines_c, trials
 
-    def _evicted(self, ref: NRef, decisions: _Decisions) -> "np.ndarray":
+    def _cold_tail(
+        self,
+        table: _ColdTable,
+        first: int,
+        pts: "np.ndarray",
+        addr: "np.ndarray",
+        lines: "np.ndarray",
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """The cold equations of vectors ``first…`` on every point at once.
+
+        Returns ``(rows, via)``: the points some vector decides and, per
+        such point, the first one that does — the vector the per-vector
+        loop would stop at.  The producer RIS holds ``p − s`` iff
+        ``row·p >= bound + row·s`` for each of its inequalities (zero rows
+        pad shorter lists with ``0 >= 0``): one ``(points, vectors)``
+        comparison per conjunct, ANDed into the grid, the largest
+        temporary.
+        """
+        *_, ineq_rows, ineq_bounds = self._program_rows()
+        shifts, local = table.shifts[first:], table.local[first:]
+        leaves = table.used[local]
+        floors = ineq_bounds[leaves] + (
+            ineq_rows[leaves] @ shifts[:, :, None]
+        )[:, :, 0]
+        conjuncts = ineq_rows[table.used]
+        grid = (addr[:, None] + table.offsets[first:]) // self._line_bytes
+        grid = grid == lines[:, None]
+        for r in range(floors.shape[1]):
+            grid &= (pts @ conjuncts[:, r].T)[:, local] >= floors[:, r]
+        rows = np.flatnonzero(grid.any(axis=1))
+        return rows, first + grid[rows].argmax(axis=1)
+
+    def _evicted(
+        self, ref: NRef, decisions: _Decisions, key: Optional[tuple]
+    ) -> "np.ndarray":
         """Replacement equations for the decided points: evicted or not —
-        the only step that reads the number of sets and the associativity."""
+        the only step that reads the number of sets and the associativity.
+        Outcomes :meth:`query_windows` found under ``key`` are taken as
+        they are."""
         if not len(decisions.lines):
             return np.zeros(0, dtype=bool)
         with obs.span("cme/window"):
             if decisions.ends is not None:
                 self.trace_points += len(decisions.lines)
-                return self._trace_index().conflicts_reach(
-                    *decisions.ends, decisions.lines, self._assoc
-                )
+                index = self._trace_index()
+                evicted = self._answers.pop(key, None)
+                if evicted is None:
+                    evicted = index.conflicts_reach(
+                        *decisions.ends, decisions.lines, self._assoc
+                    )
+                return evicted
             self.walk_points += len(decisions.lines)
             return self._walk(
                 ref, decisions.consumers, decisions.via, decisions.lines

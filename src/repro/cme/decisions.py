@@ -18,7 +18,9 @@ Entries are keyed by what determines them — the reference's uid, plus
 hashing point arrays, and each is a pure function of its key: concurrent
 solvers (the daemon's dispatcher threads, solving two geometries of one
 program) publish with ``dict.setdefault`` and keep whichever copy landed
-first.
+first.  A solve that reads entries ahead of its units (the batch
+classifier's one window query per geometry) uses :meth:`DecisionStore.peek`,
+which leaves the eviction order to the units' own reads.
 
 Every store shares one byte budget, :data:`DECISION_STORE_BYTES`: past it
 the least recently used entries of any store go first, under a lock, and
@@ -37,9 +39,10 @@ from collections import OrderedDict
 from typing import Any, Hashable, Optional
 
 #: Bytes of arrays every decision store in the process keeps together.  A
-#: whole ``table6-estimate`` pass of ``perfbench`` keeps about 1.3 MiB of
-#: samples and decisions, a ``kernels-exact`` pass about 5.5 MiB; the cap
-#: bounds a long-lived daemon however many programs it analyses.
+#: whole ``table6-estimate`` pass of ``perfbench`` keeps about 4.2 MiB of
+#: samples, decisions and line traces, a ``kernels-exact`` pass about
+#: 4.9 MiB; the cap bounds a long-lived daemon however many programs it
+#: analyses.
 DECISION_STORE_BYTES = 8 << 20
 
 _LOCK = threading.Lock()
@@ -75,6 +78,12 @@ class DecisionStore:
                 if slot in _LEDGER:
                     _LEDGER.move_to_end(slot)
         return value
+
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The entry under ``key``, or ``None``, leaving its recency alone:
+        a read ahead of the solve that will :meth:`get` it keeps the
+        store's eviction order what the solve alone would make it."""
+        return self._entries.get(key)
 
     def put(self, key: Hashable, value: Any, nbytes: int) -> Any:
         """Publish ``value`` (``nbytes`` of arrays) under ``key``.

@@ -44,7 +44,7 @@ from repro.reuse.generator import ReuseTable
 from repro.stats.confidence import DEFAULT_FALLBACK, achievable, sample_size
 from repro.cme.find import record_ref_metrics
 from repro.cme.result import MissReport, RefResult
-from repro.cme.solver import solve_misses, solver_for
+from repro.cme.solver import sample_name, solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.cme.batch import BatchClassifier
@@ -92,7 +92,7 @@ def estimate_ref_misses(
         result = RefResult(ref.name(), ref.uid, population=volume)
         if volume == 0:
             return result
-        key = (ref.uid, confidence, width, seed ^ ref.uid)
+        key = sample_name(ref, confidence, width, seed)
         store = classifier.store
         with obs.span("cme/sample"):
             sample = store.get(("sample",) + key)

@@ -42,14 +42,15 @@ if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.normalize.nprogram import NormalizedProgram, NRef
     from repro.reuse.generator import ReuseTable
 
-#: method -> (report name, span, unit module, unit function, sampled).
+#: method -> (report name, span, unit module, unit function, sampled,
+#: whether the unit keeps its decisions in the classifier's store).
 _TABLE = {
     "estimate": ("EstimateMisses", "cme/estimate",
-                 "repro.cme.estimate", "estimate_ref_misses", True),
+                 "repro.cme.estimate", "estimate_ref_misses", True, True),
     "find": ("FindMisses", "cme/find",
-             "repro.cme.find", "find_ref_misses", False),
+             "repro.cme.find", "find_ref_misses", False, True),
     "regions": ("RegionMisses", "cme/regions",
-                "repro.cme.regions", "region_ref_misses", False),
+                "repro.cme.regions", "region_ref_misses", False, False),
 }
 
 #: The selectable CME solvers (CLI ``--method`` choices, serve ``method``).
@@ -76,6 +77,7 @@ class Solver:
     unit_module: str
     unit_name: str
     sampled: bool
+    keeps_decisions: bool
     confidence: float = 0.95
     width: float = 0.05
     seed: int = 0
@@ -87,6 +89,26 @@ class Solver:
         if not self.sampled:
             return []
         return [self.confidence, self.width, self.seed ^ ref.uid]
+
+    def decision_key(
+        self, classifier: "BatchClassifier", ref: "NRef"
+    ) -> Optional[tuple]:
+        """The store key the unit keeps ``ref``'s decisions under, or
+        ``None`` when it keeps none or its sample is not stored.
+
+        Reads the store with :meth:`~repro.cme.decisions.DecisionStore.peek`
+        only: it runs ahead of the unit that will read the same entries.
+        """
+        if not self.keeps_decisions:
+            return None
+        if not self.sampled:
+            return classifier.decision_key(ref)
+        name = sample_name(ref, self.confidence, self.width, self.seed)
+        sample = classifier.store.peek(("sample",) + name)
+        if sample is None:
+            return None
+        # An exhaustive "sample" classifies the whole RIS.
+        return classifier.decision_key(ref, None if sample[0] is None else name)
 
     def solve_ref(
         self, classifier, nprog: "NormalizedProgram", ref: "NRef"
@@ -103,6 +125,15 @@ class Solver:
                 classifier, nprog, ref, self.confidence, self.width, self.seed
             )
         return unit(classifier, nprog, ref)
+
+
+def sample_name(
+    ref: "NRef", confidence: float, width: float, seed: int
+) -> tuple:
+    """What names ``ref``'s ``EstimateMisses`` sample, and its decisions,
+    in the decision store: the uid and what draws the sample (its
+    generator is seeded with ``seed ^ uid``)."""
+    return (ref.uid, confidence, width, seed ^ ref.uid)
 
 
 def solver_for(
@@ -145,7 +176,10 @@ def solve_misses(
     plan's ``{hits, misses, store_hits}``.  Each unit classifies with
     ``classifier`` (built here when ``None``) inside ``unit_guard(ref)``:
     the daemon passes its cached classifier and a guard that checks the
-    request deadline and takes the state's lock.
+    request deadline and takes the state's lock.  Inside the first unit's
+    guard the classifier is handed every unit's decision key, so it
+    answers the replacement windows of the decisions an earlier geometry
+    stored in one query (:meth:`BatchClassifier.query_windows`).
     """
     started = time.perf_counter()
     if reuse is None:
@@ -161,8 +195,12 @@ def solve_misses(
             )
             targets = plan.solve
         report = MissReport(solver.report_name, cache)
-        for ref in targets:
+        for i, ref in enumerate(targets):
             with unit_guard(ref):
+                if not i:
+                    classifier.query_windows(
+                        [solver.decision_key(classifier, r) for r in targets]
+                    )
                 report.results[ref.uid] = solver.solve_ref(
                     classifier, nprog, ref
                 )

@@ -4,8 +4,8 @@ Two pieces live here:
 
 * :class:`LineTrace` — the whole-program access trace materialised as flat
   NumPy arrays by the simulator's builder (:mod:`repro.sim.batch`), as
-  memory lines: it depends on the line size only, so every cache geometry
-  with that line size shares it;
+  memory lines (int32 when they fit): it depends on the line size only,
+  so every cache geometry with that line size shares it;
 * :class:`TraceIndex` — the line trace sorted by cache set, after
   which the interference window of the replacement equations — all
   accesses strictly between a producer and a consumer position — becomes a
@@ -22,9 +22,11 @@ either oracle gives the classifier the same outcomes.  Building
 the line trace costs ``O(T log T)`` in the trace length ``T`` (``O(T)`` on
 rectangular programs), the per-set sort ``O(T)``; a query costs ``O(1)``
 at ``k = 1`` and at most :data:`_PROBE_HOPS` hops at ``k ≥ 2``, past which
-the rare unsettled window is counted exactly.  The batch classifier
-builds them only when a reference's windows would cost more to walk than
-that reference's share of the build (``repro.cme.batch``).
+the rare unsettled window is counted exactly, and queries are
+independent, so the batch classifier asks one call for the windows of
+every reference a replayed geometry solves.  It builds the trace and the
+index only when a reference's windows would cost more to walk than that
+reference's share of the build (``repro.cme.batch``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.iteration.walker import Walker
 from repro.normalize.nprogram import NormalizedProgram, NRef
-from repro.sim.batch import TracePlan, build_trace, lines_of
+from repro.sim.batch import TracePlan, build_trace, lines_of, narrow_lines
 
 #: Runs of equal lines each window advances over in the vectorized probe;
 #: only windows still below ``k`` distinct lines after this many (rare)
@@ -49,8 +51,10 @@ class LineTrace:
     Everything of :class:`TraceIndex` that does not read the number of
     sets: the builder's :class:`~repro.sim.batch.TracePlan`, its sorted
     box times and the line of every access.  Built once per line size and
-    shared by every set count.  Raises
-    :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
+    shared by every set count.  The lines are int32 when every line fits,
+    as in the simulator's kernel (:func:`~repro.sim.batch.narrow_lines`),
+    else int64.  Raises :class:`~repro.sim.batch.TraceTooLargeError` past
+    the budget.
     """
 
     __slots__ = ("plan", "keys", "lines")
@@ -64,7 +68,7 @@ class LineTrace:
     ):
         self.plan = plan if plan is not None else TracePlan(nprog)
         _, addrs, self.keys = build_trace(nprog, walker, self.plan)
-        self.lines = lines_of(addrs, line_bytes)
+        self.lines = narrow_lines(lines_of(addrs, line_bytes))
 
     @property
     def nbytes(self) -> int:
@@ -87,11 +91,12 @@ class TraceIndex:
     :class:`~repro.sim.batch.TraceTooLargeError` past the budget.
 
     Three arrays of ``T`` entries each: ``lines_by_set``, the lines in
-    ``(set, t)`` order; ``rank``, the position of every access in that
-    order (the inverse permutation of the sort); and ``run_end``, per
-    set-sorted position the first later one holding another line.  The
-    last two are int32, since the trace budget keeps ``T`` below 2³¹, so
-    the index takes 16 bytes per access.
+    ``(set, t)`` order, of the line trace's dtype; ``rank``, the position
+    of every access in that order (the inverse permutation of the sort);
+    and ``run_end``, per set-sorted position the first later one holding
+    another line.  The last two are int32, since the trace budget keeps
+    ``T`` below 2³¹, so the index takes 12 bytes per access (16 when a
+    line needs int64).
     """
 
     def __init__(
@@ -108,9 +113,17 @@ class TraceIndex:
         self._plan, self._keys = trace.plan, trace.keys
         line_at_t = trace.lines
         self.total = total = len(line_at_t)
-        set_at_t = line_at_t % num_sets
-        # A stable sort of 16-bit keys is a radix sort: same order, O(T).
-        narrow = set_at_t.astype(np.uint16) if num_sets <= 1 << 16 else set_at_t
+        if num_sets & (num_sets - 1) == 0:
+            set_at_t = line_at_t & (num_sets - 1)
+        else:
+            set_at_t = line_at_t % num_sets
+        # A stable sort of 8- or 16-bit keys is a radix sort, one pass per
+        # byte: same order, O(T).
+        narrow = set_at_t
+        for dtype in (np.uint8, np.uint16):
+            if num_sets <= 1 << 8 * np.dtype(dtype).itemsize:
+                narrow = set_at_t.astype(dtype)
+                break
         by_set = np.argsort(narrow, kind="stable")  # (set, t) ascending
         del set_at_t, narrow
         self.lines_by_set = lines = line_at_t[by_set]

@@ -320,7 +320,7 @@ def lines_of(addrs: "np.ndarray", line_bytes: int) -> "np.ndarray":
     return addrs // line_bytes
 
 
-def _narrow_lines(lines_t: "np.ndarray") -> "np.ndarray":
+def narrow_lines(lines_t: "np.ndarray") -> "np.ndarray":
     """Narrow lines to 4 bytes when they fit: every gather and compare in
     the kernel then moves half the memory.  (Negative lines cannot occur
     for layout addresses; external traces that overflow keep int64.)"""
@@ -337,25 +337,39 @@ def _narrow_lines(lines_t: "np.ndarray") -> "np.ndarray":
 def _set_decompose(lines_t: "np.ndarray", num_sets: int):
     """Group a line stream into contiguous per-set segments.
 
-    Returns ``(by_set, ls, counts)``: the stable argsort permutation (or
-    ``None``), the set-major line stream, and per-set access counts.  A
-    fully-associative cache (``num_sets == 1``) takes the fast path: the
-    stream already *is* the one set's segment in time order, so the
-    modulo decomposition and the stable argsort — the costliest stage of
-    the kernel — are skipped entirely (``sim.policy.fa_fastpath``).
+    Returns ``(by_set, ls, sets, counts)``: the stable argsort permutation
+    (or ``None``), the set-major line stream, and the sets the stream
+    touches in ascending order with their access counts.  Only touched
+    sets appear, so memory stays linear in the stream however many sets
+    the cache has.  A fully-associative cache (``num_sets == 1``) takes
+    the fast path: the stream already *is* the one set's segment in time
+    order, so the modulo decomposition and the stable argsort — the
+    costliest stage of the kernel — are skipped entirely
+    (``sim.policy.fa_fastpath``).
     """
     total = len(lines_t)
     if num_sets == 1:
         obs.counter("sim.policy.fa_fastpath").inc()
-        return None, lines_t, np.array([total])
-    if num_sets & (num_sets - 1) == 0:
-        sets_t = lines_t & (num_sets - 1)
+        by_set, ls = None, lines_t
+        starts = np.zeros(min(total, 1), dtype=np.int64)
+        sets = starts
     else:
-        sets_t = lines_t % num_sets
-    if num_sets <= 1 << 16:
-        sets_t = sets_t.astype(np.uint16)
-    by_set = np.argsort(sets_t, kind="stable")
-    return by_set, lines_t[by_set], np.bincount(sets_t, minlength=num_sets)
+        def set_of(lines: "np.ndarray") -> "np.ndarray":
+            if num_sets & (num_sets - 1) == 0:
+                return lines & (num_sets - 1)
+            return lines % num_sets
+
+        sets_t = set_of(lines_t)
+        if num_sets <= 1 << 16:
+            sets_t = sets_t.astype(np.uint16)
+        by_set = np.argsort(sets_t, kind="stable")
+        ls = lines_t[by_set]
+        sets_s = set_of(ls)
+        starts = np.flatnonzero(sets_s[1:] != sets_s[:-1]) + 1
+        if total:
+            starts = np.concatenate(([0], starts))
+        sets = sets_s[starts]
+    return by_set, ls, sets, np.diff(starts, append=total)
 
 
 def _probe_windows(prev_run, lo, width, cand, assoc, miss_run):
@@ -406,11 +420,10 @@ def lru_miss_kernel(
     :class:`~repro.sim.cache.SetAssocLRUCache`.
     """
     total = len(lines_t)
-    lines_t = _narrow_lines(lines_t)
-    by_set, ls, counts = _set_decompose(lines_t, num_sets)
+    lines_t = narrow_lines(lines_t)
+    by_set, ls, _, counts = _set_decompose(lines_t, num_sets)
     seg_start = np.zeros(total, dtype=bool)
-    starts = np.cumsum(counts) - counts
-    seg_start[starts[counts > 0]] = True
+    seg_start[np.cumsum(counts) - counts] = True
     is_head = seg_start.copy()
     if total:
         is_head[1:] |= ls[1:] != ls[:-1]
@@ -421,8 +434,7 @@ def lru_miss_kernel(
         # Direct mapped: every run head misses (the set holds one line).
         miss_s = is_head
         if want_evictions:
-            retained = int((counts > 0).sum())
-            evictions = int(miss_s.sum()) - retained
+            evictions = int(miss_s.sum()) - len(counts)
     else:
         miss_s = np.zeros(total, dtype=bool)
         head_pos = np.flatnonzero(is_head)
@@ -472,15 +484,14 @@ def lru_miss_kernel(
                 )
         miss_s[head_pos] = miss_run
         if want_evictions:
-            run_set = np.repeat(np.arange(num_sets), counts)[head_pos]
+            # Per touched set, not per set: the cache may have far more.
+            run_set = np.repeat(np.arange(len(counts)), counts)[head_pos]
             if assoc == 2:
-                runs_per_set = np.bincount(run_set, minlength=num_sets)
-                retained = int((counts > 0).sum()) + int(
-                    (runs_per_set >= 2).sum()
-                )
+                runs_per_set = np.bincount(run_set, minlength=len(counts))
+                retained = len(counts) + int((runs_per_set >= 2).sum())
             else:
                 distinct_per_set = np.bincount(
-                    run_set[prev_run == -1], minlength=num_sets
+                    run_set[prev_run == -1], minlength=len(counts)
                 )
                 retained = int(np.minimum(distinct_per_set, assoc).sum())
             evictions = int(miss_run.sum()) - retained
@@ -512,15 +523,14 @@ def policy_miss_kernel(
     :class:`~repro.sim.policy.PolicyCache` by construction.
     """
     total = len(lines_t)
-    lines_t = _narrow_lines(lines_t)
-    by_set, ls, counts = _set_decompose(lines_t, num_sets)
+    lines_t = narrow_lines(lines_t)
+    by_set, ls, sets, counts = _set_decompose(lines_t, num_sets)
     is_head = np.zeros(total, dtype=bool)
     if total:
         is_head[0] = True
         is_head[1:] = ls[1:] != ls[:-1]
         if by_set is not None:
-            starts = np.cumsum(counts) - counts
-            is_head[starts[counts > 0]] = True
+            is_head[np.cumsum(counts) - counts] = True
     head_pos = np.flatnonzero(is_head)
     run_line = ls[head_pos].tolist()
     nrun = len(run_line)
@@ -534,13 +544,12 @@ def policy_miss_kernel(
         evictions = machine.evictions
     else:
         run_counts = np.bincount(
-            np.repeat(np.arange(num_sets), counts)[head_pos],
-            minlength=num_sets,
+            np.repeat(np.arange(len(counts)), counts)[head_pos],
+            minlength=len(counts),
         )
         pos = 0
-        for s in np.flatnonzero(run_counts):
-            n = int(run_counts[s])
-            machine = machine_cls(assoc, set_index=int(s), seed=seed)
+        for s, n in zip(sets.tolist(), run_counts.tolist()):
+            machine = machine_cls(assoc, set_index=s, seed=seed)
             access = machine.access
             miss_run[pos : pos + n] = [
                 not access(line) for line in run_line[pos : pos + n]
@@ -664,7 +673,7 @@ def simulate_sweep(
         started = time.perf_counter()
         lines = lines_by_size.get(cache.line_bytes)
         if lines is None:
-            lines = _narrow_lines(lines_of(addrs_t, cache.line_bytes))
+            lines = narrow_lines(lines_of(addrs_t, cache.line_bytes))
             lines_by_size[cache.line_bytes] = lines
         with obs.span("sim/batch"):
             miss_t, evictions = miss_kernel(

@@ -15,7 +15,8 @@ gathers rest on) plus constructed ones: empty windows, windows starting
 at the first or ending at the last access of a set, and whole-lifetime
 windows of a line.  A program that ping-pongs two lines of one set adds
 windows longer than the probe cap that hold fewer than ``k`` lines, the
-exact path.
+exact path.  Each check runs on the int32 line traces these programs
+build and again on int64 ones (``_with_int64_lines``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from collections import Counter
 
 import numpy as np
 
+import repro.iteration.batch as iteration_batch
 from repro.cme.batch import BatchClassifier
 from repro.ir import ProgramBuilder
 from repro.iteration import Walker, interleave
@@ -145,13 +147,14 @@ def check_windows(walker, index, lines, at, windows, line_bytes, seen):
         seen["walked_empty"] += not walked
 
 
-def check_case(nprog, layout, cache, rng, seen):
+def check_case(nprog, layout, cache, rng, seen, line_dtype):
     walker = Walker(nprog, layout)
     trace = LineTrace(nprog, walker, cache.line_bytes)
     index = TraceIndex(
         nprog, walker, cache.line_bytes, cache.num_sets, trace
     )
     lines = trace.lines
+    assert lines.dtype == index.lines_by_set.dtype == line_dtype
     at = positions(nprog, index)
     real = reuse_windows(nprog, layout, cache, index, lines)
     windows = rng.sample(real, min(4 * DRAWS, len(real)))
@@ -180,20 +183,43 @@ def build_ping_pong(n: int, cache: CacheConfig):
     return nprog, layout
 
 
-def test_queries_match_walker_on_pool():
+def keep_int64_lines(monkeypatch):
+    """Line traces keep int64 lines, as past 2³¹ lines they must."""
+    monkeypatch.setattr(iteration_batch, "narrow_lines", lambda a: a)
+
+
+def check_pool(line_dtype):
     seen = Counter()
     rng = random.Random(25)
     for case in generate_cases(30 * len(FAMILIES)):
         nprog, layout = case.prepared()
-        check_case(nprog, layout, case.cache, rng, seen)
+        check_case(nprog, layout, case.cache, rng, seen, line_dtype)
     assert seen["reuse"] > 0 and seen["windows"] > 1000, seen
     for kind in ("empty", "walked_empty", "set_first", "set_last", "lifetime"):
         assert seen[kind] > 0, (kind, seen)
 
 
-def test_long_windows_of_few_lines_take_the_exact_path():
+def check_ping_pong(line_dtype):
     seen = Counter()
     cache = CacheConfig.kb(1, 32, 1)
     nprog, layout = build_ping_pong(4 * _PROBE_HOPS, cache)
-    check_case(nprog, layout, cache, random.Random(25), seen)
+    check_case(nprog, layout, cache, random.Random(25), seen, line_dtype)
     assert seen["exact"] > 0, seen
+
+
+def test_queries_match_walker_on_pool():
+    check_pool(np.int32)
+
+
+def test_queries_match_walker_on_pool_with_int64_lines(monkeypatch):
+    keep_int64_lines(monkeypatch)
+    check_pool(np.int64)
+
+
+def test_long_windows_of_few_lines_take_the_exact_path():
+    check_ping_pong(np.int32)
+
+
+def test_long_windows_take_the_exact_path_with_int64_lines(monkeypatch):
+    keep_int64_lines(monkeypatch)
+    check_ping_pong(np.int64)

@@ -22,7 +22,14 @@ LRU inclusion property and FIFO's Belady anomaly.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.iteration import Walker
 from repro.sim import (
@@ -107,3 +114,52 @@ def test_trace_file_replay_matches_simulation(tmp_path, path):
             direct = simulate(nprog, layout, case.cache)
         assert replayed.accesses == direct.accesses, case.name
         assert replayed.misses == direct.misses, case.name
+
+
+#: Simulates Hydro 16×16 at 2³⁰ and 2²⁸ sets under a 2 GiB address-space
+#: limit and prints each run's misses beside the first touches of every
+#: line: with that many sets no two of its lines share one, so only first
+#: touches miss.
+_HUGE_SETS_SCRIPT = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from repro import prepare, run_simulation
+from repro.serve.engine import load_kernel
+from repro.serve.protocol import parse_cache_spec
+from repro.sim.batch import trace_arrays
+prep = prepare(load_kernel("hydro", 16))
+uids, addrs = trace_arrays(prep.nprog, prep.layout, prep.walker)
+_, first = np.unique(addrs // 32, return_index=True)
+cold = {int(u): int(n) for u, n in zip(*np.unique(uids[first], return_counts=True))}
+runs = []
+for spec, policy in (("33554432:32:1", None), ("33554432:32:4", None),
+                     ("33554432:32:4", "fifo")):
+    cache = parse_cache_spec(spec)
+    assert int(addrs.max()) // 32 < cache.num_sets
+    report = run_simulation(prep, cache, policy=policy)
+    misses = {u: n for u, n in report.misses.items() if n}
+    runs.append([spec, policy, misses == cold, report.total_misses])
+print(json.dumps([sum(cold.values()), runs]))
+"""
+
+
+def test_huge_set_counts_cost_memory_of_the_trace_only():
+    """The kernels allocate per touched set, never per cache set: a
+    geometry the CLI and the daemon accept (2³⁰ sets) simulates within a
+    2 GiB address space.  The run gets its own ``RLIMIT_AS`` in a
+    subprocess, so a regression fails with ``MemoryError`` here instead
+    of exhausting the machine."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _HUGE_SETS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    cold, runs = json.loads(result.stdout)
+    assert cold > 0
+    for spec, policy, equal, total in runs:
+        assert equal and total == cold, (spec, policy, total, cold)
