@@ -634,8 +634,10 @@ class BatchClassifier:
             ineq_rows[leaves] @ shifts[:, :, None]
         )[:, :, 0]
         conjuncts = ineq_rows[table.used]
-        grid = (addr[:, None] + table.offsets[first:]) // self._line_bytes
-        grid = grid == lines[:, None]
+        producer_lines = (
+            addr[:, None] + table.offsets[first:]
+        ) // self._line_bytes
+        grid = producer_lines == lines[:, None]
         for r in range(floors.shape[1]):
             grid &= (pts @ conjuncts[:, r].T)[:, local] >= floors[:, r]
         rows = np.flatnonzero(grid.any(axis=1))
