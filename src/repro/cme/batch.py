@@ -98,33 +98,31 @@ _TAIL_VECTORS = 4
 
 class _BatchRIS:
     """Vectorized membership test for a reference iteration space: its
-    :meth:`~repro.polyhedra.space.BoundedSpace.conjunct_rows` as two
-    matrices, ``row·i >= -const`` and ``row·i == -const``.
+    :meth:`~repro.polyhedra.space.BoundedSpace.conjunct_rows` as the
+    inequalities ``rows·i >= bounds`` (an equality is two).
 
     Conjuncts are evaluated as ``(rows, N)`` so the conjunction reduces
     over the outer axis, which NumPy does far faster than over a short
     inner one.
     """
 
-    __slots__ = ("ge", "ge_bound", "eq", "eq_bound")
+    __slots__ = ("rows", "bounds")
 
     def __init__(self, space: BoundedSpace):
-        conjuncts = space.conjunct_rows()
-
-        def stack(eq: bool) -> tuple["np.ndarray", "np.ndarray"]:
-            picked = [(r, c) for r, c, kind in conjuncts if (kind == EQ) == eq]
-            rows = np.array([r for r, _ in picked], dtype=np.int64)
-            bound = np.array([[-c] for _, c in picked], dtype=np.int64)
-            return rows.reshape(len(picked), space.ndim), bound
-
-        self.ge, self.ge_bound = stack(False)
-        self.eq, self.eq_bound = stack(True)
+        rows, bounds = [], []
+        for row, c, kind in space.conjunct_rows():
+            rows.append(row)
+            bounds.append(-c)
+            if kind == EQ:
+                rows.append([-v for v in row])
+                bounds.append(c)
+        self.rows = np.array(rows, dtype=np.int64).reshape(
+            len(rows), space.ndim
+        )
+        self.bounds = np.array(bounds, dtype=np.int64)
 
     def contains(self, points: "np.ndarray") -> "np.ndarray":
-        mask = np.all(self.ge @ points.T >= self.ge_bound, axis=0)
-        if len(self.eq_bound):
-            mask &= np.all(self.eq @ points.T == self.eq_bound, axis=0)
-        return mask
+        return np.all(self.rows @ points.T >= self.bounds[:, None], axis=0)
 
 
 class _ColdTable(NamedTuple):
@@ -265,8 +263,7 @@ class BatchClassifier:
         :attr:`store` and replayed by the next geometry; without it only
         the full RIS is kept.
         """
-        if points is None or key is not None:
-            key = self.decision_key(ref, None if points is None else key)
+        key = self.decision_key(ref, points, key)
         decisions = self._decisions(ref, points, key)
         evicted = self._evicted(ref, decisions, key)
         self.vector_trials += decisions.trials
@@ -276,12 +273,20 @@ class BatchClassifier:
         result.cold += decisions.count - len(evicted)
         result.replacement += replaced
 
-    def decision_key(self, ref: NRef, name: Optional[tuple] = None) -> tuple:
-        """The store key of ``ref``'s decisions over the points ``name``
-        names (``None``: the whole RIS), with the trace budget's verdict,
-        which the window-oracle choice reads."""
-        if name is None:
+    def decision_key(
+        self,
+        ref: NRef,
+        points: Optional[Sequence[Sequence[int]]] = None,
+        name: Optional[tuple] = None,
+    ) -> Optional[tuple]:
+        """The store key of ``ref``'s decisions over ``points`` (``None``:
+        the whole RIS) that ``name`` names, with the trace budget's
+        verdict, which the window-oracle choice reads; ``None`` for
+        unnamed explicit points, which are not kept."""
+        if points is None:
             name = (ref.uid,)
+        elif name is None:
+            return None
         return ("decisions", self.plan().materialisable) + name
 
     def query_windows(self, keys: Sequence[Optional[tuple]]) -> None:
@@ -363,21 +368,15 @@ class BatchClassifier:
             for d, coeff in compiled.terms:
                 addr_rows[ref.uid, d] = coeff
             addr_consts[ref.uid] = compiled.const
+        # Every leaf's _BatchRIS inequalities, padded to one width.
         leaves = self.nprog.leaves
-        conjuncts = []  # row·i >= bound; an equality is two
-        for leaf in leaves:
-            conjuncts.append([])
-            for row, c, kind in self.nprog.ris(leaf).conjunct_rows():
-                conjuncts[-1].append((row, -c))
-                if kind == EQ:
-                    conjuncts[-1].append(([-v for v in row], c))
-        width = max([1, *map(len, conjuncts)])
+        spaces = [self._ris[id(leaf)] for leaf in leaves]
+        width = max([1, *(len(ris.bounds) for ris in spaces)])
         ineq_rows = np.zeros((len(leaves), width, depth), dtype=np.int64)
         ineq_bounds = np.zeros((len(leaves), width), dtype=np.int64)
-        for i, leaf_conjuncts in enumerate(conjuncts):
-            for r, (row, bound) in enumerate(leaf_conjuncts):
-                ineq_rows[i, r] = row
-                ineq_bounds[i, r] = bound
+        for i, ris in enumerate(spaces):
+            ineq_rows[i, : len(ris.bounds)] = ris.rows
+            ineq_bounds[i, : len(ris.bounds)] = ris.bounds
         leaf_index = {id(leaf): i for i, leaf in enumerate(leaves)}
         found = _ProgramRows(
             addr_rows, addr_consts, leaf_index, ineq_rows, ineq_bounds

@@ -44,7 +44,7 @@ from repro.reuse.generator import ReuseTable
 from repro.stats.confidence import DEFAULT_FALLBACK, achievable, sample_size
 from repro.cme.find import record_ref_metrics
 from repro.cme.result import MissReport, RefResult
-from repro.cme.solver import sample_name, solve_misses, solver_for
+from repro.cme.solver import solve_misses, solver_for
 
 if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.cme.batch import BatchClassifier
@@ -71,6 +71,29 @@ def _draw(
     return None, False
 
 
+def _sample_key(ref: NRef, confidence: float, width: float, seed: int) -> tuple:
+    """What names ``ref``'s sample, and its decisions, in the store: the
+    uid and what draws the sample (its generator is seeded ``seed ^ uid``)."""
+    return (ref.uid, confidence, width, seed ^ ref.uid)
+
+
+def decision_key(
+    classifier: "BatchClassifier",
+    ref: NRef,
+    confidence: float = 0.95,
+    width: float = 0.05,
+    seed: int = 0,
+) -> Optional[tuple]:
+    """The store key :func:`estimate_ref_misses` keeps ``ref``'s decisions
+    under, or ``None`` while its sample is not stored.  Read ahead of the
+    unit (the window query of a solve), so the store is only peeked."""
+    key = _sample_key(ref, confidence, width, seed)
+    sample = classifier.store.peek(("sample",) + key)
+    if sample is None:
+        return None
+    return classifier.decision_key(ref, sample[0], key)
+
+
 def estimate_ref_misses(
     classifier: "BatchClassifier",
     nprog: NormalizedProgram,
@@ -92,7 +115,7 @@ def estimate_ref_misses(
         result = RefResult(ref.name(), ref.uid, population=volume)
         if volume == 0:
             return result
-        key = sample_name(ref, confidence, width, seed)
+        key = _sample_key(ref, confidence, width, seed)
         store = classifier.store
         with obs.span("cme/sample"):
             sample = store.get(("sample",) + key)

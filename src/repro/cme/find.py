@@ -51,6 +51,12 @@ def record_ref_metrics(result: RefResult, classifier: "BatchClassifier") -> None
     obs.counter("cme.window.walk_points").inc(walk)
 
 
+def decision_key(classifier: "BatchClassifier", ref: NRef) -> tuple:
+    """The store key :func:`find_ref_misses` keeps ``ref``'s decisions
+    under: those of the whole RIS."""
+    return classifier.decision_key(ref)
+
+
 def find_ref_misses(
     classifier: "BatchClassifier", nprog: NormalizedProgram, ref: NRef
 ) -> RefResult:

@@ -42,15 +42,14 @@ if TYPE_CHECKING:  # repro.memo imports repro.cme.result — keep this lazy
     from repro.normalize.nprogram import NormalizedProgram, NRef
     from repro.reuse.generator import ReuseTable
 
-#: method -> (report name, span, unit module, unit function, sampled,
-#: whether the unit keeps its decisions in the classifier's store).
+#: method -> (report name, span, unit module, unit function, sampled).
 _TABLE = {
     "estimate": ("EstimateMisses", "cme/estimate",
-                 "repro.cme.estimate", "estimate_ref_misses", True, True),
+                 "repro.cme.estimate", "estimate_ref_misses", True),
     "find": ("FindMisses", "cme/find",
-             "repro.cme.find", "find_ref_misses", False, True),
+             "repro.cme.find", "find_ref_misses", False),
     "regions": ("RegionMisses", "cme/regions",
-                "repro.cme.regions", "region_ref_misses", False, False),
+                "repro.cme.regions", "region_ref_misses", False),
 }
 
 #: The selectable CME solvers (CLI ``--method`` choices, serve ``method``).
@@ -77,7 +76,6 @@ class Solver:
     unit_module: str
     unit_name: str
     sampled: bool
-    keeps_decisions: bool
     confidence: float = 0.95
     width: float = 0.05
     seed: int = 0
@@ -94,21 +92,17 @@ class Solver:
         self, classifier: "BatchClassifier", ref: "NRef"
     ) -> Optional[tuple]:
         """The store key the unit keeps ``ref``'s decisions under, or
-        ``None`` when it keeps none or its sample is not stored.
-
-        Reads the store with :meth:`~repro.cme.decisions.DecisionStore.peek`
-        only: it runs ahead of the unit that will read the same entries.
-        """
-        if not self.keeps_decisions:
+        ``None``: the unit module's ``decision_key``, which builds it
+        where the unit stores its entries (a module without one keeps no
+        decisions).  It runs ahead of the unit, so it only peeks."""
+        keyer = getattr(import_module(self.unit_module), "decision_key", None)
+        if keyer is None:
             return None
-        if not self.sampled:
-            return classifier.decision_key(ref)
-        name = sample_name(ref, self.confidence, self.width, self.seed)
-        sample = classifier.store.peek(("sample",) + name)
-        if sample is None:
-            return None
-        # An exhaustive "sample" classifies the whole RIS.
-        return classifier.decision_key(ref, None if sample[0] is None else name)
+        if self.sampled:
+            return keyer(
+                classifier, ref, self.confidence, self.width, self.seed
+            )
+        return keyer(classifier, ref)
 
     def solve_ref(
         self, classifier, nprog: "NormalizedProgram", ref: "NRef"
@@ -125,15 +119,6 @@ class Solver:
                 classifier, nprog, ref, self.confidence, self.width, self.seed
             )
         return unit(classifier, nprog, ref)
-
-
-def sample_name(
-    ref: "NRef", confidence: float, width: float, seed: int
-) -> tuple:
-    """What names ``ref``'s ``EstimateMisses`` sample, and its decisions,
-    in the decision store: the uid and what draws the sample (its
-    generator is seeded with ``seed ^ uid``)."""
-    return (ref.uid, confidence, width, seed ^ ref.uid)
 
 
 def solver_for(

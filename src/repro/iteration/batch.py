@@ -37,7 +37,9 @@ import numpy as np
 
 from repro.iteration.walker import Walker
 from repro.normalize.nprogram import NormalizedProgram, NRef
-from repro.sim.batch import TracePlan, build_trace, lines_of, narrow_lines
+from repro.sim.batch import (
+    TracePlan, build_trace, lines_of, narrow_lines, set_order,
+)
 
 #: Runs of equal lines each window advances over in the vectorized probe;
 #: only windows still below ``k`` distinct lines after this many (rare)
@@ -113,19 +115,7 @@ class TraceIndex:
         self._plan, self._keys = trace.plan, trace.keys
         line_at_t = trace.lines
         self.total = total = len(line_at_t)
-        if num_sets & (num_sets - 1) == 0:
-            set_at_t = line_at_t & (num_sets - 1)
-        else:
-            set_at_t = line_at_t % num_sets
-        # A stable sort of 8- or 16-bit keys is a radix sort, one pass per
-        # byte: same order, O(T).
-        narrow = set_at_t
-        for dtype in (np.uint8, np.uint16):
-            if num_sets <= 1 << 8 * np.dtype(dtype).itemsize:
-                narrow = set_at_t.astype(dtype)
-                break
-        by_set = np.argsort(narrow, kind="stable")  # (set, t) ascending
-        del set_at_t, narrow
+        by_set = set_order(line_at_t, num_sets)  # (set, t) ascending
         self.lines_by_set = lines = line_at_t[by_set]
         self.rank = np.empty(total, dtype=np.int32)
         self.rank[by_set] = np.arange(total, dtype=np.int32)
@@ -187,13 +177,18 @@ class TraceIndex:
         lines other than ``reused_lines[q]`` map to the reused line's cache
         set among the accesses with trace time strictly between
         ``t_lo[q]`` and ``t_hi[q]``; both ends must access
-        ``reused_lines[q]`` (see :meth:`bounds`).
+        ``reused_lines[q]`` (see :meth:`bounds`).  The lines may be int32
+        while the trace's are int64 or the other way round; the probe
+        keeps them at the wider of the two, so no line ever wraps.
         """
         result = np.zeros(len(t_lo), dtype=bool)
         lo, hi = self.bounds(t_lo, t_hi)
         # < k accesses cannot hold k distinct lines.
         live = np.flatnonzero(hi - lo >= k)
-        lo, hi, reused = lo[live], hi[live], reused_lines[live]
+        lo, hi = lo[live], hi[live]
+        reused = reused_lines[live].astype(
+            np.result_type(self.lines_by_set, reused_lines), copy=False
+        )
         if k == 1:
             # The window's first run is another line, or ends inside it.
             result[live] = (self.lines_by_set[lo] != reused) | (

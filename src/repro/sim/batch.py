@@ -334,18 +334,37 @@ def narrow_lines(lines_t: "np.ndarray") -> "np.ndarray":
     return lines_t
 
 
+def sets_of(lines: "np.ndarray", num_sets: int) -> "np.ndarray":
+    """The cache set of every line: a mask when ``num_sets`` is a power of
+    two, else a modulo."""
+    if num_sets & (num_sets - 1) == 0:
+        return lines & (num_sets - 1)
+    return lines % num_sets
+
+
+def set_order(lines: "np.ndarray", num_sets: int) -> "np.ndarray":
+    """The stable permutation that sorts a line stream by cache set, time
+    order kept within each set.  A stable sort of 8- or 16-bit keys is a
+    radix sort, one pass per byte, so up to 2¹⁶ sets it costs ``O(T)``."""
+    sets = sets_of(lines, num_sets)
+    for dtype in (np.uint8, np.uint16):
+        if num_sets <= 1 << 8 * np.dtype(dtype).itemsize:
+            sets = sets.astype(dtype)
+            break
+    return np.argsort(sets, kind="stable")
+
+
 def _set_decompose(lines_t: "np.ndarray", num_sets: int):
     """Group a line stream into contiguous per-set segments.
 
-    Returns ``(by_set, ls, sets, counts)``: the stable argsort permutation
-    (or ``None``), the set-major line stream, and the sets the stream
-    touches in ascending order with their access counts.  Only touched
-    sets appear, so memory stays linear in the stream however many sets
-    the cache has.  A fully-associative cache (``num_sets == 1``) takes
-    the fast path: the stream already *is* the one set's segment in time
-    order, so the modulo decomposition and the stable argsort — the
-    costliest stage of the kernel — are skipped entirely
-    (``sim.policy.fa_fastpath``).
+    Returns ``(by_set, ls, sets, counts)``: the :func:`set_order`
+    permutation (or ``None``), the set-major line stream, and the sets the
+    stream touches in ascending order with their access counts.  Only
+    touched sets appear, so memory stays linear in the stream however many
+    sets the cache has.  A fully-associative cache (``num_sets == 1``)
+    takes the fast path: the stream already *is* the one set's segment in
+    time order, so the set decomposition and the sort — the costliest
+    stage of the kernel — are skipped entirely (``sim.policy.fa_fastpath``).
     """
     total = len(lines_t)
     if num_sets == 1:
@@ -354,17 +373,9 @@ def _set_decompose(lines_t: "np.ndarray", num_sets: int):
         starts = np.zeros(min(total, 1), dtype=np.int64)
         sets = starts
     else:
-        def set_of(lines: "np.ndarray") -> "np.ndarray":
-            if num_sets & (num_sets - 1) == 0:
-                return lines & (num_sets - 1)
-            return lines % num_sets
-
-        sets_t = set_of(lines_t)
-        if num_sets <= 1 << 16:
-            sets_t = sets_t.astype(np.uint16)
-        by_set = np.argsort(sets_t, kind="stable")
+        by_set = set_order(lines_t, num_sets)
         ls = lines_t[by_set]
-        sets_s = set_of(ls)
+        sets_s = sets_of(ls, num_sets)
         starts = np.flatnonzero(sets_s[1:] != sets_s[:-1]) + 1
         if total:
             starts = np.concatenate(([0], starts))

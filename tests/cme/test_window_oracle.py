@@ -10,6 +10,7 @@ reports stay equal when the trace cannot be built at all.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import CacheConfig, analyze, obs, prepare, run_simulation
@@ -143,3 +144,57 @@ class TestPastTheBudget:
                 prepared.nprog, prepared.walker, cache.line_bytes,
                 cache.num_sets,
             )
+
+
+def build_far_line(m: int) -> Program:
+    """``A(1)``, ``A(J)`` and two reads of a line past 2³¹ in one set of
+    four: the first reads of each iteration reuse a line that fits int32
+    across a window holding the far line twice, split by the reused line
+    itself (``A(J)``, of another uniformly generated set)."""
+    far = 1 << 33
+    far_elem = 4 * (far // 4 + 4) + 1  # line 2³¹ + 4 of 8-byte elements
+    pb = ProgramBuilder("FARLINE")
+    a = pb.array("A", (far + 64,))
+    with pb.subroutine("MAIN"):
+        with pb.do("J", 1, 2) as j:
+            with pb.do("I", 1, m):
+                pb.read(a[1], a[far_elem], a[j], a[far_elem])
+    return pb.build()
+
+
+@pytest.mark.parametrize("method", ["find", "estimate"])
+@pytest.mark.parametrize("assoc", [2, 4])
+def test_int32_decisions_on_an_int64_index_match_the_oracle(
+    monkeypatch, method, assoc
+):
+    """A reference's decided lines narrow to int32 whenever they fit, the
+    trace's stay int64 when a line of the program does not: the index's
+    window probe must count the far line once however the two differ."""
+    from repro.cme.solver import solve_misses, solver_for
+    from tests.harness.differential import scalar_results
+
+    monkeypatch.setattr(cme_batch, "_WALK_POINT", 1e15)  # always index
+    prepared = prepare(build_far_line(6))
+    cache = CacheConfig(4 * 32 * assoc, 32, assoc)
+    nprog, layout = prepared.nprog, prepared.layout
+    reuse = prepared.reuse_table(cache.line_bytes)
+    classifier = cme_batch.BatchClassifier(nprog, layout, cache, reuse)
+    solver = solver_for(method)
+    obs.enable()
+    obs.reset()
+    try:
+        report = solve_misses(
+            solver, nprog, layout, cache, reuse, classifier=classifier
+        )
+        counters = obs.snapshot()["counters"]
+    finally:
+        obs.disable()
+    assert counters["cme.window.trace_points"] > 0
+    assert counters.get("cme.window.walk_points", 0) == 0
+    assert classifier._line_trace().lines.dtype == "int64"
+    dtypes = {
+        classifier.store.peek(solver.decision_key(classifier, ref)).lines.dtype
+        for ref in nprog.refs
+    }
+    assert dtypes == {np.dtype("int32"), np.dtype("int64")}
+    assert report.results == scalar_results(solver, nprog, layout, cache, reuse)
