@@ -68,7 +68,9 @@ class PreparedProgram:
     def reuse_table(
         self, line_bytes: int, options: Optional[ReuseOptions] = None
     ) -> ReuseTable:
-        """The reuse table for a given line size (cached)."""
+        """The reuse table for a given line size (cached; ``None`` options
+        are the defaults, one table with ``ReuseOptions()``)."""
+        options = options if options is not None else ReuseOptions()
         key = (line_bytes, options)
         table = self._reuse_cache.get(key)
         if table is None:

@@ -126,21 +126,24 @@ class _BatchRIS:
 
 
 class _ColdTable(NamedTuple):
-    """A reference's reuse vectors as arrays for the batch cold equations;
-    geometry-free, so kept in the reuse table's derived facts.
+    """Reuse vectors as arrays for the batch cold equations, for one
+    reference (:meth:`BatchClassifier._cold_table`, a slice) or for the
+    whole reuse table, row for row (geometry-free, so kept once per
+    layout in the reuse table's derived facts).
 
     Vector ``j`` moves a consumer point ``p`` to the producer point
-    ``p − shifts[j]`` in the leaf ``leaves[used[local[j]]]``.  Its
-    producer accesses the byte ``addr_c(p) + offsets[j]`` there: a reuse
-    vector pairs references of one uniformly generated set, which share
-    the address row, so ``addr_p(p − s) = addr_c(p) − row·s + (c_p −
-    c_c)``.
+    ``p − shifts[j]`` of the reference ``producers[j]`` (at ``lexpos[j]``
+    in its leaf ``nprog.leaves[leaves[j]]``).  Its producer accesses the
+    byte ``addr_c(p) + offsets[j]`` there: a reuse vector pairs
+    references of one uniformly generated set, which share the address
+    row, so ``addr_p(p − s) = addr_c(p) − row·s + (c_p − c_c)``.
     """
 
     shifts: "np.ndarray"
     offsets: "np.ndarray"
-    used: "np.ndarray"
-    local: "np.ndarray"
+    producers: "np.ndarray"
+    lexpos: "np.ndarray"
+    leaves: "np.ndarray"
 
 
 class _ProgramRows(NamedTuple):
@@ -205,9 +208,8 @@ class BatchClassifier:
         self._line_bytes = cache.line_bytes
         self._num_sets = cache.num_sets
         self._assoc = cache.assoc
-        self._ris = {
-            id(leaf): _BatchRIS(nprog.ris(leaf)) for leaf in nprog.leaves
-        }
+        #: Each leaf's RIS, in ``nprog.leaves`` order.
+        self._ris = [_BatchRIS(nprog.ris(leaf)) for leaf in nprog.leaves]
         self._facts = reuse.derived((layout, cache.line_bytes))
         #: Geometry-free samples, decisions and traces (shared).
         self.store: DecisionStore = self._facts.get("decisions")
@@ -370,7 +372,7 @@ class BatchClassifier:
             addr_consts[ref.uid] = compiled.const
         # Every leaf's _BatchRIS inequalities, padded to one width.
         leaves = self.nprog.leaves
-        spaces = [self._ris[id(leaf)] for leaf in leaves]
+        spaces = self._ris
         width = max([1, *(len(ris.bounds) for ris in spaces)])
         ineq_rows = np.zeros((len(leaves), width, depth), dtype=np.int64)
         ineq_bounds = np.zeros((len(leaves), width), dtype=np.int64)
@@ -383,41 +385,44 @@ class BatchClassifier:
         )
         return self._facts.setdefault("rows", found)
 
-    def _address(self, ref: NRef, pts: "np.ndarray") -> "np.ndarray":
-        """The byte address ``ref`` accesses at every row of ``pts``."""
+    def _address(self, uid: int, pts: "np.ndarray") -> "np.ndarray":
+        """The byte address the reference ``uid`` accesses at every row of
+        ``pts``."""
         rows = self._program_rows()
-        return pts @ rows.addr_rows[ref.uid] + rows.addr_consts[ref.uid]
+        return pts @ rows.addr_rows[uid] + rows.addr_consts[uid]
 
     def _cold_table(self, ref: NRef) -> _ColdTable:
-        """The reference's :class:`_ColdTable`, built once per layout."""
-        key = ("cold", ref.uid)
-        table = self._facts.get(key)
-        if table is not None:
-            return table
+        """The reference's :class:`_ColdTable`: its rows of the table-wide
+        one."""
+        whole = self._facts.get("cold")
+        if whole is None:
+            whole = self._facts.setdefault("cold", self._cold_rows())
+        rows = self.reuse.rows(ref)
+        return _ColdTable(*(column[rows] for column in whole))
+
+    def _cold_rows(self) -> _ColdTable:
+        """The :class:`_ColdTable` of every row of the reuse table, in one
+        pass per layout."""
         addr_rows, addr_consts, leaf_index, _, _ = self._program_rows()
-        vectors = self.reuse.vectors_for(ref)
-        depth = self.nprog.depth
-        shifts = np.array(
-            [rv.vec[1::2] for rv in vectors], dtype=np.int64
-        ).reshape(len(vectors), depth)
-        producers = np.array([rv.producer.uid for rv in vectors])
-        row = addr_rows[ref.uid]
-        if (addr_rows[producers] != row).any():
+        reuse, refs = self.reuse, self.nprog.refs
+        consumers, producers = reuse.consumers(), reuse.producers
+        shifts = np.ascontiguousarray(reuse.vecs[:, 1::2])
+        row = addr_rows[consumers]
+        mixed = np.flatnonzero((addr_rows[producers] != row).any(axis=1))
+        if len(mixed):
             raise InvariantError(
-                f"a reuse vector of {ref} pairs it with a reference of "
-                "another address row"
+                f"a reuse vector of {refs[consumers[mixed[0]]]} pairs it "
+                "with a reference of another address row"
             )
         offsets = (
-            addr_consts[producers] - addr_consts[ref.uid] - shifts @ row
+            addr_consts[producers] - addr_consts[consumers]
+            - np.einsum("ij,ij->i", shifts, row)
         )
-        leaves = np.array(
-            [leaf_index[id(rv.producer.leaf)] for rv in vectors],
-            dtype=np.intp,
+        lexpos = np.array([r.lexpos for r in refs], dtype=np.int64)
+        leaves = np.array([leaf_index[id(r.leaf)] for r in refs], dtype=np.intp)
+        return _ColdTable(
+            shifts, offsets, producers, lexpos[producers], leaves[producers]
         )
-        table = _ColdTable(shifts, offsets, *np.unique(
-            leaves, return_inverse=True
-        ))
-        return self._facts.setdefault(key, table)
 
     def plan(self) -> TracePlan:
         """The program's trace plan, shared by every geometry with this
@@ -525,18 +530,23 @@ class BatchClassifier:
         build (trace length / references; the index is built once and
         serves them all), else ``None``: walk.  Depends on the points and
         the program only — never on whether the index already exists — so
-        offline and daemon runs choose alike."""
+        offline and daemon runs choose alike.
+
+        Window lengths are read in box times (:meth:`TracePlan.times`).
+        A producer's box time is ``p·strides + base + lexpos`` of its
+        leaf and reference, so every decided point's is one row product
+        with its deciding vector's leaf strides plus that vector's
+        offset, gathered by ``via`` from the plan's per-leaf table: the
+        same integers :meth:`TracePlan.times` computes per producer.
+        """
         plan = self.plan()
         if not plan.materialisable:  # TraceIndex would raise TraceTooLargeError
             return None
-        vectors = self.reuse.vectors_for(ref)
-        t_producer = np.empty(len(consumers), dtype=np.int64)
-        # One pass groups the points by deciding vector: sort, then split.
-        order = np.argsort(via, kind="stable")
-        cuts = np.flatnonzero(np.diff(via[order])) + 1
-        for group in np.split(order, cuts):
-            producer = vectors[int(via[group[0]])].producer
-            t_producer[group] = plan.times(producer, producers[group])
+        table = self._cold_table(ref)
+        leaves = table.leaves[via]
+        t_producer = np.einsum(
+            "ij,ij->i", producers, plan.leaf_strides[leaves]
+        ) + (plan.leaf_bases[leaves] + table.lexpos[via])
         t_consumer = plan.times(ref, consumers)
         windows = float((t_consumer - t_producer).sum(dtype=np.float64))
         walk = _WALK_ACCESS * windows + _WALK_POINT * len(consumers)
@@ -562,26 +572,28 @@ class BatchClassifier:
         walk every vector) are decided by :meth:`_cold_tail` in one grid.
         """
         n_points = len(pts)
-        vectors = self.reuse.vectors_for(ref)
+        table = self._cold_table(ref)
+        n_vectors = len(table.shifts)
         via = np.full(n_points, -1, dtype=np.int64)
         producer_pts = np.zeros_like(pts)
-        addr_c = self._address(ref, pts)
+        addr_c = self._address(ref.uid, pts)
         lines_c = addr_c // self._line_bytes
         undecided = np.arange(n_points, dtype=np.int64)
         trials = 0
-        table = self._cold_table(ref) if vectors else None
-        tail = len(vectors)
-        for j, rv in enumerate(vectors):
+        leaves = table.leaves.tolist()
+        producers = table.producers.tolist()
+        tail = n_vectors
+        for j in range(n_vectors):
             if not len(undecided):
                 break
-            if len(undecided) <= _TAIL and len(vectors) - j > _TAIL_VECTORS:
+            if len(undecided) <= _TAIL and n_vectors - j > _TAIL_VECTORS:
                 tail = j
                 break
             candidates = pts[undecided] - table.shifts[j]
-            inside = self._ris[id(rv.producer.leaf)].contains(candidates)
+            inside = self._ris[leaves[j]].contains(candidates)
             if not inside.any():
                 continue
-            addr_p = self._address(rv.producer, candidates[inside])
+            addr_p = self._address(producers[j], candidates[inside])
             same_line = (addr_p // self._line_bytes) == lines_c[undecided][inside]
             rows = np.flatnonzero(inside)[same_line]
             if not len(rows):
@@ -593,7 +605,7 @@ class BatchClassifier:
             keep = np.ones(len(undecided), dtype=bool)
             keep[rows] = False
             undecided = undecided[keep]
-        if tail < len(vectors):
+        if tail < n_vectors:
             rows, deciding = self._cold_tail(
                 table, tail, pts[undecided], addr_c[undecided],
                 lines_c[undecided],
@@ -605,7 +617,7 @@ class BatchClassifier:
             keep = np.ones(len(undecided), dtype=bool)
             keep[rows] = False
             undecided = undecided[keep]
-        trials += len(undecided) * len(vectors)
+        trials += len(undecided) * n_vectors
         return via, producer_pts, lines_c, trials
 
     def _cold_tail(
@@ -624,15 +636,16 @@ class BatchClassifier:
         ``row·p >= bound + row·s`` for each of its inequalities (zero rows
         pad shorter lists with ``0 >= 0``): one ``(points, vectors)``
         comparison per conjunct, ANDed into the grid, the largest
-        temporary.
+        temporary.  The products ``row·p`` are taken once per distinct
+        producer leaf and gathered per vector.
         """
         *_, ineq_rows, ineq_bounds = self._program_rows()
-        shifts, local = table.shifts[first:], table.local[first:]
-        leaves = table.used[local]
+        shifts, leaves = table.shifts[first:], table.leaves[first:]
+        used, local = np.unique(leaves, return_inverse=True)
         floors = ineq_bounds[leaves] + (
             ineq_rows[leaves] @ shifts[:, :, None]
         )[:, :, 0]
-        conjuncts = ineq_rows[table.used]
+        conjuncts = ineq_rows[used]
         producer_lines = (
             addr[:, None] + table.offsets[first:]
         ) // self._line_bytes
@@ -674,17 +687,18 @@ class BatchClassifier:
         lines: "np.ndarray",
     ) -> "np.ndarray":
         """The replacement windows of decided points, walked one by one."""
-        vectors = self.reuse.vectors_for(ref)
+        rows = self.reuse.rows(ref)
+        vecs = self.reuse.vecs[rows].tolist()
+        lexpos = self._cold_table(ref).lexpos.tolist()
         walker = self.walker
         evicted = np.empty(len(lines), dtype=bool)
         for i, (point, j, line_c) in enumerate(
             zip(consumers.tolist(), via.tolist(), lines.tolist())
         ):
-            rv = vectors[j]
             ivec_c = interleave(ref.label, tuple(point))
-            ivec_p = subtract(ivec_c, rv.vec)
+            ivec_p = subtract(ivec_c, vecs[j])
             evicted[i] = walker.distinct_conflicts_reach(
-                (ivec_p, rv.producer.lexpos),
+                (ivec_p, lexpos[j]),
                 (ivec_c, ref.lexpos),
                 line_c % self._num_sets,
                 line_c,

@@ -57,6 +57,7 @@ from repro.normalize.nprogram import NLeaf, NLoop, NormalizedProgram, NRef
 from repro.polyhedra.affine import Affine
 from repro.polyhedra.constraints import EQ, ConstraintSet
 from repro.reuse.generator import ReuseTable
+from repro.reuse.vectors import SPATIAL, TEMPORAL
 
 #: Version tag hashed into every key; bump on any change to the key layout.
 KEY_SCHEMA = "repro.memo.key/1"
@@ -255,12 +256,20 @@ class KeyBuilder:
         c_idx = self._ord2idx[ref.label[0]]
         first = c_idx
         vectors = []
-        for rv in self.reuse.vectors_for(ref):
-            p_idx = self._ord2idx[rv.producer.label[0]]
+        reuse, refs = self.reuse, self.nprog.refs
+        rows = reuse.rows(ref)
+        for vec, p, spatial in zip(
+            reuse.vecs[rows].tolist(),
+            reuse.producers[rows].tolist(),
+            reuse.spatial[rows].tolist(),
+        ):
+            producer = refs[p]
+            p_idx = self._ord2idx[producer.label[0]]
             first = min(first, p_idx)
-            vectors.append(
-                [list(rv.vec), rv.kind, c_idx - p_idx, self._locator(rv.producer)]
-            )
+            vectors.append([
+                vec, SPATIAL if spatial else TEMPORAL, c_idx - p_idx,
+                self._locator(producer),
+            ])
         return first, c_idx, f",{_dumps(self._locator(ref))},{_dumps(vectors)}]"
 
     # -- geometry (once per builder) -------------------------------------------

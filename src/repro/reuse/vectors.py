@@ -12,6 +12,13 @@ i.e. ``|Δm_lin − S·x| < Ls`` where ``S`` is the stride-weighted (linearised)
 subscript row — a formulation that uniformly covers both of the paper's
 spatial kinds: the intra-column family (eq. 2) *and* the cross-column
 vectors of Fig. 3 such as ``(0, 1, 0, 1−N)``.
+
+:class:`~repro.reuse.generator.ReuseTable` keeps its vectors as array
+rows (``vec``, producer uid, kind), which the classifier and the memo keys
+read directly; a :class:`ReuseVector` is that row as an object, built on
+the first :meth:`~repro.reuse.generator.ReuseTable.vectors_for` of its
+consumer, for the API, the regional solver, the probabilistic baseline
+and the tests.
 """
 
 from __future__ import annotations

@@ -175,6 +175,19 @@ class TracePlan:
             key: (np.array(st, dtype=np.int64), bds, base)
             for key, (st, bds, base) in plans.items()
         } if box < _MAX_BOX else {}
+        #: Every leaf's strides and base in ``nprog.leaves`` order (empty
+        #: when box times overflow), so that a point ``p`` of ``ref`` has
+        #: the box time ``p·leaf_strides[k] + leaf_bases[k] + ref.lexpos``
+        #: of its leaf ``k``: :meth:`times` for many leaves at once.
+        found = (
+            [self._leaf[id(leaf)] for leaf in nprog.leaves] if self._leaf else []
+        )
+        self.leaf_strides = np.array(
+            [strides for strides, _, _ in found], dtype=np.int64
+        ).reshape(len(found), nprog.depth)
+        self.leaf_bases = np.array(
+            [base for _, _, base in found], dtype=np.int64
+        )
 
     @property
     def materialisable(self) -> bool:

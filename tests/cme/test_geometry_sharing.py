@@ -28,6 +28,7 @@ from repro.kernels.extra import build_lu
 from repro.polyhedra.space import clear_count_cache
 from repro.programs import build_applu_like, build_swim_like, build_tomcatv_like
 from repro.ir import Program, ProgramBuilder
+from repro.reuse import ReuseOptions
 from repro.serve.engine import AnalysisEngine, load_kernel
 from repro.serve.protocol import AnalyzeRequest, parse_cache_spec, report_doc
 from repro.sim.batch import TracePlan
@@ -238,3 +239,29 @@ def test_pickled_table_ships_no_store():
     table = prepared.reuse_table(cache.line_bytes)
     assert table.derived((prepared.layout, cache.line_bytes))["decisions"]
     assert pickle.loads(pickle.dumps(table))._derived == {}
+
+
+@pytest.mark.parametrize("method", ["find", "estimate"])
+def test_default_options_share_the_default_table(method):
+    """``reuse_options=ReuseOptions()`` names the default table: a call
+    with it after a default call replays every reference's decisions."""
+    prepared = prepare(PROGRAMS["swim"]())
+    cache = CacheConfig.kb(2, 32, 2)
+    first = analyze(prepared, cache, method=method, seed=0)
+    table = prepared.reuse_table(cache.line_bytes)
+    assert prepared.reuse_table(cache.line_bytes, ReuseOptions()) is table
+    obs.enable()
+    obs.reset()
+    try:
+        again = analyze(
+            prepared, cache, method=method, seed=0,
+            reuse_options=ReuseOptions(),
+        )
+        counters = obs.snapshot()["counters"]
+    finally:
+        obs.disable()
+    assert counters[SHARED] == len(prepared.nprog.refs)
+    assert "reuse.vectors.total" not in counters  # no second build
+    assert tallies(again) == tallies(first)
+    other = prepared.reuse_table(cache.line_bytes, ReuseOptions(spatial=False))
+    assert other is not table

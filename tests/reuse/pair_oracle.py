@@ -5,8 +5,9 @@
 null-space combinations and the spatial e × d1 × v1 × d2 search — exactly
 as :func:`repro.reuse.build_reuse_table` did before it solved each
 uniformly generated set once per ``Δm``.  :func:`pairwise_reuse_table`
-builds a whole table from it, pair by pair, so tests can require the
-production table to equal it vector for vector.
+builds a whole table of :class:`ReuseVector` objects from it, pair by
+pair, so tests can require the production table to equal it vector for
+vector and its counters to equal an object-side count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.reuse import (
     SPATIAL,
     TEMPORAL,
     ReuseOptions,
-    ReuseTable,
     ReuseVector,
     constant_part,
     linear_part,
@@ -135,11 +135,35 @@ def generate_pair_vectors(
 
 
 
+class ObjectTable:
+    """A reuse table kept as :class:`ReuseVector` lists by consumer uid,
+    with :class:`~repro.reuse.ReuseTable`'s object-side reads."""
+
+    def __init__(self, by_consumer: dict[int, list[ReuseVector]]):
+        self._by_consumer = by_consumer
+
+    def vectors_for(self, ref: NRef) -> list[ReuseVector]:
+        return self._by_consumer.get(ref.uid, [])
+
+    def all_vectors(self) -> list[ReuseVector]:
+        return [rv for vectors in self._by_consumer.values() for rv in vectors]
+
+    def counts(self) -> dict[str, int]:
+        """Temporal/spatial × self/group, counted vector by vector."""
+        counts = dict.fromkeys(
+            ("temporal-self", "temporal-group", "spatial-self", "spatial-group"),
+            0,
+        )
+        for rv in self.all_vectors():
+            counts[f"{rv.kind}-{'self' if rv.is_self else 'group'}"] += 1
+        return counts
+
+
 def pairwise_reuse_table(
     nprog: NormalizedProgram,
     line_bytes: int,
     options: ReuseOptions | None = None,
-) -> ReuseTable:
+) -> ObjectTable:
     """The reuse table built pair by pair with :func:`generate_pair_vectors`."""
     options = options if options is not None else ReuseOptions()
     extents = _depth_extents(nprog)
@@ -155,4 +179,4 @@ def pairwise_reuse_table(
                 )
     for vectors in by_consumer.values():
         vectors.sort(key=lambda rv: rv.sort_key())
-    return ReuseTable(by_consumer)
+    return ObjectTable(by_consumer)
