@@ -22,11 +22,19 @@ own machinery:
    :meth:`~repro.normalize.nprogram.NormalizedProgram.ris` returns — with
    more conjuncts (:meth:`~repro.polyhedra.space.BoundedSpace.conjoin`),
    so the cells are counted, probed and enumerated by the same class as
-   the RIS.  Every conjunct stays an integer row: the translated producer
-   conjuncts, their negations and the residue intervals are compiled once
-   per reference and line size
-   (:class:`~repro.polyhedra.space.RowConstraint`,
-   :class:`~repro.polyhedra.space.RowResidue`) and conjoined as they are.
+   the RIS.  The cold conditions of every vector of the reuse table are
+   derived in one array pass per layout and line size
+   (:meth:`RegionSolver._condition_rows`): translated, pruned producer
+   conjuncts as padded integer rows, a ``never`` verdict and a residue
+   interval per vector.  A popped cell first rules out, in one array
+   step, every vector whose condition it provably misses — an affine
+   conjunct that cannot hold anywhere in the cell's box, or a residue
+   interval disjoint from the cell's (:meth:`RegionSolver._vacuous`) —
+   and jumps to the first vector left.  Only there are the conjuncts
+   compiled (:class:`~repro.polyhedra.space.RowConstraint`,
+   :class:`~repro.polyhedra.space.RowResidue`, built once per vector and
+   kept), conjoined and counted exactly, and the complement pieces are
+   conjoined only once that count is non-zero.
 
 2. **Replacement by residue class.**  A decided cell is classified without
    enumeration when the *replacement-uniformity certificate* holds: the
@@ -70,11 +78,11 @@ own machinery:
    counted symbolically.
    The residue-class certificate above stays closed-form.
 
-3. **Fallback.**  Anything irregular — a non-constant ``δ`` (references
-   outside the consumer's uniformly generated set), a failed certificate, a
-   probe deciding via an unexpected vector — is *enumerated* through the
-   classifier (:class:`~repro.cme.batch.BatchClassifier`), merged into
-   one residual region per reference.  Fallback changes speed, never
+3. **Fallback.**  Anything irregular — cells past :data:`MAX_CELLS`, a
+   failed certificate, a probe deciding via an unexpected vector — is
+   *enumerated* through the classifier
+   (:class:`~repro.cme.batch.BatchClassifier`), merged into one residual
+   region per reference.  Fallback changes speed, never
    results: the report is exactly equal to ``FindMisses`` by construction,
    which the 210-case differential suite asserts.
 
@@ -92,11 +100,12 @@ from __future__ import annotations
 
 import math
 from operator import mul, sub
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro import obs
+from repro.errors import InvariantError
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef
@@ -146,7 +155,6 @@ MAX_PIECES = 512
 #: ``cme.regions.fallback.<reason>`` point counter each (they sum to
 #: ``cme.regions.fallback_points``):
 #:
-#: * ``irregular`` — the deciding vector's ``δ`` is not constant;
 #: * ``cell_cap`` — the reference produced more than :data:`MAX_CELLS` cells;
 #: * ``uncertified`` — no closed-form certificate applies to the vector;
 #: * ``window_budget`` — a certificate's shape holds but a cap stopped it
@@ -156,7 +164,6 @@ MAX_PIECES = 512
 #:   expected vector or outcome, or none was found within budget;
 #: * ``partition_mismatch`` — the pieces failed to tile their cell.
 FALLBACK_REASONS = (
-    "irregular",
     "cell_cap",
     "uncertified",
     "window_budget",
@@ -166,9 +173,43 @@ FALLBACK_REASONS = (
 
 _REASON_COUNTERS = {r: f"cme.regions.fallback.{r}" for r in FALLBACK_REASONS}
 
-_NEVER = "never"
-_REGULAR = "regular"
-_IRREGULAR = "irregular"
+
+class _Conditions(NamedTuple):
+    """The cold condition of every row of the reuse table, row for row
+    (:meth:`RegionSolver._condition_rows`; geometry-free but for the line
+    size, so kept once per layout and line size).
+
+    Row ``i`` is ``never[i]`` satisfiable, or holds where its first
+    ``nkept[i]`` translated producer conjuncts ``rows[i, k]·p + consts[i,
+    k] ⋈ 0`` (``==`` where ``eq[i, k]``, else ``>=``; padded with ``0 >=
+    0``) hold and ``addr_c(p) mod L`` lies in ``[residues[i, 0],
+    residues[i, 1]]``; the whole line ``[0, L − 1]`` means no residue
+    conjunct.
+    """
+
+    never: "np.ndarray"
+    nkept: "np.ndarray"
+    rows: "np.ndarray"
+    consts: "np.ndarray"
+    eq: "np.ndarray"
+    residues: "np.ndarray"
+
+
+class _RefConditions(NamedTuple):
+    """One consumer's rows of :class:`_Conditions`, narrowed to its widest
+    kept conjunction, for interval arithmetic over a box: its kept
+    conjuncts as inequalities ``coeffs[v, k]·p + consts[v, k] >= 0`` (an
+    equality ``e == 0`` is ``e >= 0`` and ``−e >= 0``), each row holding
+    its positive coefficients, then its negative ones.  ``line`` is the
+    consumer address's residue over the whole line, whose row, constant
+    and modulus every residue conjunct of its cells shares."""
+
+    never: "np.ndarray"
+    coeffs: "np.ndarray"
+    consts: "np.ndarray"
+    res_lo: "np.ndarray"
+    res_hi: "np.ndarray"
+    line: RowResidue
 
 
 class RegionSolver:
@@ -204,11 +245,16 @@ class RegionSolver:
         # Geometry-independent facts, shared through the reuse table.  The
         # values are pure functions of the key, so concurrent solvers
         # publish them with ``setdefault`` and never need a lock.
-        facts = reuse.derived((layout, cache.line_bytes))
+        facts = self._facts = reuse.derived((layout, cache.line_bytes))
         self._index = {v: k for k, v in enumerate(nprog.index_vars)}
         self._addr: dict[int, tuple] = facts.setdefault("addr", {})
         self._ris_rows: dict[int, tuple] = facts.setdefault("ris", {})
-        self._conds: dict[int, list] = facts.setdefault("conds", {})
+        self._ref_conds: dict[int, _RefConditions] = facts.setdefault(
+            "ref_conditions", {}
+        )
+        self._compiled_conds: dict[tuple[int, int], tuple] = (
+            facts.setdefault("compiled_conditions", {})
+        )
         self._cert: dict[tuple[int, int], bool] = facts.setdefault("cert", {})
         self._window: dict[tuple[int, int], Optional[list]] = facts.setdefault(
             "window", {}
@@ -240,15 +286,23 @@ class RegionSolver:
         return tuple(row), expr.constant
 
     def _address(self, ref: NRef) -> tuple[tuple[int, ...], int]:
-        """``ref``'s byte address as a row and a constant."""
+        """``ref``'s byte address as a row and a constant (read off the
+        classifier's address table when there is one)."""
         a = self._addr.get(ref.uid)
         if a is None:
-            array = ref.array
-            expr = (
-                array.element_offset(ref.subscripts) * array.element_size
-                + self.layout.base_of(array)
-            )
-            a = self._addr.setdefault(ref.uid, self._row(expr))
+            if self.classifier is not None:
+                rows = self.classifier._program_rows()
+                a = (
+                    tuple(rows.addr_rows[ref.uid].tolist()),
+                    int(rows.addr_consts[ref.uid]),
+                )
+            else:
+                array = ref.array
+                a = self._row(
+                    array.element_offset(ref.subscripts) * array.element_size
+                    + self.layout.base_of(array)
+                )
+            a = self._addr.setdefault(ref.uid, a)
         return a
 
     def _compiled(self, c: Constraint, shift: Sequence[int]) -> RowConstraint:
@@ -283,115 +337,223 @@ class RegionSolver:
             )
         return rows
 
-    def _producer_spans(self, producer: NRef, ref: NRef) -> list[tuple]:
-        """The producer RIS's conjuncts as ``(row, lo, hi, is_eq,
-        conjunct)``, ``[lo, hi]`` the range of ``row·i + const`` over the
-        consumer's bounding box."""
-        producer_cons, _ = self._ris_of(producer)
-        _, box = self._ris_of(ref)
-        spans = []
-        for row, const, kind in producer_cons:
-            lo = hi = const
-            for c, (b_lo, b_hi) in zip(row, box):
-                if c > 0:
-                    lo += c * b_lo
-                    hi += c * b_hi
-                elif c < 0:
-                    lo += c * b_hi
-                    hi += c * b_lo
-            conjunct = RowConstraint.make(row, const, kind)
-            spans.append((row, lo, hi, kind == EQ, conjunct))
-        return spans
+    def _condition_table(self) -> "_Conditions":
+        """The cold conditions of every row of the reuse table, in one
+        array pass (kept in the shared facts)."""
+        table = self._facts.get("conditions")
+        if table is None:
+            table = self._facts.setdefault(
+                "conditions", self._condition_rows()
+            )
+        return table
 
-    def _cold_condition(
-        self,
-        ref: NRef,
-        rv: ReuseVector,
-        spans: dict[int, list],
-        residues: dict[tuple[int, int], RowResidue],
-    ):
-        """The cold equations of one vector as region constraints.
+    def _condition_rows(self) -> "_Conditions":
+        """The cold equations of every reuse vector as region constraints.
 
-        Returns ``(kind, conjuncts)`` with ``kind`` one of ``"never"``
-        (provably no point satisfies them), ``"regular"`` (affine
-        constraints + optional residue interval on the consumer address mod
-        the line size) or ``"irregular"`` (non-constant ``δ`` — the
-        producer is outside the consumer's uniformly generated set, so the
-        line equality is not a residue condition).  ``conjuncts`` pairs
-        each kept condition with the disjuncts of its complement, all
-        compiled rows: the producer's affine conjuncts and their
-        negations, then the residue interval and the one or two intervals
-        outside it.
-
-        Computed on integer rows: translating a row by the vector ``x``
-        (``i ↦ i − x``) only moves its constant by ``−row·x``.  The
-        consumer's vectors share ``spans`` (per producer uid, from
-        :meth:`_producer_spans`) and ``residues`` (per interval).
+        Row ``r`` of the table moves a consumer point ``i`` to the producer
+        point ``i − x`` (``x = vecs[r, 1::2]``).  Translating a producer
+        RIS conjunct ``row·j + const ⋈ 0`` by ``x`` only moves its
+        constant by ``−row·x``.  Each translated conjunct is pruned against
+        the consumer's bounding box: provably true over the whole RIS, it
+        never splits a cell and is dropped; provably false, the vector is
+        ``never`` applicable.  The producer and the consumer share their
+        address row (a reuse vector pairs references of one uniformly
+        generated set), so the line equality is the residue interval
+        ``(addr_c(i) mod L) ∈ [max(0, −d), min(L−1, L−1−d)]`` with the
+        constant ``d = const_p − row·x − const_c``; ``|d| >= L`` is
+        ``never`` too.  Raises :class:`InvariantError` on a vector across
+        two address rows, as :meth:`BatchClassifier._cold_rows` does.
         """
-        x = rv.index_part()
-        row_c, const_c = self._address(ref)
-        row_p, const_p = self._address(rv.producer)
+        reuse, refs = self.reuse, self.nprog.refs
+        n = self.nprog.depth
         line_bytes = self.cache.line_bytes
-        producer = spans.get(rv.producer.uid)
-        if producer is None:
-            producer = spans[rv.producer.uid] = self._producer_spans(
-                rv.producer, ref
+        addr = [self._address(ref) for ref in refs]
+        addr_rows = np.array([a[0] for a in addr], dtype=np.int64).reshape(
+            len(refs), n
+        )
+        addr_consts = np.array([a[1] for a in addr], dtype=np.int64)
+        # Every reference's RIS conjuncts, padded to one width with 0 >= 0.
+        ris = [self._ris_of(ref) for ref in refs]
+        width = max([0, *(len(cons) for cons, _ in ris)])
+        p_rows = np.zeros((len(refs), width, n), dtype=np.int64)
+        p_consts = np.zeros((len(refs), width), dtype=np.int64)
+        p_eq = np.zeros((len(refs), width), dtype=bool)
+        for uid, (cons, _) in enumerate(ris):
+            for k, (row, const, kind) in enumerate(cons):
+                p_rows[uid, k] = row
+                p_consts[uid, k] = const
+                p_eq[uid, k] = kind == EQ
+        boxes = np.array([box for _, box in ris], dtype=np.int64).reshape(
+            len(refs), n, 2
+        )
+        consumers, producers = reuse.consumers(), reuse.producers
+        x = np.ascontiguousarray(reuse.vecs[:, 1::2])
+        mixed = np.flatnonzero(
+            (addr_rows[producers] != addr_rows[consumers]).any(axis=1)
+        )
+        if len(mixed):
+            raise InvariantError(
+                f"a reuse vector of {refs[consumers[mixed[0]]]} pairs it "
+                "with a reference of another address row"
             )
-        # Prune against the consumer's bounding box: constraints that are
-        # provably true over the whole RIS never split a cell, provably
-        # false ones make the vector inapplicable outright.  The translated
-        # conjunct ranges over [lo - shift, hi - shift].
-        kept: list[tuple] = []
-        for row, lo, hi, is_eq, c in producer:
-            shift = sum(map(mul, row, x))
-            if is_eq:
-                if lo == shift == hi:
-                    continue
-                if lo > shift or hi < shift:
-                    return (_NEVER, ())
-            else:
-                if lo >= shift:
-                    continue
-                if hi < shift:
-                    return (_NEVER, ())
-            shifted = RowConstraint(
-                row, c.const - shift, c.kind, c.anchor, c.mask
-            )
-            kept.append((shifted, shifted.negated()))
-        if row_p != row_c:
-            return (_IRREGULAR, tuple(kept))
-        d = const_p - sum(map(mul, row_p, x)) - const_c
-        if abs(d) >= line_bytes:
-            return (_NEVER, ())
-        if d:
-            lo_r, hi_r = max(0, -d), min(line_bytes - 1, line_bytes - 1 - d)
-            intervals = [(lo_r, hi_r)]
-            if lo_r > 0:
-                intervals.append((0, lo_r - 1))
-            if hi_r < line_bytes - 1:
-                intervals.append((hi_r + 1, line_bytes - 1))
-            for interval in intervals:
-                if interval not in residues:
-                    residues[interval] = RowResidue.make(
-                        row_c, const_c, line_bytes, *interval
-                    )
-            inside, *outside = (residues[i] for i in intervals)
-            kept.append((inside, tuple(outside)))
-        return (_REGULAR, tuple(kept))
+        rows = p_rows[producers]
+        consts = p_consts[producers]
+        eq = p_eq[producers]
+        # The range of each producer conjunct over the consumer's box, and
+        # the translation: the conjunct at i − x ranges over
+        # [lo − shift, hi − shift].
+        box_lo, box_hi = boxes[consumers, :, 0], boxes[consumers, :, 1]
+        pos, neg = np.maximum(rows, 0), np.minimum(rows, 0)
+        lo = (
+            consts
+            + np.einsum("ikn,in->ik", pos, box_lo)
+            + np.einsum("ikn,in->ik", neg, box_hi)
+        )
+        hi = (
+            consts
+            + np.einsum("ikn,in->ik", pos, box_hi)
+            + np.einsum("ikn,in->ik", neg, box_lo)
+        )
+        shift = np.einsum("ikn,in->ik", rows, x)
+        true = np.where(eq, (lo == shift) & (hi == shift), lo >= shift)
+        false = (hi < shift) | (eq & (lo > shift))
+        d = (
+            addr_consts[producers]
+            - np.einsum("in,in->i", x, addr_rows[producers])
+            - addr_consts[consumers]
+        )
+        never = false.any(axis=1) | (np.abs(d) >= line_bytes)
+        kept = ~true & ~never[:, None]
+        # Kept conjuncts first, in the producer's order; the rest zeroed
+        # to the always-true 0 >= 0.
+        order = np.argsort(~kept, axis=1, kind="stable")
+        kept = np.take_along_axis(kept, order, axis=1)
+        nkept = kept.sum(axis=1)
+        width = int(nkept.max(initial=0))
+        kept = kept[:, :width]
+        order = order[:, :width]
+        rows = np.where(
+            kept[:, :, None], np.take_along_axis(rows, order[:, :, None], 1), 0
+        )
+        consts = np.where(
+            kept, np.take_along_axis(consts - shift, order, axis=1), 0
+        )
+        eq = kept & np.take_along_axis(eq, order, axis=1)
+        residues = np.column_stack(
+            [np.maximum(0, -d), np.minimum(line_bytes - 1, line_bytes - 1 - d)]
+        )
+        return _Conditions(never, nkept, rows, consts, eq, residues)
 
-    def _conditions(self, ref: NRef) -> list:
-        conds = self._conds.get(ref.uid)
-        if conds is None:
-            spans: dict[int, list] = {}
-            residues: dict[tuple[int, int], RowResidue] = {}
-            conds = self._conds.setdefault(
-                ref.uid,
-                [
-                    self._cold_condition(ref, rv, spans, residues)
-                    for rv in self.reuse.vectors_for(ref)
-                ],
+    def _ref_conditions(self, ref: NRef) -> "_RefConditions":
+        """The consumer's rows of the condition table, narrowed to its
+        widest kept conjunction and split for interval arithmetic."""
+        found = self._ref_conds.get(ref.uid)
+        if found is None:
+            table = self._condition_table()
+            rows = self.reuse.rows(ref)
+            width = int(table.nkept[rows].max(initial=0))
+            coeffs = table.rows[rows, :width]
+            consts = table.consts[rows, :width]
+            # The columns holding an equality once more, negated (``0 >= 0``
+            # where the conjunct is an inequality).
+            eq = table.eq[rows, :width]
+            cols = np.flatnonzero(eq.any(axis=0))
+            eq = eq[:, cols]
+            coeffs = np.concatenate(
+                [coeffs, np.where(eq[:, :, None], -coeffs[:, cols], 0)], axis=1
             )
-        return conds
+            consts = np.concatenate(
+                [consts, np.where(eq, -consts[:, cols], 0)], axis=1
+            )
+            a_row, a_const = self._address(ref)
+            line_bytes = self.cache.line_bytes
+            found = self._ref_conds.setdefault(
+                ref.uid,
+                _RefConditions(
+                    table.never[rows],
+                    np.concatenate(
+                        [np.maximum(coeffs, 0), np.minimum(coeffs, 0)], axis=2
+                    ),
+                    consts,
+                    table.residues[rows, 0],
+                    table.residues[rows, 1],
+                    RowResidue.make(
+                        a_row, a_const, line_bytes, 0, line_bytes - 1
+                    ),
+                ),
+            )
+        return found
+
+    def _condition(self, ref: NRef, t: int) -> tuple:
+        """The cold condition of the consumer's vector ``t`` as compiled
+        conjuncts: ``(condition, negations)`` pairs, the kept producer
+        conjuncts and then the residue interval with the one or two
+        intervals outside it.  Built when decomposition first needs it,
+        then kept."""
+        key = (ref.uid, t)
+        found = self._compiled_conds.get(key)
+        if found is not None:
+            return found
+        table = self._condition_table()
+        i = self.reuse.rows(ref).start + t
+        k = int(table.nkept[i])
+        kept = []
+        for row, const, is_eq in zip(
+            table.rows[i, :k].tolist(),
+            table.consts[i, :k].tolist(),
+            table.eq[i, :k].tolist(),
+        ):
+            c = RowConstraint.make(tuple(row), const, EQ if is_eq else GE)
+            kept.append((c, c.negated()))
+        line = self._ref_conditions(ref).line
+        lo_r, hi_r = table.residues[i].tolist()
+        if (lo_r, hi_r) != (line.lo, line.hi):
+            inside = line._replace(lo=lo_r, hi=hi_r)
+            outside = []
+            if lo_r > 0:
+                outside.append(line._replace(hi=lo_r - 1))
+            if hi_r < line.hi:
+                outside.append(line._replace(lo=hi_r + 1))
+            kept.append((inside, tuple(outside)))
+        return self._compiled_conds.setdefault(key, tuple(kept))
+
+    def _residue_interval(
+        self, ref: NRef, cell: BoundedSpace
+    ) -> tuple[int, int]:
+        """The values of ``addr_c(i) mod L`` the cell's residue conjuncts
+        admit: the intersection of their intervals, an interval itself
+        (``lo > hi`` when empty)."""
+        line = self._ref_conditions(ref).line
+        lo, hi = line.lo, line.hi
+        if line.anchor >= 0:
+            for r in cell.residues_at(line.anchor):
+                if r[:3] == line[:3]:
+                    lo, hi = max(lo, r.lo), min(hi, r.hi)
+        return lo, hi
+
+    def _vacuous(self, ref: NRef, cell: BoundedSpace, t: int) -> np.ndarray:
+        """Per consumer vector from ``t`` on: whether an interval test
+        proves the cell holds no point of its cold condition.
+
+        Both tests are necessary conditions for a point, so they are
+        sound.  A kept affine conjunct cannot hold anywhere in the cell's
+        :meth:`~BoundedSpace.tight_ranges` box when its maximum there is
+        negative (for an equality, the maximum of ``e`` or of ``−e``); and
+        the vector's residue interval cannot meet the cell's
+        (:meth:`_residue_interval`) when they are disjoint.
+        """
+        conds = self._ref_conditions(ref)
+        box = cell.tight_ranges().values()
+        # The positive coefficients meet the box's upper ends and the
+        # negative its lower: each conjunct's maximum over the box.
+        top = np.array(
+            [hi for _, hi in box] + [lo for lo, _ in box], dtype=np.int64
+        )
+        affine = (conds.coeffs[t:] @ top + conds.consts[t:] < 0).any(axis=1)
+        r_lo, r_hi = self._residue_interval(ref, cell)
+        return (
+            affine | (conds.res_hi[t:] < r_lo) | (conds.res_lo[t:] > r_hi)
+        )
 
     # -- the replacement-uniformity certificate ----------------------------------
 
@@ -728,13 +890,17 @@ class RegionSolver:
 
     def _residue_classes(self, ref: NRef, carve: "_Pieces") -> list[tuple]:
         """The non-empty ``(class, r, count)`` splits of ``carve``'s cell
-        by ``a_c mod L = r`` (only residues ``a_c`` can take are tried),
-        each class a piece of ``carve``."""
+        by ``a_c mod L = r`` (only residues ``a_c`` can take and the
+        cell's residue interval admits are tried), each class a piece of
+        ``carve``."""
         line_bytes = self.cache.line_bytes
         a_row, a_const = self._address(ref)
         g = math.gcd(line_bytes, *a_row)
+        lo, hi = self._residue_interval(ref, carve.whole[0])
         classes = []
         for r in range(a_const % g, line_bytes, g):
+            if not lo <= r <= hi:
+                continue  # outside the cell's residue interval: empty
             residue = RowResidue.make(a_row, a_const, line_bytes, r, r)
             cls = carve.conjoin(carve.whole, residue)
             cnt = carve.count(cls)
@@ -758,14 +924,19 @@ class RegionSolver:
         the negation of every earlier regular cold condition, so the
         classifier would pick exactly that vector at any of its points.
         ``irregular`` pairs each cell left to enumeration with its fallback
-        reason (``"irregular"`` or ``"cell_cap"``).
+        reason (``"cell_cap"``).
+
+        A popped cell is tested against all its remaining vectors at once
+        (:meth:`_vacuous`) and skips, whole, those whose cold condition it
+        provably misses; only at the first vector left is the condition
+        conjoined and counted exactly, and the complement pieces are
+        conjoined only once that count is non-zero.
 
         Reads the line size but not the number of sets or the
         associativity, so :meth:`solve_ref` keeps the result in the shared
         facts and every later geometry with this line size replays it.
         """
-        vectors = self.reuse.vectors_for(ref)
-        conds = self._conditions(ref)
+        never = self._ref_conditions(ref).never
         cold: list[BoundedSpace] = []
         decided: list[tuple[BoundedSpace, int]] = []
         irregular: list[tuple[BoundedSpace, str]] = []
@@ -775,34 +946,37 @@ class RegionSolver:
             cell, t = work.pop()
             if cell.count() == 0:
                 continue
-            if t == len(vectors):
+            # The vectors the interval tests leave; the cell skips the
+            # rest whole, as it skips a vector that decides nothing here.
+            live = []
+            if t < len(never):
+                skip = never[t:] | self._vacuous(ref, cell, t)
+                live = (np.flatnonzero(~skip) + t).tolist()
+            for t in live:
+                cons = self._condition(ref, t)
+                prefixes = [cell]
+                for c, _ in cons:
+                    prefixes.append(prefixes[-1].conjoin(c))
+                prefix = prefixes[-1]
+                if prefix.count() == 0:
+                    # The vector decides nothing here: keep the cell whole
+                    # instead of fragmenting it over a vacuous condition.
+                    continue
+                pieces = [
+                    part.conjoin(neg)
+                    for part, (_, negs) in zip(prefixes, cons)
+                    for neg in negs
+                ]
+                produced += len(pieces) + 1
+                if produced > MAX_CELLS:
+                    irregular.append((cell, "cell_cap"))
+                    break
+                decided.append((prefix, t))
+                for piece in pieces:
+                    work.append((piece, t + 1))
+                break
+            else:
                 cold.append(cell)
-                continue
-            kind, cons = conds[t]
-            if kind == _NEVER:
-                work.append((cell, t + 1))
-                continue
-            if kind == _IRREGULAR:
-                irregular.append((cell, "irregular"))
-                continue
-            prefix = cell
-            pieces: list[BoundedSpace] = []
-            for c, negs in cons:
-                for neg in negs:
-                    pieces.append(prefix.conjoin(neg))
-                prefix = prefix.conjoin(c)
-            if prefix.count() == 0:
-                # The vector decides nothing here: keep the cell whole
-                # instead of fragmenting it over a vacuous condition.
-                work.append((cell, t + 1))
-                continue
-            produced += len(pieces) + 1
-            if produced > MAX_CELLS:
-                irregular.append((cell, "cell_cap"))
-                continue
-            decided.append((prefix, t))
-            for piece in pieces:
-                work.append((piece, t + 1))
         return cold, decided, irregular
 
     # -- per-reference solving ------------------------------------------------------
@@ -1082,15 +1256,17 @@ def regional_coverage(
         cache.assoc == 1
         and cache.line_bytes * cache.num_sets <= MAX_RESIDUE_MODULUS
     )
+    never = solver._condition_table().never
     total = covered = 0
     for ref in nprog.refs:
-        conds = solver._conditions(ref)
-        for t, rv in enumerate(reuse.vectors_for(ref)):
+        rows = reuse.rows(ref)
+        for t, (rv, skip) in enumerate(
+            zip(reuse.vectors_for(ref), never[rows].tolist())
+        ):
             total += 1
-            kind = conds[t][0]
-            if kind == _NEVER:
+            if skip:
                 covered += 1
-            elif kind == _REGULAR and (
+            elif (
                 solver._certified(ref, t, rv)
                 or (
                     windowable

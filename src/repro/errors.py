@@ -72,6 +72,17 @@ class AnalysisError(ReproError):
     """A generic failure inside the cache-behaviour analysis."""
 
 
+class TraceTooLargeError(AnalysisError):
+    """A trace or point set is too large to materialise as arrays.
+
+    Raised past :data:`repro.sim.batch.MAX_TRACE_ACCESSES` accesses, and
+    by :func:`repro.polyhedra.batch.enumerate_points_array` past
+    :data:`~repro.polyhedra.batch.MAX_POINTS` points.
+    :func:`repro.sim.simulate` catches it and degrades to the scalar
+    walker, which streams accesses without materialising them.
+    """
+
+
 class TraceFormatError(ReproError):
     """A binary trace file violates the ``repro`` trace format.
 

@@ -25,6 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.errors import TraceTooLargeError
 from repro.polyhedra.constraints import EQ
 from repro.polyhedra.space import (
     BoundedSpace,
@@ -32,6 +33,13 @@ from repro.polyhedra.space import (
     RowConstraint,
     RowResidue,
 )
+
+
+#: The most rows :func:`enumerate_points_array` materialises at any level:
+#: the int32 ceiling that the trace budget
+#: (:data:`repro.sim.batch.MAX_TRACE_ACCESSES`) already keeps every trace
+#: position under.
+MAX_POINTS = 2**31 - 1
 
 
 def _eval_row(
@@ -54,6 +62,9 @@ def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
     reduces to an interval once the outer dimensions are fixed), repeat
     each prefix once per value in its range, then drop the rows that
     violate a residue constraint anchored at this depth.
+
+    Raises :class:`~repro.errors.TraceTooLargeError`, before allocating,
+    once a level would hold more than :data:`MAX_POINTS` rows.
     """
     n = space.ndim
     empty = np.empty((0, n), dtype=np.int64)
@@ -79,6 +90,12 @@ def enumerate_points_array(space: BoundedSpace) -> "np.ndarray":
         total = int(counts.sum())
         if total == 0:
             return empty
+        if total > MAX_POINTS:
+            raise TraceTooLargeError(
+                f"an iteration space over {', '.join(space.dims)} is too "
+                f"large to enumerate: {total} points over its first "
+                f"{d + 1} dimension(s), more than {MAX_POINTS}"
+            )
         rows = np.repeat(np.arange(len(points)), counts)
         ends = np.cumsum(counts)
         starts = np.repeat(ends - counts, counts)

@@ -39,6 +39,7 @@ the tests assert daemon responses equal offline ``analyze`` runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
@@ -294,8 +295,11 @@ def validate_request(
         raise BadRequest(f"field 'width' must be in (0, 1), got {width}")
     seed = _field(doc, "seed", int, 0)
     timeout = _field(doc, "timeout", float, float(default_timeout))
-    if timeout <= 0.0:
-        raise BadRequest(f"field 'timeout' must be positive, got {timeout}")
+    # JSON bodies may spell NaN and Infinity; neither is a deadline.
+    if not (math.isfinite(timeout) and timeout > 0.0):
+        raise BadRequest(
+            f"field 'timeout' must be positive and finite, got {timeout}"
+        )
     client = _field(doc, "client", str, "anonymous")
     return AnalyzeRequest(
         cache=cache,

@@ -80,7 +80,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.errors import AnalysisError, InvariantError
+from repro.errors import InvariantError, TraceTooLargeError
 from repro.layout.cache import CacheConfig
 from repro.layout.memory import MemoryLayout
 from repro.normalize.nprogram import NormalizedProgram, NRef, index_var
@@ -92,14 +92,6 @@ from repro.sim.simulator import HierarchyReport, SimReport
 #: Hard budget on materialised trace length: past this the arrays stop
 #: fitting comfortably in memory and the scalar walk is used instead.
 MAX_TRACE_ACCESSES = 50_000_000
-
-
-class TraceTooLargeError(AnalysisError):
-    """The access trace exceeds :data:`MAX_TRACE_ACCESSES`.
-
-    :func:`repro.sim.simulate` catches this and degrades to the scalar
-    walker, which streams accesses without materialising them.
-    """
 
 
 # -- trace construction ---------------------------------------------------------------

@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.ir import ProgramBuilder
 
 #: Method names every entry point (``analyze``, the serve protocol, the
 #: CLI) must reject — near misses of the real ones.
 UNKNOWN_METHODS = ("simulate", "magic", "Find", "estimate ", "")
+
+#: The ``RLIMIT_AS`` of :func:`run_limited`: an allocation past it fails at
+#: once instead of swapping.
+ADDRESS_LIMIT = 2 << 30
+
+
+def run_limited(args: list[str]) -> subprocess.CompletedProcess:
+    """``python *args`` with this package importable, under an
+    :data:`ADDRESS_LIMIT` address-space limit; its output as text."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 def figure1_program(n: int = 10):

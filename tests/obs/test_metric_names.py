@@ -26,7 +26,6 @@ GOLDEN_COUNTERS = {
     "cme.refs.analysed",
     "cme.regions.exact_regions",
     "cme.regions.fallback.cell_cap",
-    "cme.regions.fallback.irregular",
     "cme.regions.fallback.partition_mismatch",
     "cme.regions.fallback.probe_mismatch",
     "cme.regions.fallback.uncertified",

@@ -87,6 +87,9 @@ def test_validate_request_roundtrips_doc():
         {"kernel": "hydro", "cache": "4:32:2", "client": 7},
         {"kernel": "hydro", "cache": "4:32:2", "timeout": -1},
         {"kernel": "hydro", "cache": "4:32:2", "timeout": True},
+        {"kernel": "hydro", "cache": "4:32:2", "timeout": float("nan")},
+        {"kernel": "hydro", "cache": "4:32:2", "timeout": float("inf")},
+        {"kernel": "hydro", "cache": "4:32:2", "timeout": float("-inf")},
     ],
 )
 def test_validate_request_rejects(doc):

@@ -23,6 +23,7 @@ from repro.serve.protocol import (
     parse_cache_spec,
     report_doc,
 )
+from tests.fixtures import run_limited
 
 
 @pytest.fixture()
@@ -154,6 +155,43 @@ def test_malformed_batch_body(server):
     status, doc = post_raw(server.url, "/v1/batch", b'{"requests": 7}')
     assert status == 400
     assert doc["error"]["code"] == "bad_json"
+
+
+@pytest.mark.parametrize("literal", [b"NaN", b"Infinity"])
+def test_non_finite_timeout_is_400(server, literal):
+    """``json.loads`` accepts the literals ``NaN`` and ``Infinity``; as a
+    timeout either would make the job's deadline never expire."""
+    body = (
+        b'{"kernel": "hydro", "size": 8, "cache": "4:32:2", '
+        b'"method": "find", "timeout": ' + literal + b"}"
+    )
+    status, doc = post_raw(server.url, "/v1/analyze", body)
+    assert status == 400
+    assert doc["error"]["code"] == "bad_request"
+    assert "timeout" in doc["error"]["message"]
+
+
+#: A daemon asked for Hydro at size 100000 by find: 10^10 points.
+_HUGE_FIND = """
+from repro.serve import AnalysisServer, ServeClient
+with AnalysisServer(port=0).start() as srv:
+    try:
+        ServeClient(srv.url).analyze({"kernel": "hydro", "size": 100000,
+                                      "cache": "32:32:1", "method": "find"})
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_unenumerable_space_is_a_typed_failure():
+    """The RIS is too large to enumerate: the job fails with the solver's
+    typed error, not an internal error from a ``MemoryError`` (run under a
+    2 GiB address-space limit, so an allocation fails at once)."""
+    done = run_limited(["-c", _HUGE_FIND])
+    assert done.returncode == 0, done.stderr
+    assert "analysis failed" in done.stdout
+    assert "too large to enumerate" in done.stdout
+    assert "internal error" not in done.stdout + done.stderr
 
 
 def test_unknown_kernel_is_404(client):

@@ -8,7 +8,7 @@ from repro import obs
 from repro.cli import main
 from repro.cme import METHODS
 from repro.obs.export import validate_snapshot
-from tests.fixtures import UNKNOWN_METHODS
+from tests.fixtures import UNKNOWN_METHODS, run_limited
 from tests.harness.differential import scalar_simulate, scalar_trace
 
 
@@ -155,6 +155,23 @@ class TestErrors:
             main(["analyze", "hydro", "--size", "8", "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method,cache", [("find", "32:32:1"), ("regions", "1:32:1")]
+    )
+    def test_unenumerable_space_is_a_one_line_exit(self, method, cache):
+        """Hydro at size 100000 has 10^10 points: ``find`` enumerates its
+        RIS and ``regions`` a fallback cell almost as large.  Either is a
+        typed ``TraceTooLargeError`` before anything is allocated, not a
+        ``MemoryError``; the 2 GiB address-space limit makes an allocation
+        fail at once instead of swapping."""
+        argv = ["analyze", "hydro", "--size", "100000", "--method", method,
+                "--cache", cache]
+        done = run_limited(["-m", "repro.cli", *argv])
+        assert done.returncode == 1
+        message = done.stderr.strip()
+        assert "too large to enumerate" in message, done.stderr
+        assert "\n" not in message
 
     def test_malformed_source_is_a_one_line_error(self, tmp_path):
         path = tmp_path / "bad.f"
