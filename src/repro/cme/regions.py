@@ -177,39 +177,26 @@ _REASON_COUNTERS = {r: f"cme.regions.fallback.{r}" for r in FALLBACK_REASONS}
 class _Conditions(NamedTuple):
     """The cold condition of every row of the reuse table, row for row
     (:meth:`RegionSolver._condition_rows`; geometry-free but for the line
-    size, so kept once per layout and line size).
+    size, so kept once per layout and line size), in the form interval
+    tests over a box read.
 
     Row ``i`` is ``never[i]`` satisfiable, or holds where its first
-    ``nkept[i]`` translated producer conjuncts ``rows[i, k]·p + consts[i,
-    k] ⋈ 0`` (``==`` where ``eq[i, k]``, else ``>=``; padded with ``0 >=
-    0``) hold and ``addr_c(p) mod L`` lies in ``[residues[i, 0],
-    residues[i, 1]]``; the whole line ``[0, L − 1]`` means no residue
-    conjunct.
+    ``nkept[i]`` translated producer conjuncts hold and ``addr_c(p) mod L``
+    lies in ``[residues[i, 0], residues[i, 1]]``; the whole line ``[0, L −
+    1]`` means no residue conjunct.  Conjunct ``k`` is ``e·p + consts[i, k]
+    ⋈ 0`` (``==`` where ``eq[i, k]``, else ``>=``) with ``coeffs[i, k]``
+    holding the positive coefficients of ``e``, then its negative ones, so
+    ``coeffs[i, k] @ (hi…, lo…) + consts[i, k]`` is its maximum over a box.
+    The columns past ``eq``'s width hold the equalities once more, negated
+    (``−e >= 0``); every unused column is the always-true ``0 >= 0``.
     """
 
     never: "np.ndarray"
     nkept: "np.ndarray"
-    rows: "np.ndarray"
+    coeffs: "np.ndarray"
     consts: "np.ndarray"
     eq: "np.ndarray"
     residues: "np.ndarray"
-
-
-class _RefConditions(NamedTuple):
-    """One consumer's rows of :class:`_Conditions`, narrowed to its widest
-    kept conjunction, for interval arithmetic over a box: its kept
-    conjuncts as inequalities ``coeffs[v, k]·p + consts[v, k] >= 0`` (an
-    equality ``e == 0`` is ``e >= 0`` and ``−e >= 0``), each row holding
-    its positive coefficients, then its negative ones.  ``line`` is the
-    consumer address's residue over the whole line, whose row, constant
-    and modulus every residue conjunct of its cells shares."""
-
-    never: "np.ndarray"
-    coeffs: "np.ndarray"
-    consts: "np.ndarray"
-    res_lo: "np.ndarray"
-    res_hi: "np.ndarray"
-    line: RowResidue
 
 
 class RegionSolver:
@@ -249,9 +236,6 @@ class RegionSolver:
         self._index = {v: k for k, v in enumerate(nprog.index_vars)}
         self._addr: dict[int, tuple] = facts.setdefault("addr", {})
         self._ris_rows: dict[int, tuple] = facts.setdefault("ris", {})
-        self._ref_conds: dict[int, _RefConditions] = facts.setdefault(
-            "ref_conditions", {}
-        )
         self._compiled_conds: dict[tuple[int, int], tuple] = (
             facts.setdefault("compiled_conditions", {})
         )
@@ -286,23 +270,15 @@ class RegionSolver:
         return tuple(row), expr.constant
 
     def _address(self, ref: NRef) -> tuple[tuple[int, ...], int]:
-        """``ref``'s byte address as a row and a constant (read off the
-        classifier's address table when there is one)."""
+        """``ref``'s byte address as a row and a constant."""
         a = self._addr.get(ref.uid)
         if a is None:
-            if self.classifier is not None:
-                rows = self.classifier._program_rows()
-                a = (
-                    tuple(rows.addr_rows[ref.uid].tolist()),
-                    int(rows.addr_consts[ref.uid]),
-                )
-            else:
-                array = ref.array
-                a = self._row(
-                    array.element_offset(ref.subscripts) * array.element_size
-                    + self.layout.base_of(array)
-                )
-            a = self._addr.setdefault(ref.uid, a)
+            array = ref.array
+            expr = (
+                array.element_offset(ref.subscripts) * array.element_size
+                + self.layout.base_of(array)
+            )
+            a = self._addr.setdefault(ref.uid, self._row(expr))
         return a
 
     def _compiled(self, c: Constraint, shift: Sequence[int]) -> RowConstraint:
@@ -439,50 +415,34 @@ class RegionSolver:
             kept, np.take_along_axis(consts - shift, order, axis=1), 0
         )
         eq = kept & np.take_along_axis(eq, order, axis=1)
+        # An equality is two inequalities for the interval tests: the
+        # columns holding one anywhere, once more and negated.
+        cols = np.flatnonzero(eq.any(axis=0))
+        twice = eq[:, cols]
+        rows = np.concatenate(
+            [rows, np.where(twice[:, :, None], -rows[:, cols], 0)], axis=1
+        )
+        consts = np.concatenate(
+            [consts, np.where(twice, -consts[:, cols], 0)], axis=1
+        )
         residues = np.column_stack(
             [np.maximum(0, -d), np.minimum(line_bytes - 1, line_bytes - 1 - d)]
         )
-        return _Conditions(never, nkept, rows, consts, eq, residues)
+        return _Conditions(
+            never,
+            nkept,
+            np.concatenate([np.maximum(rows, 0), np.minimum(rows, 0)], axis=2),
+            consts,
+            eq,
+            residues,
+        )
 
-    def _ref_conditions(self, ref: NRef) -> "_RefConditions":
-        """The consumer's rows of the condition table, narrowed to its
-        widest kept conjunction and split for interval arithmetic."""
-        found = self._ref_conds.get(ref.uid)
-        if found is None:
-            table = self._condition_table()
-            rows = self.reuse.rows(ref)
-            width = int(table.nkept[rows].max(initial=0))
-            coeffs = table.rows[rows, :width]
-            consts = table.consts[rows, :width]
-            # The columns holding an equality once more, negated (``0 >= 0``
-            # where the conjunct is an inequality).
-            eq = table.eq[rows, :width]
-            cols = np.flatnonzero(eq.any(axis=0))
-            eq = eq[:, cols]
-            coeffs = np.concatenate(
-                [coeffs, np.where(eq[:, :, None], -coeffs[:, cols], 0)], axis=1
-            )
-            consts = np.concatenate(
-                [consts, np.where(eq, -consts[:, cols], 0)], axis=1
-            )
-            a_row, a_const = self._address(ref)
-            line_bytes = self.cache.line_bytes
-            found = self._ref_conds.setdefault(
-                ref.uid,
-                _RefConditions(
-                    table.never[rows],
-                    np.concatenate(
-                        [np.maximum(coeffs, 0), np.minimum(coeffs, 0)], axis=2
-                    ),
-                    consts,
-                    table.residues[rows, 0],
-                    table.residues[rows, 1],
-                    RowResidue.make(
-                        a_row, a_const, line_bytes, 0, line_bytes - 1
-                    ),
-                ),
-            )
-        return found
+    def _line(self, ref: NRef) -> RowResidue:
+        """``addr_c(i) mod L`` over the whole line: the row, constant and
+        modulus every residue conjunct of the consumer's cells shares."""
+        a_row, a_const = self._address(ref)
+        line_bytes = self.cache.line_bytes
+        return RowResidue.make(a_row, a_const, line_bytes, 0, line_bytes - 1)
 
     def _condition(self, ref: NRef, t: int) -> tuple:
         """The cold condition of the consumer's vector ``t`` as compiled
@@ -497,15 +457,17 @@ class RegionSolver:
         table = self._condition_table()
         i = self.reuse.rows(ref).start + t
         k = int(table.nkept[i])
+        n = self.nprog.depth
+        split = table.coeffs[i, :k]
         kept = []
         for row, const, is_eq in zip(
-            table.rows[i, :k].tolist(),
+            (split[:, :n] + split[:, n:]).tolist(),
             table.consts[i, :k].tolist(),
             table.eq[i, :k].tolist(),
         ):
             c = RowConstraint.make(tuple(row), const, EQ if is_eq else GE)
             kept.append((c, c.negated()))
-        line = self._ref_conditions(ref).line
+        line = self._line(ref)
         lo_r, hi_r = table.residues[i].tolist()
         if (lo_r, hi_r) != (line.lo, line.hi):
             inside = line._replace(lo=lo_r, hi=hi_r)
@@ -523,7 +485,7 @@ class RegionSolver:
         """The values of ``addr_c(i) mod L`` the cell's residue conjuncts
         admit: the intersection of their intervals, an interval itself
         (``lo > hi`` when empty)."""
-        line = self._ref_conditions(ref).line
+        line = self._line(ref)
         lo, hi = line.lo, line.hi
         if line.anchor >= 0:
             for r in cell.residues_at(line.anchor):
@@ -542,18 +504,19 @@ class RegionSolver:
         the vector's residue interval cannot meet the cell's
         (:meth:`_residue_interval`) when they are disjoint.
         """
-        conds = self._ref_conditions(ref)
+        table = self._condition_table()
+        rows = self.reuse.rows(ref)
+        at = slice(rows.start + t, rows.stop)
         box = cell.tight_ranges().values()
         # The positive coefficients meet the box's upper ends and the
         # negative its lower: each conjunct's maximum over the box.
         top = np.array(
             [hi for _, hi in box] + [lo for lo, _ in box], dtype=np.int64
         )
-        affine = (conds.coeffs[t:] @ top + conds.consts[t:] < 0).any(axis=1)
+        affine = (table.coeffs[at] @ top + table.consts[at] < 0).any(axis=1)
         r_lo, r_hi = self._residue_interval(ref, cell)
-        return (
-            affine | (conds.res_hi[t:] < r_lo) | (conds.res_lo[t:] > r_hi)
-        )
+        residues = table.residues[at]
+        return affine | (residues[:, 1] < r_lo) | (residues[:, 0] > r_hi)
 
     # -- the replacement-uniformity certificate ----------------------------------
 
@@ -936,7 +899,7 @@ class RegionSolver:
         associativity, so :meth:`solve_ref` keeps the result in the shared
         facts and every later geometry with this line size replays it.
         """
-        never = self._ref_conditions(ref).never
+        never = self._condition_table().never[self.reuse.rows(ref)]
         cold: list[BoundedSpace] = []
         decided: list[tuple[BoundedSpace, int]] = []
         irregular: list[tuple[BoundedSpace, str]] = []

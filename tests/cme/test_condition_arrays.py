@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro import prepare
-from repro.cme.batch import BatchClassifier
 from repro.cme.regions import RegionSolver
 from repro.ir import ProgramBuilder
 from repro.layout import CacheConfig
@@ -102,7 +101,7 @@ def _condition_diffs(solver) -> list[str]:
     diffs = []
     for ref in solver.nprog.refs:
         spans, residues = {}, {}
-        never = solver._ref_conditions(ref).never.tolist()
+        never = table.never[solver.reuse.rows(ref)].tolist()
         row0 = solver.reuse.rows(ref).start
         for t, rv in enumerate(solver.reuse.vectors_for(ref)):
             where = f"{ref.name()} vector {t}"
@@ -156,22 +155,6 @@ def test_conditions_equal_the_oracles_on_table6(name):
 @pytest.mark.parametrize("name,line", KERNELS)
 def test_conditions_equal_the_oracles_on_kernels(name, line):
     assert not _condition_diffs(_solver(*_prepared(PROGRAMS[name], line)))
-
-
-def test_classifier_address_rows_equal_the_subscript_ones():
-    """A solver with a classifier reads each address row off the
-    classifier's table; without one it derives it from the subscripts.
-    Each builds its own reuse table, since the rows are shared facts."""
-    failures = []
-    for name, nprog, layout, cache in _pool():
-        reuse = build_reuse_table(nprog, cache.line_bytes)
-        classifier = BatchClassifier(nprog, layout, cache, reuse)
-        read = RegionSolver(nprog, layout, cache, reuse, classifier)
-        derived = _solver(nprog, layout, cache)
-        for ref in nprog.refs:
-            if read._address(ref) != derived._address(ref):
-                failures.append(f"{name} {ref.name()}")
-    assert not failures, failures[:20]
 
 
 def test_condition_table_holds_both_verdicts_and_both_kinds():
@@ -254,7 +237,8 @@ def test_pairs_ruled_out_hold_no_point(monkeypatch):
         for ref in nprog.refs:
             solver.decompose(ref)
         for solver, ref, cell, t, ruled in popped:
-            never = solver._ref_conditions(ref).never[t:]
+            rows = solver.reuse.rows(ref)
+            never = solver._condition_table().never[rows][t:]
             for j in np.flatnonzero(ruled & ~never).tolist():
                 ruled_out += 1
                 piece = cell
